@@ -1,16 +1,23 @@
 """Discrete-event simulation core.
 
 Time advances on an integer nanosecond clock through a binary heap of
+events, and every event is a state change: a packet, a radio transition, a
+harvest change or a threshold crossing. Nothing is scheduled just to let
+time pass, because the capacitor voltage is known in closed form between
 events. The capacitor is brought up to date at the top of every dispatch,
-so threshold crossings are detected before any event logic runs, and
-crossing times predicted in closed form get their own wake-up events.
+so threshold crossings are detected before any event logic runs. The
+crossing time predicted in closed form gets one wake-up event, re-armed
+only when the trajectory changes. Trace samples on the
+``update_interval_s`` grid are computed in closed form between events and
+never touch the heap or the capacitor.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .device import CycleRecord, Gateway, LorawanDevice
@@ -21,6 +28,8 @@ from .energy import (
     Resistance,
     TraceRecorder,
     harvester_resistance,
+    load_resistance,
+    propagate_voltage,
 )
 from .harvester import (
     ConstantHarvester,
@@ -32,6 +41,8 @@ from .harvester import (
 from .lorawan import DEFAULT_CURRENTS_A, DeviceState, LorawanParams
 
 _NS_PER_S = 1_000_000_000
+# The clock tick: a shorter period would round to a zero-nanosecond step.
+_TICK_S = 1 / _NS_PER_S
 
 HARVESTER_KINDS = ("constant", "trace", "random")
 GUARD_HORIZONS = ("tx", "cycle")
@@ -169,6 +180,10 @@ def _noop() -> None:
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
     problems = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{f.name} must be finite, got {value}")
     if config.harvester not in HARVESTER_KINDS:
         problems.append(f"harvester must be one of {HARVESTER_KINDS}")
     if config.harvester == "constant" and config.power_w < 0:
@@ -184,8 +199,15 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
             problems.append("mean_w must be positive")
         if config.harvest_update_period_s <= 0:
             problems.append("harvest_update_period_s must be positive")
+        elif config.harvest_update_period_s < _TICK_S:
+            problems.append(_below_tick("harvest_update_period_s", config))
     if config.packet_period_s <= 0:
         problems.append("packet_period_s must be positive")
+    elif config.packet_period_s < _TICK_S:
+        problems.append(_below_tick("packet_period_s", config))
+    # A non-positive update_interval_s is reported by CapacitorParams.
+    if 0 < config.update_interval_s < _TICK_S:
+        problems.append(_below_tick("update_interval_s", config))
     if config.first_packet_s is not None and config.first_packet_s < 0:
         problems.append("first_packet_s must be non-negative")
     if config.duration_s <= 0:
@@ -204,6 +226,10 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
         if amps < 0:
             problems.append(f"{name} must be non-negative")
     return problems
+
+
+def _below_tick(name: str, config: ScenarioConfig) -> str:
+    return f"{name} must be at least the 1 ns clock tick, got {getattr(config, name)}"
 
 
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
@@ -301,7 +327,10 @@ class Simulator:
         self._heap: list[Event] = []
         self._seq = 0
         self._crossing_event: Event | None = None
+        self._crossing_key: tuple[DeviceState, Resistance, bool] | None = None
         self._last_record_key: tuple[int, DeviceState] | None = None
+        self._sample_step_ns = round(config.update_interval_s * _NS_PER_S)
+        self._next_sample_ns = self._sample_step_ns
 
     @property
     def now_s(self) -> float:
@@ -346,9 +375,41 @@ class Simulator:
         self._last_record_key = key
         recorder.record(self.now_s, self.cap.voltage_v, self.device.state.value)
 
+    def _sample_trace(self, until_ns: int) -> None:
+        """Record the grid samples strictly before ``until_ns``.
+
+        Each voltage is propagated in closed form from the capacitor's last
+        update under the current load and harvest; the capacitor itself is
+        left untouched. A grid instant at ``until_ns`` is skipped: the record
+        made when the clock moves there covers it.
+        """
+        recorder = self.metrics.trace
+        t_ns = self._next_sample_ns
+        if recorder is None or t_ns > until_ns:
+            return
+        state = self.device.state
+        cap = self.cap
+        r_load = load_resistance(self.currents[state], cap.params.rail_voltage_v)
+        v0 = cap.voltage_v
+        t0_s = cap.state.last_update_s
+        step = self._sample_step_ns
+        while t_ns < until_ns:
+            t_s = t_ns / _NS_PER_S
+            v = propagate_voltage(v0, t_s - t0_s, r_load, self.r_harv, cap.params)
+            recorder.record(t_s, v, state.value)
+            t_ns += step
+        if t_ns == until_ns:
+            t_ns += step
+        self._next_sample_ns = t_ns
+
     def _reschedule_crossing(self) -> None:
-        if self._crossing_event is not None:
-            self._crossing_event.cancelled = True
+        key = (self.device.state, self.r_harv, self.cap.state.depleted)
+        armed = self._crossing_event
+        if key == self._crossing_key and (armed is None or armed.time_ns > self.now_ns):
+            return  # same trajectory, and its crossing (if any) is still ahead
+        self._crossing_key = key
+        if armed is not None:
+            armed.cancelled = True
             self._crossing_event = None
         profile = self._profiles[self.device.state]
         t_cross = self.cap.next_crossing(profile, self.r_harv)
@@ -358,9 +419,6 @@ class Simulator:
         self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
 
     # -- recurring drivers ---------------------------------------------------
-
-    def _on_periodic(self) -> None:
-        self.schedule_in(self.config.update_interval_s, self._on_periodic)
 
     def _on_generate(self) -> None:
         self.schedule_in(self.config.packet_period_s, self._on_generate)
@@ -382,6 +440,7 @@ class Simulator:
     # -- main loop ------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
+        self._sample_trace(event.time_ns)
         moved = event.time_ns != self.now_ns
         self.now_ns = event.time_ns
         self._advance()
@@ -396,7 +455,6 @@ class Simulator:
         duration_ns = round(config.duration_s * _NS_PER_S)
         try:
             self._record_trace()
-            self.schedule_in(config.update_interval_s, self._on_periodic)
             self._chain_harvest_change(0.0)
             first = config.first_packet_s
             if first is None:
@@ -408,6 +466,7 @@ class Simulator:
                 if event.time_ns >= duration_ns:
                     break
                 self._dispatch(event)
+            self._sample_trace(duration_ns)
             self.now_ns = duration_ns
             self._advance()
             self._record_trace()

@@ -8,6 +8,7 @@ constant between updates.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Protocol
@@ -73,6 +74,7 @@ class TraceHarvester:
                     f"trace timestamps must be strictly increasing, "
                     f"got {prev.time_s} then {cur.time_s}"
                 )
+        self._times = [sample.time_s for sample in self.samples]
 
     def power_at(self, time_s: float) -> float:
         first = self.samples[0].time_s
@@ -82,20 +84,11 @@ class TraceHarvester:
                 f"time {time_s} s outside trace span [{first}, {last}] s"
             )
         # Zero-order hold: latest sample at or before the query time.
-        lo, hi = 0, len(self.samples) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.samples[mid].time_s <= time_s:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.samples[lo].power_w
+        return self.samples[bisect_right(self._times, time_s) - 1].power_w
 
     def next_change_after(self, time_s: float) -> float | None:
-        for sample in self.samples:
-            if sample.time_s > time_s:
-                return sample.time_s
-        return None
+        index = bisect_right(self._times, time_s)
+        return self._times[index] if index < len(self._times) else None
 
 
 class RandomHarvester:

@@ -124,3 +124,26 @@ def test_usage_errors_exit_nonzero(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (["capacitor.capacitance_f=nan"], "capacitance_f must be finite"),
+        (["harvester.power_w=inf"], "power_w must be finite"),
+        (["sim.duration_s=nan"], "duration_s must be finite"),
+        (["packet_period_s=4e-10"], "packet_period_s must be at least the 1 ns clock tick"),
+        (["update_interval_s=1e-10", "sim.trace=true"], "update_interval_s must be at least"),
+        (
+            ["harvester.kind=random", "harvester.update_period_s=1e-10"],
+            "harvest_update_period_s must be at least",
+        ),
+    ],
+)
+def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):
+    args = [arg for pair in overrides for arg in ("--set", pair)]
+    assert main(["run", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ")
+    assert field in err[0]

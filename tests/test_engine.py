@@ -221,3 +221,69 @@ def test_validation_reports_all_problems_together():
 
 def test_valid_default_scenario_has_no_problems():
     assert validate_scenario(ScenarioConfig()) == []
+
+
+def test_idle_time_schedules_no_events():
+    base = ScenarioConfig(
+        capacitance_f=0.005,
+        power_w=0.001,
+        packet_period_s=60.0,
+        duration_s=6 * 3600.0,
+    )
+    pushes = set()
+    # A traced run at 0.01 s would hold 2.16 million samples; 0.25 s
+    # already puts 86,400 grid instants between the 360 packets.
+    for update_interval_s, trace in ((1.0, False), (0.01, False), (1.0, True), (0.25, True)):
+        sim = Simulator(replace(base, update_interval_s=update_interval_s, trace=trace))
+        metrics = sim.run()
+        assert metrics.generated == 360
+        # Events follow packets and radio states, not the seconds that pass.
+        assert sim._seq < 20 * metrics.generated
+        pushes.add(sim._seq)
+    assert len(pushes) == 1
+
+
+def test_brownout_cost_is_linear_in_simulated_time():
+    base = ScenarioConfig(
+        capacitance_f=0.3e-3,
+        power_w=0.5e-3,
+        confirmed=True,
+        guard_enabled=False,
+    )
+    pushes, depletions = [], []
+    for duration_s in (1800.0, 3600.0):
+        sim = Simulator(replace(base, duration_s=duration_s))
+        depletions.append(sim.run().depletion_events)
+        pushes.append(sim._seq)
+    assert depletions[0] > 50  # the device really browns out, repeatedly
+    assert depletions[1] <= 2.1 * depletions[0]
+    # Stale crossing events no longer pile up between brownouts.
+    assert pushes[1] <= 2.1 * pushes[0]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"capacitance_f": 0.3e-3, "power_w": 0.5e-3, "confirmed": True, "guard_enabled": False},
+        {
+            "capacitance_f": 0.006,
+            "harvester": "random",
+            "distribution": "exponential",
+            "mean_w": 0.0003,
+            "harvest_update_period_s": 7.0,
+            "guard_enabled": False,
+        },
+        {"update_interval_s": 0.37, "capacitance_f": 0.006, "power_w": 0.0002, "guard_enabled": False},
+    ],
+    ids=["default", "brownout", "random-exponential", "odd-interval"],
+)
+def test_tracing_is_observation_only(overrides):
+    # All but the default scenario brown out and recover several times.
+    config = replace(ScenarioConfig(), **overrides)
+    plain = run_scenario(config)
+    traced = run_scenario(replace(config, trace=True))
+    assert traced.trace.records
+    assert results_row(config, traced) == results_row(config, plain)
+    assert traced.final_voltage_v == plain.final_voltage_v
+    assert traced.depletion_events == plain.depletion_events
