@@ -5,17 +5,17 @@ success-probability sweeps with resumable CSV output."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .device import DlReply, post_tx_sequence
 from .energy import (
-    Resistance,
-    harvester_resistance,
-    load_resistance,
+    harvester_conductance,
+    load_conductance,
     min_voltage_over_segments,
-    steady_state_voltage,
+    propagate_voltage,
 )
 from .engine import (
     ScenarioConfig,
@@ -41,7 +41,7 @@ DEFAULT_TOL_REL = 0.01
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """One transmission cycle reduced to (duration, load resistance) segments.
+    """One transmission cycle reduced to (duration, load conductance) segments.
 
     The starting voltage is the steady level the capacitor settles at under
     the Off-state load, clamped at the maximum voltage, i.e. the best the
@@ -50,8 +50,8 @@ class CycleSpec:
 
     kind: str
     initial_voltage_v: float
-    segments: tuple[tuple[float, Resistance], ...]
-    r_harv: Resistance
+    segments: tuple[tuple[float, float], ...]
+    g_harv: float
 
 
 def cycle_states(config: ScenarioConfig, kind: str) -> list[tuple[DeviceState, float]]:
@@ -75,18 +75,18 @@ def cycle_spec(
     """Build the analytic cycle description for ``kind`` at ``power_w``."""
     power = config.power_w if power_w is None else power_w
     rail = config.rail_voltage_v
-    r_harv = harvester_resistance(power, rail)
+    g_harv = harvester_conductance(power, rail)
     currents = config.currents()
-    r_off = load_resistance(currents[DeviceState.OFF], rail)
-    v0 = steady_state_voltage(r_off, r_harv, rail)
-    if v0 is None:
-        v0 = config.initial_voltage_v
-    v0 = min(v0, config.max_voltage_v)
+    g_off = load_conductance(currents[DeviceState.OFF], rail)
+    # Settled after unbounded time; with both sides open the voltage holds.
+    v0 = propagate_voltage(
+        config.initial_voltage_v, math.inf, g_off, g_harv, capacitor_params(config)
+    )
     segments = tuple(
-        (duration, load_resistance(currents[state], rail))
+        (duration, load_conductance(currents[state], rail))
         for state, duration in cycle_states(config, kind)
     )
-    return CycleSpec(kind=kind, initial_voltage_v=v0, segments=segments, r_harv=r_harv)
+    return CycleSpec(kind=kind, initial_voltage_v=v0, segments=segments, g_harv=g_harv)
 
 
 def min_voltage_over_cycle(
@@ -95,7 +95,7 @@ def min_voltage_over_cycle(
     """Lowest voltage reached while playing the cycle with this capacitor."""
     params = capacitor_params(replace(config, capacitance_f=capacitance_f))
     return min_voltage_over_segments(
-        spec.initial_voltage_v, spec.segments, spec.r_harv, params
+        spec.initial_voltage_v, spec.segments, spec.g_harv, params
     )
 
 
@@ -302,21 +302,26 @@ def run_sweep(
 
     With ``resume`` the rows already present (matched by grid coordinates)
     are kept and their runs skipped, so an interrupted sweep can pick up
-    where it stopped. Failed runs are reported through ``on_error`` and do
-    not write a row, leaving them eligible for a later resume.
+    where it stopped. Only a newline-terminated row with the full field
+    count counts as done; an unterminated last row, cut off mid-write, is
+    removed so its point runs again. Failed runs are reported through
+    ``on_error`` and do not write a row, leaving them eligible for a later
+    resume.
     """
     from .engine import RESULTS_HEADER
 
     path = Path(path)
+    n_fields = RESULTS_HEADER.count(",") + 1
     done: dict[str, str] = {}
-    if resume and path.exists():
-        for line in path.read_text().splitlines():
-            if not line or line == RESULTS_HEADER:
-                continue
-            key = ",".join(line.split(",")[:5])
-            done[key] = line
-    else:
+    data = path.read_bytes() if resume and path.exists() else b""
+    complete = data[: data.rfind(b"\n") + 1]
+    if not complete:
         path.write_text(RESULTS_HEADER + "\n")
+    elif len(complete) < len(data):
+        os.truncate(path, len(complete))
+    for line in complete.decode().splitlines():
+        if line != RESULTS_HEADER and line.count(",") + 1 == n_fields:
+            done[",".join(line.split(",")[:5])] = line
     rows = []
     with path.open("a") as out:
         for config in configs:

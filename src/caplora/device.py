@@ -10,8 +10,7 @@ from typing import TYPE_CHECKING
 
 from .energy import (
     CapacitorParams,
-    Resistance,
-    load_resistance,
+    load_conductance,
     min_voltage_over_segments,
 )
 from .lorawan import (
@@ -112,7 +111,7 @@ def smart_tx_guard(
     voltage_v: float,
     params: LorawanParams,
     currents: dict[DeviceState, float],
-    r_harv: Resistance,
+    g_harv: float,
     cap_params: CapacitorParams,
     horizon: str = "tx",
 ) -> bool:
@@ -123,10 +122,10 @@ def smart_tx_guard(
     below the cutoff threshold anywhere along it.
     """
     segments = [
-        (duration, load_resistance(currents[state], cap_params.rail_voltage_v))
+        (duration, load_conductance(currents[state], cap_params.rail_voltage_v))
         for state, duration in guard_segments(params, horizon)
     ]
-    predicted = min_voltage_over_segments(voltage_v, segments, r_harv, cap_params)
+    predicted = min_voltage_over_segments(voltage_v, segments, g_harv, cap_params)
     return predicted >= cap_params.v_th_low_v
 
 
@@ -227,7 +226,7 @@ class LorawanDevice:
                 self.sim.cap.voltage_v,
                 self.params,
                 self.sim.currents,
-                self.sim.r_harv,
+                self.sim.g_harv,
                 self.sim.cap.params,
                 self.sim.config.guard_horizon,
             )

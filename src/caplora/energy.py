@@ -1,10 +1,15 @@
-"""Supercapacitor energy model: an ideal source behind a series resistance feeds
-a capacitor in parallel with a resistive load.
+"""Supercapacitor energy model: an ideal source behind a series conductance
+feeds a capacitor in parallel with a conductive load.
 
-All voltages are volts, resistances ohms, capacitances farads, times seconds.
-An open circuit (no harvest, or no load) is represented by ``None`` instead of
-an infinite resistance so that the limiting forms of the charge equation are
-taken analytically.
+Between events the voltage follows ``C dv/dt = G_h (E - v) - G_L v``, where
+``E`` is the rail voltage, ``G_h`` the harvester's conductance and ``G_L``
+the load's. An open side (no harvest, or no load) is simply ``G = 0``, so one
+asymptote ``v_inf = E G_h / (G_h + G_L)`` and one time constant
+``tau = C / (G_h + G_L)`` cover every case; only when both sides are open
+does the voltage hold.
+
+All voltages are volts, conductances siemens, capacitances farads, times
+seconds.
 """
 
 from __future__ import annotations
@@ -12,11 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, IO, Iterable, Sequence
-
-Resistance = float | None
-
-OPEN_CIRCUIT: Resistance = None
+from typing import Callable, IO, Iterable
 
 
 @dataclass(frozen=True)
@@ -35,18 +36,16 @@ class LoadProfile:
 class CapacitorParams:
     """Static parameters of the storage capacitor and its voltage windows.
 
-    Thresholds are stored as fractions of ``max_voltage_v``; the device turns
-    off below the low threshold and back on once the high threshold is reached
-    again (hysteresis).
+    The device turns off below ``v_th_low_v`` and back on once ``v_th_high_v``
+    is reached again (hysteresis).
     """
 
     capacitance_f: float
     rail_voltage_v: float
     max_voltage_v: float
-    v_th_low_fraction: float
-    v_th_high_fraction: float
+    v_th_low_v: float
+    v_th_high_v: float
     initial_voltage_v: float
-    update_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         problems = []
@@ -56,109 +55,92 @@ class CapacitorParams:
             problems.append(f"rail_voltage_v must be > 0, got {self.rail_voltage_v}")
         if self.max_voltage_v <= 0.0:
             problems.append(f"max_voltage_v must be > 0, got {self.max_voltage_v}")
-        if not 0.0 < self.v_th_low_fraction < 1.0:
+        if not 0.0 < self.v_th_low_v < self.max_voltage_v:
             problems.append(
-                f"v_th_low_fraction must be in (0, 1), got {self.v_th_low_fraction}"
+                f"v_th_low_v must be in (0, max_voltage_v), got {self.v_th_low_v}"
             )
-        if not 0.0 < self.v_th_high_fraction <= 1.0:
+        if not 0.0 < self.v_th_high_v <= self.max_voltage_v:
             problems.append(
-                f"v_th_high_fraction must be in (0, 1], got {self.v_th_high_fraction}"
+                f"v_th_high_v must be in (0, max_voltage_v], got {self.v_th_high_v}"
             )
-        if self.v_th_high_fraction <= self.v_th_low_fraction:
-            problems.append("v_th_high_fraction must be > v_th_low_fraction")
+        if self.v_th_high_v <= self.v_th_low_v:
+            problems.append("v_th_high_v must be > v_th_low_v")
         if not 0.0 <= self.initial_voltage_v <= self.max_voltage_v:
             problems.append(
                 f"initial_voltage_v must be in [0, max_voltage_v], got {self.initial_voltage_v}"
             )
-        if self.update_interval_s <= 0.0:
-            problems.append(f"update_interval_s must be > 0, got {self.update_interval_s}")
         if problems:
             raise ValueError("; ".join(problems))
 
-    @property
-    def v_th_low_v(self) -> float:
-        return self.v_th_low_fraction * self.max_voltage_v
 
-    @property
-    def v_th_high_v(self) -> float:
-        return self.v_th_high_fraction * self.max_voltage_v
-
-
-def harvester_resistance(power_w: float, rail_voltage_v: float) -> Resistance:
-    """Series resistance of a harvester delivering ``power_w`` at the rail voltage.
-
-    Zero power means no harvest path at all and yields the open-circuit marker.
-    """
+def harvester_conductance(power_w: float, rail_voltage_v: float) -> float:
+    """Series conductance ``P / E^2`` of a harvester delivering ``power_w`` at
+    the rail voltage; zero power is an open harvest path."""
     if power_w < 0.0:
         raise ValueError(f"harvested power must be >= 0, got {power_w}")
     if rail_voltage_v <= 0.0:
         raise ValueError(f"rail voltage must be > 0, got {rail_voltage_v}")
-    if power_w == 0.0:
-        return OPEN_CIRCUIT
-    return rail_voltage_v * rail_voltage_v / power_w
+    return power_w / (rail_voltage_v * rail_voltage_v)
 
 
-def load_resistance(current_a: float, rail_voltage_v: float) -> Resistance:
-    """Equivalent resistance of a load absorbing ``current_a`` at the rail voltage."""
+def load_conductance(current_a: float, rail_voltage_v: float) -> float:
+    """Conductance ``I / E`` of a load absorbing ``current_a`` at the rail
+    voltage; zero current is an open load."""
     if current_a < 0.0:
         raise ValueError(f"load current must be >= 0, got {current_a}")
     if rail_voltage_v <= 0.0:
         raise ValueError(f"rail voltage must be > 0, got {rail_voltage_v}")
-    if current_a == 0.0:
-        return OPEN_CIRCUIT
-    return rail_voltage_v / current_a
+    return current_a / rail_voltage_v
 
 
-def equivalent_resistance(r_load: Resistance, r_harv: Resistance) -> Resistance:
-    """Parallel combination of load and harvester resistances, open-circuit aware."""
-    _check_resistance(r_load, "r_load")
-    _check_resistance(r_harv, "r_harv")
-    if r_load is None and r_harv is None:
-        return OPEN_CIRCUIT
-    if r_load is None:
-        return r_harv
-    if r_harv is None:
-        return r_load
-    return r_load * r_harv / (r_load + r_harv)
+def _segment(
+    g_load: float, g_harv: float, params: CapacitorParams
+) -> tuple[float, float] | None:
+    """Asymptote and time constant ``(v_inf, tau)`` of a fixed load and harvest.
+
+    ``None`` when both sides are open: the voltage then simply holds.
+    """
+    g = g_harv + g_load
+    if g == 0.0:
+        return None
+    return params.rail_voltage_v * g_harv / g, params.capacitance_f / g
 
 
 def steady_state_voltage(
-    r_load: Resistance, r_harv: Resistance, rail_voltage_v: float
-) -> float | None:
-    """Asymptotic capacitor voltage for a fixed load and harvest.
+    g_load: float, g_harv: float, params: CapacitorParams
+) -> float:
+    """Asymptotic capacitor voltage ``E G_h / (G_h + G_L)``, before the cap.
 
-    Returns ``None`` when both sides are open: the voltage then simply holds.
+    Raises ``ValueError`` when both sides are open, since the voltage then
+    holds wherever it is and has no asymptote.
     """
-    r_eq = equivalent_resistance(r_load, r_harv)
-    if r_eq is None:
-        return None
-    if r_harv is None:
-        return 0.0
-    return rail_voltage_v * r_eq / r_harv
+    segment = _segment(g_load, g_harv, params)
+    if segment is None:
+        raise ValueError("both sides are open: the voltage holds, with no asymptote")
+    return segment[0]
 
 
 def propagate_voltage(
     v0: float,
     elapsed_s: float,
-    r_load: Resistance,
-    r_harv: Resistance,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
 ) -> float:
     """Capacitor voltage after ``elapsed_s`` under a fixed load and harvest.
 
-    Closed-form solution of ``C dv/dt = (E - v)/r_harv - v/r_load`` with each
-    open side dropping its term. Charging saturates at ``max_voltage_v``.
+    Closed-form solution of ``C dv/dt = G_h (E - v) - G_L v``. Charging
+    saturates at ``max_voltage_v``; an infinite ``elapsed_s`` gives the
+    settled level.
     """
     if elapsed_s < 0.0:
         raise ValueError(f"elapsed time must be >= 0, got {elapsed_s}")
     if v0 < 0.0:
         raise ValueError(f"voltage must be >= 0, got {v0}")
-    v_inf = steady_state_voltage(r_load, r_harv, params.rail_voltage_v)
-    if v_inf is None or elapsed_s == 0.0:
+    segment = _segment(g_load, g_harv, params)
+    if segment is None or elapsed_s == 0.0:
         return _clamp(v0, params.max_voltage_v)
-    r_eq = equivalent_resistance(r_load, r_harv)
-    assert r_eq is not None
-    tau = r_eq * params.capacitance_f
+    v_inf, tau = segment
     # Convex combination of v0 and v_inf: with both terms non-negative there
     # is no cancellation, so composing many short steps stays accurate even
     # when the voltage is far smaller than the asymptote.
@@ -170,8 +152,8 @@ def propagate_voltage(
 def crossing_time(
     v0: float,
     target_v: float,
-    r_load: Resistance,
-    r_harv: Resistance,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
 ) -> float | None:
     """Time until the voltage trajectory from ``v0`` reaches ``target_v``.
@@ -180,89 +162,82 @@ def crossing_time(
     trajectory, or an asymptote at or short of the target). The result is
     exact, obtained by inverting the charge equation.
     """
-    v_inf = steady_state_voltage(r_load, r_harv, params.rail_voltage_v)
-    if v_inf is None or v0 == v_inf:
+    segment = _segment(g_load, g_harv, params)
+    if segment is None:
+        return None
+    v_inf, tau = segment
+    if v0 == v_inf:
         return None
     target_v = min(target_v, params.max_voltage_v)
     ratio = (target_v - v_inf) / (v0 - v_inf)
     if ratio <= 0.0 or ratio > 1.0:
         return None
-    r_eq = equivalent_resistance(r_load, r_harv)
-    assert r_eq is not None
-    tau = r_eq * params.capacitance_f
     return -tau * math.log(ratio)
 
 
 def load_energy_joules(
     v0: float,
-    current_a: float,
     duration_s: float,
-    r_harv: Resistance,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
 ) -> float:
-    """Energy absorbed by a load over ``duration_s``, in closed form.
+    """Energy absorbed by the load ``g_load`` over ``duration_s``, in closed form.
 
-    The load is the resistance that draws ``current_a`` at the rail voltage,
-    so its instantaneous power is ``v(t)^2 / R_L``. Integrating that keeps the
-    accounting consistent with the capacitor's stored energy: with no harvest,
-    the energy delivered equals the drop in ``C v^2 / 2`` exactly.
+    The load's instantaneous power is ``v(t)^2 G_L``. Integrating that keeps
+    the accounting consistent with the capacitor's stored energy: with no
+    harvest, the energy delivered equals the drop in ``C v^2 / 2`` exactly.
     """
     if duration_s < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
-    if current_a == 0.0 or duration_s == 0.0:
+    if g_load == 0.0 or duration_s == 0.0:
         return 0.0
-    r_load = load_resistance(current_a, params.rail_voltage_v)
-    assert r_load is not None
     v0 = _clamp(v0, params.max_voltage_v)
     # When the free trajectory would exceed the cap, split at the saturation
     # instant: past it the voltage holds at the maximum, not the exponential.
-    v_inf = steady_state_voltage(r_load, r_harv, params.rail_voltage_v)
-    if v_inf is not None and v_inf > params.max_voltage_v:
-        t_sat = crossing_time(v0, params.max_voltage_v, r_load, r_harv, params)
+    vmax = params.max_voltage_v
+    if steady_state_voltage(g_load, g_harv, params) > vmax:
+        t_sat = crossing_time(v0, vmax, g_load, g_harv, params)
         if t_sat is not None and t_sat < duration_s:
-            head = _exact_energy(v0, t_sat, r_load, r_harv, params)
-            vmax = params.max_voltage_v
-            tail = vmax * vmax / r_load * (duration_s - t_sat)
+            head = _exact_energy(v0, t_sat, g_load, g_harv, params)
+            tail = vmax * vmax * g_load * (duration_s - t_sat)
             return head + tail
-    return _exact_energy(v0, duration_s, r_load, r_harv, params)
+    return _exact_energy(v0, duration_s, g_load, g_harv, params)
 
 
 def _exact_energy(
     v0: float,
     duration_s: float,
-    r_load: float,
-    r_harv: Resistance,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
 ) -> float:
-    """Integral of v(t)^2 / r_load for an unsaturated exponential segment."""
-    v_inf = steady_state_voltage(r_load, r_harv, params.rail_voltage_v)
-    assert v_inf is not None
-    r_eq = equivalent_resistance(r_load, r_harv)
-    assert r_eq is not None
-    tau = r_eq * params.capacitance_f
-    b = v_inf
-    m = v0 - v_inf
+    """Integral of v(t)^2 G_L for an unsaturated exponential segment, G_L > 0."""
+    segment = _segment(g_load, g_harv, params)
+    assert segment is not None
+    b, tau = segment
+    m = v0 - b
     e1 = -math.expm1(-duration_s / tau)
     e2 = -math.expm1(-2.0 * duration_s / tau)
     integral = b * b * duration_s + 2.0 * b * m * tau * e1 + m * m * (tau / 2.0) * e2
-    return integral / r_load
+    return integral * g_load
 
 
 def min_voltage_over_segments(
     v0: float,
-    segments: Iterable[tuple[float, Resistance]],
-    r_harv: Resistance,
+    segments: Iterable[tuple[float, float]],
+    g_harv: float,
     params: CapacitorParams,
 ) -> float:
-    """Minimum voltage reached while playing ``(duration, r_load)`` segments.
+    """Minimum voltage reached while playing ``(duration, g_load)`` segments.
 
     Within one segment the trajectory is monotone toward its asymptote, so the
     minimum over the whole sequence is attained at a segment boundary.
     """
     v = _clamp(v0, params.max_voltage_v)
     v_min = v
-    for duration_s, r_load in segments:
-        v = propagate_voltage(v, duration_s, r_load, r_harv, params)
+    for duration_s, g_load in segments:
+        v = propagate_voltage(v, duration_s, g_load, g_harv, params)
         if v < v_min:
             v_min = v
     return v_min
@@ -271,6 +246,10 @@ def min_voltage_over_segments(
 # Voltages closer to a threshold than this are snapped onto it when the
 # hysteresis flag flips, so crossings land exactly on the configured level.
 _SNAP_TOLERANCE_V = 1e-9
+
+
+def _ignore_crossing(when_s: float) -> None:
+    pass
 
 
 @dataclass
@@ -283,12 +262,12 @@ class CapacitorState:
 
 
 class Capacitor:
-    """Capacitor state machine with hysteresis and crossing notifications.
+    """Capacitor state machine with hysteresis and crossing callbacks.
 
     ``update`` propagates the voltage under the profile that was active since
     the previous update. A threshold crossing inside the elapsed interval
-    flips the depleted flag and notifies listeners with the analytically
-    solved crossing time, not the update time.
+    flips the depleted flag and calls ``on_depleted`` or ``on_recharged`` with
+    the analytically solved crossing time, not the update time.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -300,8 +279,8 @@ class Capacitor:
             depleted=v0 < params.v_th_low_v,
         )
         self.load_energy_j = 0.0
-        self._on_depleted: list[Callable[[float], None]] = []
-        self._on_recharged: list[Callable[[float], None]] = []
+        self.on_depleted: Callable[[float], None] = _ignore_crossing
+        self.on_recharged: Callable[[float], None] = _ignore_crossing
 
     @property
     def voltage_v(self) -> float:
@@ -310,14 +289,8 @@ class Capacitor:
     def is_depleted(self) -> bool:
         return self.state.depleted
 
-    def add_depleted_listener(self, callback: Callable[[float], None]) -> None:
-        self._on_depleted.append(callback)
-
-    def add_recharged_listener(self, callback: Callable[[float], None]) -> None:
-        self._on_recharged.append(callback)
-
-    def update(self, now_s: float, profile: LoadProfile, r_harv: Resistance) -> None:
-        """Advance to ``now_s`` under ``profile``, firing threshold listeners."""
+    def update(self, now_s: float, profile: LoadProfile, g_harv: float) -> None:
+        """Advance to ``now_s`` under ``profile``, calling back on a crossing."""
         st = self.state
         if now_s < st.last_update_s:
             raise ValueError(
@@ -325,43 +298,35 @@ class Capacitor:
             )
         if now_s == st.last_update_s:
             return
+        params = self.params
         elapsed = now_s - st.last_update_s
-        r_load = load_resistance(profile.current_a, self.params.rail_voltage_v)
+        g_load = load_conductance(profile.current_a, params.rail_voltage_v)
         v_prev = st.voltage_v
-        self.load_energy_j += load_energy_joules(
-            v_prev, profile.current_a, elapsed, r_harv, self.params
-        )
-        v_new = propagate_voltage(v_prev, elapsed, r_load, r_harv, self.params)
+        self.load_energy_j += load_energy_joules(v_prev, elapsed, g_load, g_harv, params)
+        v_new = propagate_voltage(v_prev, elapsed, g_load, g_harv, params)
         st.voltage_v = v_new
         st.last_update_s = now_s
-        if not st.depleted and v_new <= self.params.v_th_low_v and v_new <= v_prev:
-            t_cross = crossing_time(
-                v_prev, self.params.v_th_low_v, r_load, r_harv, self.params
-            )
+        if not st.depleted and v_new <= params.v_th_low_v and v_new <= v_prev:
+            t_cross = crossing_time(v_prev, params.v_th_low_v, g_load, g_harv, params)
             when = st.last_update_s - elapsed + t_cross if t_cross is not None else now_s
-            if abs(v_new - self.params.v_th_low_v) <= _SNAP_TOLERANCE_V:
-                st.voltage_v = self.params.v_th_low_v
+            if abs(v_new - params.v_th_low_v) <= _SNAP_TOLERANCE_V:
+                st.voltage_v = params.v_th_low_v
             st.depleted = True
-            for callback in self._on_depleted:
-                callback(when)
-        elif st.depleted and v_new >= self.params.v_th_high_v and v_new >= v_prev:
-            t_cross = crossing_time(
-                v_prev, self.params.v_th_high_v, r_load, r_harv, self.params
-            )
+            self.on_depleted(when)
+        elif st.depleted and v_new >= params.v_th_high_v and v_new >= v_prev:
+            t_cross = crossing_time(v_prev, params.v_th_high_v, g_load, g_harv, params)
             when = st.last_update_s - elapsed + t_cross if t_cross is not None else now_s
-            if abs(v_new - self.params.v_th_high_v) <= _SNAP_TOLERANCE_V:
-                st.voltage_v = self.params.v_th_high_v
+            if abs(v_new - params.v_th_high_v) <= _SNAP_TOLERANCE_V:
+                st.voltage_v = params.v_th_high_v
             st.depleted = False
-            for callback in self._on_recharged:
-                callback(when)
+            self.on_recharged(when)
 
-    def next_crossing(self, profile: LoadProfile, r_harv: Resistance) -> float | None:
+    def next_crossing(self, profile: LoadProfile, g_harv: float) -> float | None:
         """Seconds from the last update until the active threshold is crossed."""
-        target = (
-            self.params.v_th_high_v if self.state.depleted else self.params.v_th_low_v
-        )
-        r_load = load_resistance(profile.current_a, self.params.rail_voltage_v)
-        return crossing_time(self.state.voltage_v, target, r_load, r_harv, self.params)
+        params = self.params
+        target = params.v_th_high_v if self.state.depleted else params.v_th_low_v
+        g_load = load_conductance(profile.current_a, params.rail_voltage_v)
+        return crossing_time(self.state.voltage_v, target, g_load, g_harv, params)
 
 
 @dataclass(frozen=True)
@@ -394,7 +359,3 @@ def _clamp(v: float, max_voltage_v: float) -> float:
         return max_voltage_v
     return v
 
-
-def _check_resistance(r: Resistance, name: str) -> None:
-    if r is not None and r <= 0.0:
-        raise ValueError(f"{name} must be > 0 or the open-circuit marker, got {r}")

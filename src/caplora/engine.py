@@ -25,10 +25,9 @@ from .energy import (
     Capacitor,
     CapacitorParams,
     LoadProfile,
-    Resistance,
     TraceRecorder,
-    harvester_resistance,
-    load_resistance,
+    harvester_conductance,
+    load_conductance,
     propagate_voltage,
 )
 from .harvester import (
@@ -201,13 +200,12 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
             problems.append("harvest_update_period_s must be positive")
         elif config.harvest_update_period_s < _TICK_S:
             problems.append(_below_tick("harvest_update_period_s", config))
-    if config.packet_period_s <= 0:
-        problems.append("packet_period_s must be positive")
-    elif config.packet_period_s < _TICK_S:
-        problems.append(_below_tick("packet_period_s", config))
-    # A non-positive update_interval_s is reported by CapacitorParams.
-    if 0 < config.update_interval_s < _TICK_S:
-        problems.append(_below_tick("update_interval_s", config))
+    for name in ("packet_period_s", "update_interval_s"):
+        period = getattr(config, name)
+        if period <= 0:
+            problems.append(f"{name} must be positive")
+        elif period < _TICK_S:
+            problems.append(_below_tick(name, config))
     if config.first_packet_s is not None and config.first_packet_s < 0:
         problems.append("first_packet_s must be non-negative")
     if config.duration_s <= 0:
@@ -233,16 +231,13 @@ def _below_tick(name: str, config: ScenarioConfig) -> str:
 
 
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
-    if config.max_voltage_v <= 0:
-        raise ValueError("max_voltage_v must be positive")
     return CapacitorParams(
         capacitance_f=config.capacitance_f,
         rail_voltage_v=config.rail_voltage_v,
         max_voltage_v=config.max_voltage_v,
-        v_th_low_fraction=config.v_th_low_v / config.max_voltage_v,
-        v_th_high_fraction=config.v_th_high_v / config.max_voltage_v,
+        v_th_low_v=config.v_th_low_v,
+        v_th_high_v=config.v_th_high_v,
         initial_voltage_v=config.initial_voltage_v,
-        update_interval_s=config.update_interval_s,
     )
 
 
@@ -317,17 +312,17 @@ class Simulator:
             self.metrics.trace = TraceRecorder()
         self.gateway = Gateway()
         self.device = LorawanDevice(self, lorawan_params(config))
-        self.cap.add_depleted_listener(self.device.on_depleted)
-        self.cap.add_recharged_listener(self.device.on_recharged)
+        self.cap.on_depleted = self.device.on_depleted
+        self.cap.on_recharged = self.device.on_recharged
         self.rng = random.Random(config.seed)
         self.now_ns = 0
-        self.r_harv: Resistance = harvester_resistance(
+        self.g_harv = harvester_conductance(
             self.harvester.power_at(0.0), config.rail_voltage_v
         )
         self._heap: list[Event] = []
         self._seq = 0
         self._crossing_event: Event | None = None
-        self._crossing_key: tuple[DeviceState, Resistance, bool] | None = None
+        self._crossing_key: tuple[DeviceState, float, bool] | None = None
         self._last_record_key: tuple[int, DeviceState] | None = None
         self._sample_step_ns = round(config.update_interval_s * _NS_PER_S)
         self._next_sample_ns = self._sample_step_ns
@@ -363,7 +358,7 @@ class Simulator:
 
     def _advance(self) -> None:
         profile = self._profiles[self.device.state]
-        self.cap.update(self.now_s, profile, self.r_harv)
+        self.cap.update(self.now_s, profile, self.g_harv)
 
     def _record_trace(self) -> None:
         recorder = self.metrics.trace
@@ -389,13 +384,13 @@ class Simulator:
             return
         state = self.device.state
         cap = self.cap
-        r_load = load_resistance(self.currents[state], cap.params.rail_voltage_v)
+        g_load = load_conductance(self.currents[state], cap.params.rail_voltage_v)
         v0 = cap.voltage_v
         t0_s = cap.state.last_update_s
         step = self._sample_step_ns
         while t_ns < until_ns:
             t_s = t_ns / _NS_PER_S
-            v = propagate_voltage(v0, t_s - t0_s, r_load, self.r_harv, cap.params)
+            v = propagate_voltage(v0, t_s - t0_s, g_load, self.g_harv, cap.params)
             recorder.record(t_s, v, state.value)
             t_ns += step
         if t_ns == until_ns:
@@ -403,7 +398,7 @@ class Simulator:
         self._next_sample_ns = t_ns
 
     def _reschedule_crossing(self) -> None:
-        key = (self.device.state, self.r_harv, self.cap.state.depleted)
+        key = (self.device.state, self.g_harv, self.cap.state.depleted)
         armed = self._crossing_event
         if key == self._crossing_key and (armed is None or armed.time_ns > self.now_ns):
             return  # same trajectory, and its crossing (if any) is still ahead
@@ -412,7 +407,7 @@ class Simulator:
             armed.cancelled = True
             self._crossing_event = None
         profile = self._profiles[self.device.state]
-        t_cross = self.cap.next_crossing(profile, self.r_harv)
+        t_cross = self.cap.next_crossing(profile, self.g_harv)
         if t_cross is None:
             return
         delay_ns = max(1, round(t_cross * _NS_PER_S))
@@ -426,7 +421,7 @@ class Simulator:
 
     def _on_harvest_change(self) -> None:
         power = self.harvester.power_at(self.now_s)
-        self.r_harv = harvester_resistance(power, self.config.rail_voltage_v)
+        self.g_harv = harvester_conductance(power, self.config.rail_voltage_v)
         self._chain_harvest_change(self.now_s)
 
     def _chain_harvest_change(self, after_s: float) -> None:

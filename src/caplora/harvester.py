@@ -1,7 +1,7 @@
 """Harvested-power sources feeding the energy model.
 
 A source answers ``power_at(t)`` in watts and exposes the next instant at
-which its output changes, so callers can keep the series resistance piecewise
+which its output changes, so callers can keep the series conductance piecewise
 constant between updates.
 """
 

@@ -24,8 +24,8 @@ def make_params(**overrides) -> CapacitorParams:
         capacitance_f=0.01,
         rail_voltage_v=3.3,
         max_voltage_v=3.3,
-        v_th_low_fraction=1.8 / 3.3,
-        v_th_high_fraction=3.0 / 3.3,
+        v_th_low_v=1.8,
+        v_th_high_v=3.0,
         initial_voltage_v=3.3,
     )
     kwargs.update(overrides)
@@ -35,34 +35,30 @@ def make_params(**overrides) -> CapacitorParams:
 def rk4_voltage(
     v0: float,
     duration_s: float,
-    r_load: float | None,
-    r_harv: float | None,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
     steps: int = 2000,
 ) -> float:
-    """Runge-Kutta integration of ``C dv/dt = (E - v)/r_harv - v/r_load``.
+    """Runge-Kutta integration of ``C dv/dt = g_h (E - v) - g_l v``.
 
-    The trajectory is a single exponential, so once it has run for many time
-    constants it sits on its asymptote to machine precision; integration stops
-    there to keep the fixed step inside the method's stability region. The
-    result is clamped to the maximum voltage exactly like the model clamps a
-    monotone approach to it.
+    A zero conductance is an open side and drops its term. The trajectory is
+    a single exponential, so once it has run for many time constants it sits
+    on its asymptote to machine precision; integration stops there to keep
+    the fixed step inside the method's stability region. The result is
+    clamped to the maximum voltage exactly like the model clamps a monotone
+    approach to it.
     """
-    if r_load is None and r_harv is None:
+    if g_load == 0.0 and g_harv == 0.0:
         return _clamp(v0, params)
 
     c = params.capacitance_f
     e = params.rail_voltage_v
 
     def dv_dt(v: float) -> float:
-        i_in = (e - v) / r_harv if r_harv is not None else 0.0
-        i_out = v / r_load if r_load is not None else 0.0
-        return (i_in - i_out) / c
+        return (g_harv * (e - v) - g_load * v) / c
 
-    g_eq = (1.0 / r_harv if r_harv is not None else 0.0) + (
-        1.0 / r_load if r_load is not None else 0.0
-    )
-    tau = c / g_eq
+    tau = c / (g_harv + g_load)
     t_end = min(duration_s, 45.0 * tau)
     h = t_end / steps
     v = v0
@@ -77,28 +73,27 @@ def rk4_voltage(
 
 def simpson_load_energy(
     v0: float,
-    current_a: float,
     duration_s: float,
-    r_harv: float | None,
+    g_load: float,
+    g_harv: float,
     params: CapacitorParams,
     n: int = 4096,
 ) -> float:
-    """Composite-Simpson integral of ``v(t)^2 / R_L`` over the segment.
+    """Composite-Simpson integral of ``v(t)^2 g_l`` over the segment.
 
     Valid for trajectories that never hit the voltage cap (the integrand is
     then smooth). The voltage samples come from the closed form, which the
     ODE oracle validates separately.
     """
-    from caplora import load_resistance, propagate_voltage
+    from caplora import propagate_voltage
 
-    if current_a == 0.0 or duration_s == 0.0:
+    if g_load == 0.0 or duration_s == 0.0:
         return 0.0
-    r_load = load_resistance(current_a, params.rail_voltage_v)
     h = duration_s / n
 
     def power(t: float) -> float:
-        v = propagate_voltage(v0, t, r_load, r_harv, params)
-        return v * v / r_load
+        v = propagate_voltage(v0, t, g_load, g_harv, params)
+        return v * v * g_load
 
     total = power(0.0) + power(duration_s)
     total += 4.0 * sum(power((2 * k + 1) * h) for k in range(n // 2))

@@ -19,7 +19,7 @@ from caplora import (
     CycleOutcome,
     ScenarioConfig,
     Simulator,
-    load_resistance,
+    load_conductance,
     propagate_voltage,
     run_scenario,
 )
@@ -89,7 +89,7 @@ def _transitions_into(records, state):
 
 def test_01_closed_form_voltage_matches_ode_oracle():
     # 1000 random constant-load segments against 4th-order Runge-Kutta
-    # integration of C dv/dt = (E - v)/r_harv - v/r_load: <= 1e-6 relative,
+    # integration of C dv/dt = g_h (E - v) - g_l v: <= 1e-6 relative,
     # under 10 s of wall time.
     rng = random.Random(42)
     currents = list(DEFAULT_CURRENTS_A.values())
@@ -97,12 +97,13 @@ def test_01_closed_form_voltage_matches_ode_oracle():
     worst = 0.0
     for _ in range(1000):
         params = make_params(capacitance_f=10 ** rng.uniform(-6, 0))
-        r_load = load_resistance(rng.choice(currents), params.rail_voltage_v)
-        r_harv = None if rng.random() < 0.25 else 10 ** rng.uniform(2, 6)
+        g_load = load_conductance(rng.choice(currents), params.rail_voltage_v)
+        # Harvest open a quarter of the time, else 100 ohm .. 1 Mohm.
+        g_harv = 0.0 if rng.random() < 0.25 else 10 ** -rng.uniform(2, 6)
         v0 = rng.uniform(0.0, params.max_voltage_v)
         duration = 10 ** rng.uniform(-3, 2.778)  # 1 ms .. ~600 s
-        got = propagate_voltage(v0, duration, r_load, r_harv, params)
-        ref = rk4_voltage(v0, duration, r_load, r_harv, params)
+        got = propagate_voltage(v0, duration, g_load, g_harv, params)
+        ref = rk4_voltage(v0, duration, g_load, g_harv, params)
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
     elapsed = time.monotonic() - started
     print(f"worst relative error {worst:.3e} over 1000 segments in {elapsed:.2f}s")
@@ -114,25 +115,25 @@ def test_01_closed_form_voltage_matches_ode_oracle():
 @given(
     k=st.integers(min_value=1, max_value=1000),
     current_a=st.sampled_from(sorted(DEFAULT_CURRENTS_A.values())),
-    r_harv=st.sampled_from([None, 100.0, 5445.0, 1e6]),
+    g_harv=st.sampled_from([0.0, 1 / 100.0, 1 / 5445.0, 1e-6]),
     v0=st.floats(min_value=0.0, max_value=3.3),
     total_s=st.floats(min_value=1e-3, max_value=600.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_02_propagation_is_segmentation_invariant(
-    k, current_a, r_harv, v0, total_s, seed
+    k, current_a, g_harv, v0, total_s, seed
 ):
     # Splitting one segment into k <= 1000 pieces moves the final voltage by
     # < 1e-9 relative.
     params = make_params()
-    r_load = load_resistance(current_a, params.rail_voltage_v)
-    one_shot = propagate_voltage(v0, total_s, r_load, r_harv, params)
+    g_load = load_conductance(current_a, params.rail_voltage_v)
+    one_shot = propagate_voltage(v0, total_s, g_load, g_harv, params)
     cuts = random.Random(seed)
     weights = [cuts.random() + 1e-9 for _ in range(k)]
     scale = total_s / sum(weights)
     v = v0
     for w in weights:
-        v = propagate_voltage(v, w * scale, r_load, r_harv, params)
+        v = propagate_voltage(v, w * scale, g_load, g_harv, params)
     # The floor only guards the exactly-zero trajectory (0/0 otherwise).
     assert abs(v - one_shot) <= 1e-9 * max(abs(one_shot), 1e-12)
 

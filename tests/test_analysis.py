@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from caplora import (
+    RESULTS_HEADER,
     DeviceState,
     ScenarioConfig,
     SweepGrid,
@@ -169,6 +170,27 @@ def test_run_sweep_writes_and_resumes(tmp_path):
     rows = run_sweep(configs[:1], path, resume=False)
     assert len(rows) == 1
     assert len(path.read_text().splitlines()) == 2
+
+
+def test_run_sweep_reruns_a_truncated_last_row(tmp_path):
+    config = replace(
+        BASE,
+        capacitance_f=0.002,
+        power_w=0.001,
+        packet_period_s=60.0,
+        first_packet_s=0.0,
+        duration_s=600.0,
+    )
+    fresh = run_sweep([config], tmp_path / "fresh.csv", resume=False)
+    path = tmp_path / "sweep.csv"
+    # A row cut off mid-write by an interrupt: no newline, 6 of 10 fields.
+    path.write_text(RESULTS_HEADER + "\n" + "0.002,0.001,3,60,0,7")
+    rows = run_sweep([config], path)
+    assert rows == fresh
+    lines = path.read_text().splitlines()
+    assert lines == [RESULTS_HEADER, *fresh]
+    assert all(len(line.split(",")) == 10 for line in lines)
+    assert path.read_text().endswith("\n")
 
 
 def test_run_sweep_reports_failures_without_writing_rows(tmp_path):

@@ -138,6 +138,7 @@ def test_usage_errors_exit_nonzero(capsys):
             ["harvester.kind=random", "harvester.update_period_s=1e-10"],
             "harvest_update_period_s must be at least",
         ),
+        (["update_interval_s=0"], "update_interval_s must be positive"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

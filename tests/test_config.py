@@ -196,7 +196,7 @@ duration_s = -1
     with pytest.raises(ConfigError) as err:
         parse_config(source)
     text = "; ".join(err.value.problems)
-    assert "v_th_high_fraction must be > v_th_low_fraction" in text
+    assert "v_th_high_v must be > v_th_low_v" in text
     assert "duration_s must be positive" in text
 
 

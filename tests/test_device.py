@@ -15,7 +15,7 @@ from caplora import (
     LorawanParams,
     ScenarioConfig,
     Simulator,
-    harvester_resistance,
+    harvester_conductance,
     post_tx_sequence,
     run_scenario,
     smart_tx_guard,
@@ -100,14 +100,14 @@ def test_guard_blocks_only_when_prediction_dips_below_cutoff():
     config = ScenarioConfig(power_w=0.001)
     cap = capacitor_params(config)
     currents = config.currents()
-    r_harv = harvester_resistance(0.001, 3.3)
+    g_harv = harvester_conductance(0.001, 3.3)
     # Plenty of charge: allowed. Barely above the cutoff: vetoed.
-    assert smart_tx_guard(3.3, PARAMS, currents, r_harv, cap, "tx")
-    assert not smart_tx_guard(1.81, PARAMS, currents, r_harv, cap, "tx")
+    assert smart_tx_guard(3.3, PARAMS, currents, g_harv, cap, "tx")
+    assert not smart_tx_guard(1.81, PARAMS, currents, g_harv, cap, "tx")
     # The cycle horizon is strictly more cautious than the uplink alone.
     for v in (1.9, 2.0, 2.2, 2.6, 3.0, 3.3):
-        tx_ok = smart_tx_guard(v, PARAMS, currents, r_harv, cap, "tx")
-        cycle_ok = smart_tx_guard(v, PARAMS, currents, r_harv, cap, "cycle")
+        tx_ok = smart_tx_guard(v, PARAMS, currents, g_harv, cap, "tx")
+        cycle_ok = smart_tx_guard(v, PARAMS, currents, g_harv, cap, "cycle")
         assert tx_ok or not cycle_ok
 
 

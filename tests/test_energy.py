@@ -1,4 +1,4 @@
-"""Circuit model: resistances, voltage propagation, crossing times, energy
+"""Circuit model: conductances, voltage propagation, crossing times, energy
 accounting, and the hysteresis state machine."""
 
 from __future__ import annotations
@@ -10,17 +10,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import caplora
 from caplora import (
-    OPEN_CIRCUIT,
     Capacitor,
     CapacitorParams,
     LoadProfile,
     TraceRecorder,
     crossing_time,
-    equivalent_resistance,
-    harvester_resistance,
+    harvester_conductance,
+    load_conductance,
     load_energy_joules,
-    load_resistance,
     min_voltage_over_segments,
     propagate_voltage,
     steady_state_voltage,
@@ -28,76 +27,94 @@ from caplora import (
 from conftest import make_params, rk4_voltage, simpson_load_energy
 
 
-# ---------------------------------------------------------------- resistances
+# ---------------------------------------------------------------- public names
 
 
-def test_harvester_resistance_values():
-    assert harvester_resistance(0.001, 3.3) == pytest.approx(10890.0)
-    assert harvester_resistance(0.01, 3.3) == pytest.approx(1089.0)
-    assert harvester_resistance(0.0, 3.3) is OPEN_CIRCUIT
+def test_every_exported_name_resolves():
+    for name in caplora.__all__:
+        assert hasattr(caplora, name), name
+    for removed in ("OPEN_CIRCUIT", "equivalent_resistance"):
+        assert removed not in caplora.__all__
+        assert not hasattr(caplora, removed)
 
 
-def test_load_resistance_values():
-    assert load_resistance(28.011e-3, 3.3) == pytest.approx(117.81086001927812)
-    assert load_resistance(5.5e-6, 3.3) == pytest.approx(600000.0)
-    assert load_resistance(0.0, 3.3) is OPEN_CIRCUIT
+# ---------------------------------------------------------------- conductances
 
 
-def test_resistances_reject_bad_inputs():
+def test_harvester_conductance_values():
+    assert harvester_conductance(0.001, 3.3) == pytest.approx(1 / 10890.0)
+    assert harvester_conductance(0.01, 3.3) == pytest.approx(1 / 1089.0)
+    assert harvester_conductance(0.0, 3.3) == 0.0
+
+
+def test_load_conductance_values():
+    assert load_conductance(28.011e-3, 3.3) == pytest.approx(1 / 117.81086001927812)
+    assert load_conductance(5.5e-6, 3.3) == pytest.approx(1 / 600000.0)
+    assert load_conductance(0.0, 3.3) == 0.0
+
+
+def test_conductances_reject_bad_inputs():
     with pytest.raises(ValueError):
-        harvester_resistance(-1.0, 3.3)
+        harvester_conductance(-1.0, 3.3)
     with pytest.raises(ValueError):
-        harvester_resistance(0.001, 0.0)
+        harvester_conductance(0.001, 0.0)
     with pytest.raises(ValueError):
-        load_resistance(-1e-3, 3.3)
-    with pytest.raises(ValueError):
-        equivalent_resistance(-5.0, None)
+        load_conductance(-1e-3, 3.3)
 
 
-def test_equivalent_resistance_combinations():
-    r_tx = load_resistance(28.011e-3, 3.3)
-    r_harv = harvester_resistance(0.001, 3.3)
-    assert equivalent_resistance(r_tx, r_harv) == pytest.approx(116.54999181260388)
-    assert equivalent_resistance(None, r_harv) == pytest.approx(10890.0)
-    assert equivalent_resistance(r_tx, None) == pytest.approx(r_tx)
-    assert equivalent_resistance(None, None) is OPEN_CIRCUIT
+def test_parallel_conductances_set_the_time_constant(params):
+    # The voltage covers 1 - 1/e of its way to the asymptote in one time
+    # constant, C times the parallel resistance of the two sides.
+    def one_tau(g_load, g_harv):
+        v0 = 2.0
+        v_inf = steady_state_voltage(g_load, g_harv, params)
+        target = v_inf + (v0 - v_inf) * math.exp(-1.0)
+        return crossing_time(v0, target, g_load, g_harv, params) / params.capacitance_f
+
+    g_tx = load_conductance(28.011e-3, 3.3)
+    g_harv = harvester_conductance(0.001, 3.3)
+    assert one_tau(g_tx, g_harv) == pytest.approx(116.54999181260388)
+    assert one_tau(0.0, g_harv) == pytest.approx(10890.0)
+    assert one_tau(g_tx, 0.0) == pytest.approx(1 / g_tx)
+    # Both open: nothing moves, so no level is ever crossed.
+    assert crossing_time(2.0, 1.0, 0.0, 0.0, params) is None
 
 
-def test_steady_state_voltage_limits():
-    r_harv = harvester_resistance(0.001, 3.3)
+def test_steady_state_voltage_limits(params):
+    g_harv = harvester_conductance(0.001, 3.3)
     # No load at all: the capacitor charges the whole way to the rail.
-    assert steady_state_voltage(None, r_harv, 3.3) == pytest.approx(3.3)
+    assert steady_state_voltage(0.0, g_harv, params) == pytest.approx(3.3)
     # No harvest: everything drains to zero.
-    assert steady_state_voltage(117.8, None, 3.3) == 0.0
+    assert steady_state_voltage(1 / 117.8, 0.0, params) == 0.0
     # Both open: the voltage holds, there is no asymptote.
-    assert steady_state_voltage(None, None, 3.3) is None
-    # Divider between source resistance and load.
-    r_load = 10890.0
-    expected = 3.3 * equivalent_resistance(r_load, r_harv) / r_harv
-    assert steady_state_voltage(r_load, r_harv, 3.3) == pytest.approx(expected)
+    with pytest.raises(ValueError):
+        steady_state_voltage(0.0, 0.0, params)
+    # Equal source and load conductances divide the rail in half.
+    g_load = 1 / 10890.0
+    assert steady_state_voltage(g_load, g_harv, params) == pytest.approx(3.3 / 2)
 
 
 # ------------------------------------------------------------- propagation
 
 
 def test_discharge_value_after_one_second(params):
-    r_tx = load_resistance(28.011e-3, 3.3)
-    v = propagate_voltage(3.3, 1.0, r_tx, None, params)
+    g_tx = load_conductance(28.011e-3, 3.3)
+    v = propagate_voltage(3.3, 1.0, g_tx, 0.0, params)
     assert v == pytest.approx(1.4121371790506803, rel=1e-12)
 
 
 def test_propagation_edge_cases(params):
-    r = 1000.0
-    assert propagate_voltage(2.5, 0.0, r, None, params) == 2.5
+    g = 1 / 1000.0
+    assert propagate_voltage(2.5, 0.0, g, 0.0, params) == 2.5
     # Open on both sides: the voltage holds indefinitely.
-    assert propagate_voltage(2.5, 1e6, None, None, params) == 2.5
+    assert propagate_voltage(2.5, 1e6, 0.0, 0.0, params) == 2.5
     # Charging saturates at the configured maximum.
-    r_harv = harvester_resistance(0.1, 3.3)
-    assert propagate_voltage(3.2, 1e6, None, r_harv, params) == 3.3
+    g_harv = harvester_conductance(0.1, 3.3)
+    assert propagate_voltage(3.2, 1e6, 0.0, g_harv, params) == 3.3
     with pytest.raises(ValueError):
-        propagate_voltage(2.5, -1.0, r, None, params)
+        propagate_voltage(2.5, -1.0, g, 0.0, params)
     with pytest.raises(ValueError):
-        propagate_voltage(-0.1, 1.0, r, None, params)
+        propagate_voltage(-0.1, 1.0, g, 0.0, params)
 
 
 def test_propagation_matches_ode_oracle():
@@ -108,14 +125,14 @@ def test_propagation_matches_ode_oracle():
         params = make_params(
             capacitance_f=10 ** rng.uniform(-6, 0),
         )
-        r_load = load_resistance(rng.choice(currents), params.rail_voltage_v)
-        r_harv = (
-            None if rng.random() < 0.25 else 10 ** rng.uniform(2, 6)
+        g_load = load_conductance(rng.choice(currents), params.rail_voltage_v)
+        g_harv = (
+            0.0 if rng.random() < 0.25 else 10 ** -rng.uniform(2, 6)
         )
         v0 = rng.uniform(0.0, params.max_voltage_v)
         t = 10 ** rng.uniform(-3, math.log10(600.0))
-        got = propagate_voltage(v0, t, r_load, r_harv, params)
-        want = rk4_voltage(v0, t, r_load, r_harv, params)
+        got = propagate_voltage(v0, t, g_load, g_harv, params)
+        want = rk4_voltage(v0, t, g_load, g_harv, params)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     assert worst < 1e-6
 
@@ -126,12 +143,12 @@ def test_propagation_matches_ode_oracle():
 )
 def test_trajectory_is_monotone_toward_asymptote(v0, tau_scale):
     params = make_params()
-    r_load = 500.0
-    r_harv = 2000.0
-    v_inf = steady_state_voltage(r_load, r_harv, params.rail_voltage_v)
-    tau = equivalent_resistance(r_load, r_harv) * params.capacitance_f
-    v_half = propagate_voltage(v0, tau * tau_scale / 2, r_load, r_harv, params)
-    v_full = propagate_voltage(v0, tau * tau_scale, r_load, r_harv, params)
+    g_load = 1 / 500.0
+    g_harv = 1 / 2000.0
+    v_inf = steady_state_voltage(g_load, g_harv, params)
+    tau = params.capacitance_f / (g_load + g_harv)
+    v_half = propagate_voltage(v0, tau * tau_scale / 2, g_load, g_harv, params)
+    v_full = propagate_voltage(v0, tau * tau_scale, g_load, g_harv, params)
     if v0 >= v_inf:
         assert v0 >= v_half >= v_full >= v_inf - 1e-12
     else:
@@ -142,10 +159,10 @@ def test_trajectory_is_monotone_toward_asymptote(v0, tau_scale):
 
 
 def test_crossing_time_inverts_propagation(params):
-    r_load = load_resistance(28.011e-3, 3.3)
-    t = crossing_time(3.3, 1.8, r_load, None, params)
+    g_load = load_conductance(28.011e-3, 3.3)
+    t = crossing_time(3.3, 1.8, g_load, 0.0, params)
     assert t is not None and t > 0
-    assert propagate_voltage(3.3, t, r_load, None, params) == pytest.approx(
+    assert propagate_voltage(3.3, t, g_load, 0.0, params) == pytest.approx(
         1.8, rel=1e-12
     )
 
@@ -158,26 +175,27 @@ def test_crossing_time_inverts_propagation(params):
 )
 def test_crossing_time_consistency(v0, target, r_load, charge):
     params = make_params(capacitance_f=0.047)
-    r_harv = 300.0 if charge else None
-    t = crossing_time(v0, target, r_load, r_harv, params)
+    g_load = 1 / r_load
+    g_harv = 1 / 300.0 if charge else 0.0
+    t = crossing_time(v0, target, g_load, g_harv, params)
     if t is None:
         return
     assert t >= 0.0
-    v = propagate_voltage(v0, t, r_load, r_harv, params)
+    v = propagate_voltage(v0, t, g_load, g_harv, params)
     assert v == pytest.approx(min(target, params.max_voltage_v), rel=1e-9, abs=1e-9)
 
 
 def test_crossing_time_unreachable_targets(params):
-    r_load = 1000.0
+    g_load = 1 / 1000.0
     # Discharging: can never rise.
-    assert crossing_time(2.0, 2.5, r_load, None, params) is None
+    assert crossing_time(2.0, 2.5, g_load, 0.0, params) is None
     # Asymptote short of the target.
-    r_harv = harvester_resistance(0.0001, 3.3)
-    v_inf = steady_state_voltage(r_load, r_harv, 3.3)
+    g_harv = harvester_conductance(0.0001, 3.3)
+    v_inf = steady_state_voltage(g_load, g_harv, params)
     assert v_inf < 1.0
-    assert crossing_time(0.9, 1.5, r_load, r_harv, params) is None
+    assert crossing_time(0.9, 1.5, g_load, g_harv, params) is None
     # No dynamics at all.
-    assert crossing_time(2.0, 1.0, None, None, params) is None
+    assert crossing_time(2.0, 1.0, 0.0, 0.0, params) is None
 
 
 # ----------------------------------------------------------------- energy
@@ -185,81 +203,80 @@ def test_crossing_time_unreachable_targets(params):
 
 def test_load_energy_matches_quadrature(params):
     cases = [
-        (3.3, 28.011e-3, 0.25, None),
-        (3.0, 10.5055e-3, 1.0, harvester_resistance(0.001, 3.3)),
-        (2.2, 5.6e-6, 300.0, harvester_resistance(0.0005, 3.3)),
-        (1.0, 11.011e-3, 0.05, 500.0),
+        (3.3, 28.011e-3, 0.25, 0.0),
+        (3.0, 10.5055e-3, 1.0, harvester_conductance(0.001, 3.3)),
+        (2.2, 5.6e-6, 300.0, harvester_conductance(0.0005, 3.3)),
+        (1.0, 11.011e-3, 0.05, 1 / 500.0),
     ]
-    for v0, amps, dt, r_harv in cases:
-        got = load_energy_joules(v0, amps, dt, r_harv, params)
-        want = simpson_load_energy(v0, amps, dt, r_harv, params)
+    for v0, amps, dt, g_harv in cases:
+        g_load = load_conductance(amps, params.rail_voltage_v)
+        got = load_energy_joules(v0, dt, g_load, g_harv, params)
+        want = simpson_load_energy(v0, dt, g_load, g_harv, params)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_zero_harvest_energy_equals_stored_drop(params):
     v0 = 3.3
-    amps = 28.011e-3
     dt = 0.7
-    r_load = load_resistance(amps, params.rail_voltage_v)
-    v1 = propagate_voltage(v0, dt, r_load, None, params)
+    g_load = load_conductance(28.011e-3, params.rail_voltage_v)
+    v1 = propagate_voltage(v0, dt, g_load, 0.0, params)
     drop = 0.5 * params.capacitance_f * (v0 * v0 - v1 * v1)
-    energy = load_energy_joules(v0, amps, dt, None, params)
+    energy = load_energy_joules(v0, dt, g_load, 0.0, params)
     assert energy == pytest.approx(drop, rel=1e-12)
 
 
 def test_energy_splits_at_the_voltage_cap():
     params = make_params(max_voltage_v=3.0, initial_voltage_v=2.8)
-    amps = 5.6e-6
-    r_load = load_resistance(amps, params.rail_voltage_v)
-    r_harv = harvester_resistance(0.005, params.rail_voltage_v)
-    t_sat = crossing_time(2.8, 3.0, r_load, r_harv, params)
+    g_load = load_conductance(5.6e-6, params.rail_voltage_v)
+    g_harv = harvester_conductance(0.005, params.rail_voltage_v)
+    t_sat = crossing_time(2.8, 3.0, g_load, g_harv, params)
     assert t_sat is not None
     dt = 3.0 * t_sat
-    head = simpson_load_energy(2.8, amps, t_sat, r_harv, params)
-    tail = 3.0 * 3.0 / r_load * (dt - t_sat)
-    got = load_energy_joules(2.8, amps, dt, r_harv, params)
+    head = simpson_load_energy(2.8, t_sat, g_load, g_harv, params)
+    tail = 3.0 * 3.0 * g_load * (dt - t_sat)
+    got = load_energy_joules(2.8, dt, g_load, g_harv, params)
     assert got == pytest.approx(head + tail, rel=1e-9)
 
 
 def test_energy_while_pinned_at_the_cap():
     params = make_params(max_voltage_v=3.0, initial_voltage_v=3.0)
-    amps = 5.6e-6
-    r_load = load_resistance(amps, params.rail_voltage_v)
-    r_harv = harvester_resistance(0.005, params.rail_voltage_v)
+    g_load = load_conductance(5.6e-6, params.rail_voltage_v)
+    g_harv = harvester_conductance(0.005, params.rail_voltage_v)
     # Strong harvest holds the voltage at the cap; the load sees it constant.
-    got = load_energy_joules(3.0, amps, 10.0, r_harv, params)
-    assert got == pytest.approx(3.0 * 3.0 / r_load * 10.0, rel=1e-12)
+    got = load_energy_joules(3.0, 10.0, g_load, g_harv, params)
+    assert got == pytest.approx(3.0 * 3.0 * g_load * 10.0, rel=1e-12)
 
 
 def test_energy_trivial_cases(params):
-    assert load_energy_joules(3.3, 0.0, 10.0, None, params) == 0.0
-    assert load_energy_joules(3.3, 1e-3, 0.0, None, params) == 0.0
+    g_load = load_conductance(1e-3, 3.3)
+    assert load_energy_joules(3.3, 10.0, 0.0, 0.0, params) == 0.0
+    assert load_energy_joules(3.3, 0.0, g_load, 0.0, params) == 0.0
     with pytest.raises(ValueError):
-        load_energy_joules(3.3, 1e-3, -1.0, None, params)
+        load_energy_joules(3.3, -1.0, g_load, 0.0, params)
 
 
 # ----------------------------------------------------- sequences of segments
 
 
 def test_min_voltage_over_segments_hits_segment_boundary(params):
-    r_tx = load_resistance(28.011e-3, 3.3)
-    r_sleep = load_resistance(5.6e-6, 3.3)
-    r_harv = harvester_resistance(0.002, 3.3)
-    segments = [(0.3, r_tx), (5.0, r_sleep), (0.2, r_tx)]
-    v_min = min_voltage_over_segments(3.3, segments, r_harv, params)
+    g_tx = load_conductance(28.011e-3, 3.3)
+    g_sleep = load_conductance(5.6e-6, 3.3)
+    g_harv = harvester_conductance(0.002, 3.3)
+    segments = [(0.3, g_tx), (5.0, g_sleep), (0.2, g_tx)]
+    v_min = min_voltage_over_segments(3.3, segments, g_harv, params)
     # Brute force along a fine time grid.
     v = 3.3
     brute = v
-    for duration, r_load in segments:
+    for duration, g_load in segments:
         for _ in range(500):
-            v = propagate_voltage(v, duration / 500, r_load, r_harv, params)
+            v = propagate_voltage(v, duration / 500, g_load, g_harv, params)
             brute = min(brute, v)
     assert v_min == pytest.approx(brute, rel=1e-9)
     assert v_min < 3.3
 
 
 def test_min_voltage_with_no_segments(params):
-    assert min_voltage_over_segments(2.5, [], None, params) == 2.5
+    assert min_voltage_over_segments(2.5, [], 0.0, params) == 2.5
 
 
 # ------------------------------------------------------------ the capacitor
@@ -271,14 +288,14 @@ def test_params_validation_lists_every_problem():
             capacitance_f=-1.0,
             rail_voltage_v=0.0,
             max_voltage_v=3.3,
-            v_th_low_fraction=0.9,
-            v_th_high_fraction=0.5,
+            v_th_low_v=2.97,
+            v_th_high_v=1.65,
             initial_voltage_v=5.0,
         )
     message = str(err.value)
     assert "capacitance_f" in message
     assert "rail_voltage_v" in message
-    assert "v_th_high_fraction must be > v_th_low_fraction" in message
+    assert "v_th_high_v must be > v_th_low_v" in message
     assert "initial_voltage_v" in message
 
 
@@ -291,11 +308,11 @@ def test_threshold_properties():
 def test_capacitor_depletion_notification_uses_crossing_instant(params):
     cap = Capacitor(params)
     heavy = LoadProfile("heavy", 28.011e-3)
-    r_load = load_resistance(heavy.current_a, params.rail_voltage_v)
-    t_star = crossing_time(3.3, params.v_th_low_v, r_load, None, params)
+    g_load = load_conductance(heavy.current_a, params.rail_voltage_v)
+    t_star = crossing_time(3.3, params.v_th_low_v, g_load, 0.0, params)
     events = []
-    cap.add_depleted_listener(events.append)
-    cap.update(2.0, heavy, None)  # well past the crossing
+    cap.on_depleted = events.append
+    cap.update(2.0, heavy, 0.0)  # well past the crossing
     assert cap.is_depleted()
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
@@ -304,12 +321,12 @@ def test_capacitor_recharge_notification(params):
     cap = Capacitor(make_params(initial_voltage_v=1.0))
     assert cap.is_depleted()
     idle = LoadProfile("idle", 7e-6)
-    r_harv = harvester_resistance(0.01, 3.3)
-    r_load = load_resistance(idle.current_a, 3.3)
-    t_star = crossing_time(1.0, params.v_th_high_v, r_load, r_harv, params)
+    g_harv = harvester_conductance(0.01, 3.3)
+    g_load = load_conductance(idle.current_a, 3.3)
+    t_star = crossing_time(1.0, params.v_th_high_v, g_load, g_harv, params)
     events = []
-    cap.add_recharged_listener(events.append)
-    cap.update(t_star * 3, idle, r_harv)
+    cap.on_recharged = events.append
+    cap.update(t_star * 3, idle, g_harv)
     assert not cap.is_depleted()
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
@@ -317,11 +334,11 @@ def test_capacitor_recharge_notification(params):
 def test_voltage_snaps_onto_threshold_at_crossing(params):
     cap = Capacitor(params)
     heavy = LoadProfile("heavy", 28.011e-3)
-    r_load = load_resistance(heavy.current_a, params.rail_voltage_v)
-    t_star = crossing_time(3.3, params.v_th_low_v, r_load, None, params)
+    g_load = load_conductance(heavy.current_a, params.rail_voltage_v)
+    t_star = crossing_time(3.3, params.v_th_low_v, g_load, 0.0, params)
     # Update exactly at the analytic crossing: the stored voltage must equal
     # the threshold, not sit a floating-point hair away from it.
-    cap.update(t_star, heavy, None)
+    cap.update(t_star, heavy, 0.0)
     assert cap.is_depleted()
     assert cap.voltage_v == params.v_th_low_v
 
@@ -329,7 +346,7 @@ def test_voltage_snaps_onto_threshold_at_crossing(params):
 def test_no_flip_without_reaching_threshold(params):
     cap = Capacitor(params)
     light = LoadProfile("light", 5.6e-6)
-    cap.update(10.0, light, None)
+    cap.update(10.0, light, 0.0)
     assert not cap.is_depleted()
     assert 1.8 < cap.voltage_v < 3.3
 
@@ -337,19 +354,19 @@ def test_no_flip_without_reaching_threshold(params):
 def test_update_going_backwards_is_rejected(params):
     cap = Capacitor(params)
     light = LoadProfile("light", 5.6e-6)
-    cap.update(5.0, light, None)
+    cap.update(5.0, light, 0.0)
     with pytest.raises(ValueError):
-        cap.update(4.0, light, None)
+        cap.update(4.0, light, 0.0)
     v = cap.voltage_v
-    cap.update(5.0, light, None)  # same instant: a no-op
+    cap.update(5.0, light, 0.0)  # same instant: a no-op
     assert cap.voltage_v == v
 
 
 def test_capacitor_accumulates_load_energy(params):
     cap = Capacitor(params)
     heavy = LoadProfile("heavy", 28.011e-3)
-    cap.update(0.4, heavy, None)
-    cap.update(0.7, heavy, None)
+    cap.update(0.4, heavy, 0.0)
+    cap.update(0.7, heavy, 0.0)
     drop = 0.5 * params.capacitance_f * (3.3**2 - cap.voltage_v**2)
     assert cap.load_energy_j == pytest.approx(drop, rel=1e-12)
 

@@ -123,7 +123,7 @@ def test_trace_sampling_grid():
 
 
 def test_depletion_instant_matches_closed_form():
-    from caplora import crossing_time, load_resistance
+    from caplora import crossing_time, load_conductance
     from caplora.engine import capacitor_params
 
     config = ScenarioConfig(
@@ -138,8 +138,8 @@ def test_depletion_instant_matches_closed_form():
     )
     metrics = run_scenario(config)
     params = capacitor_params(config)
-    r_sleep = load_resistance(config.sleep_a, config.rail_voltage_v)
-    t_star = crossing_time(3.3, 1.8, r_sleep, None, params)
+    g_sleep = load_conductance(config.sleep_a, config.rail_voltage_v)
+    t_star = crossing_time(3.3, 1.8, g_sleep, 0.0, params)
     off = [r for r in metrics.trace.records if r.state == "Off"]
     assert off, "the sleeping device should eventually power down"
     # The wake-up event lands on the analytic crossing to clock resolution,
@@ -213,10 +213,22 @@ def test_validation_reports_all_problems_together():
     assert "duration_s" in text
     assert "guard_horizon" in text
     assert "tx_a" in text
-    assert "v_th_high_fraction must be > v_th_low_fraction" in text
+    assert "v_th_high_v must be > v_th_low_v" in text
     assert len(problems) >= 6
     with pytest.raises(ValueError):
         Simulator(config)
+
+
+def test_thresholds_pass_through_in_volts():
+    from caplora.engine import capacitor_params
+
+    config = ScenarioConfig(
+        max_voltage_v=3.23, v_th_low_v=0.95, v_th_high_v=3.0, initial_voltage_v=3.2
+    )
+    params = capacitor_params(config)
+    # Exactly the configured levels, not a round trip through max_voltage_v.
+    assert params.v_th_low_v == 0.95
+    assert params.v_th_high_v == 3.0
 
 
 def test_valid_default_scenario_has_no_problems():
