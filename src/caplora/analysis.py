@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 from .device import DlReply, post_tx_sequence
 from .energy import (
+    CapacitorParams,
     harvester_conductance,
     load_conductance,
     min_voltage_over_segments,
@@ -93,7 +94,14 @@ def min_voltage_over_cycle(
     capacitance_f: float, spec: CycleSpec, config: ScenarioConfig
 ) -> float:
     """Lowest voltage reached while playing the cycle with this capacitor."""
-    params = capacitor_params(replace(config, capacitance_f=capacitance_f))
+    params = CapacitorParams(
+        capacitance_f=capacitance_f,
+        rail_voltage_v=config.rail_voltage_v,
+        max_voltage_v=config.max_voltage_v,
+        v_th_low_v=config.v_th_low_v,
+        v_th_high_v=config.v_th_high_v,
+        initial_voltage_v=config.initial_voltage_v,
+    )
     return min_voltage_over_segments(
         spec.initial_voltage_v, spec.segments, spec.g_harv, params
     )
@@ -114,27 +122,27 @@ def min_capacitance(
     cutoff (typically: the harvest is too weak to bank a workable starting
     voltage). The answer is on the feasible side of the final bracket, within
     ``tol_rel`` of the true boundary.
+
+    Each bracket end is probed once; a bisection then adds
+    ``ceil(log2(ln(c_hi / c_lo) / ln(1 + tol_rel)))`` midpoint probes.
+    Raises ``RuntimeError`` when ``c_hi`` sags lower than ``c_lo``.
     """
     spec = cycle_spec(config, kind, power_w)
     v_low = config.v_th_low_v
-
-    def feasible(c: float) -> bool:
-        return min_voltage_over_cycle(c, spec, config) >= v_low
-
-    if not feasible(c_hi):
-        return None
-    if feasible(c_lo):
-        return c_lo
+    v_hi = min_voltage_over_cycle(c_hi, spec, config)
+    v_lo = min_voltage_over_cycle(c_lo, spec, config)
     # Larger capacitors sag less; check that on the bracket before trusting
     # bisection with it.
-    if min_voltage_over_cycle(c_hi, spec, config) < min_voltage_over_cycle(
-        c_lo, spec, config
-    ):
+    if v_hi < v_lo:
         raise RuntimeError("minimum cycle voltage is not monotone in capacitance")
+    if v_hi < v_low:
+        return None
+    if v_lo >= v_low:
+        return c_lo
     lo, hi = c_lo, c_hi
     while hi / lo > 1.0 + tol_rel:
         mid = math.sqrt(lo * hi)
-        if feasible(mid):
+        if min_voltage_over_cycle(mid, spec, config) >= v_low:
             hi = mid
         else:
             lo = mid
@@ -218,14 +226,14 @@ def mincap_table(
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
+            cfg = replace(
+                config,
+                data_rate=dr,
+                ul_payload_bytes=payload,
+                dl_payload_bytes=dl_payload_bytes,
+            )
             for power in powers_w:
                 for kind in kinds:
-                    cfg = replace(
-                        config,
-                        data_rate=dr,
-                        ul_payload_bytes=payload,
-                        dl_payload_bytes=dl_payload_bytes,
-                    )
                     c_min = min_capacitance(cfg, kind, power, tol_rel=tol_rel)
                     rows.append(
                         MinCapacitanceRow(dr, payload, power, kind, c_min)

@@ -9,14 +9,7 @@ from typing import IO, Any, Callable
 
 from .analysis import SweepGrid
 from .engine import ScenarioConfig, validate_scenario
-
-
-class ConfigError(ValueError):
-    """Carries the full list of configuration problems found."""
-
-    def __init__(self, problems: list[str]) -> None:
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+from .errors import ConfigError
 
 
 def _parse_float(text: str) -> float:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -70,7 +72,7 @@ class CapacitorParams:
                 f"initial_voltage_v must be in [0, max_voltage_v], got {self.initial_voltage_v}"
             )
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
 
 def harvester_conductance(power_w: float, rail_voltage_v: float) -> float:

@@ -30,6 +30,7 @@ from .energy import (
     load_conductance,
     propagate_voltage,
 )
+from .errors import ConfigError
 from .harvester import (
     ConstantHarvester,
     HarvestSource,
@@ -280,14 +281,11 @@ def _build_harvester(config: ScenarioConfig) -> HarvestSource:
 def validate_scenario(config: ScenarioConfig) -> list[str]:
     """Every violated constraint in ``config``, one message per problem."""
     problems = _scenario_problems(config)
-    try:
-        capacitor_params(config)
-    except ValueError as exc:
-        problems.append(str(exc))
-    try:
-        lorawan_params(config)
-    except ValueError as exc:
-        problems.append(str(exc))
+    for build in (capacitor_params, lorawan_params):
+        try:
+            build(config)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
     return problems
 
 

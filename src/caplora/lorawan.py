@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import ConfigError
+
 
 class DeviceState(str, Enum):
     """Radio and MCU power states of the end device."""
@@ -124,6 +126,8 @@ class LorawanParams:
         problems = []
         if not MIN_DATA_RATE <= self.data_rate <= MAX_DATA_RATE:
             problems.append(f"data_rate must be in 0..5, got {self.data_rate}")
+        if self.bandwidth_hz <= 0:
+            problems.append(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.ul_payload_bytes < 0:
             problems.append(f"ul_payload_bytes must be >= 0, got {self.ul_payload_bytes}")
         if self.dl_payload_bytes < 0:
@@ -153,10 +157,10 @@ class LorawanParams:
         if not 0 < self.ul_duty_cycle <= 1 or not 0 < self.dl_duty_cycle <= 1:
             problems.append("duty cycles must be in (0, 1]")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)
         if w1 > self.rx2_delay_s - self.rx1_delay_s:
-            raise ValueError("receive window 1 would still be open at rx2_delay_s")
+            raise ConfigError(["receive window 1 would still be open at rx2_delay_s"])
 
     @property
     def sf(self) -> int:

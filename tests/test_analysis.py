@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from caplora import (
     DeviceState,
     ScenarioConfig,
     SweepGrid,
+    analysis,
     cycle_spec,
     engine_cycle_feasible,
     expand_grid,
@@ -22,7 +24,18 @@ from caplora import (
     run_sweep,
     success_curve,
 )
-from caplora.analysis import CYCLE_KINDS, INFEASIBLE_MARKER, MINCAP_HEADER, cycle_states
+from caplora.analysis import (
+    CYCLE_KINDS,
+    DEFAULT_C_HI_F,
+    DEFAULT_C_LO_F,
+    DEFAULT_TOL_REL,
+    INFEASIBLE_MARKER,
+    MINCAP_HEADER,
+    MinCapacitanceRow,
+    cycle_states,
+)
+from caplora.energy import min_voltage_over_segments
+from caplora.engine import capacitor_params
 
 
 BASE = ScenarioConfig(power_w=0.001, data_rate=3, ul_payload_bytes=10)
@@ -106,6 +119,87 @@ def test_mincap_table_rows_and_csv():
     infeasible = by_key[(3, 1e-5, "UL")]
     assert infeasible.capacitance_f is None
     assert infeasible.csv().endswith(INFEASIBLE_MARKER)
+
+
+def _bisect_on_whole_configs(config, kind, power_w, tol_rel):
+    """Reference bisection that builds every probe's capacitor from a copy of
+    the whole scenario with only the capacitance changed."""
+    spec = cycle_spec(config, kind, power_w)
+
+    def feasible(c):
+        params = capacitor_params(replace(config, capacitance_f=c))
+        v_min = min_voltage_over_segments(
+            spec.initial_voltage_v, spec.segments, spec.g_harv, params
+        )
+        return v_min >= config.v_th_low_v
+
+    if not feasible(DEFAULT_C_HI_F):
+        return None
+    if feasible(DEFAULT_C_LO_F):
+        return DEFAULT_C_LO_F
+    lo, hi = DEFAULT_C_LO_F, DEFAULT_C_HI_F
+    while hi / lo > 1.0 + tol_rel:
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_mincap_table_equals_whole_config_bisection_exactly():
+    grid = dict(data_rates=(3, 5), payloads_bytes=(10, 40), powers_w=(1e-5, 0.001, 1.0))
+    rows = mincap_table(BASE, kinds=CYCLE_KINDS, tol_rel=0.02, **grid)
+    expected = [
+        MinCapacitanceRow(
+            dr,
+            payload,
+            power,
+            kind,
+            _bisect_on_whole_configs(
+                replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39),
+                kind,
+                power,
+                0.02,
+            ),
+        )
+        for dr in grid["data_rates"]
+        for payload in grid["payloads_bytes"]
+        for power in grid["powers_w"]
+        for kind in CYCLE_KINDS
+    ]
+    assert rows == expected
+    answers = {row.capacitance_f for row in rows}
+    # Infeasible rows, rows at the bracket floor and bisected rows all occur.
+    assert None in answers and DEFAULT_C_LO_F in answers
+    assert len(answers - {None, DEFAULT_C_LO_F}) > 1
+
+
+def test_min_capacitance_probes_each_bracket_end_once(monkeypatch):
+    probed = []
+    real = analysis.min_voltage_over_cycle
+
+    def counting(capacitance_f, spec, config):
+        probed.append(capacitance_f)
+        return real(capacitance_f, spec, config)
+
+    monkeypatch.setattr(analysis, "min_voltage_over_cycle", counting)
+    c_min = min_capacitance(BASE, "UL")
+    assert DEFAULT_C_LO_F < c_min < DEFAULT_C_HI_F
+    midpoints = math.ceil(
+        math.log2(math.log(DEFAULT_C_HI_F / DEFAULT_C_LO_F) / math.log1p(DEFAULT_TOL_REL))
+    )
+    assert len(probed) == 2 + midpoints
+    assert probed.count(DEFAULT_C_HI_F) == 1
+    assert probed.count(DEFAULT_C_LO_F) == 1
+
+
+def test_min_capacitance_rejects_voltage_falling_with_capacitance(monkeypatch):
+    monkeypatch.setattr(
+        analysis, "min_voltage_over_cycle", lambda capacitance_f, spec, config: 3.0 - capacitance_f
+    )
+    with pytest.raises(RuntimeError, match="not monotone in capacitance"):
+        min_capacitance(BASE, "UL")
 
 
 def test_sweep_grid_validation():

@@ -104,6 +104,20 @@ def test_config_problems_exit_2(tmp_path, capsys):
     assert "expected a boolean" in err
 
 
+def test_each_capacitor_problem_gets_its_own_line(tmp_path, capsys):
+    overrides = [
+        "capacitor.max_voltage_v=0",
+        "capacitor.v_th_low_v=3.5",
+        "capacitor.initial_voltage_v=4",
+    ]
+    args = [arg for pair in overrides for arg in ("--set", pair)]
+    assert main(["run", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5
+    assert all(line.startswith("config error: ") for line in err)
+    assert not any("; " in line for line in err)
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     code = main(
         [
@@ -139,6 +153,7 @@ def test_usage_errors_exit_nonzero(capsys):
             "harvest_update_period_s must be at least",
         ),
         (["update_interval_s=0"], "update_interval_s must be positive"),
+        (["bandwidth_hz=0"], "bandwidth_hz must be > 0"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):
