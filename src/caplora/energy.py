@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, IO, Iterable
+from typing import Callable, IO, Iterable, NamedTuple
 
 from .errors import ConfigError
 
@@ -331,8 +331,7 @@ class Capacitor:
         return crossing_time(self.state.voltage_v, target, g_load, g_harv, params)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time_s: float
     voltage_v: float
     state: str

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Protocol
+from typing import IO, Iterable, NamedTuple, Protocol
 
 
 class TraceExhaustedError(RuntimeError):
@@ -26,8 +25,7 @@ class TraceFormatError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class HarvestSample:
+class HarvestSample(NamedTuple):
     time_s: float
     power_w: float
 
@@ -60,6 +58,10 @@ class ConstantHarvester:
 class TraceHarvester:
     """Replays a recorded power trace with zero-order hold between samples.
 
+    Only a sample whose power differs from the previous one is a change: a
+    repeated power is not reported by ``next_change_after``, so a run driven
+    by the trace spends no event on it. The first and last samples' times
+    are reported as changes too, because the trace begins and ends there.
     Queries before the first or after the last sample raise
     ``TraceExhaustedError``: a trace says nothing outside its span.
     """
@@ -68,13 +70,20 @@ class TraceHarvester:
         self.samples = list(samples)
         if not self.samples:
             raise ValueError("a harvest trace needs at least one sample")
+        changes = [self.samples[0].time_s]
         for prev, cur in zip(self.samples, self.samples[1:]):
             if cur.time_s <= prev.time_s:
                 raise ValueError(
                     f"trace timestamps must be strictly increasing, "
                     f"got {prev.time_s} then {cur.time_s}"
                 )
+            if cur.power_w != prev.power_w:
+                changes.append(cur.time_s)
+        end = self.samples[-1].time_s
+        if changes[-1] != end:
+            changes.append(end)
         self._times = [sample.time_s for sample in self.samples]
+        self._changes = changes
 
     def power_at(self, time_s: float) -> float:
         first = self.samples[0].time_s
@@ -87,8 +96,9 @@ class TraceHarvester:
         return self.samples[bisect_right(self._times, time_s) - 1].power_w
 
     def next_change_after(self, time_s: float) -> float | None:
-        index = bisect_right(self._times, time_s)
-        return self._times[index] if index < len(self._times) else None
+        """First change point after ``time_s``; the last one is the trace's end."""
+        index = bisect_right(self._changes, time_s)
+        return self._changes[index] if index < len(self._changes) else None
 
 
 class RandomHarvester:
@@ -165,11 +175,12 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
         line = raw.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(delimiter)]
+        parts = line.split(delimiter)
         if len(parts) != 2:
             problems.append(f"{origin}:{lineno}: expected 2 fields, got {len(parts)}")
             continue
         try:
+            # float() ignores the whitespace around each field.
             t, p = float(parts[0]), float(parts[1])
         except ValueError:
             if lineno == 1:

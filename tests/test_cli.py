@@ -118,6 +118,24 @@ def test_each_capacitor_problem_gets_its_own_line(tmp_path, capsys):
     assert not any("; " in line for line in err)
 
 
+@pytest.mark.parametrize(
+    "axis, problem",
+    [
+        ("sweep.data_rate=3,9", "data_rate must be in 0..5, got 9"),
+        ("sweep.power_w=0.001,nan", "power_w must be finite, got nan"),
+    ],
+    ids=["data_rate", "power_w"],
+)
+def test_sweep_rejects_bad_grid_points_up_front(tmp_path, capsys, axis, problem):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("left as it was\n")
+    args = ["sweep", *FAST, "--set", "sweep.capacitance_f=0.02,0.05", "--set", axis]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    # The bad value is shared by two capacitances but reported once.
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert sweep_csv.read_text() == "left as it was\n"
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     code = main(
         [

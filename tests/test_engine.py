@@ -164,6 +164,60 @@ def test_aborted_run_is_flagged_invalid(tmp_path):
     assert metrics.valid is False
 
 
+def _write_trace(path, rows):
+    path.write_text("".join(f"{t},{p}\n" for t, p in rows))
+    return str(path)
+
+
+def test_repeated_trace_samples_change_nothing(tmp_path):
+    # 1 s samples in long runs of equal power, against a trace that holds
+    # only the change points plus the last sample.
+    runs = [(300, 0.004), (500, 0.0), (400, 0.002), (700, 0.0005)]
+    dense, sparse, t = [], [], 0
+    for span, power in runs:
+        sparse.append((t, power))
+        for _ in range(span):
+            dense.append((t, power))
+            t += 1
+    sparse.append(dense[-1])
+    base = ScenarioConfig(
+        capacitance_f=0.004,
+        harvester="trace",
+        packet_period_s=30.0,
+        duration_s=1800.0,
+        confirmed=True,
+        guard_enabled=False,
+        trace=True,
+    )
+    outcomes = []
+    for name, rows in (("dense.csv", dense), ("sparse.csv", sparse)):
+        config = replace(base, trace_file=_write_trace(tmp_path / name, rows))
+        sim = Simulator(config)
+        metrics = sim.run()
+        assert metrics.valid
+        assert metrics.depletion_events > 0  # the harvest really matters
+        outcomes.append((metrics.trace.records, results_row(config, metrics), sim._seq))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_exhausted_trace_aborts_at_its_last_sample(tmp_path):
+    # The power changes once, at 150 s; the trace goes on unchanged to 399 s.
+    rows = [(t, 0.001 if t < 150 else 0.003) for t in range(400)]
+    config = ScenarioConfig(
+        capacitance_f=0.1,
+        harvester="trace",
+        trace_file=_write_trace(tmp_path / "short.csv", rows),
+        packet_period_s=20.0,
+        first_packet_s=0.0,
+        duration_s=1000.0,
+        trace=True,
+    )
+    metrics = run_scenario(config)
+    assert metrics.valid is False
+    assert metrics.trace.records[-1].time_s == 399.0
+    assert metrics.generated == 20  # packets at 0, 20, ..., 380
+
+
 def test_results_row_matches_header():
     config = ScenarioConfig(
         capacitance_f=0.047,

@@ -44,6 +44,23 @@ def test_trace_harvester_holds_between_samples():
     assert src.next_change_after(25.0) is None
 
 
+def test_next_change_after_skips_repeated_powers():
+    powers_mw = [1, 1, 1, 2, 2, 2, 2, 1, 1, 1]
+    src = TraceHarvester(
+        [HarvestSample(float(t), mw / 1000) for t, mw in enumerate(powers_mw)]
+    )
+    assert src.next_change_after(0.0) == 3.0
+    assert src.next_change_after(3.0) == 7.0
+    assert src.next_change_after(5.0) == 7.0
+    # The last sample repeats the power before it, yet the trace ends there.
+    assert src.next_change_after(7.0) == 9.0
+    assert src.next_change_after(8.5) == 9.0
+    assert src.next_change_after(9.0) is None
+    assert src.next_change_after(20.0) is None
+    assert src.power_at(8.0) == 0.001
+    assert src.power_at(6.0) == 0.002
+
+
 def test_trace_harvester_rejects_queries_outside_span():
     src = TraceHarvester([HarvestSample(5.0, 0.001), HarvestSample(6.0, 0.002)])
     with pytest.raises(TraceExhaustedError):
