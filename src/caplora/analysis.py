@@ -19,13 +19,18 @@ from .energy import (
     propagate_voltage,
 )
 from .engine import (
+    RESULTS_HEADER,
+    Metrics,
     ScenarioConfig,
     capacitor_params,
     lorawan_params,
+    results_key,
     results_row,
     run_scenario,
     success_probability,
 )
+from .errors import ConfigError
+from .harvester import TraceExhaustedError
 from .lorawan import DeviceState
 
 CYCLE_KINDS = ("UL", "UL+DL")
@@ -263,11 +268,19 @@ class SweepGrid:
         if any(k not in CYCLE_KINDS for k in self.kinds):
             problems.append(f"sweep kinds must be among {CYCLE_KINDS}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
 
 def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
-    """One ScenarioConfig per grid point, constant-harvest, base fields kept."""
+    """One ScenarioConfig per grid point, the base's other fields kept.
+
+    Every point keeps the base harvester, so a ``powers_w`` axis needs the
+    constant one: it is the only harvester that ``power_w`` drives.
+    """
+    if grid.powers_w and base.harvester != "constant":
+        raise ConfigError(
+            [f"sweep.power_w needs harvester kind constant, got {base.harvester}"]
+        )
     kinds = grid.kinds or (("UL+DL",) if base.confirmed else ("UL",))
     configs = []
     for kind in kinds:
@@ -279,7 +292,6 @@ def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
                             configs.append(
                                 replace(
                                     base,
-                                    harvester="constant",
                                     capacitance_f=cap,
                                     power_w=power,
                                     data_rate=dr,
@@ -291,12 +303,12 @@ def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
     return configs
 
 
-def results_key(config: ScenarioConfig) -> str:
-    """The identifying prefix of a results row (its grid coordinates)."""
-    return (
-        f"{config.capacitance_f:.9g},{config.power_w:.9g},{config.data_rate},"
-        f"{config.packet_period_s:.9g},{int(config.confirmed)}"
-    )
+def _run_complete(config: ScenarioConfig) -> Metrics:
+    """Run one scenario; a run its harvest trace cut short raises."""
+    metrics = run_scenario(config)
+    if not metrics.valid:
+        raise TraceExhaustedError("harvest trace exhausted before duration_s")
+    return metrics
 
 
 def run_sweep(
@@ -314,12 +326,11 @@ def run_sweep(
     count counts as done; an unterminated last row, cut off mid-write, is
     removed so its point runs again. Failed runs are reported through
     ``on_error`` and do not write a row, leaving them eligible for a later
-    resume.
+    resume; a run that its harvest trace cut short counts as failed.
     """
-    from .engine import RESULTS_HEADER
-
     path = Path(path)
     n_fields = RESULTS_HEADER.count(",") + 1
+    n_key_fields = results_key(ScenarioConfig()).count(",") + 1
     done: dict[str, str] = {}
     data = path.read_bytes() if resume and path.exists() else b""
     complete = data[: data.rfind(b"\n") + 1]
@@ -329,7 +340,7 @@ def run_sweep(
         os.truncate(path, len(complete))
     for line in complete.decode().splitlines():
         if line != RESULTS_HEADER and line.count(",") + 1 == n_fields:
-            done[",".join(line.split(",")[:5])] = line
+            done[",".join(line.split(",")[:n_key_fields])] = line
     rows = []
     with path.open("a") as out:
         for config in configs:
@@ -338,7 +349,7 @@ def run_sweep(
                 rows.append(done[key])
                 continue
             try:
-                metrics = run_scenario(config)
+                metrics = _run_complete(config)
             except Exception as exc:  # noqa: BLE001 - sweep must keep going
                 if on_error is not None:
                     on_error(key, exc)
@@ -354,16 +365,14 @@ def run_sweep(
 def success_curve(
     base: ScenarioConfig, capacitances_f: Sequence[float], kind: str
 ) -> list[tuple[float, float]]:
-    """Success probability at each capacitance, ascending."""
+    """Success probability at each capacitance, ascending.
+
+    Raises ``TraceExhaustedError`` when a harvest trace cuts a run short.
+    """
     curve = []
     for cap in sorted(capacitances_f):
-        cfg = replace(
-            base,
-            capacitance_f=cap,
-            confirmed=kind == "UL+DL",
-            harvester="constant",
-        )
-        metrics = run_scenario(cfg)
+        cfg = replace(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        metrics = _run_complete(cfg)
         curve.append((cap, success_probability(metrics, kind)))
     return curve
 
@@ -380,14 +389,13 @@ def min_capacitance_for_target(
     """Smallest capacitance whose simulated success reaches ``target``.
 
     Engine-driven bisection between ``c_lo`` and ``c_hi``; ``None`` when even
-    ``c_hi`` falls short.
+    ``c_hi`` falls short. Raises ``TraceExhaustedError`` when a harvest trace
+    cuts a run short.
     """
 
     def success(cap: float) -> float:
-        cfg = replace(
-            base, capacitance_f=cap, confirmed=kind == "UL+DL", harvester="constant"
-        )
-        return success_probability(run_scenario(cfg), kind)
+        cfg = replace(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        return success_probability(_run_complete(cfg), kind)
 
     if success(c_hi) < target:
         return None

@@ -4,24 +4,13 @@ reported at once, plus command-line overrides and round-trip dumping."""
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Any, Callable
 
 from .analysis import SweepGrid
 from .engine import ScenarioConfig, validate_scenario
 from .errors import ConfigError
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_bool(text: str) -> bool:
@@ -33,21 +22,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_opt_float(text: str) -> float | None:
-    if text.strip().lower() in ("", "none"):
-        return None
-    return float(text)
+def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    def parser(text: str) -> Any:
+        stripped = text.strip()
+        return None if stripped.lower() in ("", "none") else parse(stripped)
 
-
-def _parse_opt_int(text: str) -> int | None:
-    if text.strip().lower() in ("", "none"):
-        return None
-    return int(text)
-
-
-def _parse_opt_str(text: str) -> str | None:
-    stripped = text.strip()
-    return None if stripped.lower() in ("", "none") else stripped
+    return parser
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -58,75 +38,63 @@ def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     return parser
 
 
-# section -> key -> (dataclass field, value parser); [sweep] keys target
-# SweepGrid, every other section targets ScenarioConfig.
-_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
-    "capacitor": {
-        "capacitance_f": ("capacitance_f", _parse_float),
-        "rail_voltage_v": ("rail_voltage_v", _parse_float),
-        "max_voltage_v": ("max_voltage_v", _parse_float),
-        "v_th_low_v": ("v_th_low_v", _parse_float),
-        "v_th_high_v": ("v_th_high_v", _parse_float),
-        "initial_voltage_v": ("initial_voltage_v", _parse_float),
-        "update_interval_s": ("update_interval_s", _parse_float),
-    },
-    "harvester": {
-        "kind": ("harvester", _parse_str),
-        "power_w": ("power_w", _parse_float),
-        "trace_file": ("trace_file", _parse_opt_str),
-        "distribution": ("distribution", _parse_str),
-        "low_w": ("low_w", _parse_float),
-        "high_w": ("high_w", _parse_float),
-        "mean_w": ("mean_w", _parse_float),
-        "update_period_s": ("harvest_update_period_s", _parse_float),
-    },
-    "lorawan": {
-        "data_rate": ("data_rate", _parse_int),
-        "bandwidth_hz": ("bandwidth_hz", _parse_float),
-        "confirmed": ("confirmed", _parse_bool),
-        "ul_payload_bytes": ("ul_payload_bytes", _parse_int),
-        "dl_payload_bytes": ("dl_payload_bytes", _parse_int),
-        "mac_overhead_bytes": ("mac_overhead_bytes", _parse_int),
-        "rx1_delay_s": ("rx1_delay_s", _parse_float),
-        "rx2_delay_s": ("rx2_delay_s", _parse_float),
-        "rx_window_symbols": ("rx_window_symbols", _parse_int),
-        "rx2_window_symbols": ("rx2_window_symbols", _parse_opt_int),
-        "turn_on_s": ("turn_on_s", _parse_float),
-        "standby_brief_s": ("standby_brief_s", _parse_float),
-        "max_transmissions": ("max_transmissions", _parse_int),
-        "ul_duty_cycle": ("ul_duty_cycle", _parse_float),
-        "dl_duty_cycle": ("dl_duty_cycle", _parse_float),
-    },
-    "currents": {
-        "off_a": ("off_a", _parse_float),
-        "turn_on_a": ("turn_on_a", _parse_float),
-        "sleep_a": ("sleep_a", _parse_float),
-        "tx_a": ("tx_a", _parse_float),
-        "idle_a": ("idle_a", _parse_float),
-        "standby_a": ("standby_a", _parse_float),
-        "rx_a": ("rx_a", _parse_float),
-    },
-    "traffic": {
-        "packet_period_s": ("packet_period_s", _parse_float),
-        "first_packet_s": ("first_packet_s", _parse_opt_float),
-        "generate_while_off": ("generate_while_off", _parse_bool),
-    },
-    "sim": {
-        "duration_s": ("duration_s", _parse_float),
-        "seed": ("seed", _parse_int),
-        "guard": ("guard_enabled", _parse_bool),
-        "guard_horizon": ("guard_horizon", _parse_str),
-        "trace": ("trace", _parse_bool),
-    },
-    "sweep": {
-        "capacitance_f": ("capacitances_f", _list_of(_parse_float)),
-        "power_w": ("powers_w", _list_of(_parse_float)),
-        "data_rate": ("data_rates", _list_of(_parse_int)),
-        "payload_bytes": ("payloads_bytes", _list_of(_parse_int)),
-        "period_s": ("periods_s", _list_of(_parse_float)),
-        "kind": ("kinds", _list_of(_parse_str)),
-    },
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "float": float,
+    "int": int,
+    "str": str.strip,
+    "bool": _parse_bool,
 }
+
+
+def _parser(annotation: str) -> Callable[[str], Any]:
+    """The value parser for a field annotation such as ``"float | None"``."""
+    if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
+        return _list_of(_parser(annotation[len("tuple[") : -len(", ...]")]))
+    if annotation.endswith(" | None"):
+        return _optional(_parser(annotation[: -len(" | None")]))
+    if annotation not in _PARSERS:
+        raise TypeError(f"no INI parser for the annotation {annotation!r}")
+    return _PARSERS[annotation]
+
+
+# The field that opens each INI section; the fields declared after it belong
+# to the same section until the next one opens. [sweep] keys target
+# SweepGrid, every other section targets ScenarioConfig.
+_SECTION_STARTS = {
+    "capacitance_f": "capacitor",
+    "harvester": "harvester",
+    "data_rate": "lorawan",
+    "off_a": "currents",
+    "packet_period_s": "traffic",
+    "duration_s": "sim",
+    "capacitances_f": "sweep",
+}
+
+# INI keys that differ from the field they set.
+_KEY_NAMES = {
+    "harvester": "kind",
+    "harvest_update_period_s": "update_period_s",
+    "guard_enabled": "guard",
+    "capacitances_f": "capacitance_f",
+    "powers_w": "power_w",
+    "data_rates": "data_rate",
+    "payloads_bytes": "payload_bytes",
+    "periods_s": "period_s",
+    "kinds": "kind",
+}
+
+
+def _derive_schema() -> dict[str, dict[str, tuple[str, Callable[[str], Any]]]]:
+    """section -> key -> (dataclass field, value parser), in field order."""
+    schema: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
+    for f in fields(ScenarioConfig) + fields(SweepGrid):
+        if f.name in _SECTION_STARTS:
+            keys = schema[_SECTION_STARTS[f.name]] = {}
+        keys[_KEY_NAMES.get(f.name, f.name)] = (f.name, _parser(f.type))
+    return schema
+
+
+_SCHEMA = _derive_schema()
 
 
 def _locate_key(key: str) -> tuple[str, str]:
@@ -217,8 +185,8 @@ def parse_config(
     config = ScenarioConfig(**config_kwargs)
     try:
         grid = SweepGrid(**grid_kwargs)
-    except ValueError as exc:
-        problems.append(str(exc))
+    except ConfigError as exc:
+        problems.extend(exc.problems)
         grid = SweepGrid()
     problems.extend(validate_scenario(config))
     if problems:

@@ -18,6 +18,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable
 
 from .device import CycleRecord, Gateway, LorawanDevice
@@ -46,6 +47,9 @@ _TICK_S = 1 / _NS_PER_S
 
 HARVESTER_KINDS = ("constant", "trace", "random")
 GUARD_HORIZONS = ("tx", "cycle")
+
+# The scenario field holding each device state's current: TURN_ON -> turn_on_a.
+_CURRENT_FIELDS = {state: f"{state.name.lower()}_a" for state in DeviceState}
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,7 @@ class ScenarioConfig:
     trace: bool = False
 
     def currents(self) -> dict[DeviceState, float]:
-        return {
-            DeviceState.OFF: self.off_a,
-            DeviceState.TURN_ON: self.turn_on_a,
-            DeviceState.SLEEP: self.sleep_a,
-            DeviceState.TX: self.tx_a,
-            DeviceState.IDLE: self.idle_a,
-            DeviceState.STANDBY: self.standby_a,
-            DeviceState.RX: self.rx_a,
-        }
+        return {state: getattr(self, name) for state, name in _CURRENT_FIELDS.items()}
 
 
 @dataclass(order=True)
@@ -159,6 +155,14 @@ RESULTS_HEADER = (
 )
 
 
+def results_key(config: ScenarioConfig) -> str:
+    """The identifying prefix of a results row (its grid coordinates)."""
+    return (
+        f"{config.capacitance_f:.9g},{config.power_w:.9g},{config.data_rate},"
+        f"{config.packet_period_s:.9g},{int(config.confirmed)}"
+    )
+
+
 def results_row(config: ScenarioConfig, metrics: Metrics) -> str:
     """One CSV line summarising a run, matching RESULTS_HEADER."""
     if metrics.generated:
@@ -167,8 +171,7 @@ def results_row(config: ScenarioConfig, metrics: Metrics) -> str:
     else:
         p_ul = p_uldl = 0.0
     return (
-        f"{config.capacitance_f:.9g},{config.power_w:.9g},{config.data_rate},"
-        f"{config.packet_period_s:.9g},{int(config.confirmed)},"
+        f"{results_key(config)},"
         f"{metrics.generated},{metrics.delivered_ul},{metrics.acked},"
         f"{p_ul:.6f},{p_uldl:.6f}"
     )
@@ -213,16 +216,8 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
         problems.append("duration_s must be positive")
     if config.guard_horizon not in GUARD_HORIZONS:
         problems.append(f"guard_horizon must be one of {GUARD_HORIZONS}")
-    for name, amps in (
-        ("off_a", config.off_a),
-        ("turn_on_a", config.turn_on_a),
-        ("sleep_a", config.sleep_a),
-        ("tx_a", config.tx_a),
-        ("idle_a", config.idle_a),
-        ("standby_a", config.standby_a),
-        ("rx_a", config.rx_a),
-    ):
-        if amps < 0:
+    for name in _CURRENT_FIELDS.values():
+        if getattr(config, name) < 0:
             problems.append(f"{name} must be non-negative")
     return problems
 
@@ -231,35 +226,18 @@ def _below_tick(name: str, config: ScenarioConfig) -> str:
     return f"{name} must be at least the 1 ns clock tick, got {getattr(config, name)}"
 
 
+# ScenarioConfig declares every CapacitorParams and LorawanParams field
+# under the same name; these read them in the params' positional order.
+_capacitor_fields = attrgetter(*(f.name for f in fields(CapacitorParams)))
+_lorawan_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
+
+
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
-    return CapacitorParams(
-        capacitance_f=config.capacitance_f,
-        rail_voltage_v=config.rail_voltage_v,
-        max_voltage_v=config.max_voltage_v,
-        v_th_low_v=config.v_th_low_v,
-        v_th_high_v=config.v_th_high_v,
-        initial_voltage_v=config.initial_voltage_v,
-    )
+    return CapacitorParams(*_capacitor_fields(config))
 
 
 def lorawan_params(config: ScenarioConfig) -> LorawanParams:
-    return LorawanParams(
-        data_rate=config.data_rate,
-        bandwidth_hz=config.bandwidth_hz,
-        confirmed=config.confirmed,
-        ul_payload_bytes=config.ul_payload_bytes,
-        dl_payload_bytes=config.dl_payload_bytes,
-        mac_overhead_bytes=config.mac_overhead_bytes,
-        rx1_delay_s=config.rx1_delay_s,
-        rx2_delay_s=config.rx2_delay_s,
-        rx_window_symbols=config.rx_window_symbols,
-        rx2_window_symbols=config.rx2_window_symbols,
-        turn_on_s=config.turn_on_s,
-        standby_brief_s=config.standby_brief_s,
-        max_transmissions=config.max_transmissions,
-        ul_duty_cycle=config.ul_duty_cycle,
-        dl_duty_cycle=config.dl_duty_cycle,
-    )
+    return LorawanParams(*_lorawan_fields(config))
 
 
 def _build_harvester(config: ScenarioConfig) -> HarvestSource:
@@ -314,9 +292,8 @@ class Simulator:
         self.cap.on_recharged = self.device.on_recharged
         self.rng = random.Random(config.seed)
         self.now_ns = 0
-        self.g_harv = harvester_conductance(
-            self.harvester.power_at(0.0), config.rail_voltage_v
-        )
+        # Set from the harvester when the run starts.
+        self.g_harv = 0.0
         self._heap: list[Event] = []
         self._seq = 0
         self._crossing_event: Event | None = None
@@ -448,7 +425,7 @@ class Simulator:
         duration_ns = round(config.duration_s * _NS_PER_S)
         try:
             self._record_trace()
-            self._chain_harvest_change(0.0)
+            self._on_harvest_change()
             first = config.first_packet_s
             if first is None:
                 first = self.rng.uniform(0.0, config.packet_period_s)

@@ -36,9 +36,6 @@ DEFAULT_CURRENTS_A: dict[DeviceState, float] = {
     DeviceState.RX: 11.011e-3,
 }
 
-UPLINK_CHANNELS_HZ = (868_100_000, 868_300_000, 868_500_000)
-DOWNLINK_CHANNEL_HZ = 869_525_000
-
 MIN_DATA_RATE = 0
 MAX_DATA_RATE = 5
 RX2_SPREADING_FACTOR = 12

@@ -36,6 +36,7 @@ from caplora.analysis import (
 )
 from caplora.energy import min_voltage_over_segments
 from caplora.engine import capacitor_params
+from caplora.harvester import TraceExhaustedError
 
 
 BASE = ScenarioConfig(power_w=0.001, data_rate=3, ul_payload_bytes=10)
@@ -317,6 +318,23 @@ def test_success_curve_and_target_search():
     assert c99 is not None
     assert success_curve(base, (c99,), "UL")[0][1] >= 0.99
     assert min_capacitance_for_target(base, "UL", target=2.0, c_lo=1e-4, c_hi=0.1) is None
+
+
+def test_studies_reject_runs_cut_short_by_the_trace(tmp_path):
+    trace = tmp_path / "short.csv"
+    trace.write_text("0,0.002\n600,0.002\n")
+    base = replace(
+        BASE,
+        harvester="trace",
+        trace_file=str(trace),
+        packet_period_s=60.0,
+        first_packet_s=0.0,
+        duration_s=1800.0,
+    )
+    with pytest.raises(TraceExhaustedError):
+        success_curve(base, (0.01,), "UL")
+    with pytest.raises(TraceExhaustedError):
+        min_capacitance_for_target(base, "UL", c_lo=1e-4, c_hi=0.1)
 
 
 def test_peak_success_prefers_smallest_capacitance():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from caplora.cli import main
+from caplora.engine import RESULTS_HEADER
 
 
 FAST = [
@@ -134,6 +135,69 @@ def test_sweep_rejects_bad_grid_points_up_front(tmp_path, capsys, axis, problem)
     # The bad value is shared by two capacitances but reported once.
     assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
     assert sweep_csv.read_text() == "left as it was\n"
+
+
+def test_sweep_grid_problems_get_one_line_each(tmp_path, capsys):
+    args = ["--set", "sweep.capacitance_f=-1", "--set", "sweep.kind=DL"]
+    assert main(["sweep", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == "config error: sweep capacitances must be positive"
+    assert err[1].startswith("config error: sweep kinds must be among")
+
+
+def _dark_trace(tmp_path):
+    trace = tmp_path / "dark.csv"
+    trace.write_text("0,0\n600,0\n")
+    return ["--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+
+
+def test_sweep_keeps_the_base_harvester(tmp_path, capsys):
+    base = [*FAST, *_dark_trace(tmp_path)]
+    sweep_out = tmp_path / "sweep"
+    args = ["sweep", *base, "--set", "sweep.capacitance_f=0.004,0.05"]
+    assert main([*args, "--out", str(sweep_out)]) == 0
+    rows = (sweep_out / "sweep.csv").read_text().splitlines()[1:]
+    run_rows = []
+    for cap in ("0.004", "0.05"):
+        out = tmp_path / cap
+        assert main(["run", *base, "--set", f"capacitor.capacitance_f={cap}", "--out", str(out)]) == 0
+        run_rows.append((out / "results.csv").read_text().splitlines()[1])
+    capsys.readouterr()
+    assert rows == run_rows
+
+
+@pytest.mark.parametrize("samples", ["5,0.001\n900,0.002\n", "0,0.001\n60,0.001\n"])
+def test_sweep_over_a_short_trace_fails_each_point(tmp_path, capsys, samples):
+    trace = tmp_path / "short.csv"
+    trace.write_text(samples)
+    args = ["sweep", *FAST, "--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+    args += ["--set", "sweep.capacitance_f=0.004,0.05", "--out", str(tmp_path)]
+    for _ in range(2):  # a resume runs the failed points again
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.endswith("failed: harvest trace exhausted before duration_s") for line in err)
+        assert (tmp_path / "sweep.csv").read_text() == RESULTS_HEADER + "\n"
+
+
+def test_sweep_power_axis_needs_the_constant_harvester(tmp_path, capsys):
+    args = ["sweep", *FAST, *_dark_trace(tmp_path), "--set", "sweep.power_w=0.001,0.002"]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sweep.power_w needs harvester kind constant, got trace"
+    ]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_trace_starting_after_zero_aborts_the_run(tmp_path, capsys):
+    trace = tmp_path / "late.csv"
+    trace.write_text("5,0.001\n900,0.002\n")
+    args = ["--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+    assert main(["run", *FAST, *args, "--out", str(tmp_path)]) == 1
+    assert "run aborted early: harvest trace exhausted" in capsys.readouterr().err
+    row = (tmp_path / "results.csv").read_text().splitlines()[1].split(",")
+    assert row[5] == "0"  # generated
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import configparser
 import io
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from caplora import (
     dump_config,
     parse_config,
 )
+from caplora.config import _SCHEMA
 
 
 def test_no_source_yields_defaults():
@@ -237,3 +242,115 @@ def test_sweep_grid_problems_are_aggregated():
     text = str(err.value)
     assert "capacitances must be positive" in text
     assert "kinds must be among" in text
+
+
+FULL_GRID = SweepGrid(
+    capacitances_f=(0.002, 0.004),
+    powers_w=(0.0005, 0.001),
+    data_rates=(2, 5),
+    payloads_bytes=(10, 20),
+    periods_s=(60.0, 300.0),
+    kinds=("UL", "UL+DL"),
+)
+
+GOLDEN_DUMP = """\
+[capacitor]
+capacitance_f = 0.01
+rail_voltage_v = 3.3
+max_voltage_v = 3.3
+v_th_low_v = 1.8
+v_th_high_v = 3.0
+initial_voltage_v = 3.3
+update_interval_s = 1.0
+
+[harvester]
+kind = constant
+power_w = 0.001
+trace_file = none
+distribution = uniform
+low_w = 0.0
+high_w = 0.002
+mean_w = 0.001
+update_period_s = 1.0
+
+[lorawan]
+data_rate = 3
+bandwidth_hz = 125000.0
+confirmed = false
+ul_payload_bytes = 10
+dl_payload_bytes = 0
+mac_overhead_bytes = 13
+rx1_delay_s = 1.0
+rx2_delay_s = 2.0
+rx_window_symbols = 8
+rx2_window_symbols = none
+turn_on_s = 0.3
+standby_brief_s = 0.01
+max_transmissions = 1
+ul_duty_cycle = 0.01
+dl_duty_cycle = 0.1
+
+[currents]
+off_a = 5.5e-06
+turn_on_a = 0.015
+sleep_a = 5.6e-06
+tx_a = 0.028011
+idle_a = 7e-06
+standby_a = 0.0105055
+rx_a = 0.011011
+
+[traffic]
+packet_period_s = 60.0
+first_packet_s = none
+generate_while_off = true
+
+[sim]
+duration_s = 3600.0
+seed = 1
+guard = true
+guard_horizon = tx
+trace = false
+
+[sweep]
+capacitance_f = 0.002, 0.004
+power_w = 0.0005, 0.001
+data_rate = 2, 5
+payload_bytes = 10, 20
+period_s = 60.0, 300.0
+kind = UL, UL+DL
+"""
+
+
+def test_dump_of_defaults_and_full_grid_is_pinned():
+    assert dump_config(ScenarioConfig(), FULL_GRID) == GOLDEN_DUMP
+
+
+def test_every_field_has_exactly_one_key():
+    targets = Counter(field for keys in _SCHEMA.values() for field, _ in keys.values())
+    declared = [f.name for f in fields(ScenarioConfig) + fields(SweepGrid)]
+    assert sorted(targets) == sorted(declared)
+    assert set(targets.values()) == {1}
+
+
+def _dumped_keys():
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(GOLDEN_DUMP)
+    return [(section, key, value) for section in ini.sections() for key, value in ini.items(section)]
+
+
+@pytest.mark.parametrize("section, key, value", _dumped_keys())
+def test_each_key_round_trips_through_set(section, key, value):
+    config, grid = parse_config(None, [f"{section}.{key}={value}"])
+    if section == "sweep":
+        field, _ = _SCHEMA[section][key]
+        assert getattr(grid, field) == getattr(FULL_GRID, field)
+    else:
+        assert config == ScenarioConfig()
+
+
+def test_readme_scenario_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config, grid = parse_config(io.StringIO(block))
+    assert config.capacitance_f == 0.004756
+    assert grid.kinds == ("UL", "UL+DL")
