@@ -14,7 +14,6 @@ from .device import DlReply, post_tx_sequence
 from .energy import (
     CapacitorParams,
     harvester_conductance,
-    load_conductance,
     min_voltage_over_segments,
     propagate_voltage,
 )
@@ -80,17 +79,18 @@ def cycle_spec(
 ) -> CycleSpec:
     """Build the analytic cycle description for ``kind`` at ``power_w``."""
     power = config.power_w if power_w is None else power_w
-    rail = config.rail_voltage_v
-    g_harv = harvester_conductance(power, rail)
-    currents = config.currents()
-    g_off = load_conductance(currents[DeviceState.OFF], rail)
+    g_harv = harvester_conductance(power, config.rail_voltage_v)
+    g_load = config.load_conductances()
     # Settled after unbounded time; with both sides open the voltage holds.
     v0 = propagate_voltage(
-        config.initial_voltage_v, math.inf, g_off, g_harv, capacitor_params(config)
+        config.initial_voltage_v,
+        math.inf,
+        g_load[DeviceState.OFF],
+        g_harv,
+        capacitor_params(config),
     )
     segments = tuple(
-        (duration, load_conductance(currents[state], rail))
-        for state, duration in cycle_states(config, kind)
+        (duration, g_load[state]) for state, duration in cycle_states(config, kind)
     )
     return CycleSpec(kind=kind, initial_voltage_v=v0, segments=segments, g_harv=g_harv)
 
@@ -144,10 +144,22 @@ def min_capacitance(
         return None
     if v_lo >= v_low:
         return c_lo
-    lo, hi = c_lo, c_hi
+    return _bisect(
+        c_lo, c_hi, lambda c: min_voltage_over_cycle(c, spec, config) >= v_low, tol_rel
+    )
+
+
+def _bisect(
+    lo: float, hi: float, fits: Callable[[float], bool], tol_rel: float
+) -> float:
+    """Smallest fitting value of a geometric bracket, to within ``tol_rel``.
+
+    ``fits(lo)`` is false and ``fits(hi)`` true; only midpoints are probed.
+    The answer is on the fitting side of the final bracket.
+    """
     while hi / lo > 1.0 + tol_rel:
         mid = math.sqrt(lo * hi)
-        if min_voltage_over_cycle(mid, spec, config) >= v_low:
+        if fits(mid):
             hi = mid
         else:
             lo = mid
@@ -226,8 +238,13 @@ def mincap_table(
     """Minimum-capacitance grid over data rate, payload, harvest power, kind.
 
     The downlink in UL+DL cycles carries ``dl_payload_bytes`` of application
-    payload; uplink-only cycles ignore it.
+    payload; uplink-only cycles ignore it. Every row is sized at a constant
+    harvest, so the base scenario must use the constant harvester.
     """
+    if config.harvester != "constant":
+        raise ConfigError(
+            [f"mincap needs harvester kind constant, got {config.harvester}"]
+        )
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
@@ -401,14 +418,7 @@ def min_capacitance_for_target(
         return None
     if success(c_lo) >= target:
         return c_lo
-    lo, hi = c_lo, c_hi
-    while hi / lo > 1.0 + tol_rel:
-        mid = math.sqrt(lo * hi)
-        if success(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(c_lo, c_hi, lambda c: success(c) >= target, tol_rel)
 
 
 def peak_success_capacitance(

@@ -4,15 +4,11 @@ side that answers confirmed uplinks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .energy import (
-    CapacitorParams,
-    load_conductance,
-    min_voltage_over_segments,
-)
+from .energy import CapacitorParams, min_voltage_over_segments
 from .lorawan import (
     DeviceState,
     DutyCycleBudget,
@@ -21,10 +17,12 @@ from .lorawan import (
 )
 
 if TYPE_CHECKING:
-    from .engine import Simulator
+    from .engine import Event, Simulator
 
-#: Simulator clock resolution in seconds; shorter waits start immediately.
-_CLOCK_TICK_S = 1e-9
+#: The simulator's clock counts integer nanoseconds.
+NS_PER_S = 1_000_000_000
+#: One clock tick: a shorter wait or period would round to a zero-length step.
+TICK_S = 1 / NS_PER_S
 
 
 class DlReply(Enum):
@@ -110,7 +108,7 @@ def guard_segments(
 def smart_tx_guard(
     voltage_v: float,
     params: LorawanParams,
-    currents: dict[DeviceState, float],
+    g_load: dict[DeviceState, float],
     g_harv: float,
     cap_params: CapacitorParams,
     horizon: str = "tx",
@@ -122,8 +120,7 @@ def smart_tx_guard(
     below the cutoff threshold anywhere along it.
     """
     segments = [
-        (duration, load_conductance(currents[state], cap_params.rail_voltage_v))
-        for state, duration in guard_segments(params, horizon)
+        (duration, g_load[state]) for state, duration in guard_segments(params, horizon)
     ]
     predicted = min_voltage_over_segments(voltage_v, segments, g_harv, cap_params)
     return predicted >= cap_params.v_th_low_v
@@ -174,11 +171,13 @@ class LorawanDevice:
         self.sim = sim
         self.params = params
         self.state = (
-            DeviceState.OFF if sim.cap.is_depleted() else DeviceState.SLEEP
+            DeviceState.OFF if sim.cap.depleted else DeviceState.SLEEP
         )
         self.ul_budget = DutyCycleBudget(params.ul_duty_cycle)
         self.cycle: _Cycle | None = None
-        self._pending: list = []
+        # The device's one scheduled event that may not have fired yet. There
+        # is never a second: ``on_generate`` starts a cycle only while asleep.
+        self._pending: Event | None = None
         self._off_since_s: float | None = 0.0 if self.state is DeviceState.OFF else None
         self._packet_counter = 0
 
@@ -199,7 +198,9 @@ class LorawanDevice:
         if powered_down:
             self._record(packet_id, now, now, CycleOutcome.FAILED_ENERGY)
             return
-        if self.cycle is not None:
+        # An acknowledged cycle is closed while its trailing standby still
+        # runs; a new cycle must wait until the device is back asleep.
+        if self.cycle is not None or self.state is not DeviceState.SLEEP:
             self._record(packet_id, now, now, CycleOutcome.FAILED_BUSY)
             return
         self.cycle = _Cycle(packet_id=packet_id, start_s=now)
@@ -211,21 +212,19 @@ class LorawanDevice:
         allowed = self.ul_budget.next_allowed(now)
         # Waits below the simulator's clock resolution would round to a
         # zero-length deferral that re-fires at the same instant forever.
-        if allowed - now >= _CLOCK_TICK_S:
+        if allowed - now >= TICK_S:
             # A packet kept waiting past its successor's slot is stale.
             deadline = self.cycle.start_s + self.sim.config.packet_period_s
             if allowed >= deadline:
                 self._finish(CycleOutcome.FAILED_DUTY_CYCLE, now)
                 return
-            self._track(
-                self.sim.schedule_at_s(allowed, self._attempt_transmission)
-            )
+            self._pending = self.sim.schedule_at_s(allowed, self._attempt_transmission)
             return
         if self.sim.config.guard_enabled:
             proceed = smart_tx_guard(
                 self.sim.cap.voltage_v,
                 self.params,
-                self.sim.currents,
+                self.sim.g_load,
                 self.sim.g_harv,
                 self.sim.cap.params,
                 self.sim.config.guard_horizon,
@@ -238,7 +237,7 @@ class LorawanDevice:
         toa = self.params.ul_time_on_air()
         self.ul_budget.register(now, toa)
         self.sim.set_device_state(DeviceState.TX)
-        self._track(self.sim.schedule_in(toa, self._on_tx_end))
+        self._pending = self.sim.schedule_in(toa, self._on_tx_end)
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None
@@ -264,7 +263,7 @@ class LorawanDevice:
                 self._on_ack_received()
             self._walk_segments(segments[1:], reply)
 
-        self._track(self.sim.schedule_in(duration, advance_segment))
+        self._pending = self.sim.schedule_in(duration, advance_segment)
 
     def _on_ack_received(self) -> None:
         # The cycle succeeds the moment the downlink is fully received; a
@@ -303,9 +302,7 @@ class LorawanDevice:
             self.sim.metrics.off_time_s += when_s - self._off_since_s
             self._off_since_s = None
         self.sim.set_device_state(DeviceState.TURN_ON)
-        self._track(
-            self.sim.schedule_in(self.params.turn_on_s, self._on_turned_on)
-        )
+        self._pending = self.sim.schedule_in(self.params.turn_on_s, self._on_turned_on)
 
     def _on_turned_on(self) -> None:
         self.sim.set_device_state(DeviceState.SLEEP)
@@ -330,15 +327,7 @@ class LorawanDevice:
             CycleRecord(packet_id, self.kind, start_s, end_s, outcome)
         )
 
-    def _track(self, event) -> None:
-        """Remember a scheduled event, dropping ones already in the past."""
-        now_ns = self.sim.now_ns
-        self._pending = [
-            ev for ev in self._pending if not ev.cancelled and ev.time_ns > now_ns
-        ]
-        self._pending.append(event)
-
     def _cancel_pending(self) -> None:
-        for event in self._pending:
-            self.sim.cancel(event)
-        self._pending.clear()
+        if self._pending is not None:
+            self.sim.cancel(self._pending)
+            self._pending = None

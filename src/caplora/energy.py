@@ -8,6 +8,10 @@ asymptote ``v_inf = E G_h / (G_h + G_L)`` and one time constant
 ``tau = C / (G_h + G_L)`` cover every case; only when both sides are open
 does the voltage hold.
 
+``Capacitor`` and every function here take the load as a conductance; a
+scenario converts each device state's current ``I`` to ``G_L = I / E`` once
+per run (``load_conductance``).
+
 All voltages are volts, conductances siemens, capacitances farads, times
 seconds.
 """
@@ -20,18 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable, NamedTuple
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """A named constant-current load, e.g. one radio state."""
-
-    name: str
-    current_a: float
-
-    def __post_init__(self) -> None:
-        if self.current_a < 0.0:
-            raise ValueError(f"load current must be >= 0, got {self.current_a}")
 
 
 @dataclass(frozen=True)
@@ -254,81 +246,61 @@ def _ignore_crossing(when_s: float) -> None:
     pass
 
 
-@dataclass
-class CapacitorState:
-    """Mutable capacitor bookkeeping carried between updates."""
-
-    voltage_v: float
-    last_update_s: float
-    depleted: bool
-
-
 class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
-    ``update`` propagates the voltage under the profile that was active since
-    the previous update. A threshold crossing inside the elapsed interval
-    flips the depleted flag and calls ``on_depleted`` or ``on_recharged`` with
-    the analytically solved crossing time, not the update time.
+    ``update`` propagates the voltage under the load and harvest conductances
+    that were active since the previous update. A threshold crossing inside
+    the elapsed interval flips ``depleted`` and calls ``on_depleted`` or
+    ``on_recharged`` with the analytically solved crossing time, not the
+    update time.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
         self.params = params
-        v0 = min(params.initial_voltage_v, params.max_voltage_v)
-        self.state = CapacitorState(
-            voltage_v=v0,
-            last_update_s=0.0,
-            depleted=v0 < params.v_th_low_v,
-        )
+        self.voltage_v = min(params.initial_voltage_v, params.max_voltage_v)
+        self.last_update_s = 0.0
+        self.depleted = self.voltage_v < params.v_th_low_v
         self.load_energy_j = 0.0
         self.on_depleted: Callable[[float], None] = _ignore_crossing
         self.on_recharged: Callable[[float], None] = _ignore_crossing
 
-    @property
-    def voltage_v(self) -> float:
-        return self.state.voltage_v
-
-    def is_depleted(self) -> bool:
-        return self.state.depleted
-
-    def update(self, now_s: float, profile: LoadProfile, g_harv: float) -> None:
-        """Advance to ``now_s`` under ``profile``, calling back on a crossing."""
-        st = self.state
-        if now_s < st.last_update_s:
+    def update(self, now_s: float, g_load: float, g_harv: float) -> None:
+        """Advance to ``now_s`` under ``g_load``, calling back on a crossing."""
+        if now_s < self.last_update_s:
             raise ValueError(
-                f"update at {now_s} s precedes last update at {st.last_update_s} s"
+                f"update at {now_s} s precedes last update at {self.last_update_s} s"
             )
-        if now_s == st.last_update_s:
+        if now_s == self.last_update_s:
             return
         params = self.params
-        elapsed = now_s - st.last_update_s
-        g_load = load_conductance(profile.current_a, params.rail_voltage_v)
-        v_prev = st.voltage_v
+        elapsed = now_s - self.last_update_s
+        v_prev = self.voltage_v
         self.load_energy_j += load_energy_joules(v_prev, elapsed, g_load, g_harv, params)
         v_new = propagate_voltage(v_prev, elapsed, g_load, g_harv, params)
-        st.voltage_v = v_new
-        st.last_update_s = now_s
-        if not st.depleted and v_new <= params.v_th_low_v and v_new <= v_prev:
-            t_cross = crossing_time(v_prev, params.v_th_low_v, g_load, g_harv, params)
-            when = st.last_update_s - elapsed + t_cross if t_cross is not None else now_s
-            if abs(v_new - params.v_th_low_v) <= _SNAP_TOLERANCE_V:
-                st.voltage_v = params.v_th_low_v
-            st.depleted = True
-            self.on_depleted(when)
-        elif st.depleted and v_new >= params.v_th_high_v and v_new >= v_prev:
-            t_cross = crossing_time(v_prev, params.v_th_high_v, g_load, g_harv, params)
-            when = st.last_update_s - elapsed + t_cross if t_cross is not None else now_s
-            if abs(v_new - params.v_th_high_v) <= _SNAP_TOLERANCE_V:
-                st.voltage_v = params.v_th_high_v
-            st.depleted = False
-            self.on_recharged(when)
+        self.voltage_v = v_new
+        self.last_update_s = now_s
+        # The active threshold is crossed by a move onto or past it, toward it.
+        if self.depleted:
+            target = params.v_th_high_v
+            crossed = v_prev <= v_new >= target
+        else:
+            target = params.v_th_low_v
+            crossed = v_prev >= v_new <= target
+        if not crossed:
+            return
+        t_cross = crossing_time(v_prev, target, g_load, g_harv, params)
+        when = now_s - elapsed + t_cross if t_cross is not None else now_s
+        if abs(v_new - target) <= _SNAP_TOLERANCE_V:
+            self.voltage_v = target
+        self.depleted = not self.depleted
+        (self.on_depleted if self.depleted else self.on_recharged)(when)
 
-    def next_crossing(self, profile: LoadProfile, g_harv: float) -> float | None:
+    def next_crossing(self, g_load: float, g_harv: float) -> float | None:
         """Seconds from the last update until the active threshold is crossed."""
         params = self.params
-        target = params.v_th_high_v if self.state.depleted else params.v_th_low_v
-        g_load = load_conductance(profile.current_a, params.rail_voltage_v)
-        return crossing_time(self.state.voltage_v, target, g_load, g_harv, params)
+        target = params.v_th_high_v if self.depleted else params.v_th_low_v
+        return crossing_time(self.voltage_v, target, g_load, g_harv, params)
 
 
 class TraceRecord(NamedTuple):

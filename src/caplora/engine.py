@@ -10,6 +10,10 @@ crossing time predicted in closed form gets one wake-up event, re-armed
 only when the trajectory changes. Trace samples on the
 ``update_interval_s`` grid are computed in closed form between events and
 never touch the heap or the capacitor.
+
+Each device state's load current becomes a conductance once, when the
+simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
+the trace samples and the energy guard look that conductance up by state.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable
 
-from .device import CycleRecord, Gateway, LorawanDevice
+from .device import NS_PER_S, TICK_S, CycleRecord, Gateway, LorawanDevice
 from .energy import (
     Capacitor,
     CapacitorParams,
-    LoadProfile,
     TraceRecorder,
     harvester_conductance,
     load_conductance,
@@ -40,10 +43,6 @@ from .harvester import (
     load_trace,
 )
 from .lorawan import DEFAULT_CURRENTS_A, DeviceState, LorawanParams
-
-_NS_PER_S = 1_000_000_000
-# The clock tick: a shorter period would round to a zero-nanosecond step.
-_TICK_S = 1 / _NS_PER_S
 
 HARVESTER_KINDS = ("constant", "trace", "random")
 GUARD_HORIZONS = ("tx", "cycle")
@@ -108,8 +107,13 @@ class ScenarioConfig:
     guard_horizon: str = "tx"
     trace: bool = False
 
-    def currents(self) -> dict[DeviceState, float]:
-        return {state: getattr(self, name) for state, name in _CURRENT_FIELDS.items()}
+    def load_conductances(self) -> dict[DeviceState, float]:
+        """Each device state's load conductance ``I / E`` at the rail voltage."""
+        rail = self.rail_voltage_v
+        return {
+            state: load_conductance(getattr(self, name), rail)
+            for state, name in _CURRENT_FIELDS.items()
+        }
 
 
 @dataclass(order=True)
@@ -202,13 +206,13 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
             problems.append("mean_w must be positive")
         if config.harvest_update_period_s <= 0:
             problems.append("harvest_update_period_s must be positive")
-        elif config.harvest_update_period_s < _TICK_S:
+        elif config.harvest_update_period_s < TICK_S:
             problems.append(_below_tick("harvest_update_period_s", config))
     for name in ("packet_period_s", "update_interval_s"):
         period = getattr(config, name)
         if period <= 0:
             problems.append(f"{name} must be positive")
-        elif period < _TICK_S:
+        elif period < TICK_S:
             problems.append(_below_tick(name, config))
     if config.first_packet_s is not None and config.first_packet_s < 0:
         problems.append("first_packet_s must be non-negative")
@@ -278,11 +282,7 @@ class Simulator:
         self.config = config
         self.cap = Capacitor(capacitor_params(config))
         self.harvester = _build_harvester(config)
-        self.currents = config.currents()
-        self._profiles = {
-            state: LoadProfile(state.value, amps)
-            for state, amps in self.currents.items()
-        }
+        self.g_load = config.load_conductances()
         self.metrics = Metrics()
         if config.trace:
             self.metrics.trace = TraceRecorder()
@@ -299,12 +299,12 @@ class Simulator:
         self._crossing_event: Event | None = None
         self._crossing_key: tuple[DeviceState, float, bool] | None = None
         self._last_record_key: tuple[int, DeviceState] | None = None
-        self._sample_step_ns = round(config.update_interval_s * _NS_PER_S)
+        self._sample_step_ns = round(config.update_interval_s * NS_PER_S)
         self._next_sample_ns = self._sample_step_ns
 
     @property
     def now_s(self) -> float:
-        return self.now_ns / _NS_PER_S
+        return self.now_ns / NS_PER_S
 
     # -- scheduling --------------------------------------------------------
 
@@ -316,11 +316,11 @@ class Simulator:
 
     def schedule_in(self, delay_s: float, action: Callable[[], None]) -> Event:
         return self.schedule_at_ns(
-            self.now_ns + round(delay_s * _NS_PER_S), action
+            self.now_ns + round(delay_s * NS_PER_S), action
         )
 
     def schedule_at_s(self, time_s: float, action: Callable[[], None]) -> Event:
-        return self.schedule_at_ns(round(time_s * _NS_PER_S), action)
+        return self.schedule_at_ns(round(time_s * NS_PER_S), action)
 
     def cancel(self, event: Event) -> None:
         event.cancelled = True
@@ -332,8 +332,7 @@ class Simulator:
         self._record_trace()
 
     def _advance(self) -> None:
-        profile = self._profiles[self.device.state]
-        self.cap.update(self.now_s, profile, self.g_harv)
+        self.cap.update(self.now_s, self.g_load[self.device.state], self.g_harv)
 
     def _record_trace(self) -> None:
         recorder = self.metrics.trace
@@ -359,12 +358,12 @@ class Simulator:
             return
         state = self.device.state
         cap = self.cap
-        g_load = load_conductance(self.currents[state], cap.params.rail_voltage_v)
+        g_load = self.g_load[state]
         v0 = cap.voltage_v
-        t0_s = cap.state.last_update_s
+        t0_s = cap.last_update_s
         step = self._sample_step_ns
         while t_ns < until_ns:
-            t_s = t_ns / _NS_PER_S
+            t_s = t_ns / NS_PER_S
             v = propagate_voltage(v0, t_s - t0_s, g_load, self.g_harv, cap.params)
             recorder.record(t_s, v, state.value)
             t_ns += step
@@ -373,7 +372,7 @@ class Simulator:
         self._next_sample_ns = t_ns
 
     def _reschedule_crossing(self) -> None:
-        key = (self.device.state, self.g_harv, self.cap.state.depleted)
+        key = (self.device.state, self.g_harv, self.cap.depleted)
         armed = self._crossing_event
         if key == self._crossing_key and (armed is None or armed.time_ns > self.now_ns):
             return  # same trajectory, and its crossing (if any) is still ahead
@@ -381,11 +380,10 @@ class Simulator:
         if armed is not None:
             armed.cancelled = True
             self._crossing_event = None
-        profile = self._profiles[self.device.state]
-        t_cross = self.cap.next_crossing(profile, self.g_harv)
+        t_cross = self.cap.next_crossing(self.g_load[self.device.state], self.g_harv)
         if t_cross is None:
             return
-        delay_ns = max(1, round(t_cross * _NS_PER_S))
+        delay_ns = max(1, round(t_cross * NS_PER_S))
         self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
 
     # -- recurring drivers ---------------------------------------------------
@@ -422,7 +420,7 @@ class Simulator:
 
     def run(self) -> Metrics:
         config = self.config
-        duration_ns = round(config.duration_s * _NS_PER_S)
+        duration_ns = round(config.duration_s * NS_PER_S)
         try:
             self._record_trace()
             self._on_harvest_change()

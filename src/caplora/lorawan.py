@@ -4,7 +4,7 @@ receive windows and duty-cycle budgets for the EU 868 MHz band."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError

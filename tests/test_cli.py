@@ -190,6 +190,16 @@ def test_sweep_power_axis_needs_the_constant_harvester(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["trace", "random"])
+def test_mincap_needs_the_constant_harvester(tmp_path, capsys, kind):
+    harvester = _dark_trace(tmp_path) if kind == "trace" else ["--set", "harvester.kind=random"]
+    assert main(["mincap", *harvester, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: mincap needs harvester kind constant, got {kind}"
+    ]
+    assert not (tmp_path / "min_capacitance.csv").exists()
+
+
 def test_trace_starting_after_zero_aborts_the_run(tmp_path, capsys):
     trace = tmp_path / "late.csv"
     trace.write_text("5,0.001\n900,0.002\n")

@@ -99,15 +99,15 @@ def test_guard_segments_horizons():
 def test_guard_blocks_only_when_prediction_dips_below_cutoff():
     config = ScenarioConfig(power_w=0.001)
     cap = capacitor_params(config)
-    currents = config.currents()
+    g_load = config.load_conductances()
     g_harv = harvester_conductance(0.001, 3.3)
     # Plenty of charge: allowed. Barely above the cutoff: vetoed.
-    assert smart_tx_guard(3.3, PARAMS, currents, g_harv, cap, "tx")
-    assert not smart_tx_guard(1.81, PARAMS, currents, g_harv, cap, "tx")
+    assert smart_tx_guard(3.3, PARAMS, g_load, g_harv, cap, "tx")
+    assert not smart_tx_guard(1.81, PARAMS, g_load, g_harv, cap, "tx")
     # The cycle horizon is strictly more cautious than the uplink alone.
     for v in (1.9, 2.0, 2.2, 2.6, 3.0, 3.3):
-        tx_ok = smart_tx_guard(v, PARAMS, currents, g_harv, cap, "tx")
-        cycle_ok = smart_tx_guard(v, PARAMS, currents, g_harv, cap, "cycle")
+        tx_ok = smart_tx_guard(v, PARAMS, g_load, g_harv, cap, "tx")
+        cycle_ok = smart_tx_guard(v, PARAMS, g_load, g_harv, cap, "cycle")
         assert tx_ok or not cycle_ok
 
 
@@ -266,6 +266,29 @@ def test_packet_during_active_cycle_is_dropped_as_busy():
     assert outcomes[CycleOutcome.FAILED_BUSY] >= 1
     assert outcomes[CycleOutcome.DELIVERED] >= 1
     assert metrics.generated == 4
+
+
+def test_packet_during_trailing_standby_of_acked_cycle_is_busy():
+    # The ack closes the cycle while its trailing standby still runs. A packet
+    # generated then used to start a second cycle over the still-walking
+    # segments, whose end later retransmitted for the new cycle.
+    config = ScenarioConfig(
+        confirmed=True,
+        max_transmissions=3,
+        rx_window_symbols=1,
+        ul_duty_cycle=1.0,
+        tx_a=0.0,
+        packet_period_s=0.01,
+        duration_s=60.0,
+    )
+    sim = Simulator(config)
+    metrics = sim.run()
+    assert metrics.generated == 6000
+    open_cycle = 0 if sim.device.cycle is None else 1
+    assert len(metrics.cycles) + open_cycle == metrics.generated
+    outcomes = Counter(c.outcome for c in metrics.cycles)
+    assert outcomes[CycleOutcome.ACKED] == metrics.acked >= 1
+    assert outcomes[CycleOutcome.FAILED_BUSY] >= 1
 
 
 def test_duty_cycle_defers_then_expires_stale_packets():

@@ -14,7 +14,6 @@ import caplora
 from caplora import (
     Capacitor,
     CapacitorParams,
-    LoadProfile,
     TraceRecorder,
     crossing_time,
     harvester_conductance,
@@ -33,9 +32,10 @@ from conftest import make_params, rk4_voltage, simpson_load_energy
 def test_every_exported_name_resolves():
     for name in caplora.__all__:
         assert hasattr(caplora, name), name
-    for removed in ("OPEN_CIRCUIT", "equivalent_resistance"):
+    for removed in ("OPEN_CIRCUIT", "equivalent_resistance", "LoadProfile", "CycleSpec"):
         assert removed not in caplora.__all__
         assert not hasattr(caplora, removed)
+    assert caplora.analysis.CycleSpec is not None  # still importable from its module
 
 
 # ---------------------------------------------------------------- conductances
@@ -307,53 +307,50 @@ def test_threshold_properties():
 
 def test_capacitor_depletion_notification_uses_crossing_instant(params):
     cap = Capacitor(params)
-    heavy = LoadProfile("heavy", 28.011e-3)
-    g_load = load_conductance(heavy.current_a, params.rail_voltage_v)
-    t_star = crossing_time(3.3, params.v_th_low_v, g_load, 0.0, params)
+    heavy = load_conductance(28.011e-3, params.rail_voltage_v)
+    t_star = crossing_time(3.3, params.v_th_low_v, heavy, 0.0, params)
     events = []
     cap.on_depleted = events.append
     cap.update(2.0, heavy, 0.0)  # well past the crossing
-    assert cap.is_depleted()
+    assert cap.depleted
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
 
 def test_capacitor_recharge_notification(params):
     cap = Capacitor(make_params(initial_voltage_v=1.0))
-    assert cap.is_depleted()
-    idle = LoadProfile("idle", 7e-6)
+    assert cap.depleted
+    idle = load_conductance(7e-6, 3.3)
     g_harv = harvester_conductance(0.01, 3.3)
-    g_load = load_conductance(idle.current_a, 3.3)
-    t_star = crossing_time(1.0, params.v_th_high_v, g_load, g_harv, params)
+    t_star = crossing_time(1.0, params.v_th_high_v, idle, g_harv, params)
     events = []
     cap.on_recharged = events.append
     cap.update(t_star * 3, idle, g_harv)
-    assert not cap.is_depleted()
+    assert not cap.depleted
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
 
 def test_voltage_snaps_onto_threshold_at_crossing(params):
     cap = Capacitor(params)
-    heavy = LoadProfile("heavy", 28.011e-3)
-    g_load = load_conductance(heavy.current_a, params.rail_voltage_v)
-    t_star = crossing_time(3.3, params.v_th_low_v, g_load, 0.0, params)
+    heavy = load_conductance(28.011e-3, params.rail_voltage_v)
+    t_star = crossing_time(3.3, params.v_th_low_v, heavy, 0.0, params)
     # Update exactly at the analytic crossing: the stored voltage must equal
     # the threshold, not sit a floating-point hair away from it.
     cap.update(t_star, heavy, 0.0)
-    assert cap.is_depleted()
+    assert cap.depleted
     assert cap.voltage_v == params.v_th_low_v
 
 
 def test_no_flip_without_reaching_threshold(params):
     cap = Capacitor(params)
-    light = LoadProfile("light", 5.6e-6)
+    light = load_conductance(5.6e-6, params.rail_voltage_v)
     cap.update(10.0, light, 0.0)
-    assert not cap.is_depleted()
+    assert not cap.depleted
     assert 1.8 < cap.voltage_v < 3.3
 
 
 def test_update_going_backwards_is_rejected(params):
     cap = Capacitor(params)
-    light = LoadProfile("light", 5.6e-6)
+    light = load_conductance(5.6e-6, params.rail_voltage_v)
     cap.update(5.0, light, 0.0)
     with pytest.raises(ValueError):
         cap.update(4.0, light, 0.0)
@@ -364,7 +361,7 @@ def test_update_going_backwards_is_rejected(params):
 
 def test_capacitor_accumulates_load_energy(params):
     cap = Capacitor(params)
-    heavy = LoadProfile("heavy", 28.011e-3)
+    heavy = load_conductance(28.011e-3, params.rail_voltage_v)
     cap.update(0.4, heavy, 0.0)
     cap.update(0.7, heavy, 0.0)
     drop = 0.5 * params.capacitance_f * (3.3**2 - cap.voltage_v**2)

@@ -3,15 +3,18 @@ determinism, validation, and reporting."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
 
 from caplora import (
+    DeviceState,
     RESULTS_HEADER,
     Metrics,
     ScenarioConfig,
     Simulator,
+    load_conductance,
     results_row,
     run_scenario,
     success_probability,
@@ -353,3 +356,23 @@ def test_tracing_is_observation_only(overrides):
     assert results_row(config, traced) == results_row(config, plain)
     assert traced.final_voltage_v == plain.final_voltage_v
     assert traced.depletion_events == plain.depletion_events
+
+
+@pytest.mark.parametrize("duration_s", [600.0, 6 * 3600.0])
+def test_run_converts_each_load_current_once(monkeypatch, duration_s):
+    calls = []
+
+    def counting(current_a, rail_voltage_v):
+        calls.append(current_a)
+        return load_conductance(current_a, rail_voltage_v)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "load_conductance", None)
+        if name.split(".")[0] == "caplora" and bound is load_conductance:
+            monkeypatch.setattr(module, "load_conductance", counting)
+    config = ScenarioConfig(
+        capacitance_f=0.005, confirmed=True, duration_s=duration_s, trace=True
+    )
+    metrics = run_scenario(config)
+    assert metrics.generated > 0 and metrics.trace.records
+    assert len(calls) == len(DeviceState)
