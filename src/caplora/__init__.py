@@ -3,129 +3,21 @@ harvester-charged capacitor: closed-form RC energy model, Class A MAC with
 duty cycling and a pre-transmission energy guard, and analysis helpers for
 minimum-capacitance and packet-success studies."""
 
-from .analysis import (
-    MinCapacitanceRow,
-    SweepGrid,
-    cycle_spec,
-    engine_cycle_feasible,
-    expand_grid,
-    min_capacitance,
-    min_capacitance_for_target,
-    min_voltage_over_cycle,
-    mincap_table,
-    peak_success_capacitance,
-    run_sweep,
-    success_curve,
-)
-from .config import ConfigError, dump_config, parse_config
-from .device import (
-    CycleOutcome,
-    CycleRecord,
-    DlReply,
-    Gateway,
-    LorawanDevice,
-    post_tx_sequence,
-    smart_tx_guard,
-)
-from .energy import (
-    Capacitor,
-    CapacitorParams,
-    TraceRecorder,
-    crossing_time,
-    harvester_conductance,
-    load_conductance,
-    load_energy_joules,
-    min_voltage_over_segments,
-    propagate_voltage,
-    steady_state_voltage,
-)
-from .engine import (
-    Metrics,
-    RESULTS_HEADER,
-    ScenarioConfig,
-    Simulator,
-    results_row,
-    run_scenario,
-    success_probability,
-    validate_scenario,
-)
-from .harvester import (
-    ConstantHarvester,
-    HarvestSample,
-    RandomHarvester,
-    TraceExhaustedError,
-    TraceFormatError,
-    TraceHarvester,
-    load_trace,
-)
-from .lorawan import (
-    DEFAULT_CURRENTS_A,
-    DeviceState,
-    DutyCycleBudget,
-    LorawanParams,
-    data_rate_to_sf,
-    rx_window_duration,
-    symbol_duration,
-    time_on_air,
-)
+from . import analysis, config, device, energy, engine, harvester, lorawan
+from .config import parse_config
+from .engine import Metrics, ScenarioConfig, Simulator, run_scenario
+from .errors import ConfigError
 
 __version__ = "0.1.0"
 
+# The entry points README documents; every other name is imported from its
+# submodule, which ``import caplora`` binds.
 __all__ = [
-    "Capacitor",
-    "CapacitorParams",
     "ConfigError",
-    "ConstantHarvester",
-    "CycleOutcome",
-    "CycleRecord",
-    "DEFAULT_CURRENTS_A",
-    "DeviceState",
-    "DlReply",
-    "DutyCycleBudget",
-    "Gateway",
-    "HarvestSample",
-    "LorawanDevice",
-    "LorawanParams",
     "Metrics",
-    "MinCapacitanceRow",
-    "RESULTS_HEADER",
-    "RandomHarvester",
     "ScenarioConfig",
     "Simulator",
-    "SweepGrid",
-    "TraceExhaustedError",
-    "TraceFormatError",
-    "TraceHarvester",
-    "TraceRecorder",
-    "crossing_time",
-    "cycle_spec",
-    "data_rate_to_sf",
-    "dump_config",
-    "engine_cycle_feasible",
-    "expand_grid",
-    "harvester_conductance",
-    "load_conductance",
-    "load_energy_joules",
-    "load_trace",
-    "min_capacitance",
-    "min_capacitance_for_target",
-    "min_voltage_over_cycle",
-    "min_voltage_over_segments",
-    "mincap_table",
-    "parse_config",
-    "peak_success_capacitance",
-    "post_tx_sequence",
-    "propagate_voltage",
-    "results_row",
-    "run_scenario",
-    "run_sweep",
-    "rx_window_duration",
-    "smart_tx_guard",
-    "steady_state_voltage",
-    "success_curve",
-    "success_probability",
-    "symbol_duration",
-    "time_on_air",
-    "validate_scenario",
     "__version__",
+    "parse_config",
+    "run_scenario",
 ]

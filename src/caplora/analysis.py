@@ -22,6 +22,7 @@ from .engine import (
     Metrics,
     ScenarioConfig,
     capacitor_params,
+    check_scenarios,
     lorawan_params,
     results_key,
     results_row,
@@ -239,21 +240,27 @@ def mincap_table(
 
     The downlink in UL+DL cycles carries ``dl_payload_bytes`` of application
     payload; uplink-only cycles ignore it. Every row is sized at a constant
-    harvest, so the base scenario must use the constant harvester.
+    harvest, so the base scenario must use the constant harvester. Every
+    row's scenario is checked before any is sized; a problem raises
+    ``ConfigError``.
     """
     if config.harvester != "constant":
         raise ConfigError(
             [f"mincap needs harvester kind constant, got {config.harvester}"]
         )
+    base = replace(config, dl_payload_bytes=dl_payload_bytes)
+    # A row's scenario is the base with its data rate, payload and power set,
+    # and no check couples two of these axes: checking each axis value on the
+    # base checks every row, without building the whole grid.
+    check_scenarios(
+        [replace(base, data_rate=dr) for dr in data_rates]
+        + [replace(base, ul_payload_bytes=payload) for payload in payloads_bytes]
+        + [replace(base, power_w=power) for power in powers_w]
+    )
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
-            cfg = replace(
-                config,
-                data_rate=dr,
-                ul_payload_bytes=payload,
-                dl_payload_bytes=dl_payload_bytes,
-            )
+            cfg = replace(base, data_rate=dr, ul_payload_bytes=payload)
             for power in powers_w:
                 for kind in kinds:
                     c_min = min_capacitance(cfg, kind, power, tol_rel=tol_rel)

@@ -20,7 +20,7 @@ from .analysis import (
     run_sweep,
 )
 from .config import ConfigError, parse_config
-from .engine import RESULTS_HEADER, Simulator, results_row, validate_scenario
+from .engine import RESULTS_HEADER, Simulator, check_scenarios, results_row
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,10 +101,7 @@ def _cmd_mincap(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config, grid = parse_config(args.config, args.overrides)
     configs = expand_grid(grid, config)
-    # Every grid point is checked before any runs, each problem reported once.
-    problems = dict.fromkeys(p for cfg in configs for p in validate_scenario(cfg))
-    if problems:
-        raise ConfigError(list(problems))
+    check_scenarios(configs)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .device import NS_PER_S, TICK_S, CycleRecord, Gateway, LorawanDevice
 from .energy import (
@@ -186,28 +186,22 @@ def _noop() -> None:
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
+    """The checks no params class or harvester constructor makes."""
     problems = []
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if not isinstance(value, float):
+            continue
+        if not math.isfinite(value):
             problems.append(f"{f.name} must be finite, got {value}")
+        elif f.name.endswith("_s") and not math.isfinite(value * NS_PER_S):
+            problems.append(f"{f.name} is beyond the range of the 1 ns clock, got {value}")
     if config.harvester not in HARVESTER_KINDS:
         problems.append(f"harvester must be one of {HARVESTER_KINDS}")
-    if config.harvester == "constant" and config.power_w < 0:
-        problems.append("power_w must be non-negative")
     if config.harvester == "trace" and not config.trace_file:
         problems.append("trace_file is required for the trace harvester")
-    if config.harvester == "random":
-        if config.distribution not in ("uniform", "exponential"):
-            problems.append("distribution must be 'uniform' or 'exponential'")
-        if not 0 <= config.low_w <= config.high_w:
-            problems.append("need 0 <= low_w <= high_w")
-        if config.distribution == "exponential" and config.mean_w <= 0:
-            problems.append("mean_w must be positive")
-        if config.harvest_update_period_s <= 0:
-            problems.append("harvest_update_period_s must be positive")
-        elif config.harvest_update_period_s < TICK_S:
-            problems.append(_below_tick("harvest_update_period_s", config))
+    if config.harvester == "random" and 0 < config.harvest_update_period_s < TICK_S:
+        problems.append(_below_tick("harvest_update_period_s", config))
     for name in ("packet_period_s", "update_interval_s"):
         period = getattr(config, name)
         if period <= 0:
@@ -261,14 +255,28 @@ def _build_harvester(config: ScenarioConfig) -> HarvestSource:
 
 
 def validate_scenario(config: ScenarioConfig) -> list[str]:
-    """Every violated constraint in ``config``, one message per problem."""
+    """Every violated constraint in ``config``, one message per problem.
+
+    The capacitor, the radio and the constant or random harvester check
+    their own parameters; a trace file is not read here.
+    """
     problems = _scenario_problems(config)
-    for build in (capacitor_params, lorawan_params):
+    builds = [capacitor_params, lorawan_params]
+    if config.harvester in ("constant", "random"):
+        builds.append(_build_harvester)
+    for build in builds:
         try:
             build(config)
         except ConfigError as exc:
             problems.extend(exc.problems)
     return problems
+
+
+def check_scenarios(configs: Iterable[ScenarioConfig]) -> None:
+    """Raise one ConfigError with every scenario's problems, each listed once."""
+    problems = dict.fromkeys(p for config in configs for p in validate_scenario(config))
+    if problems:
+        raise ConfigError(list(problems))
 
 
 class Simulator:
@@ -277,7 +285,7 @@ class Simulator:
     def __init__(self, config: ScenarioConfig) -> None:
         problems = validate_scenario(config)
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
         self.config = config
         self.cap = Capacitor(capacitor_params(config))

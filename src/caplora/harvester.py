@@ -12,6 +12,8 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Protocol
 
+from .errors import ConfigError
+
 
 class TraceExhaustedError(RuntimeError):
     """Raised when a trace-driven source is queried outside its time span."""
@@ -45,7 +47,7 @@ class ConstantHarvester:
 
     def __init__(self, power_w: float) -> None:
         if power_w < 0.0:
-            raise ValueError(f"harvested power must be >= 0, got {power_w}")
+            raise ConfigError([f"power_w must be non-negative, got {power_w}"])
         self.power_w = power_w
 
     def power_at(self, time_s: float) -> float:
@@ -106,7 +108,8 @@ class RandomHarvester:
 
     Supported distributions: ``uniform`` over [low_w, high_w] and
     ``exponential`` with the given mean. Identical seed and parameters give
-    identical sample paths.
+    identical sample paths. Every bad parameter is reported in one
+    ``ConfigError``; ``0 <= low_w <= high_w`` holds for both distributions.
     """
 
     def __init__(
@@ -119,14 +122,19 @@ class RandomHarvester:
         high_w: float = 0.0,
         mean_w: float = 0.0,
     ) -> None:
+        problems = []
         if distribution not in ("uniform", "exponential"):
-            raise ValueError(f"unknown distribution {distribution!r}")
+            problems.append(
+                f"distribution must be 'uniform' or 'exponential', got {distribution!r}"
+            )
         if update_period_s <= 0.0:
-            raise ValueError(f"update period must be > 0, got {update_period_s}")
-        if distribution == "uniform" and not 0.0 <= low_w <= high_w:
-            raise ValueError(f"need 0 <= low_w <= high_w, got {low_w}, {high_w}")
+            problems.append(f"update_period_s must be positive, got {update_period_s}")
+        if not 0.0 <= low_w <= high_w:
+            problems.append(f"need 0 <= low_w <= high_w, got {low_w}, {high_w}")
         if distribution == "exponential" and mean_w <= 0.0:
-            raise ValueError(f"exponential mean must be > 0, got {mean_w}")
+            problems.append(f"mean_w must be positive, got {mean_w}")
+        if problems:
+            raise ConfigError(problems)
         self.distribution = distribution
         self.update_period_s = update_period_s
         self.low_w = low_w

@@ -12,7 +12,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from caplora import CapacitorParams
+from caplora.energy import CapacitorParams
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -85,7 +85,7 @@ def simpson_load_energy(
     then smooth). The voltage samples come from the closed form, which the
     ODE oracle validates separately.
     """
-    from caplora import propagate_voltage
+    from caplora.energy import propagate_voltage
 
     if g_load == 0.0 or duration_s == 0.0:
         return 0.0

@@ -15,14 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplora import (
-    CycleOutcome,
-    ScenarioConfig,
-    Simulator,
-    load_conductance,
-    propagate_voltage,
-    run_scenario,
-)
+from caplora import ScenarioConfig, Simulator, run_scenario
 from caplora.analysis import (
     DEFAULT_C_HI_F,
     engine_cycle_feasible,
@@ -32,6 +25,8 @@ from caplora.analysis import (
     success_curve,
 )
 from caplora.cli import main
+from caplora.device import CycleOutcome
+from caplora.energy import load_conductance, propagate_voltage
 from caplora.lorawan import DEFAULT_CURRENTS_A
 
 from conftest import make_params, rk4_voltage

@@ -7,13 +7,18 @@ from dataclasses import replace
 
 import pytest
 
-from caplora import (
-    RESULTS_HEADER,
-    DeviceState,
-    ScenarioConfig,
+from caplora import ConfigError, ScenarioConfig, analysis
+from caplora.analysis import (
+    CYCLE_KINDS,
+    DEFAULT_C_HI_F,
+    DEFAULT_C_LO_F,
+    DEFAULT_TOL_REL,
+    INFEASIBLE_MARKER,
+    MINCAP_HEADER,
+    MinCapacitanceRow,
     SweepGrid,
-    analysis,
     cycle_spec,
+    cycle_states,
     engine_cycle_feasible,
     expand_grid,
     min_capacitance,
@@ -24,19 +29,10 @@ from caplora import (
     run_sweep,
     success_curve,
 )
-from caplora.analysis import (
-    CYCLE_KINDS,
-    DEFAULT_C_HI_F,
-    DEFAULT_C_LO_F,
-    DEFAULT_TOL_REL,
-    INFEASIBLE_MARKER,
-    MINCAP_HEADER,
-    MinCapacitanceRow,
-    cycle_states,
-)
 from caplora.energy import min_voltage_over_segments
-from caplora.engine import capacitor_params
+from caplora.engine import RESULTS_HEADER, capacitor_params
 from caplora.harvester import TraceExhaustedError
+from caplora.lorawan import DeviceState
 
 
 BASE = ScenarioConfig(power_w=0.001, data_rate=3, ul_payload_bytes=10)
@@ -120,6 +116,24 @@ def test_mincap_table_rows_and_csv():
     infeasible = by_key[(3, 1e-5, "UL")]
     assert infeasible.capacitance_f is None
     assert infeasible.csv().endswith(INFEASIBLE_MARKER)
+
+
+@pytest.mark.parametrize(
+    "axis, problem",
+    [
+        ({"powers_w": (0.001, math.nan)}, "power_w must be finite, got nan"),
+        ({"data_rates": (3, 9)}, "data_rate must be in 0..5, got 9"),
+        ({"dl_payload_bytes": -1}, "dl_payload_bytes must be >= 0, got -1"),
+    ],
+    ids=["power_w", "data_rate", "dl_payload"],
+)
+def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
+    sized = []
+    monkeypatch.setattr(analysis, "min_capacitance", lambda *args, **kw: sized.append(args))
+    with pytest.raises(ConfigError) as excinfo:
+        mincap_table(BASE, **{"data_rates": (3,), "payloads_bytes": (10,), **axis})
+    assert excinfo.value.problems == [problem]
+    assert sized == []
 
 
 def _bisect_on_whole_configs(config, kind, power_w, tol_rel):

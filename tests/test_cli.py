@@ -190,6 +190,17 @@ def test_sweep_power_axis_needs_the_constant_harvester(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("power", ["nan", "inf"])
+def test_mincap_rejects_bad_grid_points_up_front(tmp_path, capsys, power):
+    args = ["mincap", "--set", "sweep.data_rate=3", "--set", "sweep.payload_bytes=10"]
+    args += ["--set", f"sweep.power_w=0.001,{power}", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: power_w must be finite, got {power}"
+    ]
+    assert not (tmp_path / "min_capacitance.csv").exists()
+
+
 @pytest.mark.parametrize("kind", ["trace", "random"])
 def test_mincap_needs_the_constant_harvester(tmp_path, capsys, kind):
     harvester = _dark_trace(tmp_path) if kind == "trace" else ["--set", "harvester.kind=random"]
@@ -246,6 +257,10 @@ def test_usage_errors_exit_nonzero(capsys):
         ),
         (["update_interval_s=0"], "update_interval_s must be positive"),
         (["bandwidth_hz=0"], "bandwidth_hz must be > 0"),
+        (["sim.duration_s=1e300"], "duration_s is beyond the range of the 1 ns clock"),
+        (["update_interval_s=1e300"], "update_interval_s is beyond the range"),
+        (["first_packet_s=1e300"], "first_packet_s is beyond the range"),
+        (["packet_period_s=1e300"], "packet_period_s is beyond the range"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

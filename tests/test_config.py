@@ -10,14 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from caplora import (
-    ConfigError,
-    ScenarioConfig,
-    SweepGrid,
-    dump_config,
-    parse_config,
-)
-from caplora.config import _SCHEMA
+from caplora import ConfigError, ScenarioConfig, parse_config
+from caplora.analysis import SweepGrid
+from caplora.config import _SCHEMA, dump_config
 
 
 def test_no_source_yields_defaults():

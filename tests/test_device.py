@@ -7,21 +7,18 @@ from collections import Counter
 
 import pytest
 
-from caplora import (
+from caplora import ScenarioConfig, Simulator, run_scenario
+from caplora.device import (
     CycleOutcome,
-    DeviceState,
     DlReply,
     Gateway,
-    LorawanParams,
-    ScenarioConfig,
-    Simulator,
-    harvester_conductance,
+    guard_segments,
     post_tx_sequence,
-    run_scenario,
     smart_tx_guard,
 )
-from caplora.device import guard_segments
+from caplora.energy import harvester_conductance
 from caplora.engine import capacitor_params
+from caplora.lorawan import DeviceState, LorawanParams
 
 
 PARAMS = LorawanParams(data_rate=3, ul_payload_bytes=10, dl_payload_bytes=0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import caplora
-from caplora import (
+from caplora.energy import (
     Capacitor,
     CapacitorParams,
     TraceRecorder,

@@ -8,18 +8,15 @@ from dataclasses import replace
 
 import pytest
 
-from caplora import (
-    DeviceState,
+from caplora import Metrics, ScenarioConfig, Simulator, run_scenario
+from caplora.energy import load_conductance
+from caplora.engine import (
     RESULTS_HEADER,
-    Metrics,
-    ScenarioConfig,
-    Simulator,
-    load_conductance,
     results_row,
-    run_scenario,
     success_probability,
     validate_scenario,
 )
+from caplora.lorawan import DeviceState
 
 
 def test_periodic_generation_count():
@@ -126,7 +123,7 @@ def test_trace_sampling_grid():
 
 
 def test_depletion_instant_matches_closed_form():
-    from caplora import crossing_time, load_conductance
+    from caplora.energy import crossing_time, load_conductance
     from caplora.engine import capacitor_params
 
     config = ScenarioConfig(

@@ -6,7 +6,8 @@ import io
 
 import pytest
 
-from caplora import (
+from caplora import ConfigError
+from caplora.harvester import (
     ConstantHarvester,
     HarvestSample,
     RandomHarvester,
@@ -152,3 +153,18 @@ def test_random_harvester_rejects_bad_parameters():
         RandomHarvester("exponential", seed=1, update_period_s=1.0, mean_w=0.0)
     with pytest.raises(ValueError):
         RandomHarvester("uniform", seed=1, update_period_s=1.0).power_at(-1.0)
+
+
+def test_harvester_problems_come_in_one_config_error():
+    with pytest.raises(ConfigError) as excinfo:
+        RandomHarvester("gaussian", seed=1, update_period_s=0.0, low_w=0.2, high_w=0.1)
+    assert excinfo.value.problems == [
+        "distribution must be 'uniform' or 'exponential', got 'gaussian'",
+        "update_period_s must be positive, got 0.0",
+        "need 0 <= low_w <= high_w, got 0.2, 0.1",
+    ]
+    # The bounds hold for the exponential distribution too.
+    with pytest.raises(ConfigError, match="low_w"):
+        RandomHarvester("exponential", seed=1, update_period_s=1.0, low_w=-1.0, mean_w=1.0)
+    with pytest.raises(ConfigError, match="power_w must be non-negative"):
+        ConstantHarvester(-1.0)

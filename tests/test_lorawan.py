@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from caplora import (
+from caplora.lorawan import (
     DutyCycleBudget,
     LorawanParams,
     data_rate_to_sf,
