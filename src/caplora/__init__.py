@@ -3,7 +3,7 @@ harvester-charged capacitor: closed-form RC energy model, Class A MAC with
 duty cycling and a pre-transmission energy guard, and analysis helpers for
 minimum-capacitance and packet-success studies."""
 
-from . import analysis, config, device, energy, engine, harvester, lorawan
+from . import analysis, clock, config, device, energy, engine, harvester, lorawan
 from .config import parse_config
 from .engine import Metrics, ScenarioConfig, Simulator, run_scenario
 from .errors import ConfigError

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_segments
 from .lorawan import (
     DeviceState,
@@ -18,12 +19,6 @@ from .lorawan import (
 
 if TYPE_CHECKING:
     from .engine import Event, Simulator
-
-#: The simulator's clock counts integer nanoseconds.
-NS_PER_S = 1_000_000_000
-#: One clock tick: a shorter wait or period would round to a zero-length step.
-TICK_S = 1 / NS_PER_S
-
 
 class DlReply(Enum):
     """Which receive window, if any, carries the downlink answer."""
@@ -138,15 +133,16 @@ class Gateway:
         self.rx1_budget = DutyCycleBudget(rx1_duty_cycle)
         self.rx2_budget = DutyCycleBudget(rx2_duty_cycle)
 
-    def plan_reply(self, tx_end_s: float, params: LorawanParams) -> DlReply:
+    def plan_reply(self, tx_end_ns: int, params: LorawanParams) -> DlReply:
+        """The window of the reply to an uplink that ended at ``tx_end_ns``."""
         if not params.confirmed:
             return DlReply.NONE
-        rx1_start = tx_end_s + params.rx1_delay_s
+        rx1_start = tx_end_ns + round(params.rx1_delay_s * NS_PER_S)
         toa1 = params.dl_time_on_air(params.sf)
         if self.rx1_budget.allows(rx1_start):
             self.rx1_budget.register(rx1_start, toa1)
             return DlReply.IN_RX1
-        rx2_start = tx_end_s + params.rx2_delay_s
+        rx2_start = tx_end_ns + round(params.rx2_delay_s * NS_PER_S)
         toa2 = params.dl_time_on_air(RX2_SPREADING_FACTOR)
         if self.rx2_budget.allows(rx2_start):
             self.rx2_budget.register(rx2_start, toa2)
@@ -157,7 +153,7 @@ class Gateway:
 @dataclass
 class _Cycle:
     packet_id: int
-    start_s: float
+    start_ns: int
     attempts: int = 0
     delivered: bool = False
     ack_received: bool = False
@@ -180,6 +176,9 @@ class LorawanDevice:
         self._pending: Event | None = None
         self._off_since_s: float | None = 0.0 if self.state is DeviceState.OFF else None
         self._packet_counter = 0
+        # When a list, the clock times (start, end) of every record made
+        # are appended to it.
+        self.record_log: list[tuple[int, int]] | None = None
 
     @property
     def kind(self) -> str:
@@ -188,7 +187,7 @@ class LorawanDevice:
     # -- packet generation ------------------------------------------------
 
     def on_generate(self) -> None:
-        now = self.sim.now_s
+        now = self.sim.now_ns
         powered_down = self.state in (DeviceState.OFF, DeviceState.TURN_ON)
         if powered_down and not self.sim.config.generate_while_off:
             return
@@ -196,29 +195,26 @@ class LorawanDevice:
         packet_id = self._packet_counter
         self.sim.metrics.generated += 1
         if powered_down:
-            self._record(packet_id, now, now, CycleOutcome.FAILED_ENERGY)
+            self._record(packet_id, now, CycleOutcome.FAILED_ENERGY)
             return
         # An acknowledged cycle is closed while its trailing standby still
         # runs; a new cycle must wait until the device is back asleep.
         if self.cycle is not None or self.state is not DeviceState.SLEEP:
-            self._record(packet_id, now, now, CycleOutcome.FAILED_BUSY)
+            self._record(packet_id, now, CycleOutcome.FAILED_BUSY)
             return
-        self.cycle = _Cycle(packet_id=packet_id, start_s=now)
+        self.cycle = _Cycle(packet_id=packet_id, start_ns=now)
         self._attempt_transmission()
 
     def _attempt_transmission(self) -> None:
         assert self.cycle is not None
-        now = self.sim.now_s
+        now = self.sim.now_ns
         allowed = self.ul_budget.next_allowed(now)
-        # Waits below the simulator's clock resolution would round to a
-        # zero-length deferral that re-fires at the same instant forever.
-        if allowed - now >= TICK_S:
+        if allowed > now:
             # A packet kept waiting past its successor's slot is stale.
-            deadline = self.cycle.start_s + self.sim.config.packet_period_s
-            if allowed >= deadline:
-                self._finish(CycleOutcome.FAILED_DUTY_CYCLE, now)
+            if allowed >= self.cycle.start_ns + self.sim.packet_period_ns:
+                self._finish(CycleOutcome.FAILED_DUTY_CYCLE)
                 return
-            self._pending = self.sim.schedule_at_s(allowed, self._attempt_transmission)
+            self._pending = self.sim.schedule_at_ns(allowed, self._attempt_transmission)
             return
         if self.sim.config.guard_enabled:
             proceed = smart_tx_guard(
@@ -231,7 +227,7 @@ class LorawanDevice:
             )
             if not proceed:
                 self.sim.metrics.skipped_by_guard += 1
-                self._finish(CycleOutcome.SKIPPED_GUARD, now)
+                self._finish(CycleOutcome.SKIPPED_GUARD)
                 return
         self.cycle.attempts += 1
         toa = self.params.ul_time_on_air()
@@ -241,11 +237,10 @@ class LorawanDevice:
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None
-        now = self.sim.now_s
         if not self.cycle.delivered:
             self.cycle.delivered = True
             self.sim.metrics.delivered_ul += 1
-        reply = self.sim.gateway.plan_reply(now, self.params)
+        reply = self.sim.gateway.plan_reply(self.sim.now_ns, self.params)
         self._walk_segments(post_tx_sequence(self.params, reply), reply)
 
     def _walk_segments(
@@ -272,20 +267,19 @@ class LorawanDevice:
             return
         self.cycle.ack_received = True
         self.sim.metrics.acked += 1
-        self._finish(CycleOutcome.ACKED, self.sim.now_s)
+        self._finish(CycleOutcome.ACKED)
 
     def _on_windows_done(self) -> None:
-        now = self.sim.now_s
         self.sim.set_device_state(DeviceState.SLEEP)
         if self.cycle is None:
             return
         if not self.params.confirmed:
-            self._finish(CycleOutcome.DELIVERED, now)
+            self._finish(CycleOutcome.DELIVERED)
             return
         if self.cycle.attempts < self.params.max_transmissions:
             self._attempt_transmission()
             return
-        self._finish(CycleOutcome.DELIVERED, now)
+        self._finish(CycleOutcome.DELIVERED)
 
     # -- threshold notifications ------------------------------------------
 
@@ -315,17 +309,27 @@ class LorawanDevice:
 
     # -- helpers -----------------------------------------------------------
 
-    def _finish(self, outcome: CycleOutcome, end_s: float) -> None:
+    def _finish(self, outcome: CycleOutcome, end_s: float | None = None) -> None:
         assert self.cycle is not None
-        self._record(self.cycle.packet_id, self.cycle.start_s, end_s, outcome)
+        self._record(self.cycle.packet_id, self.cycle.start_ns, outcome, end_s)
         self.cycle = None
 
     def _record(
-        self, packet_id: int, start_s: float, end_s: float, outcome: CycleOutcome
+        self,
+        packet_id: int,
+        start_ns: int,
+        outcome: CycleOutcome,
+        end_s: float | None = None,
     ) -> None:
+        """Record a cycle that ends now, or at ``end_s`` (a crossing's time)."""
+        end_ns = self.sim.now_ns
+        if end_s is None:
+            end_s = end_ns / NS_PER_S
         self.sim.metrics.cycles.append(
-            CycleRecord(packet_id, self.kind, start_s, end_s, outcome)
+            CycleRecord(packet_id, self.kind, start_ns / NS_PER_S, end_s, outcome)
         )
+        if self.record_log is not None:
+            self.record_log.append((start_ns, end_ns))
 
     def _cancel_pending(self) -> None:
         if self._pending is not None:

@@ -13,7 +13,7 @@ scenario converts each device state's current ``I`` to ``G_L = I / E`` once
 per run (``load_conductance``).
 
 All voltages are volts, conductances siemens, capacitances farads, times
-seconds.
+seconds, except the capacitor's clock times, which are integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable, NamedTuple
 
+from .clock import NS_PER_S
 from .errors import ConfigError
 
 
@@ -70,8 +71,8 @@ class CapacitorParams:
 def harvester_conductance(power_w: float, rail_voltage_v: float) -> float:
     """Series conductance ``P / E^2`` of a harvester delivering ``power_w`` at
     the rail voltage; zero power is an open harvest path."""
-    if power_w < 0.0:
-        raise ValueError(f"harvested power must be >= 0, got {power_w}")
+    if not 0.0 <= power_w < math.inf:
+        raise ValueError(f"harvested power must be finite and >= 0, got {power_w}")
     if rail_voltage_v <= 0.0:
         raise ValueError(f"rail voltage must be > 0, got {rail_voltage_v}")
     return power_w / (rail_voltage_v * rail_voltage_v)
@@ -250,36 +251,41 @@ class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
     ``update`` propagates the voltage under the load and harvest conductances
-    that were active since the previous update. A threshold crossing inside
-    the elapsed interval flips ``depleted`` and calls ``on_depleted`` or
-    ``on_recharged`` with the analytically solved crossing time, not the
-    update time.
+    that were active since the previous update. Clock times are integer
+    nanoseconds, so the elapsed time of a step depends on its length only,
+    not on when it happens. A threshold crossing inside the elapsed interval
+    flips ``depleted`` and calls ``on_depleted`` or ``on_recharged`` with the
+    analytically solved crossing time in seconds, not the update time.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
         self.params = params
         self.voltage_v = min(params.initial_voltage_v, params.max_voltage_v)
-        self.last_update_s = 0.0
+        self.last_update_ns = 0
         self.depleted = self.voltage_v < params.v_th_low_v
         self.load_energy_j = 0.0
+        # When a list, every ``load_energy_j`` increment is appended to it.
+        self.energy_log: list[float] | None = None
         self.on_depleted: Callable[[float], None] = _ignore_crossing
         self.on_recharged: Callable[[float], None] = _ignore_crossing
 
-    def update(self, now_s: float, g_load: float, g_harv: float) -> None:
-        """Advance to ``now_s`` under ``g_load``, calling back on a crossing."""
-        if now_s < self.last_update_s:
-            raise ValueError(
-                f"update at {now_s} s precedes last update at {self.last_update_s} s"
-            )
-        if now_s == self.last_update_s:
+    def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
+        """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
+        last_ns = self.last_update_ns
+        if now_ns < last_ns:
+            raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
+        if now_ns == last_ns:
             return
         params = self.params
-        elapsed = now_s - self.last_update_s
+        elapsed = (now_ns - last_ns) / NS_PER_S
         v_prev = self.voltage_v
-        self.load_energy_j += load_energy_joules(v_prev, elapsed, g_load, g_harv, params)
+        energy = load_energy_joules(v_prev, elapsed, g_load, g_harv, params)
+        self.load_energy_j += energy
+        if self.energy_log is not None:
+            self.energy_log.append(energy)
         v_new = propagate_voltage(v_prev, elapsed, g_load, g_harv, params)
         self.voltage_v = v_new
-        self.last_update_s = now_s
+        self.last_update_ns = now_ns
         # The active threshold is crossed by a move onto or past it, toward it.
         if self.depleted:
             target = params.v_th_high_v
@@ -290,7 +296,7 @@ class Capacitor:
         if not crossed:
             return
         t_cross = crossing_time(v_prev, target, g_load, g_harv, params)
-        when = now_s - elapsed + t_cross if t_cross is not None else now_s
+        when = (last_ns / NS_PER_S + t_cross) if t_cross is not None else now_ns / NS_PER_S
         if abs(v_new - target) <= _SNAP_TOLERANCE_V:
             self.voltage_v = target
         self.depleted = not self.depleted

@@ -14,6 +14,15 @@ never touch the heap or the capacitor.
 Each device state's load current becomes a conductance once, when the
 simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
 the trace samples and the energy guard look that conductance up by state.
+
+Every time difference the physics and the duty budgets use is taken on the
+integer clock, so the same state at two instants evolves bit-identically.
+A constant-harvest, untraced run uses that to simulate a periodic steady
+state once: when the state at a packet generation, relative to the clock,
+equals the one 1 or 2 periods earlier, the run skips all the whole orbits
+that fit before its end and simulates only the transient and the tail
+(``Simulator._fast_forward``). Its metrics equal those of the run simulated
+event by event.
 """
 
 from __future__ import annotations
@@ -23,9 +32,10 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .device import NS_PER_S, TICK_S, CycleRecord, Gateway, LorawanDevice
+from .clock import NS_PER_S, TICK_S
+from .device import CycleRecord, Gateway, LorawanDevice
 from .energy import (
     Capacitor,
     CapacitorParams,
@@ -185,6 +195,46 @@ def _noop() -> None:
     pass
 
 
+# The Metrics counters a skipped orbit adds to.
+_ORBIT_COUNTERS = ("generated", "delivered_ul", "acked", "skipped_by_guard")
+
+
+class _Mark(NamedTuple):
+    """The run at one packet generation, as the fast-forward compares it."""
+
+    time_ns: int
+    voltage_v: float
+    # ``Simulator._snapshot()``, or None where none applies or was taken.
+    state: tuple | None
+    depletions: int
+
+    def repeats(self, earlier: _Mark) -> bool:
+        """Whether the run repeats from ``earlier`` on, with no threshold
+        crossing in between (a crossing's times are absolute)."""
+        return (
+            self.state is not None
+            and self.state == earlier.state
+            and self.depletions == earlier.depletions
+        )
+
+
+# Stands for a generation before the first: it repeats nothing.
+_NO_MARK = _Mark(0, math.nan, None, 0)
+
+
+@dataclass
+class _Orbit:
+    """An orbit simulated once more, logging what a skip replays."""
+
+    start: _Mark
+    length_ns: int
+    counts: dict[str, int]  # the _ORBIT_COUNTERS at its start
+    # One list per budget, in ``Simulator._budgets`` order.
+    airtimes: tuple[list[float], ...]
+    energies: list[float] = field(default_factory=list)
+    records: list[tuple[int, int]] = field(default_factory=list)
+
+
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
     """The checks no params class or harvester constructor makes."""
     problems = []
@@ -300,6 +350,8 @@ class Simulator:
         self.cap.on_recharged = self.device.on_recharged
         self.rng = random.Random(config.seed)
         self.now_ns = 0
+        self.packet_period_ns = round(config.packet_period_s * NS_PER_S)
+        self._duration_ns = round(config.duration_s * NS_PER_S)
         # Set from the harvester when the run starts.
         self.g_harv = 0.0
         self._heap: list[Event] = []
@@ -309,6 +361,16 @@ class Simulator:
         self._last_record_key: tuple[int, DeviceState] | None = None
         self._sample_step_ns = round(config.update_interval_s * NS_PER_S)
         self._next_sample_ns = self._sample_step_ns
+        self._budgets = (
+            self.device.ul_budget,
+            self.gateway.rx1_budget,
+            self.gateway.rx2_budget,
+        )
+        # The fast-forward's marks of the two generations before, oldest
+        # first; None when the run is not eligible or its orbit was skipped.
+        fast_forward = config.harvester == "constant" and not config.trace
+        self._marks: list[_Mark] | None = [_NO_MARK, _NO_MARK] if fast_forward else None
+        self._orbit: _Orbit | None = None
 
     @property
     def now_s(self) -> float:
@@ -327,9 +389,6 @@ class Simulator:
             self.now_ns + round(delay_s * NS_PER_S), action
         )
 
-    def schedule_at_s(self, time_s: float, action: Callable[[], None]) -> Event:
-        return self.schedule_at_ns(round(time_s * NS_PER_S), action)
-
     def cancel(self, event: Event) -> None:
         event.cancelled = True
 
@@ -340,7 +399,7 @@ class Simulator:
         self._record_trace()
 
     def _advance(self) -> None:
-        self.cap.update(self.now_s, self.g_load[self.device.state], self.g_harv)
+        self.cap.update(self.now_ns, self.g_load[self.device.state], self.g_harv)
 
     def _record_trace(self) -> None:
         recorder = self.metrics.trace
@@ -368,12 +427,12 @@ class Simulator:
         cap = self.cap
         g_load = self.g_load[state]
         v0 = cap.voltage_v
-        t0_s = cap.last_update_s
+        t0_ns = cap.last_update_ns
         step = self._sample_step_ns
         while t_ns < until_ns:
-            t_s = t_ns / NS_PER_S
-            v = propagate_voltage(v0, t_s - t0_s, g_load, self.g_harv, cap.params)
-            recorder.record(t_s, v, state.value)
+            elapsed = (t_ns - t0_ns) / NS_PER_S
+            v = propagate_voltage(v0, elapsed, g_load, self.g_harv, cap.params)
+            recorder.record(t_ns / NS_PER_S, v, state.value)
             t_ns += step
         if t_ns == until_ns:
             t_ns += step
@@ -397,21 +456,159 @@ class Simulator:
     # -- recurring drivers ---------------------------------------------------
 
     def _on_generate(self) -> None:
-        self.schedule_in(self.config.packet_period_s, self._on_generate)
+        self.schedule_at_ns(self.now_ns + self.packet_period_ns, self._on_generate)
+        if self._marks is not None:
+            self._fast_forward()
         self.device.on_generate()
 
     def _on_harvest_change(self) -> None:
-        power = self.harvester.power_at(self.now_s)
+        now_s = self.now_s
+        power = self.harvester.power_at(now_s)
         self.g_harv = harvester_conductance(power, self.config.rail_voltage_v)
-        self._chain_harvest_change(self.now_s)
-
-    def _chain_harvest_change(self, after_s: float) -> None:
-        nxt = self.harvester.next_change_after(after_s)
+        nxt = self.harvester.next_change_after(now_s)
         if nxt is not None and nxt <= self.config.duration_s:
-            self.schedule_at_s(nxt, self._on_harvest_change)
+            # A change that rounds onto the current tick would repeat forever.
+            nxt_ns = max(round(nxt * NS_PER_S), self.now_ns + 1)
+            self.schedule_at_ns(nxt_ns, self._on_harvest_change)
         else:
             # Raises when an input trace ends before the run does.
             self.harvester.power_at(self.config.duration_s)
+
+    # -- fast-forward over a periodic steady state ----------------------------
+
+    def _snapshot(self) -> tuple | None:
+        """Everything that drives the rest of the run, relative to now.
+
+        Taken at a packet generation, once the next one is scheduled. None
+        unless the device is asleep with no open cycle and the heap holds
+        only that next generation and crossing wake-ups.
+        """
+        device = self.device
+        if device.cycle is not None or device.state is not DeviceState.SLEEP:
+            return None
+        now = self.now_ns
+        generate = self._on_generate
+        heap = []
+        for event in self._heap:
+            action = event.action
+            if action is not _noop and action != generate:
+                return None
+            heap.append((event.time_ns - now, event.cancelled, action is _noop))
+        armed = self._crossing_event
+        return (
+            self.cap.voltage_v,
+            self.cap.depleted,
+            device.state,
+            self._crossing_key,
+            None if armed is None else max(armed.time_ns - now, 0),
+            tuple(heap),
+            tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
+        )
+
+    def _log_into(self, orbit: _Orbit | None) -> None:
+        """Point the capacitor, device and budget logs at ``orbit``'s lists,
+        or switch them off."""
+        if orbit is None:
+            self.cap.energy_log = self.device.record_log = None
+            airtimes: Iterable[list[float] | None] = (None,) * len(self._budgets)
+        else:
+            self.cap.energy_log = orbit.energies
+            self.device.record_log = orbit.records
+            airtimes = orbit.airtimes
+        for budget, log in zip(self._budgets, airtimes):
+            budget.airtime_log = log
+
+    def _fast_forward(self) -> None:
+        """Skip whole periods of an exact orbit of the run's state.
+
+        Called at each packet generation of a constant-harvest, untraced
+        run. When the state equals the one 1 or 2 periods earlier, with no
+        depletion in between, the run is periodic from there on. The next
+        orbit is simulated once more with its float increments and records
+        logged; then as many whole orbits as end before the run does are
+        added in one step, the clock moves past them and the tail is
+        simulated as usual. The state is relative to the integer-ns clock,
+        so each skipped orbit is bit-identical to the logged one.
+
+        The state is snapshotted only where the packet-time voltage equals
+        one of the two before: a run that never repeats pays two float
+        comparisons per packet, and an orbit is found a period after the
+        first repeated voltage.
+        """
+        now = self.now_ns
+        orbit = self._orbit
+        if orbit is not None and now - orbit.start.time_ns < orbit.length_ns:
+            return  # the middle generation of a two-period orbit
+        marks = self._marks
+        assert marks is not None
+        voltage = self.cap.voltage_v
+        metrics = self.metrics
+        # The state repeats only where the voltage does: snapshot only then.
+        if orbit is None and voltage != marks[0].voltage_v and voltage != marks[1].voltage_v:
+            marks[:] = marks[1], _Mark(now, voltage, None, metrics.depletion_events)
+            return
+        mark = _Mark(now, voltage, self._snapshot(), metrics.depletion_events)
+        if orbit is not None:
+            self._log_into(None)
+            self._orbit = None
+            if mark.repeats(orbit.start):
+                self._skip(orbit)
+                self._marks = None
+                return
+        for earlier in (marks[1], marks[0]):
+            if mark.repeats(earlier):
+                counts = {name: getattr(metrics, name) for name in _ORBIT_COUNTERS}
+                airtimes = tuple([] for _ in self._budgets)
+                self._orbit = _Orbit(mark, now - earlier.time_ns, counts, airtimes)
+                self._log_into(self._orbit)
+                break
+        marks[:] = marks[1], mark
+
+    def _skip(self, orbit: _Orbit) -> None:
+        """Add ``orbit``, which ends now, as often as it fits before the run
+        ends, and move the clock past those copies."""
+        length = orbit.length_ns
+        # Every skipped event must fall before the end, as must ``now``.
+        copies = (self._duration_ns - 1 - self.now_ns) // length
+        if copies <= 0:
+            return
+        metrics = self.metrics
+        delta = {name: getattr(metrics, name) - orbit.counts[name] for name in _ORBIT_COUNTERS}
+        for name in _ORBIT_COUNTERS:
+            setattr(metrics, name, getattr(metrics, name) + copies * delta[name])
+        # Each packet generated took the next packet id.
+        packets = delta["generated"]
+        self.device._packet_counter += copies * packets
+        cycles = metrics.cycles
+        logged = cycles[len(cycles) - len(orbit.records):]
+        for k in range(1, copies + 1):
+            shift = k * length
+            for record, (start_ns, end_ns) in zip(logged, orbit.records):
+                cycles.append(
+                    CycleRecord(
+                        record.packet_id + k * packets,
+                        record.kind,
+                        (start_ns + shift) / NS_PER_S,
+                        (end_ns + shift) / NS_PER_S,
+                        record.outcome,
+                    )
+                )
+        # The same additions in the same order as the simulation would make.
+        cap = self.cap
+        for _ in range(copies):
+            for energy in orbit.energies:
+                cap.load_energy_j += energy
+        shift = copies * length
+        for budget, airtimes in zip(self._budgets, orbit.airtimes):
+            for _ in range(copies):
+                for airtime in airtimes:
+                    budget.airtime_total_s += airtime
+            if airtimes:  # a budget unused in the orbit keeps its past block
+                budget.blocked_until_ns += shift
+        self.now_ns += shift
+        cap.last_update_ns += shift
+        for event in self._heap:
+            event.time_ns += shift
 
     # -- main loop ------------------------------------------------------------
 
@@ -428,14 +625,14 @@ class Simulator:
 
     def run(self) -> Metrics:
         config = self.config
-        duration_ns = round(config.duration_s * NS_PER_S)
+        duration_ns = self._duration_ns
         try:
             self._record_trace()
             self._on_harvest_change()
             first = config.first_packet_s
             if first is None:
                 first = self.rng.uniform(0.0, config.packet_period_s)
-            self.schedule_at_s(first, self._on_generate)
+            self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
             self._reschedule_crossing()
             while self._heap:
                 event = heapq.heappop(self._heap)

@@ -12,6 +12,7 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Protocol
 
+from .clock import NS_PER_S
 from .errors import ConfigError
 
 
@@ -106,6 +107,12 @@ class TraceHarvester:
 class RandomHarvester:
     """Redraws the harvested power at a fixed period from a seeded RNG.
 
+    The slots are whole ticks of the nanosecond clock: slot ``k`` covers
+    ``[k P, (k + 1) P)`` with ``P`` the period rounded to the tick (at least
+    one), and a query time counts in the slot of its nearest tick. A change
+    is therefore always strictly later, on the clock, than the time it
+    follows.
+
     Supported distributions: ``uniform`` over [low_w, high_w] and
     ``exponential`` with the given mean. Identical seed and parameters give
     identical sample paths. Every bad parameter is reported in one
@@ -137,6 +144,7 @@ class RandomHarvester:
             raise ConfigError(problems)
         self.distribution = distribution
         self.update_period_s = update_period_s
+        self._period_ns = max(1, round(update_period_s * NS_PER_S))
         self.low_w = low_w
         self.high_w = high_w
         self.mean_w = mean_w
@@ -148,17 +156,19 @@ class RandomHarvester:
             return self._rng.uniform(self.low_w, self.high_w)
         return self._rng.expovariate(1.0 / self.mean_w)
 
+    def _slot(self, time_s: float) -> int:
+        return round(time_s * NS_PER_S) // self._period_ns
+
     def power_at(self, time_s: float) -> float:
         if time_s < 0.0:
             raise ValueError(f"time must be >= 0, got {time_s}")
-        index = int(time_s // self.update_period_s)
+        index = self._slot(time_s)
         while len(self._values) <= index:
             self._values.append(self._draw())
         return self._values[index]
 
     def next_change_after(self, time_s: float) -> float | None:
-        index = int(time_s // self.update_period_s)
-        return (index + 1) * self.update_period_s
+        return (self._slot(time_s) + 1) * self._period_ns / NS_PER_S
 
 
 def load_trace(source: str | Path | IO[str]) -> TraceHarvester:

@@ -4,9 +4,10 @@ receive windows and duty-cycle budgets for the EU 868 MHz band."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
+from .clock import NS_PER_S
 from .errors import ConfigError
 
 
@@ -189,31 +190,37 @@ class LorawanParams:
 
 @dataclass
 class DutyCycleBudget:
-    """Aggregated duty-cycle budget of one band.
+    """Aggregated duty-cycle budget of one band, on the nanosecond clock.
 
     After a transmission of duration T the band stays blocked for
     ``T * (1/duty_cycle - 1)`` seconds past the end of the transmission.
+    Start times and ``blocked_until_ns`` are clock times in integer
+    nanoseconds; airtimes are seconds.
     """
 
     duty_cycle: float
-    blocked_until_s: float = 0.0
+    blocked_until_ns: int = 0
     airtime_total_s: float = 0.0
     max_airtime_s: float = 0.0
+    # When a list, every registered airtime is appended to it.
+    airtime_log: list[float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError(f"duty cycle must be in (0, 1], got {self.duty_cycle}")
 
-    def allows(self, start_s: float) -> bool:
-        return start_s >= self.blocked_until_s
+    def allows(self, start_ns: int) -> bool:
+        return start_ns >= self.blocked_until_ns
 
-    def next_allowed(self, start_s: float) -> float:
-        return max(start_s, self.blocked_until_s)
+    def next_allowed(self, start_ns: int) -> int:
+        return max(start_ns, self.blocked_until_ns)
 
-    def register(self, start_s: float, airtime_s: float) -> None:
+    def register(self, start_ns: int, airtime_s: float) -> None:
         if airtime_s < 0.0:
             raise ValueError(f"airtime must be >= 0, got {airtime_s}")
-        end = start_s + airtime_s
-        self.blocked_until_s = end + airtime_s * (1.0 / self.duty_cycle - 1.0)
+        blocked_s = airtime_s + airtime_s * (1.0 / self.duty_cycle - 1.0)
+        self.blocked_until_ns = start_ns + round(blocked_s * NS_PER_S)
         self.airtime_total_s += airtime_s
         self.max_airtime_s = max(self.max_airtime_s, airtime_s)
+        if self.airtime_log is not None:
+            self.airtime_log.append(airtime_s)

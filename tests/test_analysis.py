@@ -86,6 +86,14 @@ def test_min_capacitance_infeasible_when_harvest_cannot_bank_charge():
     assert min_capacitance(BASE, "UL", power_w=1e-5) is None
 
 
+@pytest.mark.parametrize("power_w", [math.nan, math.inf])
+def test_min_capacitance_rejects_non_finite_power(power_w):
+    # Unchecked, NaN yields the bracket's top as an answer and inf a
+    # division by zero.
+    with pytest.raises(ValueError, match="finite"):
+        min_capacitance(ScenarioConfig(), "UL", power_w)
+
+
 def test_min_capacitance_returns_floor_when_already_feasible():
     assert min_capacitance(BASE, "UL", c_lo=1.0, c_hi=10.0) == 1.0
 

@@ -133,16 +133,16 @@ def test_gateway_prefers_window_one_and_falls_back():
     confirmed = LorawanParams(data_rate=3, confirmed=True, dl_payload_bytes=0)
     # First reply goes in window 1 and blocks that band far beyond the next
     # request, which then falls back to window 2; the third finds both busy.
-    assert gw.plan_reply(0.0, confirmed) is DlReply.IN_RX1
-    assert gw.plan_reply(0.5, confirmed) is DlReply.IN_RX2
-    assert gw.plan_reply(1.0, confirmed) is DlReply.NONE
+    assert gw.plan_reply(0, confirmed) is DlReply.IN_RX1
+    assert gw.plan_reply(500_000_000, confirmed) is DlReply.IN_RX2
+    assert gw.plan_reply(1_000_000_000, confirmed) is DlReply.NONE
     assert gw.rx1_budget.airtime_total_s == pytest.approx(0.164864)
     assert gw.rx2_budget.airtime_total_s == pytest.approx(1.155072)
 
 
 def test_gateway_ignores_unconfirmed_uplinks():
     gw = Gateway()
-    assert gw.plan_reply(0.0, PARAMS) is DlReply.NONE
+    assert gw.plan_reply(0, PARAMS) is DlReply.NONE
     assert gw.rx1_budget.airtime_total_s == 0.0
     assert gw.rx2_budget.airtime_total_s == 0.0
 
@@ -194,8 +194,8 @@ def test_confirmed_cycle_retries_when_no_reply_arrives():
     # the device retransmits up to its limit.
     config = _base_config(confirmed=True, max_transmissions=2, duration_s=90.0)
     sim = Simulator(config)
-    sim.gateway.rx1_budget.register(0.0, 10.0)  # blocked for ~1000 s
-    sim.gateway.rx2_budget.register(0.0, 100.0)  # blocked for ~1000 s
+    sim.gateway.rx1_budget.register(0, 10.0)  # blocked for ~1000 s
+    sim.gateway.rx2_budget.register(0, 100.0)  # blocked for ~1000 s
     metrics = sim.run()
     assert metrics.generated == 1
     assert metrics.acked == 0

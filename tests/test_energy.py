@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import caplora
+from caplora.clock import NS_PER_S
 from caplora.energy import (
     Capacitor,
     CapacitorParams,
@@ -45,6 +46,12 @@ def test_harvester_conductance_values():
     assert harvester_conductance(0.001, 3.3) == pytest.approx(1 / 10890.0)
     assert harvester_conductance(0.01, 3.3) == pytest.approx(1 / 1089.0)
     assert harvester_conductance(0.0, 3.3) == 0.0
+
+
+@pytest.mark.parametrize("power_w", [math.nan, math.inf, -math.inf])
+def test_harvester_conductance_rejects_non_finite_power(power_w):
+    with pytest.raises(ValueError, match="finite"):
+        harvester_conductance(power_w, 3.3)
 
 
 def test_load_conductance_values():
@@ -299,6 +306,10 @@ def test_params_validation_lists_every_problem():
     assert "initial_voltage_v" in message
 
 
+def _ns(time_s: float) -> int:
+    return round(time_s * NS_PER_S)
+
+
 def test_threshold_properties():
     params = make_params()
     assert params.v_th_low_v == pytest.approx(1.8)
@@ -311,7 +322,7 @@ def test_capacitor_depletion_notification_uses_crossing_instant(params):
     t_star = crossing_time(3.3, params.v_th_low_v, heavy, 0.0, params)
     events = []
     cap.on_depleted = events.append
-    cap.update(2.0, heavy, 0.0)  # well past the crossing
+    cap.update(_ns(2.0), heavy, 0.0)  # well past the crossing
     assert cap.depleted
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
@@ -324,18 +335,20 @@ def test_capacitor_recharge_notification(params):
     t_star = crossing_time(1.0, params.v_th_high_v, idle, g_harv, params)
     events = []
     cap.on_recharged = events.append
-    cap.update(t_star * 3, idle, g_harv)
+    cap.update(_ns(t_star * 3), idle, g_harv)
     assert not cap.depleted
     assert events == [pytest.approx(t_star, rel=1e-12)]
 
 
 def test_voltage_snaps_onto_threshold_at_crossing(params):
     cap = Capacitor(params)
-    heavy = load_conductance(28.011e-3, params.rail_voltage_v)
-    t_star = crossing_time(3.3, params.v_th_low_v, heavy, 0.0, params)
-    # Update exactly at the analytic crossing: the stored voltage must equal
-    # the threshold, not sit a floating-point hair away from it.
-    cap.update(t_star, heavy, 0.0)
+    # Under the receive load the voltage moves less than the snap tolerance
+    # in one clock tick.
+    rx = load_conductance(11.011e-3, params.rail_voltage_v)
+    t_star = crossing_time(3.3, params.v_th_low_v, rx, 0.0, params)
+    # Update at the first tick of the analytic crossing: the stored voltage
+    # must equal the threshold, not sit a floating-point hair away from it.
+    cap.update(math.ceil(t_star * NS_PER_S), rx, 0.0)
     assert cap.depleted
     assert cap.voltage_v == params.v_th_low_v
 
@@ -343,7 +356,7 @@ def test_voltage_snaps_onto_threshold_at_crossing(params):
 def test_no_flip_without_reaching_threshold(params):
     cap = Capacitor(params)
     light = load_conductance(5.6e-6, params.rail_voltage_v)
-    cap.update(10.0, light, 0.0)
+    cap.update(_ns(10.0), light, 0.0)
     assert not cap.depleted
     assert 1.8 < cap.voltage_v < 3.3
 
@@ -351,19 +364,19 @@ def test_no_flip_without_reaching_threshold(params):
 def test_update_going_backwards_is_rejected(params):
     cap = Capacitor(params)
     light = load_conductance(5.6e-6, params.rail_voltage_v)
-    cap.update(5.0, light, 0.0)
+    cap.update(_ns(5.0), light, 0.0)
     with pytest.raises(ValueError):
-        cap.update(4.0, light, 0.0)
+        cap.update(_ns(4.0), light, 0.0)
     v = cap.voltage_v
-    cap.update(5.0, light, 0.0)  # same instant: a no-op
+    cap.update(_ns(5.0), light, 0.0)  # same instant: a no-op
     assert cap.voltage_v == v
 
 
 def test_capacitor_accumulates_load_energy(params):
     cap = Capacitor(params)
     heavy = load_conductance(28.011e-3, params.rail_voltage_v)
-    cap.update(0.4, heavy, 0.0)
-    cap.update(0.7, heavy, 0.0)
+    cap.update(_ns(0.4), heavy, 0.0)
+    cap.update(_ns(0.7), heavy, 0.0)
     drop = 0.5 * params.capacitance_f * (3.3**2 - cap.voltage_v**2)
     assert cap.load_energy_j == pytest.approx(drop, rel=1e-12)
 

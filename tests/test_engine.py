@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from caplora import Metrics, ScenarioConfig, Simulator, run_scenario
-from caplora.energy import load_conductance
+from caplora.clock import NS_PER_S
+from caplora.energy import harvester_conductance, load_conductance
 from caplora.engine import (
     RESULTS_HEADER,
     results_row,
@@ -200,6 +201,22 @@ def test_repeated_trace_samples_change_nothing(tmp_path):
     assert outcomes[0] == outcomes[1]
 
 
+def test_trace_changes_within_one_tick_take_the_next_tick(tmp_path):
+    # 1.0 s and 1.0000000004 s round to the same clock tick: scheduled
+    # there, the second change would come back to that tick forever.
+    rows = [(0, 0.001), (1.0, 0.002), (1.0000000004, 0.003), (5, 0.001)]
+    config = ScenarioConfig(
+        harvester="trace", trace_file=_write_trace(tmp_path / "close.csv", rows), duration_s=4.0
+    )
+    sim = Simulator(config)
+    queried = []
+    power_at = sim.harvester.power_at
+    sim.harvester.power_at = lambda time_s: queried.append(time_s) or power_at(time_s)
+    assert sim.run().valid
+    assert queried == [0.0, 1.0, 1.000000001, 4.0]
+    assert sim.g_harv == harvester_conductance(0.003, config.rail_voltage_v)
+
+
 def test_exhausted_trace_aborts_at_its_last_sample(tmp_path):
     # The power changes once, at 150 s; the trace goes on unchanged to 399 s.
     rows = [(t, 0.001 if t < 150 else 0.003) for t in range(400)]
@@ -307,6 +324,34 @@ def test_idle_time_schedules_no_events():
         assert sim._seq < 20 * metrics.generated
         pushes.add(sim._seq)
     assert len(pushes) == 1
+
+
+def test_a_cycle_is_the_same_whenever_it_runs():
+    # The voltage rests at the cap until the packet, so a confirmed cycle
+    # starts from the same state at 1 h and at 23 h. On the integer-ns
+    # clock only time differences enter the physics and the budgets.
+    base = ScenarioConfig(
+        max_voltage_v=3.2, initial_voltage_v=3.2, power_w=0.002, confirmed=True, trace=True
+    )
+    runs = []
+    for start_s in (3600.0, 23 * 3600.0):
+        sim = Simulator(replace(base, first_packet_s=start_s, duration_s=start_s + 30.0))
+        metrics = sim.run()
+        start_ns = round(start_s * NS_PER_S)
+        cycle = [
+            (round(r.time_s * NS_PER_S) - start_ns, r.voltage_v, r.state)
+            for r in metrics.trace.records
+            if r.time_s >= start_s
+        ]
+        # An unused budget's block lies in the past: an offset of 0.
+        budgets = [
+            max(0, budget.blocked_until_ns - start_ns)
+            for budget in (sim.device.ul_budget, sim.gateway.rx1_budget, sim.gateway.rx2_budget)
+        ]
+        runs.append((cycle, budgets, sim.cap.voltage_v))
+    assert runs[0][0][0][1] == 3.2
+    assert {state for _, _, state in runs[0][0]} >= {"Tx", "Idle", "Rx", "Sleep"}
+    assert runs[0] == runs[1]
 
 
 def test_brownout_cost_is_linear_in_simulated_time():

@@ -6,7 +6,8 @@ import io
 
 import pytest
 
-from caplora import ConfigError
+from caplora import ConfigError, ScenarioConfig, Simulator
+from caplora.clock import NS_PER_S
 from caplora.harvester import (
     ConstantHarvester,
     HarvestSample,
@@ -129,6 +130,29 @@ def test_random_harvester_period_boundaries():
     assert src.next_change_after(0.0) == 5.0
     assert src.next_change_after(4.999) == 5.0
     assert src.next_change_after(5.0) == 10.0
+
+
+def test_random_harvester_changes_strictly_later_on_the_clock():
+    # In float seconds 0.009 // 0.001 is 8.0: slots counted that way put
+    # the change after 9 ms back on the 9 ms tick, over and over.
+    src = RandomHarvester("uniform", seed=1, update_period_s=0.001, high_w=0.01)
+    for k in range(1, 20_000):
+        now_ns = k * 1_000_000
+        nxt_ns = round(src.next_change_after(now_ns / NS_PER_S) * NS_PER_S)
+        assert nxt_ns == now_ns + 1_000_000, k
+
+
+def test_random_harvest_at_a_millisecond_runs_to_completion():
+    config = ScenarioConfig(
+        harvester="random", harvest_update_period_s=0.001, duration_s=0.1
+    )
+    sim = Simulator(config)
+    queried = []
+    power_at = sim.harvester.power_at
+    sim.harvester.power_at = lambda time_s: queried.append(time_s) or power_at(time_s)
+    assert sim.run().valid
+    # One change per 1 ms slot; the one due at the run's end is not taken.
+    assert [round(t * NS_PER_S) for t in queried] == [k * 1_000_000 for k in range(100)]
 
 
 def test_random_harvester_respects_distribution_bounds():

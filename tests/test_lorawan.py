@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from caplora.clock import NS_PER_S
 from caplora.lorawan import (
     DutyCycleBudget,
     LorawanParams,
@@ -105,22 +106,26 @@ def test_params_validation():
         LorawanParams(data_rate=0, rx_window_symbols=40)
 
 
+def _ns(time_s: float) -> int:
+    return round(time_s * NS_PER_S)
+
+
 def test_duty_budget_blocking_arithmetic():
     budget = DutyCycleBudget(0.01)
-    assert budget.allows(0.0)
-    budget.register(0.0, 1.0)
+    assert budget.allows(0)
+    budget.register(0, 1.0)
     # 1 s on air at 1% blocks the band for 99 s past the end of the frame.
-    assert budget.blocked_until_s == pytest.approx(100.0)
-    assert not budget.allows(99.999)
-    assert budget.allows(100.0)
-    assert budget.next_allowed(5.0) == pytest.approx(100.0)
-    assert budget.next_allowed(120.0) == 120.0
+    assert budget.blocked_until_ns / NS_PER_S == pytest.approx(100.0)
+    assert not budget.allows(_ns(99.999))
+    assert budget.allows(_ns(100.0))
+    assert budget.next_allowed(_ns(5.0)) / NS_PER_S == pytest.approx(100.0)
+    assert budget.next_allowed(_ns(120.0)) == _ns(120.0)
 
 
 def test_duty_budget_ten_percent():
     budget = DutyCycleBudget(0.10)
-    budget.register(0.0, 1.0)
-    assert budget.blocked_until_s == pytest.approx(10.0)
+    budget.register(0, 1.0)
+    assert budget.blocked_until_ns / NS_PER_S == pytest.approx(10.0)
 
 
 def test_duty_budget_back_to_back_periodic_fit():
@@ -128,7 +133,7 @@ def test_duty_budget_back_to_back_periodic_fit():
     # just fits the budget.
     budget = DutyCycleBudget(0.01)
     for k in range(5):
-        start = 60.0 * k
+        start = _ns(60.0 * k)
         assert budget.allows(start)
         budget.register(start, 0.6)
     assert budget.airtime_total_s == pytest.approx(3.0)
@@ -141,4 +146,4 @@ def test_duty_budget_rejects_bad_values():
     with pytest.raises(ValueError):
         DutyCycleBudget(1.5)
     with pytest.raises(ValueError):
-        DutyCycleBudget(0.01).register(0.0, -1.0)
+        DutyCycleBudget(0.01).register(0, -1.0)

@@ -11,7 +11,7 @@ import caplora
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-SUBMODULES = ("analysis", "config", "device", "energy", "engine", "harvester", "lorawan")
+SUBMODULES = ("analysis", "clock", "config", "device", "energy", "engine", "harvester", "lorawan")
 
 
 def _python_api_section() -> str:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplora import ConfigError, ScenarioConfig, Simulator
-from caplora.device import TICK_S
+from caplora.clock import TICK_S
 from caplora.engine import validate_scenario
 
 # Zero, the clock tick and below it, values past the nanosecond clock's
