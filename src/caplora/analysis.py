@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -14,7 +14,8 @@ from .device import DlReply, post_tx_sequence
 from .energy import (
     CapacitorParams,
     harvester_conductance,
-    min_voltage_over_segments,
+    min_voltage_over_played,
+    played_segments,
     propagate_voltage,
 )
 from .engine import (
@@ -51,13 +52,23 @@ class CycleSpec:
 
     The starting voltage is the steady level the capacitor settles at under
     the Off-state load, clamped at the maximum voltage, i.e. the best the
-    device can have banked before it wakes up to transmit.
+    device can have banked before it wakes up to transmit. ``played`` holds
+    the segments' capacitance-free coefficients (``played_segments``), so a
+    probe at one capacitance only runs the closed-form loop.
     """
 
     kind: str
     initial_voltage_v: float
     segments: tuple[tuple[float, float], ...]
     g_harv: float
+    rail_voltage_v: float
+    played: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        played = played_segments(self.segments, self.g_harv, self.rail_voltage_v)
+        object.__setattr__(self, "played", played)
 
 
 def cycle_states(config: ScenarioConfig, kind: str) -> list[tuple[DeviceState, float]]:
@@ -75,41 +86,47 @@ def cycle_states(config: ScenarioConfig, kind: str) -> list[tuple[DeviceState, f
     return states
 
 
+def _cycle_shape(config: ScenarioConfig, kind: str) -> tuple[tuple[float, float], ...]:
+    """The power-independent part of a cycle: its (duration, G_L) segments."""
+    g_load = config.load_conductances()
+    return tuple(
+        (duration, g_load[state]) for state, duration in cycle_states(config, kind)
+    )
+
+
+def _banked(
+    config: ScenarioConfig, power_w: float, params: CapacitorParams
+) -> tuple[float, float]:
+    """Harvester conductance at ``power_w`` and the voltage banked under it."""
+    g_harv = harvester_conductance(power_w, config.rail_voltage_v)
+    # Settled after unbounded time; with both sides open the voltage holds.
+    v0 = propagate_voltage(
+        config.initial_voltage_v,
+        math.inf,
+        config.load_conductances()[DeviceState.OFF],
+        g_harv,
+        params,
+    )
+    return g_harv, v0
+
+
 def cycle_spec(
     config: ScenarioConfig, kind: str, power_w: float | None = None
 ) -> CycleSpec:
     """Build the analytic cycle description for ``kind`` at ``power_w``."""
     power = config.power_w if power_w is None else power_w
-    g_harv = harvester_conductance(power, config.rail_voltage_v)
-    g_load = config.load_conductances()
-    # Settled after unbounded time; with both sides open the voltage holds.
-    v0 = propagate_voltage(
-        config.initial_voltage_v,
-        math.inf,
-        g_load[DeviceState.OFF],
-        g_harv,
-        capacitor_params(config),
+    g_harv, v0 = _banked(config, power, capacitor_params(config))
+    return CycleSpec(
+        kind, v0, _cycle_shape(config, kind), g_harv, config.rail_voltage_v
     )
-    segments = tuple(
-        (duration, g_load[state]) for state, duration in cycle_states(config, kind)
-    )
-    return CycleSpec(kind=kind, initial_voltage_v=v0, segments=segments, g_harv=g_harv)
 
 
 def min_voltage_over_cycle(
     capacitance_f: float, spec: CycleSpec, config: ScenarioConfig
 ) -> float:
     """Lowest voltage reached while playing the cycle with this capacitor."""
-    params = CapacitorParams(
-        capacitance_f=capacitance_f,
-        rail_voltage_v=config.rail_voltage_v,
-        max_voltage_v=config.max_voltage_v,
-        v_th_low_v=config.v_th_low_v,
-        v_th_high_v=config.v_th_high_v,
-        initial_voltage_v=config.initial_voltage_v,
-    )
-    return min_voltage_over_segments(
-        spec.initial_voltage_v, spec.segments, spec.g_harv, params
+    return min_voltage_over_played(
+        spec.initial_voltage_v, spec.played, capacitance_f, config.max_voltage_v
     )
 
 
@@ -131,9 +148,27 @@ def min_capacitance(
 
     Each bracket end is probed once; a bisection then adds
     ``ceil(log2(ln(c_hi / c_lo) / ln(1 + tol_rel)))`` midpoint probes.
-    Raises ``RuntimeError`` when ``c_hi`` sags lower than ``c_lo``.
+    Raises ``ValueError`` unless ``0 < c_lo < c_hi``, both finite, and
+    ``tol_rel`` is finite and positive, and ``RuntimeError`` when ``c_hi``
+    sags lower than ``c_lo``.
     """
-    spec = cycle_spec(config, kind, power_w)
+    _check_bracket(c_lo, c_hi, tol_rel)
+    return _size(cycle_spec(config, kind, power_w), config, c_lo, c_hi, tol_rel)
+
+
+def _check_bracket(c_lo: float, c_hi: float, tol_rel: float) -> None:
+    """Reject a bracket that bisection could never narrow to ``tol_rel``."""
+    if not (0.0 < c_lo < c_hi < math.inf and 0.0 < tol_rel < math.inf):
+        raise ValueError(
+            "bisection needs 0 < c_lo < c_hi, both finite, and a finite"
+            f" tol_rel > 0; got c_lo={c_lo}, c_hi={c_hi}, tol_rel={tol_rel}"
+        )
+
+
+def _size(
+    spec: CycleSpec, config: ScenarioConfig, c_lo: float, c_hi: float, tol_rel: float
+) -> float | None:
+    """``min_capacitance`` of a built cycle over a checked bracket."""
     v_low = config.v_th_low_v
     v_hi = min_voltage_over_cycle(c_hi, spec, config)
     v_lo = min_voltage_over_cycle(c_lo, spec, config)
@@ -156,7 +191,8 @@ def _bisect(
     """Smallest fitting value of a geometric bracket, to within ``tol_rel``.
 
     ``fits(lo)`` is false and ``fits(hi)`` true; only midpoints are probed.
-    The answer is on the fitting side of the final bracket.
+    The answer is on the fitting side of the final bracket, which
+    ``_check_bracket`` must have accepted.
     """
     while hi / lo > 1.0 + tol_rel:
         mid = math.sqrt(lo * hi)
@@ -248,6 +284,7 @@ def mincap_table(
         raise ConfigError(
             [f"mincap needs harvester kind constant, got {config.harvester}"]
         )
+    _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
     base = replace(config, dl_payload_bytes=dl_payload_bytes)
     # A row's scenario is the base with its data rate, payload and power set,
     # and no check couples two of these axes: checking each axis value on the
@@ -257,16 +294,21 @@ def mincap_table(
         + [replace(base, ul_payload_bytes=payload) for payload in payloads_bytes]
         + [replace(base, power_w=power) for power in powers_w]
     )
+    # Every row shares the capacitor, and the voltage banked at a power is
+    # the same for every row at that power; the cycle's shape depends on the
+    # data rate, payload and kind only.
+    params = capacitor_params(base)
+    banked = [_banked(base, power, params) for power in powers_w]
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
             cfg = replace(base, data_rate=dr, ul_payload_bytes=payload)
-            for power in powers_w:
-                for kind in kinds:
-                    c_min = min_capacitance(cfg, kind, power, tol_rel=tol_rel)
-                    rows.append(
-                        MinCapacitanceRow(dr, payload, power, kind, c_min)
-                    )
+            shapes = [_cycle_shape(cfg, kind) for kind in kinds]
+            for power, (g_harv, v0) in zip(powers_w, banked):
+                for kind, shape in zip(kinds, shapes):
+                    spec = CycleSpec(kind, v0, shape, g_harv, cfg.rail_voltage_v)
+                    c_min = _size(spec, cfg, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
+                    rows.append(MinCapacitanceRow(dr, payload, power, kind, c_min))
     return rows
 
 
@@ -291,6 +333,21 @@ class SweepGrid:
             problems.append("sweep periods must be positive")
         if any(k not in CYCLE_KINDS for k in self.kinds):
             problems.append(f"sweep kinds must be among {CYCLE_KINDS}")
+        # A repeated value would run, or size, one grid point twice.
+        axes = {
+            "capacitances": self.capacitances_f,
+            "powers": self.powers_w,
+            "data rates": self.data_rates,
+            "payloads": self.payloads_bytes,
+            "periods": self.periods_s,
+            "kinds": self.kinds,
+        }
+        for label, values in axes.items():
+            repeated = dict.fromkeys(v for v in values if values.count(v) > 1)
+            if repeated:
+                problems.append(
+                    f"sweep {label} repeat a value: {', '.join(map(str, repeated))}"
+                )
         if problems:
             raise ConfigError(problems)
 
@@ -414,8 +471,10 @@ def min_capacitance_for_target(
 
     Engine-driven bisection between ``c_lo`` and ``c_hi``; ``None`` when even
     ``c_hi`` falls short. Raises ``TraceExhaustedError`` when a harvest trace
-    cuts a run short.
+    cuts a run short, and ``ValueError`` for a bracket ``min_capacitance``
+    would reject.
     """
+    _check_bracket(c_lo, c_hi, tol_rel)
 
     def success(cap: float) -> float:
         cfg = replace(base, capacitance_f=cap, confirmed=kind == "UL+DL")

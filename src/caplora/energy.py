@@ -229,10 +229,58 @@ def min_voltage_over_segments(
     Within one segment the trajectory is monotone toward its asymptote, so the
     minimum over the whole sequence is attained at a segment boundary.
     """
-    v = _clamp(v0, params.max_voltage_v)
-    v_min = v
+    return min_voltage_over_played(
+        v0,
+        played_segments(segments, g_harv, params.rail_voltage_v),
+        params.capacitance_f,
+        params.max_voltage_v,
+    )
+
+
+def played_segments(
+    segments: Iterable[tuple[float, float]], g_harv: float, rail_voltage_v: float
+) -> tuple[tuple[float, float, float], ...]:
+    """The capacitance-free part of playing ``(duration, g_load)`` segments.
+
+    One ``(duration, G, v_inf)`` per segment along which the voltage moves,
+    with ``G = G_h + G_L`` and ``v_inf = E G_h / G``; a segment of zero
+    duration, or with both sides open, holds the voltage and is left out.
+    """
+    played = []
     for duration_s, g_load in segments:
-        v = propagate_voltage(v, duration_s, g_load, g_harv, params)
+        if duration_s < 0.0:
+            raise ValueError(f"elapsed time must be >= 0, got {duration_s}")
+        g = g_harv + g_load
+        if g != 0.0 and duration_s != 0.0:
+            played.append((duration_s, g, rail_voltage_v * g_harv / g))
+    return tuple(played)
+
+
+def min_voltage_over_played(
+    v0: float,
+    played: Iterable[tuple[float, float, float]],
+    capacitance_f: float,
+    max_voltage_v: float,
+) -> float:
+    """Minimum voltage reached while playing ``played_segments`` output on a
+    capacitor of ``capacitance_f``.
+
+    Each step is ``propagate_voltage``'s, bit for bit: the same time constant
+    ``C / G``, the same convex combination and the same clamp.
+    """
+    if not capacitance_f > 0.0:
+        raise ValueError(f"capacitance must be > 0, got {capacitance_f}")
+    v = _clamp(v0, max_voltage_v)
+    v_min = v
+    for duration_s, g, v_inf in played:
+        # -d / tau with tau kept as its own division: d * G / C rounds
+        # differently.
+        x = -duration_s / (capacitance_f / g)
+        v = v_inf * -math.expm1(x) + v * math.exp(x)
+        if v < 0.0:
+            v = 0.0
+        elif v > max_voltage_v:
+            v = max_voltage_v
         if v < v_min:
             v_min = v
     return v_min

@@ -101,6 +101,29 @@ def simpson_load_energy(
     return total * h / 3.0
 
 
+def stepwise_min_voltage(
+    v0: float,
+    segments: list[tuple[float, float]],
+    g_harv: float,
+    params: CapacitorParams,
+) -> float:
+    """Lowest voltage at any boundary of ``(duration, g_load)`` segments,
+    chaining one ``propagate_voltage`` call per segment.
+
+    The reference for the segment kernel: it shares none of the kernel's
+    precomputation, only the single closed-form step that the ODE oracle
+    checks.
+    """
+    from caplora.energy import propagate_voltage
+
+    v = propagate_voltage(v0, 0.0, 0.0, 0.0, params)  # clamped at the maximum
+    v_min = v
+    for duration_s, g_load in segments:
+        v = propagate_voltage(v, duration_s, g_load, g_harv, params)
+        v_min = min(v_min, v)
+    return v_min
+
+
 def _clamp(v: float, params: CapacitorParams) -> float:
     return min(max(v, 0.0), params.max_voltage_v)
 

@@ -29,10 +29,10 @@ from caplora.analysis import (
     run_sweep,
     success_curve,
 )
-from caplora.energy import min_voltage_over_segments
 from caplora.engine import RESULTS_HEADER, capacitor_params
 from caplora.harvester import TraceExhaustedError
 from caplora.lorawan import DeviceState
+from conftest import stepwise_min_voltage
 
 
 BASE = ScenarioConfig(power_w=0.001, data_rate=3, ul_payload_bytes=10)
@@ -98,6 +98,54 @@ def test_min_capacitance_returns_floor_when_already_feasible():
     assert min_capacitance(BASE, "UL", c_lo=1.0, c_hi=10.0) == 1.0
 
 
+_BAD_BRACKETS = [
+    {"tol_rel": 0.0},
+    {"tol_rel": -0.5},
+    {"tol_rel": math.nan},
+    {"tol_rel": math.inf},
+    {"c_lo": 0.0},
+    {"c_lo": -1.0},
+    {"c_lo": math.nan},
+    {"c_lo": 2.0, "c_hi": 1.0},
+    {"c_lo": 1.0, "c_hi": 1.0},
+    {"c_hi": math.inf},
+]
+
+
+def _bracket_id(bracket):
+    return ",".join(f"{key}={value}" for key, value in bracket.items())
+
+
+@pytest.mark.parametrize("bracket", _BAD_BRACKETS, ids=_bracket_id)
+def test_min_capacitance_rejects_a_degenerate_bracket_before_probing(monkeypatch, bracket):
+    # Unchecked, tol_rel <= 0 bisects forever and NaN returns the bracket's top.
+    probed = []
+    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: probed.append(args))
+    with pytest.raises(ValueError, match="bisection needs 0 < c_lo < c_hi"):
+        min_capacitance(BASE, "UL", **bracket)
+    assert probed == []
+
+
+@pytest.mark.parametrize("bracket", _BAD_BRACKETS, ids=_bracket_id)
+def test_min_capacitance_for_target_rejects_a_degenerate_bracket_before_running(
+    monkeypatch, bracket
+):
+    runs = []
+    monkeypatch.setattr(analysis, "run_scenario", lambda config: runs.append(config))
+    with pytest.raises(ValueError, match="bisection needs 0 < c_lo < c_hi"):
+        min_capacitance_for_target(BASE, "UL", **{"c_lo": 1e-4, "c_hi": 1.0, **bracket})
+    assert runs == []
+
+
+@pytest.mark.parametrize("tol_rel", [0.0, math.nan])
+def test_mincap_table_rejects_a_degenerate_tolerance(monkeypatch, tol_rel):
+    probed = []
+    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: probed.append(args))
+    with pytest.raises(ValueError, match="bisection needs"):
+        mincap_table(BASE, data_rates=(3,), payloads_bytes=(10,), tol_rel=tol_rel)
+    assert probed == []
+
+
 def test_engine_agrees_with_analytic_boundary():
     for kind, dl in (("UL", 0), ("UL+DL", 39)):
         config = replace(BASE, dl_payload_bytes=dl)
@@ -137,7 +185,7 @@ def test_mincap_table_rows_and_csv():
 )
 def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
     sized = []
-    monkeypatch.setattr(analysis, "min_capacitance", lambda *args, **kw: sized.append(args))
+    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: sized.append(args))
     with pytest.raises(ConfigError) as excinfo:
         mincap_table(BASE, **{"data_rates": (3,), "payloads_bytes": (10,), **axis})
     assert excinfo.value.problems == [problem]
@@ -146,12 +194,13 @@ def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, prob
 
 def _bisect_on_whole_configs(config, kind, power_w, tol_rel):
     """Reference bisection that builds every probe's capacitor from a copy of
-    the whole scenario with only the capacitance changed."""
+    the whole scenario with only the capacitance changed, and plays the
+    cycle one ``propagate_voltage`` step at a time."""
     spec = cycle_spec(config, kind, power_w)
 
     def feasible(c):
         params = capacitor_params(replace(config, capacitance_f=c))
-        v_min = min_voltage_over_segments(
+        v_min = stepwise_min_voltage(
             spec.initial_voltage_v, spec.segments, spec.g_harv, params
         )
         return v_min >= config.v_th_low_v
@@ -170,8 +219,12 @@ def _bisect_on_whole_configs(config, kind, power_w, tol_rel):
     return hi
 
 
+# Infeasible rows, rows at the bracket floor and bisected rows all occur.
+_MINCAP_GRID = dict(data_rates=(3, 5), payloads_bytes=(10, 40), powers_w=(1e-5, 0.001, 1.0))
+
+
 def test_mincap_table_equals_whole_config_bisection_exactly():
-    grid = dict(data_rates=(3, 5), payloads_bytes=(10, 40), powers_w=(1e-5, 0.001, 1.0))
+    grid = _MINCAP_GRID
     rows = mincap_table(BASE, kinds=CYCLE_KINDS, tol_rel=0.02, **grid)
     expected = [
         MinCapacitanceRow(
@@ -194,6 +247,31 @@ def test_mincap_table_equals_whole_config_bisection_exactly():
     assert rows == expected
     answers = {row.capacitance_f for row in rows}
     # Infeasible rows, rows at the bracket floor and bisected rows all occur.
+    assert None in answers and DEFAULT_C_LO_F in answers
+    assert len(answers - {None, DEFAULT_C_LO_F}) > 1
+
+
+def test_mincap_table_rows_equal_public_min_capacitance():
+    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_MINCAP_GRID)
+    expected = [
+        MinCapacitanceRow(
+            dr,
+            payload,
+            power,
+            kind,
+            min_capacitance(
+                replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39),
+                kind,
+                power,
+            ),
+        )
+        for dr in _MINCAP_GRID["data_rates"]
+        for payload in _MINCAP_GRID["payloads_bytes"]
+        for power in _MINCAP_GRID["powers_w"]
+        for kind in CYCLE_KINDS
+    ]
+    assert rows == expected
+    answers = {row.capacitance_f for row in rows}
     assert None in answers and DEFAULT_C_LO_F in answers
     assert len(answers - {None, DEFAULT_C_LO_F}) > 1
 

@@ -146,6 +146,35 @@ def test_sweep_grid_problems_get_one_line_each(tmp_path, capsys):
     assert err[1].startswith("config error: sweep kinds must be among")
 
 
+def test_mincap_rejects_repeated_axis_values(tmp_path, capsys):
+    # Unchecked, this wrote the same row four times.
+    args = ["mincap", "--set", "sweep.data_rate=3,3", "--set", "sweep.power_w=0.001,1e-3"]
+    args += ["--set", "sweep.payload_bytes=10", "--set", "sweep.kind=UL"]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sweep powers repeat a value: 0.001",
+        "config error: sweep data rates repeat a value: 3",
+    ]
+    assert not (tmp_path / "min_capacitance.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "axis, problem",
+    [
+        ("sweep.capacitance_f=0.004,0.004", "sweep capacitances repeat a value: 0.004"),
+        ("sweep.payload_bytes=10,20,10", "sweep payloads repeat a value: 10"),
+        ("sweep.period_s=60,60.0", "sweep periods repeat a value: 60.0"),
+        ("sweep.kind=UL,UL+DL,UL", "sweep kinds repeat a value: UL"),
+    ],
+    ids=["capacitance_f", "payload_bytes", "period_s", "kind"],
+)
+def test_sweep_rejects_repeated_axis_values(tmp_path, capsys, axis, problem):
+    # Unchecked, two equal capacitances printed "2 rows" and wrote one.
+    assert main(["sweep", "--set", "duration_s=600", "--set", axis, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def _dark_trace(tmp_path):
     trace = tmp_path / "dark.csv"
     trace.write_text("0,0\n600,0\n")

@@ -8,9 +8,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import caplora
+from caplora import ScenarioConfig
+from caplora.analysis import CycleSpec, min_voltage_over_cycle
 from caplora.clock import NS_PER_S
 from caplora.energy import (
     Capacitor,
@@ -24,7 +26,7 @@ from caplora.energy import (
     propagate_voltage,
     steady_state_voltage,
 )
-from conftest import make_params, rk4_voltage, simpson_load_energy
+from conftest import make_params, rk4_voltage, simpson_load_energy, stepwise_min_voltage
 
 
 # ---------------------------------------------------------------- public names
@@ -284,6 +286,58 @@ def test_min_voltage_over_segments_hits_segment_boundary(params):
 
 def test_min_voltage_with_no_segments(params):
     assert min_voltage_over_segments(2.5, [], 0.0, params) == 2.5
+
+
+_TX_G = load_conductance(28.011e-3, 3.3)
+_SLEEP_G = load_conductance(5.6e-6, 3.3)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    v0=st.floats(min_value=0.0, max_value=4.0),
+    segments=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, math.inf]) | st.floats(min_value=0.0, max_value=600.0),
+            st.sampled_from([0.0, _SLEEP_G, _TX_G]),
+        ),
+        max_size=6,
+    ),
+    g_harv=st.sampled_from([0.0, harvester_conductance(1e-4, 3.3), 1.0]),
+    capacitance_f=st.floats(min_value=1e-6, max_value=10.0),
+    max_voltage_v=st.sampled_from([2.5, 3.3]),
+)
+# An empty cycle, and a start above the maximum.
+@example(v0=4.0, segments=[], g_harv=0.0, capacitance_f=0.01, max_voltage_v=3.3)
+# Zero durations and a segment with both sides open hold the voltage.
+@example(
+    v0=3.0,
+    segments=[(0.0, _TX_G), (5.0, 0.0), (0.2, _TX_G), (0.0, 0.0)],
+    g_harv=0.0,
+    capacitance_f=0.01,
+    max_voltage_v=3.3,
+)
+# A strong harvest toward the 3.3 V rail clamps at a 2.5 V maximum.
+@example(
+    v0=1.0,
+    segments=[(0.5, _TX_G), (10.0, _SLEEP_G), (0.5, _TX_G)],
+    g_harv=1.0,
+    capacitance_f=0.01,
+    max_voltage_v=2.5,
+)
+def test_segment_kernel_equals_stepwise_propagation(
+    v0, segments, g_harv, capacitance_f, max_voltage_v
+):
+    params = make_params(
+        capacitance_f=capacitance_f,
+        max_voltage_v=max_voltage_v,
+        v_th_high_v=min(3.0, max_voltage_v),
+        initial_voltage_v=max_voltage_v,
+    )
+    expected = stepwise_min_voltage(v0, segments, g_harv, params)
+    assert min_voltage_over_segments(v0, segments, g_harv, params) == expected
+    spec = CycleSpec("UL", v0, tuple(segments), g_harv, params.rail_voltage_v)
+    config = ScenarioConfig(capacitance_f=capacitance_f, max_voltage_v=max_voltage_v)
+    assert min_voltage_over_cycle(capacitance_f, spec, config) == expected
 
 
 # ------------------------------------------------------------ the capacitor
