@@ -348,6 +348,16 @@ class SweepGrid:
                 problems.append(
                     f"sweep {label} repeat a value: {', '.join(map(str, repeated))}"
                 )
+        # Rows and results keys print these axes with .9g: two distinct
+        # values that print alike would share one key. A non-finite value is
+        # reported with the scenario's problems.
+        for label in ("capacitances", "powers", "periods"):
+            printed = [f"{v:.9g}" for v in set(axes[label]) if math.isfinite(v)]
+            alike = sorted({p for p in printed if printed.count(p) > 1})
+            if alike:
+                problems.append(
+                    f"sweep {label} hold distinct values that print alike: {', '.join(alike)}"
+                )
         if problems:
             raise ConfigError(problems)
 

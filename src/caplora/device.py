@@ -42,12 +42,12 @@ class CycleOutcome(str, Enum):
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Fate of one generated packet."""
+    """Fate of one generated packet, with its clock times in nanoseconds."""
 
     packet_id: int
     kind: str  # "UL" or "UL+DL"
-    start_s: float
-    end_s: float
+    start_ns: int
+    end_ns: int
     outcome: CycleOutcome
 
 
@@ -174,11 +174,8 @@ class LorawanDevice:
         # The device's one scheduled event that may not have fired yet. There
         # is never a second: ``on_generate`` starts a cycle only while asleep.
         self._pending: Event | None = None
-        self._off_since_s: float | None = 0.0 if self.state is DeviceState.OFF else None
+        self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
         self._packet_counter = 0
-        # When a list, the clock times (start, end) of every record made
-        # are appended to it.
-        self.record_log: list[tuple[int, int]] | None = None
 
     @property
     def kind(self) -> str:
@@ -195,12 +192,12 @@ class LorawanDevice:
         packet_id = self._packet_counter
         self.sim.metrics.generated += 1
         if powered_down:
-            self._record(packet_id, now, CycleOutcome.FAILED_ENERGY)
+            self._record(packet_id, now, now, CycleOutcome.FAILED_ENERGY)
             return
         # An acknowledged cycle is closed while its trailing standby still
         # runs; a new cycle must wait until the device is back asleep.
         if self.cycle is not None or self.state is not DeviceState.SLEEP:
-            self._record(packet_id, now, CycleOutcome.FAILED_BUSY)
+            self._record(packet_id, now, now, CycleOutcome.FAILED_BUSY)
             return
         self.cycle = _Cycle(packet_id=packet_id, start_ns=now)
         self._attempt_transmission()
@@ -283,53 +280,42 @@ class LorawanDevice:
 
     # -- threshold notifications ------------------------------------------
 
-    def on_depleted(self, when_s: float) -> None:
+    def on_depleted(self, when_ns: int) -> None:
         self._cancel_pending()
         if self.cycle is not None:
-            self._finish(CycleOutcome.FAILED_ENERGY, when_s)
+            self._finish(CycleOutcome.FAILED_ENERGY, when_ns)
         self.sim.metrics.depletion_events += 1
-        self._off_since_s = when_s
+        self._off_since_ns = when_ns
         self.sim.set_device_state(DeviceState.OFF)
 
-    def on_recharged(self, when_s: float) -> None:
-        if self._off_since_s is not None:
-            self.sim.metrics.off_time_s += when_s - self._off_since_s
-            self._off_since_s = None
+    def on_recharged(self, when_ns: int) -> None:
+        if self._off_since_ns is not None:
+            self.sim.metrics.off_time_ns += when_ns - self._off_since_ns
+            self._off_since_ns = None
         self.sim.set_device_state(DeviceState.TURN_ON)
         self._pending = self.sim.schedule_in(self.params.turn_on_s, self._on_turned_on)
 
     def _on_turned_on(self) -> None:
         self.sim.set_device_state(DeviceState.SLEEP)
 
-    def finalize(self, end_s: float) -> None:
+    def finalize(self, end_ns: int) -> None:
         """Close open accounting at the end of the run."""
-        if self._off_since_s is not None:
-            self.sim.metrics.off_time_s += end_s - self._off_since_s
-            self._off_since_s = None
+        if self._off_since_ns is not None:
+            self.sim.metrics.off_time_ns += end_ns - self._off_since_ns
+            self._off_since_ns = None
 
     # -- helpers -----------------------------------------------------------
 
-    def _finish(self, outcome: CycleOutcome, end_s: float | None = None) -> None:
+    def _finish(self, outcome: CycleOutcome, end_ns: int | None = None) -> None:
+        """Close the open cycle, ending now or at ``end_ns`` (a crossing's time)."""
         assert self.cycle is not None
-        self._record(self.cycle.packet_id, self.cycle.start_ns, outcome, end_s)
+        end_ns = self.sim.now_ns if end_ns is None else end_ns
+        self._record(self.cycle.packet_id, self.cycle.start_ns, end_ns, outcome)
         self.cycle = None
 
-    def _record(
-        self,
-        packet_id: int,
-        start_ns: int,
-        outcome: CycleOutcome,
-        end_s: float | None = None,
-    ) -> None:
-        """Record a cycle that ends now, or at ``end_s`` (a crossing's time)."""
-        end_ns = self.sim.now_ns
-        if end_s is None:
-            end_s = end_ns / NS_PER_S
-        self.sim.metrics.cycles.append(
-            CycleRecord(packet_id, self.kind, start_ns / NS_PER_S, end_s, outcome)
-        )
-        if self.record_log is not None:
-            self.record_log.append((start_ns, end_ns))
+    def _record(self, packet_id: int, start_ns: int, end_ns: int, outcome: CycleOutcome) -> None:
+        record = CycleRecord(packet_id, self.kind, start_ns, end_ns, outcome)
+        self.sim.metrics.cycles.append(record)
 
     def _cancel_pending(self) -> None:
         if self._pending is not None:

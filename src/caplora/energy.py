@@ -13,7 +13,7 @@ scenario converts each device state's current ``I`` to ``G_L = I / E`` once
 per run (``load_conductance``).
 
 All voltages are volts, conductances siemens, capacitances farads, times
-seconds, except the capacitor's clock times, which are integer nanoseconds.
+seconds, except clock and crossing times, which are integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable, NamedTuple
 
-from .clock import NS_PER_S
+from .clock import NS_PER_S, TICK_S
 from .errors import ConfigError
 
 
@@ -286,12 +286,18 @@ def min_voltage_over_played(
     return v_min
 
 
-# Voltages closer to a threshold than this are snapped onto it when the
-# hysteresis flag flips, so crossings land exactly on the configured level.
+# A crossing voltage closer to its threshold than one clock tick's move, and
+# never closer than this, is snapped onto it when the hysteresis flag flips,
+# so crossings land exactly on the configured level.
 _SNAP_TOLERANCE_V = 1e-9
 
 
-def _ignore_crossing(when_s: float) -> None:
+def _ticks_until(t_cross_s: float) -> int:
+    """Clock ticks to a crossing ``t_cross_s`` ahead: the nearest, at least 1."""
+    return max(1, round(t_cross_s * NS_PER_S))
+
+
+def _ignore_crossing(when_ns: int) -> None:
     pass
 
 
@@ -303,7 +309,7 @@ class Capacitor:
     nanoseconds, so the elapsed time of a step depends on its length only,
     not on when it happens. A threshold crossing inside the elapsed interval
     flips ``depleted`` and calls ``on_depleted`` or ``on_recharged`` with the
-    analytically solved crossing time in seconds, not the update time.
+    analytically solved crossing time on the clock, not the update time.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -314,8 +320,8 @@ class Capacitor:
         self.load_energy_j = 0.0
         # When a list, every ``load_energy_j`` increment is appended to it.
         self.energy_log: list[float] | None = None
-        self.on_depleted: Callable[[float], None] = _ignore_crossing
-        self.on_recharged: Callable[[float], None] = _ignore_crossing
+        self.on_depleted: Callable[[int], None] = _ignore_crossing
+        self.on_recharged: Callable[[int], None] = _ignore_crossing
 
     def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
         """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
@@ -344,17 +350,21 @@ class Capacitor:
         if not crossed:
             return
         t_cross = crossing_time(v_prev, target, g_load, g_harv, params)
-        when = (last_ns / NS_PER_S + t_cross) if t_cross is not None else now_ns / NS_PER_S
-        if abs(v_new - target) <= _SNAP_TOLERANCE_V:
+        when_ns = now_ns if t_cross is None else min(last_ns + _ticks_until(t_cross), now_ns)
+        segment = _segment(g_load, g_harv, params)
+        tick_move = 0.0 if segment is None else abs(segment[0] - target) / segment[1] * TICK_S
+        if abs(v_new - target) <= max(tick_move, _SNAP_TOLERANCE_V):
             self.voltage_v = target
         self.depleted = not self.depleted
-        (self.on_depleted if self.depleted else self.on_recharged)(when)
+        (self.on_depleted if self.depleted else self.on_recharged)(when_ns)
 
-    def next_crossing(self, g_load: float, g_harv: float) -> float | None:
-        """Seconds from the last update until the active threshold is crossed."""
+    def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
+        """Clock ticks from the last update until the active threshold is
+        crossed, at least one."""
         params = self.params
         target = params.v_th_high_v if self.depleted else params.v_th_low_v
-        return crossing_time(self.voltage_v, target, g_load, g_harv, params)
+        t_cross = crossing_time(self.voltage_v, target, g_load, g_harv, params)
+        return None if t_cross is None else _ticks_until(t_cross)
 
 
 class TraceRecord(NamedTuple):

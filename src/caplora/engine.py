@@ -16,13 +16,16 @@ simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
 the trace samples and the energy guard look that conductance up by state.
 
 Every time difference the physics and the duty budgets use is taken on the
-integer clock, so the same state at two instants evolves bit-identically.
-A constant-harvest, untraced run uses that to simulate a periodic steady
-state once: when the state at a packet generation, relative to the clock,
-equals the one 1 or 2 periods earlier, the run skips all the whole orbits
-that fit before its end and simulates only the transient and the tail
-(``Simulator._fast_forward``). Its metrics equal those of the run simulated
-event by event.
+integer clock, and every time a run records is a clock time or a sum of
+clock differences: crossing instants, cycle records, off time and airtime
+totals. So the same state at two instants evolves bit-identically and
+records the same values shifted by whole nanoseconds. A constant-harvest,
+untraced run uses that to simulate a periodic steady state once: when the
+state at a packet generation, relative to the clock, equals the one 1 or 2
+periods earlier, brownouts in between or not, the run skips all the whole
+orbits that fit before its end and simulates only the transient and the
+tail (``Simulator._fast_forward``). Its metrics equal those of the run
+simulated event by event.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class Metrics:
     acked: int = 0
     skipped_by_guard: int = 0
     depletion_events: int = 0
-    off_time_s: float = 0.0
+    off_time_ns: int = 0
     final_voltage_v: float = 0.0
     ul_airtime_s: float = 0.0
     max_ul_airtime_s: float = 0.0
@@ -196,7 +199,9 @@ def _noop() -> None:
 
 
 # The Metrics counters a skipped orbit adds to.
-_ORBIT_COUNTERS = ("generated", "delivered_ul", "acked", "skipped_by_guard")
+_ORBIT_COUNTERS = (
+    "generated", "delivered_ul", "acked", "skipped_by_guard", "depletion_events", "off_time_ns"
+)
 
 
 class _Mark(NamedTuple):
@@ -206,33 +211,28 @@ class _Mark(NamedTuple):
     voltage_v: float
     # ``Simulator._snapshot()``, or None where none applies or was taken.
     state: tuple | None
-    depletions: int
 
     def repeats(self, earlier: _Mark) -> bool:
-        """Whether the run repeats from ``earlier`` on, with no threshold
-        crossing in between (a crossing's times are absolute)."""
-        return (
-            self.state is not None
-            and self.state == earlier.state
-            and self.depletions == earlier.depletions
-        )
+        """Whether the run repeats from ``earlier`` on."""
+        return self.state is not None and self.state == earlier.state
 
 
 # Stands for a generation before the first: it repeats nothing.
-_NO_MARK = _Mark(0, math.nan, None, 0)
+_NO_MARK = _Mark(0, math.nan, None)
 
 
 @dataclass
 class _Orbit:
-    """An orbit simulated once more, logging what a skip replays."""
+    """An orbit simulated once more, with the totals at its start."""
 
     start: _Mark
     length_ns: int
-    counts: dict[str, int]  # the _ORBIT_COUNTERS at its start
-    # One list per budget, in ``Simulator._budgets`` order.
-    airtimes: tuple[list[float], ...]
+    counts: dict[str, int]  # the _ORBIT_COUNTERS
+    cycles: int  # the number of cycle records
+    # Each budget's ``airtime_total_ns``, in ``Simulator._budgets`` order.
+    airtimes: tuple[int, ...]
+    # Every load energy increment since, the one float sum a skip replays.
     energies: list[float] = field(default_factory=list)
-    records: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
@@ -447,10 +447,9 @@ class Simulator:
         if armed is not None:
             armed.cancelled = True
             self._crossing_event = None
-        t_cross = self.cap.next_crossing(self.g_load[self.device.state], self.g_harv)
-        if t_cross is None:
+        delay_ns = self.cap.next_crossing_ns(self.g_load[self.device.state], self.g_harv)
+        if delay_ns is None:
             return
-        delay_ns = max(1, round(t_cross * NS_PER_S))
         self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
 
     # -- recurring drivers ---------------------------------------------------
@@ -505,30 +504,21 @@ class Simulator:
             tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
         )
 
-    def _log_into(self, orbit: _Orbit | None) -> None:
-        """Point the capacitor, device and budget logs at ``orbit``'s lists,
-        or switch them off."""
-        if orbit is None:
-            self.cap.energy_log = self.device.record_log = None
-            airtimes: Iterable[list[float] | None] = (None,) * len(self._budgets)
-        else:
-            self.cap.energy_log = orbit.energies
-            self.device.record_log = orbit.records
-            airtimes = orbit.airtimes
-        for budget, log in zip(self._budgets, airtimes):
-            budget.airtime_log = log
-
     def _fast_forward(self) -> None:
         """Skip whole periods of an exact orbit of the run's state.
 
         Called at each packet generation of a constant-harvest, untraced
-        run. When the state equals the one 1 or 2 periods earlier, with no
-        depletion in between, the run is periodic from there on. The next
-        orbit is simulated once more with its float increments and records
-        logged; then as many whole orbits as end before the run does are
-        added in one step, the clock moves past them and the tail is
-        simulated as usual. The state is relative to the integer-ns clock,
-        so each skipped orbit is bit-identical to the logged one.
+        run. When the state equals the one 1 or 2 periods earlier, the run
+        is periodic from there on. The next orbit is simulated once more,
+        logging its load energy increments; then as many whole orbits as
+        end before the run does are added in one step: each counter and
+        airtime total grows by whole multiples of its change over the
+        orbit, the orbit's cycle records are copied shifted by whole orbit
+        lengths, and the logged energies are added again in order. The
+        clock moves past the copies and the tail is simulated as usual.
+        The state and every recorded time are on the integer-ns clock, so
+        each skipped orbit, brownouts included, is bit-identical to the
+        simulated one.
 
         The state is snapshotted only where the packet-time voltage equals
         one of the two before: a run that never repeats pays two float
@@ -545,11 +535,11 @@ class Simulator:
         metrics = self.metrics
         # The state repeats only where the voltage does: snapshot only then.
         if orbit is None and voltage != marks[0].voltage_v and voltage != marks[1].voltage_v:
-            marks[:] = marks[1], _Mark(now, voltage, None, metrics.depletion_events)
+            marks[:] = marks[1], _Mark(now, voltage, None)
             return
-        mark = _Mark(now, voltage, self._snapshot(), metrics.depletion_events)
+        mark = _Mark(now, voltage, self._snapshot())
         if orbit is not None:
-            self._log_into(None)
+            self.cap.energy_log = None
             self._orbit = None
             if mark.repeats(orbit.start):
                 self._skip(orbit)
@@ -558,9 +548,11 @@ class Simulator:
         for earlier in (marks[1], marks[0]):
             if mark.repeats(earlier):
                 counts = {name: getattr(metrics, name) for name in _ORBIT_COUNTERS}
-                airtimes = tuple([] for _ in self._budgets)
-                self._orbit = _Orbit(mark, now - earlier.time_ns, counts, airtimes)
-                self._log_into(self._orbit)
+                airtimes = tuple([budget.airtime_total_ns for budget in self._budgets])
+                self._orbit = _Orbit(
+                    mark, now - earlier.time_ns, counts, len(metrics.cycles), airtimes
+                )
+                self.cap.energy_log = self._orbit.energies
                 break
         marks[:] = marks[1], mark
 
@@ -580,16 +572,16 @@ class Simulator:
         packets = delta["generated"]
         self.device._packet_counter += copies * packets
         cycles = metrics.cycles
-        logged = cycles[len(cycles) - len(orbit.records):]
+        logged = cycles[orbit.cycles:]
         for k in range(1, copies + 1):
             shift = k * length
-            for record, (start_ns, end_ns) in zip(logged, orbit.records):
+            for record in logged:
                 cycles.append(
                     CycleRecord(
                         record.packet_id + k * packets,
                         record.kind,
-                        (start_ns + shift) / NS_PER_S,
-                        (end_ns + shift) / NS_PER_S,
+                        record.start_ns + shift,
+                        record.end_ns + shift,
                         record.outcome,
                     )
                 )
@@ -599,11 +591,10 @@ class Simulator:
             for energy in orbit.energies:
                 cap.load_energy_j += energy
         shift = copies * length
-        for budget, airtimes in zip(self._budgets, orbit.airtimes):
-            for _ in range(copies):
-                for airtime in airtimes:
-                    budget.airtime_total_s += airtime
-            if airtimes:  # a budget unused in the orbit keeps its past block
+        for budget, start in zip(self._budgets, orbit.airtimes):
+            airtime_ns = budget.airtime_total_ns - start
+            budget.airtime_total_ns += copies * airtime_ns
+            if airtime_ns:  # a budget unused in the orbit keeps its past block
                 budget.blocked_until_ns += shift
         self.now_ns += shift
         cap.last_update_ns += shift
@@ -645,9 +636,9 @@ class Simulator:
             self._record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False
-        self.device.finalize(self.now_s)
+        self.device.finalize(self.now_ns)
         self.metrics.final_voltage_v = self.cap.voltage_v
-        self.metrics.ul_airtime_s = self.device.ul_budget.airtime_total_s
+        self.metrics.ul_airtime_s = self.device.ul_budget.airtime_total_ns / NS_PER_S
         self.metrics.max_ul_airtime_s = self.device.ul_budget.max_airtime_s
         return self.metrics
 

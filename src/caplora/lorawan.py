@@ -4,7 +4,7 @@ receive windows and duty-cycle budgets for the EU 868 MHz band."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .clock import NS_PER_S
@@ -194,16 +194,14 @@ class DutyCycleBudget:
 
     After a transmission of duration T the band stays blocked for
     ``T * (1/duty_cycle - 1)`` seconds past the end of the transmission.
-    Start times and ``blocked_until_ns`` are clock times in integer
-    nanoseconds; airtimes are seconds.
+    Start times, ``blocked_until_ns`` and ``airtime_total_ns`` are integer
+    nanoseconds; a registered airtime is in seconds.
     """
 
     duty_cycle: float
     blocked_until_ns: int = 0
-    airtime_total_s: float = 0.0
+    airtime_total_ns: int = 0
     max_airtime_s: float = 0.0
-    # When a list, every registered airtime is appended to it.
-    airtime_log: list[float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duty_cycle <= 1.0:
@@ -220,7 +218,5 @@ class DutyCycleBudget:
             raise ValueError(f"airtime must be >= 0, got {airtime_s}")
         blocked_s = airtime_s + airtime_s * (1.0 / self.duty_cycle - 1.0)
         self.blocked_until_ns = start_ns + round(blocked_s * NS_PER_S)
-        self.airtime_total_s += airtime_s
+        self.airtime_total_ns += round(airtime_s * NS_PER_S)
         self.max_airtime_s = max(self.max_airtime_s, airtime_s)
-        if self.airtime_log is not None:
-            self.airtime_log.append(airtime_s)

@@ -25,6 +25,7 @@ from caplora.analysis import (
     success_curve,
 )
 from caplora.cli import main
+from caplora.clock import NS_PER_S
 from caplora.device import CycleOutcome
 from caplora.energy import load_conductance, propagate_voltage
 from caplora.lorawan import DEFAULT_CURRENTS_A
@@ -407,9 +408,11 @@ def test_10_airtime_stays_within_duty_budgets():
 
     rx1 = sim.gateway.rx1_budget
     rx2 = sim.gateway.rx2_budget
-    assert rx1.airtime_total_s <= 0.01 * duration + rx1.max_airtime_s
-    assert rx2.airtime_total_s <= 0.10 * duration + rx2.max_airtime_s
+    rx1_s = rx1.airtime_total_ns / NS_PER_S
+    rx2_s = rx2.airtime_total_ns / NS_PER_S
+    assert rx1_s <= 0.01 * duration + rx1.max_airtime_s
+    assert rx2_s <= 0.10 * duration + rx2.max_airtime_s
     print(
         f"uplink airtime {metrics.ul_airtime_s:.1f}s of {0.01 * duration:.0f}s budget; "
-        f"gateway {rx1.airtime_total_s:.1f}s / {rx2.airtime_total_s:.1f}s"
+        f"gateway {rx1_s:.1f}s / {rx2_s:.1f}s"
     )

@@ -124,8 +124,9 @@ def test_each_capacitor_problem_gets_its_own_line(tmp_path, capsys):
     [
         ("sweep.data_rate=3,9", "data_rate must be in 0..5, got 9"),
         ("sweep.power_w=0.001,nan", "power_w must be finite, got nan"),
+        ("sweep.power_w=nan,nan", "power_w must be finite, got nan"),
     ],
-    ids=["data_rate", "power_w"],
+    ids=["data_rate", "power_w", "power_w-twice"],
 )
 def test_sweep_rejects_bad_grid_points_up_front(tmp_path, capsys, axis, problem):
     sweep_csv = tmp_path / "sweep.csv"
@@ -158,6 +159,17 @@ def test_mincap_rejects_repeated_axis_values(tmp_path, capsys):
     assert not (tmp_path / "min_capacitance.csv").exists()
 
 
+def test_mincap_rejects_axis_values_that_print_alike(tmp_path, capsys):
+    # Unchecked, this wrote two rows keyed 3,10,0.001,UL.
+    args = ["mincap", "--set", "sweep.data_rate=3", "--set", "sweep.power_w=0.001,0.0010000000001"]
+    args += ["--set", "sweep.payload_bytes=10", "--set", "sweep.kind=UL"]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sweep powers hold distinct values that print alike: 0.001",
+    ]
+    assert not (tmp_path / "min_capacitance.csv").exists()
+
+
 @pytest.mark.parametrize(
     "axis, problem",
     [
@@ -165,8 +177,12 @@ def test_mincap_rejects_repeated_axis_values(tmp_path, capsys):
         ("sweep.payload_bytes=10,20,10", "sweep payloads repeat a value: 10"),
         ("sweep.period_s=60,60.0", "sweep periods repeat a value: 60.0"),
         ("sweep.kind=UL,UL+DL,UL", "sweep kinds repeat a value: UL"),
+        (
+            "sweep.period_s=60,60.0000000001",
+            "sweep periods hold distinct values that print alike: 60",
+        ),
     ],
-    ids=["capacitance_f", "payload_bytes", "period_s", "kind"],
+    ids=["capacitance_f", "payload_bytes", "period_s", "kind", "period_s-printed"],
 )
 def test_sweep_rejects_repeated_axis_values(tmp_path, capsys, axis, problem):
     # Unchecked, two equal capacitances printed "2 rows" and wrote one.

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from caplora import ScenarioConfig, Simulator, run_scenario
+from caplora.clock import NS_PER_S
 from caplora.device import (
     CycleOutcome,
     DlReply,
@@ -136,15 +137,15 @@ def test_gateway_prefers_window_one_and_falls_back():
     assert gw.plan_reply(0, confirmed) is DlReply.IN_RX1
     assert gw.plan_reply(500_000_000, confirmed) is DlReply.IN_RX2
     assert gw.plan_reply(1_000_000_000, confirmed) is DlReply.NONE
-    assert gw.rx1_budget.airtime_total_s == pytest.approx(0.164864)
-    assert gw.rx2_budget.airtime_total_s == pytest.approx(1.155072)
+    assert gw.rx1_budget.airtime_total_ns / NS_PER_S == pytest.approx(0.164864)
+    assert gw.rx2_budget.airtime_total_ns / NS_PER_S == pytest.approx(1.155072)
 
 
 def test_gateway_ignores_unconfirmed_uplinks():
     gw = Gateway()
     assert gw.plan_reply(0, PARAMS) is DlReply.NONE
-    assert gw.rx1_budget.airtime_total_s == 0.0
-    assert gw.rx2_budget.airtime_total_s == 0.0
+    assert gw.rx1_budget.airtime_total_ns == 0
+    assert gw.rx2_budget.airtime_total_ns == 0
 
 
 # ------------------------------------------------------- whole device cycles
@@ -183,7 +184,7 @@ def test_confirmed_cycle_is_acked_at_reception_end():
     cycle = metrics.cycles[0]
     assert cycle.kind == "UL+DL"
     # Uplink ToA + window-1 delay + downlink ToA after the 5 s start.
-    assert cycle.end_s == pytest.approx(5.0 + 0.205824 + 1.0 + 0.164864, abs=1e-6)
+    assert cycle.end_ns / NS_PER_S == pytest.approx(5.0 + 0.205824 + 1.0 + 0.164864, abs=1e-6)
     states = [r.state for r in metrics.trace.records]
     assert "Rx" in states
 
@@ -229,7 +230,7 @@ def test_depletion_aborts_cycle_and_recharge_restores_sleep():
     assert metrics.generated == 1
     assert metrics.depletion_events >= 1
     assert metrics.cycles[0].outcome is CycleOutcome.FAILED_ENERGY
-    assert metrics.off_time_s > 0.0
+    assert metrics.off_time_ns > 0
     records = metrics.trace.records
     transitions = [
         (prev.state, cur.state, cur.time_s, cur.voltage_v)

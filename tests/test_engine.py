@@ -306,7 +306,10 @@ def test_valid_default_scenario_has_no_problems():
     assert validate_scenario(ScenarioConfig()) == []
 
 
-def test_idle_time_schedules_no_events():
+def test_idle_time_schedules_no_events(monkeypatch):
+    # A traced run never skips orbits: compare the four with the fast-forward
+    # off, so that only the trace grid could add events.
+    monkeypatch.setattr(Simulator, "_snapshot", lambda self: None)
     base = ScenarioConfig(
         capacitance_f=0.005,
         power_w=0.001,
@@ -326,13 +329,24 @@ def test_idle_time_schedules_no_events():
     assert len(pushes) == 1
 
 
-def test_a_cycle_is_the_same_whenever_it_runs():
+@pytest.mark.parametrize(
+    "overrides, states",
+    [
+        ({}, {"Tx", "Idle", "Rx", "Sleep"}),
+        # Too small a capacitor for the cycle: it browns out and recovers.
+        ({"capacitance_f": 0.001, "guard_enabled": False}, {"Tx", "Off", "TurnOn"}),
+    ],
+    ids=["acked", "brownout"],
+)
+def test_a_cycle_is_the_same_whenever_it_runs(overrides, states):
     # The voltage rests at the cap until the packet, so a confirmed cycle
     # starts from the same state at 1 h and at 23 h. On the integer-ns
-    # clock only time differences enter the physics and the budgets.
+    # clock only time differences enter the physics and the budgets, and
+    # every recorded time is a clock time.
     base = ScenarioConfig(
         max_voltage_v=3.2, initial_voltage_v=3.2, power_w=0.002, confirmed=True, trace=True
     )
+    base = replace(base, **overrides)
     runs = []
     for start_s in (3600.0, 23 * 3600.0):
         sim = Simulator(replace(base, first_packet_s=start_s, duration_s=start_s + 30.0))
@@ -348,9 +362,12 @@ def test_a_cycle_is_the_same_whenever_it_runs():
             max(0, budget.blocked_until_ns - start_ns)
             for budget in (sim.device.ul_budget, sim.gateway.rx1_budget, sim.gateway.rx2_budget)
         ]
-        runs.append((cycle, budgets, sim.cap.voltage_v))
+        records = [
+            (r.start_ns - start_ns, r.end_ns - r.start_ns, r.outcome) for r in metrics.cycles
+        ]
+        runs.append((cycle, budgets, sim.cap.voltage_v, records, metrics.off_time_ns))
     assert runs[0][0][0][1] == 3.2
-    assert {state for _, _, state in runs[0][0]} >= {"Tx", "Idle", "Rx", "Sleep"}
+    assert {state for _, _, state in runs[0][0]} >= states
     assert runs[0] == runs[1]
 
 

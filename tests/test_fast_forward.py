@@ -31,7 +31,7 @@ _SPECIAL = [
     # The guard vetoes every packet after one early brownout.
     dict(capacitance_f=0.003, power_w=0.0005),
     dict(capacitance_f=0.003, power_w=0.0005, confirmed=True),
-    # A two-period orbit that depletes every other period: never skipped.
+    # A two-period orbit that depletes every other period.
     dict(capacitance_f=0.005, power_w=0.001),
     dict(capacitance_f=0.005, power_w=0.001, guard_enabled=False),
     # A binding uplink budget: a two-period orbit with a duty-cycle failure.
@@ -85,9 +85,13 @@ def test_skipping_orbits_changes_nothing(monkeypatch):
         assert fast._seq <= slow._seq
         if fast._seq < slow._seq:
             skipped.append(fast)
-    # 40 of the 54 scenarios skip orbits; the rest brown out periodically
-    # or do not repeat within two periods.
-    assert len(skipped) == 40
+    # 49 of the 54 scenarios skip orbits; the rest do not repeat within two
+    # periods, or are off or busy at most packet generations.
+    assert len(skipped) == 49
+    assert any(
+        sim.metrics.depletion_events > 0 and CycleOutcome.FAILED_ENERGY in _outcomes(sim)
+        for sim in skipped
+    )
     outcomes = sum((_outcomes(sim) for sim in skipped), Counter())
     assert outcomes[CycleOutcome.ACKED] > 0
     assert outcomes[CycleOutcome.SKIPPED_GUARD] > 0
@@ -95,13 +99,13 @@ def test_skipping_orbits_changes_nothing(monkeypatch):
     assert any(sim.config.max_transmissions > 1 for sim in skipped)
 
 
-def test_an_orbit_with_brownouts_is_simulated_in_full(monkeypatch):
+def test_an_orbit_with_brownouts_is_skipped(monkeypatch):
     config = ScenarioConfig(capacitance_f=0.005, power_w=0.001, duration_s=7200.0)
     fast = _run(config, monkeypatch)
     slow = _run(config, monkeypatch, fast_forward=False)
     assert fast.metrics == slow.metrics
     assert fast.metrics.depletion_events == fast.metrics.generated // 2
-    assert fast._seq == slow._seq
+    assert fast._seq < slow._seq
 
 
 def test_cost_no_longer_grows_with_duration(monkeypatch):
@@ -116,4 +120,18 @@ def test_cost_no_longer_grows_with_duration(monkeypatch):
     assert fast._seq < 0.05 * slow._seq
     # Past the transient, a longer run costs no more events.
     longer = _run(replace(config, duration_s=60 * 86_400.0), monkeypatch)
+    assert longer._seq <= fast._seq + 20
+
+
+def test_brownout_cost_no_longer_grows_with_duration(monkeypatch):
+    # 43,200 packets, every other one lost to a brownout.
+    config = ScenarioConfig(
+        capacitance_f=0.005, power_w=0.001, packet_period_s=60.0, duration_s=30 * 86_400.0
+    )
+    fast = _run(config, monkeypatch)
+    assert fast.metrics.generated == 43_200
+    assert fast.metrics.depletion_events == 21_600
+    assert fast._seq < 1_000
+    longer = _run(replace(config, duration_s=60 * 86_400.0), monkeypatch)
+    assert longer.metrics.depletion_events == 43_200
     assert longer._seq <= fast._seq + 20

@@ -136,7 +136,7 @@ def test_duty_budget_back_to_back_periodic_fit():
         start = _ns(60.0 * k)
         assert budget.allows(start)
         budget.register(start, 0.6)
-    assert budget.airtime_total_s == pytest.approx(3.0)
+    assert budget.airtime_total_ns / NS_PER_S == pytest.approx(3.0)
     assert budget.max_airtime_s == pytest.approx(0.6)
 
 
