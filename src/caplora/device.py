@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_segments
@@ -102,21 +102,17 @@ def guard_segments(
 
 def smart_tx_guard(
     voltage_v: float,
-    params: LorawanParams,
-    g_load: dict[DeviceState, float],
+    segments: Iterable[tuple[float, float]],
     g_harv: float,
     cap_params: CapacitorParams,
-    horizon: str = "tx",
 ) -> bool:
     """Decide whether a transmission may start.
 
-    Plays the guarded horizon forward in closed form, holding the current
-    harvest rate, and vetoes the attempt if the predicted voltage would fall
-    below the cutoff threshold anywhere along it.
+    Plays the guarded horizon, its ``guard_segments`` as ``(duration,
+    g_load)``, forward in closed form, holding the current harvest rate,
+    and vetoes the attempt if the predicted voltage would fall below the
+    cutoff threshold anywhere along it.
     """
-    segments = [
-        (duration, g_load[state]) for state, duration in guard_segments(params, horizon)
-    ]
     predicted = min_voltage_over_segments(voltage_v, segments, g_harv, cap_params)
     return predicted >= cap_params.v_th_low_v
 
@@ -176,6 +172,12 @@ class LorawanDevice:
         self._pending: Event | None = None
         self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
         self._packet_counter = 0
+        self._ul_time_on_air_s = params.ul_time_on_air()
+        # The energy guard's horizon as ``(duration, g_load)`` segments.
+        self._guard_horizon = tuple(
+            (duration, sim.g_load[state])
+            for state, duration in guard_segments(params, sim.config.guard_horizon)
+        )
 
     @property
     def kind(self) -> str:
@@ -216,18 +218,16 @@ class LorawanDevice:
         if self.sim.config.guard_enabled:
             proceed = smart_tx_guard(
                 self.sim.cap.voltage_v,
-                self.params,
-                self.sim.g_load,
+                self._guard_horizon,
                 self.sim.g_harv,
                 self.sim.cap.params,
-                self.sim.config.guard_horizon,
             )
             if not proceed:
                 self.sim.metrics.skipped_by_guard += 1
                 self._finish(CycleOutcome.SKIPPED_GUARD)
                 return
         self.cycle.attempts += 1
-        toa = self.params.ul_time_on_air()
+        toa = self._ul_time_on_air_s
         self.ul_budget.register(now, toa)
         self.sim.set_device_state(DeviceState.TX)
         self._pending = self.sim.schedule_in(toa, self._on_tx_end)

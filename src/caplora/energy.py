@@ -317,9 +317,6 @@ class Capacitor:
         self.voltage_v = min(params.initial_voltage_v, params.max_voltage_v)
         self.last_update_ns = 0
         self.depleted = self.voltage_v < params.v_th_low_v
-        self.load_energy_j = 0.0
-        # When a list, every ``load_energy_j`` increment is appended to it.
-        self.energy_log: list[float] | None = None
         self.on_depleted: Callable[[int], None] = _ignore_crossing
         self.on_recharged: Callable[[int], None] = _ignore_crossing
 
@@ -333,10 +330,6 @@ class Capacitor:
         params = self.params
         elapsed = (now_ns - last_ns) / NS_PER_S
         v_prev = self.voltage_v
-        energy = load_energy_joules(v_prev, elapsed, g_load, g_harv, params)
-        self.load_energy_j += energy
-        if self.energy_log is not None:
-            self.energy_log.append(energy)
         v_new = propagate_voltage(v_prev, elapsed, g_load, g_harv, params)
         self.voltage_v = v_new
         self.last_update_ns = now_ns

@@ -20,12 +20,13 @@ integer clock, and every time a run records is a clock time or a sum of
 clock differences: crossing instants, cycle records, off time and airtime
 totals. So the same state at two instants evolves bit-identically and
 records the same values shifted by whole nanoseconds. A constant-harvest,
-untraced run uses that to simulate a periodic steady state once: when the
-state at a packet generation, relative to the clock, equals the one 1 or 2
-periods earlier, brownouts in between or not, the run skips all the whole
-orbits that fit before its end and simulates only the transient and the
-tail (``Simulator._fast_forward``). Its metrics equal those of the run
-simulated event by event.
+untraced run uses that to simulate a periodic steady state once: at the
+first packet generation whose state, relative to the clock, equals the one
+1 or 2 periods earlier, brownouts in between or not, the orbit between the
+two has been simulated, and the run adds at once all the copies of it that
+fit before its end, with no second pass and nothing replayed. It simulates
+only the transient, one orbit and the tail (``Simulator._fast_forward``),
+and its metrics equal those of the run simulated event by event.
 """
 
 from __future__ import annotations
@@ -210,7 +211,13 @@ class _Mark(NamedTuple):
     time_ns: int
     voltage_v: float
     # ``Simulator._snapshot()``, or None where none applies or was taken.
-    state: tuple | None
+    state: tuple | None = None
+    # Where a snapshot was taken, the totals a skip adds to: the
+    # _ORBIT_COUNTERS, the number of cycle records and each budget's
+    # ``airtime_total_ns``, in ``Simulator._budgets`` order.
+    counts: tuple[int, ...] = ()
+    cycles: int = 0
+    airtimes: tuple[int, ...] = ()
 
     def repeats(self, earlier: _Mark) -> bool:
         """Whether the run repeats from ``earlier`` on."""
@@ -218,21 +225,7 @@ class _Mark(NamedTuple):
 
 
 # Stands for a generation before the first: it repeats nothing.
-_NO_MARK = _Mark(0, math.nan, None)
-
-
-@dataclass
-class _Orbit:
-    """An orbit simulated once more, with the totals at its start."""
-
-    start: _Mark
-    length_ns: int
-    counts: dict[str, int]  # the _ORBIT_COUNTERS
-    cycles: int  # the number of cycle records
-    # Each budget's ``airtime_total_ns``, in ``Simulator._budgets`` order.
-    airtimes: tuple[int, ...]
-    # Every load energy increment since, the one float sum a skip replays.
-    energies: list[float] = field(default_factory=list)
+_NO_MARK = _Mark(0, math.nan)
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
@@ -370,7 +363,6 @@ class Simulator:
         # first; None when the run is not eligible or its orbit was skipped.
         fast_forward = config.harvester == "constant" and not config.trace
         self._marks: list[_Mark] | None = [_NO_MARK, _NO_MARK] if fast_forward else None
-        self._orbit: _Orbit | None = None
 
     @property
     def now_s(self) -> float:
@@ -509,70 +501,64 @@ class Simulator:
 
         Called at each packet generation of a constant-harvest, untraced
         run. When the state equals the one 1 or 2 periods earlier, the run
-        is periodic from there on. The next orbit is simulated once more,
-        logging its load energy increments; then as many whole orbits as
-        end before the run does are added in one step: each counter and
-        airtime total grows by whole multiples of its change over the
-        orbit, the orbit's cycle records are copied shifted by whole orbit
-        lengths, and the logged energies are added again in order. The
-        clock moves past the copies and the tail is simulated as usual.
-        The state and every recorded time are on the integer-ns clock, so
-        each skipped orbit, brownouts included, is bit-identical to the
-        simulated one.
+        is periodic from there on, and the orbit between the two has
+        already been simulated. As many copies of it as end before the run
+        does are added at once: each counter and airtime total grows by
+        whole multiples of its change over the orbit, and the orbit's cycle
+        records are copied shifted by whole orbit lengths. The clock moves
+        past the copies and the tail is simulated as usual. The state and
+        every recorded time are on the integer-ns clock, so each skipped
+        orbit, brownouts included, is bit-identical to the simulated one.
 
         The state is snapshotted only where the packet-time voltage equals
         one of the two before: a run that never repeats pays two float
-        comparisons per packet, and an orbit is found a period after the
-        first repeated voltage.
+        comparisons per packet, and an orbit is skipped at the first
+        snapshot that equals the one 1 or 2 periods earlier.
         """
-        now = self.now_ns
-        orbit = self._orbit
-        if orbit is not None and now - orbit.start.time_ns < orbit.length_ns:
-            return  # the middle generation of a two-period orbit
         marks = self._marks
         assert marks is not None
+        now = self.now_ns
         voltage = self.cap.voltage_v
-        metrics = self.metrics
         # The state repeats only where the voltage does: snapshot only then.
-        if orbit is None and voltage != marks[0].voltage_v and voltage != marks[1].voltage_v:
-            marks[:] = marks[1], _Mark(now, voltage, None)
+        if voltage != marks[0].voltage_v and voltage != marks[1].voltage_v:
+            marks[:] = marks[1], _Mark(now, voltage)
             return
-        mark = _Mark(now, voltage, self._snapshot())
-        if orbit is not None:
-            self.cap.energy_log = None
-            self._orbit = None
-            if mark.repeats(orbit.start):
-                self._skip(orbit)
-                self._marks = None
-                return
+        metrics = self.metrics
+        mark = _Mark(
+            now,
+            voltage,
+            self._snapshot(),
+            tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
+            len(metrics.cycles),
+            tuple([budget.airtime_total_ns for budget in self._budgets]),
+        )
         for earlier in (marks[1], marks[0]):
             if mark.repeats(earlier):
-                counts = {name: getattr(metrics, name) for name in _ORBIT_COUNTERS}
-                airtimes = tuple([budget.airtime_total_ns for budget in self._budgets])
-                self._orbit = _Orbit(
-                    mark, now - earlier.time_ns, counts, len(metrics.cycles), airtimes
-                )
-                self.cap.energy_log = self._orbit.energies
-                break
+                self._skip(earlier, mark)
+                self._marks = None
+                return
         marks[:] = marks[1], mark
 
-    def _skip(self, orbit: _Orbit) -> None:
-        """Add ``orbit``, which ends now, as often as it fits before the run
-        ends, and move the clock past those copies."""
-        length = orbit.length_ns
+    def _skip(self, earlier: _Mark, mark: _Mark) -> None:
+        """Add the orbit from ``earlier`` to ``mark``, which is now, as often
+        as it fits before the run ends, and move the clock past those copies."""
+        length = mark.time_ns - earlier.time_ns
         # Every skipped event must fall before the end, as must ``now``.
         copies = (self._duration_ns - 1 - self.now_ns) // length
         if copies <= 0:
             return
         metrics = self.metrics
-        delta = {name: getattr(metrics, name) - orbit.counts[name] for name in _ORBIT_COUNTERS}
-        for name in _ORBIT_COUNTERS:
-            setattr(metrics, name, getattr(metrics, name) + copies * delta[name])
+        delta = {
+            name: now - then
+            for name, now, then in zip(_ORBIT_COUNTERS, mark.counts, earlier.counts)
+        }
+        for name, step in delta.items():
+            setattr(metrics, name, getattr(metrics, name) + copies * step)
         # Each packet generated took the next packet id.
         packets = delta["generated"]
         self.device._packet_counter += copies * packets
         cycles = metrics.cycles
-        logged = cycles[orbit.cycles:]
+        logged = cycles[earlier.cycles:]
         for k in range(1, copies + 1):
             shift = k * length
             for record in logged:
@@ -585,19 +571,14 @@ class Simulator:
                         record.outcome,
                     )
                 )
-        # The same additions in the same order as the simulation would make.
-        cap = self.cap
-        for _ in range(copies):
-            for energy in orbit.energies:
-                cap.load_energy_j += energy
         shift = copies * length
-        for budget, start in zip(self._budgets, orbit.airtimes):
-            airtime_ns = budget.airtime_total_ns - start
+        for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
+            airtime_ns = now_total - then_total
             budget.airtime_total_ns += copies * airtime_ns
             if airtime_ns:  # a budget unused in the orbit keeps its past block
                 budget.blocked_until_ns += shift
         self.now_ns += shift
-        cap.last_update_ns += shift
+        self.cap.last_update_ns += shift
         for event in self._heap:
             event.time_ns += shift
 

@@ -12,7 +12,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from caplora.energy import CapacitorParams
+from caplora.energy import CapacitorParams, load_energy_joules
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -122,6 +122,23 @@ def stepwise_min_voltage(
         v = propagate_voltage(v, duration_s, g_load, g_harv, params)
         v_min = min(v_min, v)
     return v_min
+
+
+def traced_load_energy(sim) -> float:
+    """Load energy of a traced, finished run, summed in closed form over the
+    intervals between consecutive trace records.
+
+    Each interval runs under the state of the record that opens it, from
+    that record's voltage, at the run's constant harvest.
+    """
+    g_load = {state.value: g for state, g in sim.g_load.items()}
+    records = sim.metrics.trace.records
+    return sum(
+        load_energy_joules(
+            r.voltage_v, nxt.time_s - r.time_s, g_load[r.state], sim.g_harv, sim.cap.params
+        )
+        for r, nxt in zip(records, records[1:])
+    )
 
 
 def _clamp(v: float, params: CapacitorParams) -> float:

@@ -30,7 +30,7 @@ from caplora.device import CycleOutcome
 from caplora.energy import load_conductance, propagate_voltage
 from caplora.lorawan import DEFAULT_CURRENTS_A
 
-from conftest import make_params, rk4_voltage
+from conftest import make_params, rk4_voltage, traced_load_energy
 
 
 # Reference scenario: a weak constant harvest behind a 4.0 V source feeding a
@@ -144,6 +144,7 @@ def test_03_energy_balance_with_no_harvest():
         packet_period_s=30.0,
         duration_s=600.0,
         guard_enabled=False,
+        trace=True,
     )
     sim = Simulator(config)
     metrics = sim.run()
@@ -151,7 +152,7 @@ def test_03_energy_balance_with_no_harvest():
     assert metrics.depletion_events >= 1  # the run drains through cutoff
     v0, v_end = config.initial_voltage_v, sim.cap.voltage_v
     stored_drop = 0.5 * config.capacitance_f * (v0 * v0 - v_end * v_end)
-    consumed = sim.cap.load_energy_j
+    consumed = traced_load_energy(sim)
     rel = abs(stored_drop - consumed) / stored_drop
     print(f"stored drop {stored_drop:.9f} J vs consumed {consumed:.9f} J, rel {rel:.2e}")
     assert rel <= 1e-6

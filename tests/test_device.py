@@ -99,13 +99,17 @@ def test_guard_blocks_only_when_prediction_dips_below_cutoff():
     cap = capacitor_params(config)
     g_load = config.load_conductances()
     g_harv = harvester_conductance(0.001, 3.3)
+    tx, cycle = (
+        [(duration, g_load[state]) for state, duration in guard_segments(PARAMS, horizon)]
+        for horizon in ("tx", "cycle")
+    )
     # Plenty of charge: allowed. Barely above the cutoff: vetoed.
-    assert smart_tx_guard(3.3, PARAMS, g_load, g_harv, cap, "tx")
-    assert not smart_tx_guard(1.81, PARAMS, g_load, g_harv, cap, "tx")
+    assert smart_tx_guard(3.3, tx, g_harv, cap)
+    assert not smart_tx_guard(1.81, tx, g_harv, cap)
     # The cycle horizon is strictly more cautious than the uplink alone.
     for v in (1.9, 2.0, 2.2, 2.6, 3.0, 3.3):
-        tx_ok = smart_tx_guard(v, PARAMS, g_load, g_harv, cap, "tx")
-        cycle_ok = smart_tx_guard(v, PARAMS, g_load, g_harv, cap, "cycle")
+        tx_ok = smart_tx_guard(v, tx, g_harv, cap)
+        cycle_ok = smart_tx_guard(v, cycle, g_harv, cap)
         assert tx_ok or not cycle_ok
 
 

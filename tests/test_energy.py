@@ -427,15 +427,6 @@ def test_update_going_backwards_is_rejected(params):
     assert cap.voltage_v == v
 
 
-def test_capacitor_accumulates_load_energy(params):
-    cap = Capacitor(params)
-    heavy = load_conductance(28.011e-3, params.rail_voltage_v)
-    cap.update(_ns(0.4), heavy, 0.0)
-    cap.update(_ns(0.7), heavy, 0.0)
-    drop = 0.5 * params.capacitance_f * (3.3**2 - cap.voltage_v**2)
-    assert cap.load_energy_j == pytest.approx(drop, rel=1e-12)
-
-
 # ------------------------------------------------------------- trace output
 
 

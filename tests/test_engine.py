@@ -19,6 +19,8 @@ from caplora.engine import (
 )
 from caplora.lorawan import DeviceState
 
+from conftest import traced_load_energy
+
 
 def test_periodic_generation_count():
     config = ScenarioConfig(
@@ -96,13 +98,14 @@ def test_stored_energy_balances_load_energy_without_harvest():
         first_packet_s=0.0,
         duration_s=120.0,
         guard_enabled=False,
+        trace=True,
     )
     sim = Simulator(config)
     metrics = sim.run()
     assert metrics.generated > 0
     v_end = metrics.final_voltage_v
     stored_drop = 0.5 * config.capacitance_f * (3.3**2 - v_end**2)
-    assert sim.cap.load_energy_j == pytest.approx(stored_drop, rel=1e-12)
+    assert traced_load_energy(sim) == pytest.approx(stored_drop, rel=1e-12)
 
 
 def test_trace_sampling_grid():

