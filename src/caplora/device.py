@@ -52,13 +52,16 @@ class CycleRecord:
 
 
 def post_tx_sequence(
-    params: LorawanParams, reply: DlReply
+    params: LorawanParams,
+    reply: DlReply,
+    dl_airtimes_s: tuple[float, float] | None = None,
 ) -> list[tuple[DeviceState, float]]:
     """Device states walked after a completed uplink, with durations.
 
     The device takes a brief standby, idles until the first window, then
     either receives the downlink, or listens through both windows. A downlink
-    in window 1 means window 2 is never opened.
+    in window 1 means window 2 is never opened. A reply's airtime is taken
+    from ``dl_airtimes_s`` (``params.dl_airtimes_s()``) when given.
     """
     sb = params.standby_brief_s
     segments: list[tuple[DeviceState, float]] = [
@@ -66,7 +69,8 @@ def post_tx_sequence(
         (DeviceState.IDLE, params.rx1_delay_s - sb),
     ]
     if reply is DlReply.IN_RX1:
-        segments.append((DeviceState.RX, params.dl_time_on_air(params.sf)))
+        toa1 = params.dl_time_on_air(params.sf) if dl_airtimes_s is None else dl_airtimes_s[0]
+        segments.append((DeviceState.RX, toa1))
         segments.append((DeviceState.STANDBY, sb))
         return segments
     w1 = params.rx1_window_s()
@@ -75,9 +79,12 @@ def post_tx_sequence(
         (DeviceState.IDLE, params.rx2_delay_s - params.rx1_delay_s - w1)
     )
     if reply is DlReply.IN_RX2:
-        segments.append(
-            (DeviceState.RX, params.dl_time_on_air(RX2_SPREADING_FACTOR))
+        toa2 = (
+            params.dl_time_on_air(RX2_SPREADING_FACTOR)
+            if dl_airtimes_s is None
+            else dl_airtimes_s[1]
         )
+        segments.append((DeviceState.RX, toa2))
     else:
         segments.append((DeviceState.STANDBY, params.rx2_window_s()))
     segments.append((DeviceState.STANDBY, sb))
@@ -129,17 +136,19 @@ class Gateway:
         self.rx1_budget = DutyCycleBudget(rx1_duty_cycle)
         self.rx2_budget = DutyCycleBudget(rx2_duty_cycle)
 
-    def plan_reply(self, tx_end_ns: int, params: LorawanParams) -> DlReply:
-        """The window of the reply to an uplink that ended at ``tx_end_ns``."""
+    def plan_reply(
+        self, tx_end_ns: int, params: LorawanParams, dl_airtimes_s: tuple[float, float]
+    ) -> DlReply:
+        """The window of the reply to an uplink that ended at ``tx_end_ns``,
+        given the reply's airtimes in windows 1 and 2 (``params.dl_airtimes_s()``)."""
         if not params.confirmed:
             return DlReply.NONE
+        toa1, toa2 = dl_airtimes_s
         rx1_start = tx_end_ns + round(params.rx1_delay_s * NS_PER_S)
-        toa1 = params.dl_time_on_air(params.sf)
         if self.rx1_budget.allows(rx1_start):
             self.rx1_budget.register(rx1_start, toa1)
             return DlReply.IN_RX1
         rx2_start = tx_end_ns + round(params.rx2_delay_s * NS_PER_S)
-        toa2 = params.dl_time_on_air(RX2_SPREADING_FACTOR)
         if self.rx2_budget.allows(rx2_start):
             self.rx2_budget.register(rx2_start, toa2)
             return DlReply.IN_RX2
@@ -173,6 +182,12 @@ class LorawanDevice:
         self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
         self._packet_counter = 0
         self._ul_time_on_air_s = params.ul_time_on_air()
+        # The downlink airtimes and the states walked after an uplink, per
+        # reply: all fixed for the run.
+        self._dl_airtimes_s = params.dl_airtimes_s()
+        self._post_tx = {
+            reply: post_tx_sequence(params, reply, self._dl_airtimes_s) for reply in DlReply
+        }
         # The energy guard's horizon as ``(duration, g_load)`` segments.
         self._guard_horizon = tuple(
             (duration, sim.g_load[state])
@@ -237,8 +252,8 @@ class LorawanDevice:
         if not self.cycle.delivered:
             self.cycle.delivered = True
             self.sim.metrics.delivered_ul += 1
-        reply = self.sim.gateway.plan_reply(self.sim.now_ns, self.params)
-        self._walk_segments(post_tx_sequence(self.params, reply), reply)
+        reply = self.sim.gateway.plan_reply(self.sim.now_ns, self.params, self._dl_airtimes_s)
+        self._walk_segments(self._post_tx[reply], reply)
 
     def _walk_segments(
         self, segments: list[tuple[DeviceState, float]], reply: DlReply

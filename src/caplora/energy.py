@@ -18,7 +18,6 @@ seconds, except clock and crossing times, which are integer nanoseconds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable, NamedTuple
@@ -139,9 +138,48 @@ def propagate_voltage(
     # Convex combination of v0 and v_inf: with both terms non-negative there
     # is no cancellation, so composing many short steps stays accurate even
     # when the voltage is far smaller than the asymptote.
-    decay = math.exp(-elapsed_s / tau)
-    v = v_inf * -math.expm1(-elapsed_s / tau) + v0 * decay
+    x = -elapsed_s / tau
+    v = v_inf * -math.expm1(x) + v0 * math.exp(x)
     return _clamp(v, params.max_voltage_v)
+
+
+def sample_voltages(
+    records: list[TraceRecord],
+    times_ns: range,
+    t0_ns: int,
+    v0: float,
+    g_load: float,
+    g_harv: float,
+    params: CapacitorParams,
+    state: str,
+) -> None:
+    """Append a ``TraceRecord`` in ``state`` for each clock time in ``times_ns``.
+
+    Each voltage is ``propagate_voltage`` from ``v0`` at ``t0_ns`` under the
+    fixed load and harvest, bit for bit: the same asymptote and time
+    constant, the same combination and the same clamp.
+    """
+    vmax = params.max_voltage_v
+    append = records.append
+    # Builds a TraceRecord from a plain tuple, without NamedTuple's
+    # Python-level constructor.
+    new = tuple.__new__
+    segment = _segment(g_load, g_harv, params)
+    if segment is None:
+        v = _clamp(v0, vmax)
+        for t_ns in times_ns:
+            append(new(TraceRecord, (t_ns / NS_PER_S, v, state)))
+        return
+    v_inf, tau = segment
+    exp, expm1 = math.exp, math.expm1
+    for t_ns in times_ns:
+        x = -((t_ns - t0_ns) / NS_PER_S) / tau
+        v = v_inf * -expm1(x) + v0 * exp(x)
+        if v < 0.0:
+            v = 0.0
+        elif v > vmax:
+            v = vmax
+        append(new(TraceRecord, (t_ns / NS_PER_S, v, state)))
 
 
 def crossing_time(
@@ -366,6 +404,12 @@ class TraceRecord(NamedTuple):
     state: str
 
 
+# One CSV row of a TraceRecord, and the rows formatted per write: a long
+# trace is written in chunks of bounded size.
+_CSV_ROW = "%.9f,%.9f,%s\n"
+_CSV_CHUNK_ROWS = 4096
+
+
 @dataclass
 class TraceRecorder:
     """Collects timestamped voltage samples and writes them as CSV."""
@@ -376,10 +420,11 @@ class TraceRecorder:
         self.records.append(TraceRecord(time_s, voltage_v, state))
 
     def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["time_s", "voltage_V", "state"])
-        for rec in self.records:
-            writer.writerow([f"{rec.time_s:.9f}", f"{rec.voltage_v:.9f}", rec.state])
+        stream.write("time_s,voltage_V,state\n")
+        records = self.records
+        for start in range(0, len(records), _CSV_CHUNK_ROWS):
+            chunk = records[start : start + _CSV_CHUNK_ROWS]
+            stream.write("".join([_CSV_ROW % rec for rec in chunk]))
 
 
 def _clamp(v: float, max_voltage_v: float) -> float:

@@ -46,7 +46,7 @@ from .energy import (
     TraceRecorder,
     harvester_conductance,
     load_conductance,
-    propagate_voltage,
+    sample_voltages,
 )
 from .errors import ConfigError
 from .harvester import (
@@ -417,15 +417,19 @@ class Simulator:
             return
         state = self.device.state
         cap = self.cap
-        g_load = self.g_load[state]
-        v0 = cap.voltage_v
-        t0_ns = cap.last_update_ns
         step = self._sample_step_ns
-        while t_ns < until_ns:
-            elapsed = (t_ns - t0_ns) / NS_PER_S
-            v = propagate_voltage(v0, elapsed, g_load, self.g_harv, cap.params)
-            recorder.record(t_ns / NS_PER_S, v, state.value)
-            t_ns += step
+        times = range(t_ns, until_ns, step)
+        sample_voltages(
+            recorder.records,
+            times,
+            cap.last_update_ns,
+            cap.voltage_v,
+            self.g_load[state],
+            self.g_harv,
+            cap.params,
+            state.value,
+        )
+        t_ns += len(times) * step
         if t_ns == until_ns:
             t_ns += step
         self._next_sample_ns = t_ns

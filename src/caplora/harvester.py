@@ -7,6 +7,7 @@ constant between updates.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from pathlib import Path
@@ -69,34 +70,39 @@ class TraceHarvester:
     ``TraceExhaustedError``: a trace says nothing outside its span.
     """
 
-    def __init__(self, samples: Iterable[HarvestSample]) -> None:
-        self.samples = list(samples)
-        if not self.samples:
-            raise ValueError("a harvest trace needs at least one sample")
-        changes = [self.samples[0].time_s]
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.time_s <= prev.time_s:
+    def __init__(self, samples: Iterable[tuple[float, float]]) -> None:
+        times: list[float] = []
+        powers: list[float] = []
+        changes: list[float] = []
+        prev_t = prev_p = None
+        for t, p in samples:
+            if prev_t is None:
+                changes.append(t)
+            elif not prev_t < t:
                 raise ValueError(
-                    f"trace timestamps must be strictly increasing, "
-                    f"got {prev.time_s} then {cur.time_s}"
+                    f"trace timestamps must be strictly increasing, got {prev_t} then {t}"
                 )
-            if cur.power_w != prev.power_w:
-                changes.append(cur.time_s)
-        end = self.samples[-1].time_s
-        if changes[-1] != end:
-            changes.append(end)
-        self._times = [sample.time_s for sample in self.samples]
+            elif p != prev_p:
+                changes.append(t)
+            times.append(t)
+            powers.append(p)
+            prev_t, prev_p = t, p
+        if prev_t is None:
+            raise ValueError("a harvest trace needs at least one sample")
+        if changes[-1] != prev_t:
+            changes.append(prev_t)
+        self._times = times
+        self._powers = powers
         self._changes = changes
 
     def power_at(self, time_s: float) -> float:
-        first = self.samples[0].time_s
-        last = self.samples[-1].time_s
-        if time_s < first or time_s > last:
+        times = self._times
+        if not times[0] <= time_s <= times[-1]:
             raise TraceExhaustedError(
-                f"time {time_s} s outside trace span [{first}, {last}] s"
+                f"time {time_s} s outside trace span [{times[0]}, {times[-1]}] s"
             )
         # Zero-order hold: latest sample at or before the query time.
-        return self.samples[bisect_right(self._times, time_s) - 1].power_w
+        return self._powers[bisect_right(times, time_s) - 1]
 
     def next_change_after(self, time_s: float) -> float | None:
         """First change point after ``time_s``; the last one is the trace's end."""
@@ -175,8 +181,9 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     """Parse a power trace from a file path or text stream.
 
     Rows are ``time, power`` with a comma or semicolon delimiter, detected
-    automatically; one optional header line is skipped. All malformed lines
-    are reported together, with line numbers.
+    automatically; one optional header line is skipped. Times must be finite
+    and strictly increasing, powers finite and non-negative. All malformed
+    lines are reported together, with line numbers.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
@@ -188,34 +195,53 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     lines = text.splitlines()
     delimiter = ";" if any(";" in line for line in lines[:2]) else ","
     problems: list[str] = []
-    samples: list[HarvestSample] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != 2:
-            problems.append(f"{origin}:{lineno}: expected 2 fields, got {len(parts)}")
-            continue
+    samples: list[tuple[float, float]] = []
+    last = -math.inf
+    for lineno, line in enumerate(lines, start=1):
+        # Fast path: a well-formed row. float() ignores the whitespace
+        # around each field.
         try:
-            # float() ignores the whitespace around each field.
-            t, p = float(parts[0]), float(parts[1])
+            t_text, p_text = line.split(delimiter)
+            t, p = float(t_text), float(p_text)
         except ValueError:
-            if lineno == 1:
-                continue  # header line
-            problems.append(f"{origin}:{lineno}: non-numeric row {line!r}")
-            continue
-        if p < 0.0:
-            problems.append(f"{origin}:{lineno}: negative power {p}")
-            continue
-        if samples and t <= samples[-1].time_s:
-            problems.append(
-                f"{origin}:{lineno}: timestamp {t} not after {samples[-1].time_s}"
-            )
-            continue
-        samples.append(HarvestSample(t, p))
+            pass
+        else:
+            if last < t < math.inf and 0.0 <= p < math.inf:
+                samples.append((t, p))
+                last = t
+                continue
+        problems.extend(_row_problems(line, delimiter, last, origin, lineno))
     if problems:
         raise TraceFormatError(problems)
     if not samples:
         raise TraceFormatError([f"{origin}: no data rows found"])
     return TraceHarvester(samples)
+
+
+def _row_problems(
+    line: str, delimiter: str, last: float, origin: str, lineno: int
+) -> list[str]:
+    """What is wrong with a trace row following a sample at time ``last``:
+    nothing for a blank line or a header on line 1."""
+    where = f"{origin}:{lineno}"
+    line = line.strip()
+    if not line:
+        return []
+    parts = line.split(delimiter)
+    if len(parts) != 2:
+        return [f"{where}: expected 2 fields, got {len(parts)}"]
+    try:
+        t, p = float(parts[0]), float(parts[1])
+    except ValueError:
+        return [] if lineno == 1 else [f"{where}: non-numeric row {line!r}"]
+    problems = []
+    if not math.isfinite(t):
+        problems.append(f"{where}: non-finite timestamp {t}")
+    if not math.isfinite(p):
+        problems.append(f"{where}: non-finite power {p}")
+    if problems:
+        return problems
+    if p < 0.0:
+        return [f"{where}: negative power {p}"]
+    # The fast path refused the row, so its timestamp is out of order.
+    return [f"{where}: timestamp {t} not after {last}"]

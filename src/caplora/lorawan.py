@@ -178,6 +178,10 @@ class LorawanParams:
     def dl_time_on_air(self, sf: int) -> float:
         return time_on_air(self.dl_phy_bytes, sf, self.bandwidth_hz)
 
+    def dl_airtimes_s(self) -> tuple[float, float]:
+        """Airtimes of a downlink reply in receive window 1 and in window 2."""
+        return self.dl_time_on_air(self.sf), self.dl_time_on_air(RX2_SPREADING_FACTOR)
+
     def rx1_window_s(self) -> float:
         return rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)
 

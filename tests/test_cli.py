@@ -266,6 +266,19 @@ def test_trace_starting_after_zero_aborts_the_run(tmp_path, capsys):
     assert row[5] == "0"  # generated
 
 
+def test_trace_with_a_nan_timestamp_is_rejected_before_running(tmp_path, capsys):
+    # Accepted, the trace ran to exit 0 on its unordered samples.
+    trace = tmp_path / "nan.csv"
+    trace.write_text("0,0.004\nnan,0.001\n700,0.003\n")
+    args = ["--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+    assert main(["trace", *FAST, *args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {trace}:2: non-finite timestamp nan"
+    ]
+    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "voltage_trace.csv").exists()
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     code = main(
         [

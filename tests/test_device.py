@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import caplora
 from caplora import ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
 from caplora.device import (
@@ -79,6 +80,13 @@ def test_sequence_with_downlink_in_second_window():
     assert rx == [pytest.approx(1.155072)]  # 13-byte frame at SF12
 
 
+def test_sequences_from_known_airtimes_are_the_computed_ones():
+    airtimes = PARAMS.dl_airtimes_s()
+    assert airtimes == (PARAMS.dl_time_on_air(PARAMS.sf), PARAMS.dl_time_on_air(12))
+    for reply in DlReply:
+        assert post_tx_sequence(PARAMS, reply, airtimes) == post_tx_sequence(PARAMS, reply)
+
+
 # ------------------------------------------------------------------- guard
 
 
@@ -138,16 +146,17 @@ def test_gateway_prefers_window_one_and_falls_back():
     confirmed = LorawanParams(data_rate=3, confirmed=True, dl_payload_bytes=0)
     # First reply goes in window 1 and blocks that band far beyond the next
     # request, which then falls back to window 2; the third finds both busy.
-    assert gw.plan_reply(0, confirmed) is DlReply.IN_RX1
-    assert gw.plan_reply(500_000_000, confirmed) is DlReply.IN_RX2
-    assert gw.plan_reply(1_000_000_000, confirmed) is DlReply.NONE
+    airtimes = confirmed.dl_airtimes_s()
+    assert gw.plan_reply(0, confirmed, airtimes) is DlReply.IN_RX1
+    assert gw.plan_reply(500_000_000, confirmed, airtimes) is DlReply.IN_RX2
+    assert gw.plan_reply(1_000_000_000, confirmed, airtimes) is DlReply.NONE
     assert gw.rx1_budget.airtime_total_ns / NS_PER_S == pytest.approx(0.164864)
     assert gw.rx2_budget.airtime_total_ns / NS_PER_S == pytest.approx(1.155072)
 
 
 def test_gateway_ignores_unconfirmed_uplinks():
     gw = Gateway()
-    assert gw.plan_reply(0, PARAMS) is DlReply.NONE
+    assert gw.plan_reply(0, PARAMS, PARAMS.dl_airtimes_s()) is DlReply.NONE
     assert gw.rx1_budget.airtime_total_ns == 0
     assert gw.rx2_budget.airtime_total_ns == 0
 
@@ -191,6 +200,27 @@ def test_confirmed_cycle_is_acked_at_reception_end():
     assert cycle.end_ns / NS_PER_S == pytest.approx(5.0 + 0.205824 + 1.0 + 0.164864, abs=1e-6)
     states = [r.state for r in metrics.trace.records]
     assert "Rx" in states
+
+
+def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
+    # The airtimes are fixed per run: a longer run, with more confirmed
+    # uplinks, makes no more time_on_air calls than a short one.
+    calls = Counter()
+    time_on_air = caplora.lorawan.time_on_air
+
+    def counted(*args, **kwargs):
+        calls["time_on_air"] += 1
+        return time_on_air(*args, **kwargs)
+
+    monkeypatch.setattr(caplora.lorawan, "time_on_air", counted)
+    counts = []
+    for duration_s in (300.0, 3000.0):
+        calls.clear()
+        config = _base_config(confirmed=True, duration_s=duration_s, trace=False)
+        metrics = Simulator(config).run()
+        counts.append((calls["time_on_air"], metrics.acked))
+    assert counts[0][0] == counts[1][0]
+    assert 0 < counts[0][1] < counts[1][1]
 
 
 def test_confirmed_cycle_retries_when_no_reply_arrives():

@@ -3,6 +3,7 @@ accounting, and the hysteresis state machine."""
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import random
@@ -14,9 +15,11 @@ import caplora
 from caplora import ScenarioConfig
 from caplora.analysis import CycleSpec, min_voltage_over_cycle
 from caplora.clock import NS_PER_S
+from caplora.lorawan import DeviceState
 from caplora.energy import (
     Capacitor,
     CapacitorParams,
+    TraceRecord,
     TraceRecorder,
     crossing_time,
     harvester_conductance,
@@ -24,6 +27,7 @@ from caplora.energy import (
     load_energy_joules,
     min_voltage_over_segments,
     propagate_voltage,
+    sample_voltages,
     steady_state_voltage,
 )
 from conftest import make_params, rk4_voltage, simpson_load_energy, stepwise_min_voltage
@@ -440,3 +444,58 @@ def test_trace_recorder_csv_format():
     assert lines[0] == "time_s,voltage_V,state"
     assert lines[1] == "0.000000000,3.300000000,Sleep"
     assert lines[2] == "1.500000000,2.876543220,Tx"
+
+
+def test_trace_csv_matches_the_csv_module_byte_for_byte():
+    rng = random.Random(5)
+    states = [state.value for state in DeviceState]
+    recorder = TraceRecorder()
+    # More rows than one write chunk, in every state, with voltages that sit
+    # on the rounding edge of the 9th decimal.
+    for i in range(10_000):
+        edge = round(rng.uniform(0.0, 3.3), 9) + rng.choice([5e-10, -5e-10, 4.9e-10, 0.0])
+        recorder.record(i * 0.37 + rng.random() * 1e-9, max(edge, 0.0), states[i % len(states)])
+    recorder.record(1e5, 3.3, "Tx")
+    out = io.StringIO()
+    recorder.write_csv(out)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["time_s", "voltage_V", "state"])
+    for rec in recorder.records:
+        writer.writerow([f"{rec.time_s:.9f}", f"{rec.voltage_v:.9f}", rec.state])
+    got, want = out.getvalue(), expected.getvalue()
+    # The first differing row, not a diff of two 10,000-row strings.
+    mismatch = [(a, b) for a, b in zip(got.splitlines(), want.splitlines()) if a != b][:1]
+    assert mismatch == []
+    assert got == want
+    assert got.count("\n") == 10_002
+
+
+@pytest.mark.parametrize(
+    "g_load, power_w, v0",
+    [
+        (0.004, 0.0, 3.3),  # discharging, no harvest
+        (0.0, 0.01, 2.0),  # charging towards the rail: clamped at max_voltage_v
+        (0.00334, 0.002, 1.9),  # towards an asymptote between the thresholds
+        (0.0, 0.0, 2.5),  # both sides open: the voltage holds
+        (0.0, 0.0, 3.6),  # ... clamped to max_voltage_v
+    ],
+)
+def test_sampled_voltages_are_propagate_voltage_exactly(g_load, power_w, v0):
+    # A cap below the rail, so that a full charge is clamped.
+    params = make_params(max_voltage_v=3.1, initial_voltage_v=3.1)
+    g_harv = harvester_conductance(power_w, params.rail_voltage_v)
+    t0_ns = 7_123_456_789
+    times = range(t0_ns, t0_ns + 400 * NS_PER_S, 999_999_937)
+    records = []
+    sample_voltages(records, times, t0_ns, v0, g_load, g_harv, params, "Idle")
+    assert len(records) == len(times)
+    assert all(type(rec) is TraceRecord for rec in records)
+    for rec, t_ns in zip(records, times):
+        elapsed = (t_ns - t0_ns) / NS_PER_S
+        assert rec == (t_ns / NS_PER_S, propagate_voltage(v0, elapsed, g_load, g_harv, params), "Idle")
+    voltages = [rec.voltage_v for rec in records]
+    assert max(voltages) <= params.max_voltage_v
+    if power_w == 0.01:
+        assert voltages[-1] == params.max_voltage_v
+        assert voltages[0] < params.max_voltage_v

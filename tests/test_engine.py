@@ -10,7 +10,12 @@ import pytest
 
 from caplora import Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
-from caplora.energy import harvester_conductance, load_conductance
+from caplora.energy import (
+    TraceRecorder,
+    harvester_conductance,
+    load_conductance,
+    propagate_voltage,
+)
 from caplora.engine import (
     RESULTS_HEADER,
     results_row,
@@ -202,6 +207,61 @@ def test_repeated_trace_samples_change_nothing(tmp_path):
         assert metrics.depletion_events > 0  # the harvest really matters
         outcomes.append((metrics.trace.records, results_row(config, metrics), sim._seq))
     assert outcomes[0] == outcomes[1]
+
+
+class _EventRecorder(TraceRecorder):
+    """A trace recorder that notes which records the events made."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.event_rows: list[int] = []
+
+    def record(self, time_s: float, voltage_v: float, state: str) -> None:
+        self.event_rows.append(len(self.records))
+        super().record(time_s, voltage_v, state)
+
+
+def test_grid_samples_equal_propagate_voltage_exactly(tmp_path):
+    # Power changes every few minutes, with dark spells that brown out.
+    powers = [0.004, 0.0, 0.0015, 0.0, 0.006, 0.0005, 0.0, 0.003]
+    rows = [(t, powers[(t // 240) % len(powers)]) for t in range(0, 2000, 10)]
+    config = ScenarioConfig(
+        capacitance_f=0.004,
+        harvester="trace",
+        trace_file=_write_trace(tmp_path / "steps.csv", rows),
+        packet_period_s=45.0,
+        confirmed=True,
+        duration_s=1900.0,
+        update_interval_s=0.7,
+        trace=True,
+    )
+    sim = Simulator(config)
+    recorder = sim.metrics.trace = _EventRecorder()
+    metrics = sim.run()
+    assert metrics.valid
+    assert metrics.depletion_events > 0
+    params = sim.cap.params
+    events = set(recorder.event_rows)
+    last_event = None
+    samples = 0
+    for index, rec in enumerate(recorder.records):
+        if index in events:
+            last_event = rec
+            continue
+        assert last_event is not None
+        t0_ns = round(last_event.time_s * NS_PER_S)
+        t_ns = round(rec.time_s * NS_PER_S)
+        assert rec.time_s == t_ns / NS_PER_S
+        g_load = sim.g_load[DeviceState(last_event.state)]
+        power = sim.harvester.power_at(last_event.time_s)
+        g_harv = harvester_conductance(power, config.rail_voltage_v)
+        elapsed = (t_ns - t0_ns) / NS_PER_S
+        expected = propagate_voltage(last_event.voltage_v, elapsed, g_load, g_harv, params)
+        assert rec.voltage_v == expected
+        assert rec.state == last_event.state
+        samples += 1
+    assert samples > 1000
+    assert {rec.state for rec in recorder.records} >= {"Off", "Sleep", "Tx", "Rx"}
 
 
 def test_trace_changes_within_one_tick_take_the_next_tick(tmp_path):

@@ -108,6 +108,41 @@ def test_load_trace_reports_every_problem_at_once(tmp_path):
     assert all(str(path) in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("0,0.004\n300,nan\n700,0.003\n", ":2: non-finite power nan"),
+        ("0,0.004\n300,inf\n700,0.003\n", ":2: non-finite power inf"),
+        ("0,0.004\n300,-inf\n700,0.003\n", ":2: non-finite power -inf"),
+        ("0,0.004\nnan,0.001\n700,0.003\n", ":2: non-finite timestamp nan"),
+        ("0,0.004\n700,0.003\ninf,0.001\n", ":3: non-finite timestamp inf"),
+        ("time_s,power_w\n-inf,0.001\n700,0.003\n", ":2: non-finite timestamp -inf"),
+    ],
+)
+def test_load_trace_rejects_non_finite_values(text, problem):
+    # Accepted, a nan or inf power failed only once the run reached it, and
+    # a nan timestamp ran to the end on an unordered trace.
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(io.StringIO(text))
+    assert err.value.problems == [f"<stream>{problem}"]
+
+
+def test_load_trace_reports_both_non_finite_fields_of_a_row():
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(io.StringIO("0;0.001\nnan;inf\n5;0.002\n"))
+    assert err.value.problems == [
+        "<stream>:2: non-finite timestamp nan",
+        "<stream>:2: non-finite power inf",
+    ]
+
+
+def test_load_trace_keeps_padded_and_blank_rows():
+    src = load_trace(io.StringIO("\n  0 , 0.001 \n\n   \n5,\t0.002\n"))
+    assert src.power_at(4.0) == 0.001
+    assert src.power_at(5.0) == 0.002
+    assert src.next_change_after(0.0) == 5.0
+
+
 def test_load_trace_without_data_rows():
     with pytest.raises(TraceFormatError) as err:
         load_trace(io.StringIO("time,power\n"))
