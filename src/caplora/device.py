@@ -52,16 +52,13 @@ class CycleRecord:
 
 
 def post_tx_sequence(
-    params: LorawanParams,
-    reply: DlReply,
-    dl_airtimes_s: tuple[float, float] | None = None,
+    params: LorawanParams, reply: DlReply
 ) -> list[tuple[DeviceState, float]]:
     """Device states walked after a completed uplink, with durations.
 
     The device takes a brief standby, idles until the first window, then
     either receives the downlink, or listens through both windows. A downlink
-    in window 1 means window 2 is never opened. A reply's airtime is taken
-    from ``dl_airtimes_s`` (``params.dl_airtimes_s()``) when given.
+    in window 1 means window 2 is never opened.
     """
     sb = params.standby_brief_s
     segments: list[tuple[DeviceState, float]] = [
@@ -69,8 +66,7 @@ def post_tx_sequence(
         (DeviceState.IDLE, params.rx1_delay_s - sb),
     ]
     if reply is DlReply.IN_RX1:
-        toa1 = params.dl_time_on_air(params.sf) if dl_airtimes_s is None else dl_airtimes_s[0]
-        segments.append((DeviceState.RX, toa1))
+        segments.append((DeviceState.RX, params.dl_time_on_air(params.sf)))
         segments.append((DeviceState.STANDBY, sb))
         return segments
     w1 = params.rx1_window_s()
@@ -79,12 +75,9 @@ def post_tx_sequence(
         (DeviceState.IDLE, params.rx2_delay_s - params.rx1_delay_s - w1)
     )
     if reply is DlReply.IN_RX2:
-        toa2 = (
-            params.dl_time_on_air(RX2_SPREADING_FACTOR)
-            if dl_airtimes_s is None
-            else dl_airtimes_s[1]
+        segments.append(
+            (DeviceState.RX, params.dl_time_on_air(RX2_SPREADING_FACTOR))
         )
-        segments.append((DeviceState.RX, toa2))
     else:
         segments.append((DeviceState.STANDBY, params.rx2_window_s()))
     segments.append((DeviceState.STANDBY, sb))
@@ -185,9 +178,7 @@ class LorawanDevice:
         # The downlink airtimes and the states walked after an uplink, per
         # reply: all fixed for the run.
         self._dl_airtimes_s = params.dl_airtimes_s()
-        self._post_tx = {
-            reply: post_tx_sequence(params, reply, self._dl_airtimes_s) for reply in DlReply
-        }
+        self._post_tx = {reply: post_tx_sequence(params, reply) for reply in DlReply}
         # The energy guard's horizon as ``(duration, g_load)`` segments.
         self._guard_horizon = tuple(
             (duration, sim.g_load[state])

@@ -157,8 +157,14 @@ def sample_voltages(
 
     Each voltage is ``propagate_voltage`` from ``v0`` at ``t0_ns`` under the
     fixed load and harvest, bit for bit: the same asymptote and time
-    constant, the same combination and the same clamp.
+    constant, the same combination and the same clamp. Raises
+    ``ValueError``, as ``propagate_voltage`` does, for a time before
+    ``t0_ns`` or a negative ``v0``; the times ascend, so one check covers all.
     """
+    if times_ns and times_ns.start < t0_ns:
+        raise ValueError(f"sample time {times_ns.start} ns is before {t0_ns} ns")
+    if v0 < 0.0:
+        raise ValueError(f"voltage must be >= 0, got {v0}")
     vmax = params.max_voltage_v
     append = records.append
     # Builds a TraceRecord from a plain tuple, without NamedTuple's

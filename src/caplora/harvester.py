@@ -11,7 +11,7 @@ import math
 import random
 from bisect import bisect_right
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Protocol
+from typing import IO, Iterable, Protocol
 
 from .clock import NS_PER_S
 from .errors import ConfigError
@@ -27,11 +27,6 @@ class TraceFormatError(ValueError):
     def __init__(self, problems: list[str]) -> None:
         super().__init__("; ".join(problems))
         self.problems = problems
-
-
-class HarvestSample(NamedTuple):
-    time_s: float
-    power_w: float
 
 
 class HarvestSource(Protocol):

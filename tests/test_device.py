@@ -80,13 +80,6 @@ def test_sequence_with_downlink_in_second_window():
     assert rx == [pytest.approx(1.155072)]  # 13-byte frame at SF12
 
 
-def test_sequences_from_known_airtimes_are_the_computed_ones():
-    airtimes = PARAMS.dl_airtimes_s()
-    assert airtimes == (PARAMS.dl_time_on_air(PARAMS.sf), PARAMS.dl_time_on_air(12))
-    for reply in DlReply:
-        assert post_tx_sequence(PARAMS, reply, airtimes) == post_tx_sequence(PARAMS, reply)
-
-
 # ------------------------------------------------------------------- guard
 
 

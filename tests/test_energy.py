@@ -499,3 +499,15 @@ def test_sampled_voltages_are_propagate_voltage_exactly(g_load, power_w, v0):
     if power_w == 0.01:
         assert voltages[-1] == params.max_voltage_v
         assert voltages[0] < params.max_voltage_v
+
+
+def test_sampling_refuses_a_time_before_the_start_or_a_negative_voltage():
+    params = make_params()
+    g_load = load_conductance(5.5e-6, params.rail_voltage_v)
+    with pytest.raises(ValueError, match="before"):
+        sample_voltages([], range(999, 5000, 1000), 1000, 2.0, g_load, 0.0, params, "Idle")
+    with pytest.raises(ValueError, match=">= 0"):
+        sample_voltages([], range(1000, 5000, 1000), 1000, -0.1, g_load, 0.0, params, "Idle")
+    records = []
+    sample_voltages(records, range(1000, 1000, 1000), 2000, 2.0, g_load, 0.0, params, "Idle")
+    assert records == []

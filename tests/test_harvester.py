@@ -10,7 +10,6 @@ from caplora import ConfigError, ScenarioConfig, Simulator
 from caplora.clock import NS_PER_S
 from caplora.harvester import (
     ConstantHarvester,
-    HarvestSample,
     RandomHarvester,
     TraceExhaustedError,
     TraceFormatError,
@@ -29,13 +28,7 @@ def test_constant_harvester():
 
 
 def test_trace_harvester_holds_between_samples():
-    src = TraceHarvester(
-        [
-            HarvestSample(0.0, 0.001),
-            HarvestSample(10.0, 0.003),
-            HarvestSample(25.0, 0.0),
-        ]
-    )
+    src = TraceHarvester([(0.0, 0.001), (10.0, 0.003), (25.0, 0.0)])
     assert src.power_at(0.0) == 0.001
     assert src.power_at(9.999) == 0.001
     assert src.power_at(10.0) == 0.003
@@ -48,9 +41,7 @@ def test_trace_harvester_holds_between_samples():
 
 def test_next_change_after_skips_repeated_powers():
     powers_mw = [1, 1, 1, 2, 2, 2, 2, 1, 1, 1]
-    src = TraceHarvester(
-        [HarvestSample(float(t), mw / 1000) for t, mw in enumerate(powers_mw)]
-    )
+    src = TraceHarvester([(float(t), mw / 1000) for t, mw in enumerate(powers_mw)])
     assert src.next_change_after(0.0) == 3.0
     assert src.next_change_after(3.0) == 7.0
     assert src.next_change_after(5.0) == 7.0
@@ -64,7 +55,7 @@ def test_next_change_after_skips_repeated_powers():
 
 
 def test_trace_harvester_rejects_queries_outside_span():
-    src = TraceHarvester([HarvestSample(5.0, 0.001), HarvestSample(6.0, 0.002)])
+    src = TraceHarvester([(5.0, 0.001), (6.0, 0.002)])
     with pytest.raises(TraceExhaustedError):
         src.power_at(4.999)
     with pytest.raises(TraceExhaustedError):
@@ -75,7 +66,7 @@ def test_trace_harvester_rejects_bad_sample_lists():
     with pytest.raises(ValueError):
         TraceHarvester([])
     with pytest.raises(ValueError):
-        TraceHarvester([HarvestSample(1.0, 0.1), HarvestSample(1.0, 0.2)])
+        TraceHarvester([(1.0, 0.1), (1.0, 0.2)])
 
 
 def test_load_trace_comma_and_semicolon(tmp_path):
