@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .device import DlReply, post_tx_sequence
+from .device import DlReply, cycle_states
 from .energy import (
     CapacitorParams,
     harvester_conductance,
@@ -34,7 +34,10 @@ from .errors import ConfigError
 from .harvester import TraceExhaustedError
 from .lorawan import DeviceState
 
-CYCLE_KINDS = ("UL", "UL+DL")
+# The cycle each kind sizes: ``UL`` the uplink alone, ``UL+DL`` on through
+# the reply received in the first window, until its reception completes.
+_KIND_REPLIES = {"UL": None, "UL+DL": DlReply.IN_RX1}
+CYCLE_KINDS = tuple(_KIND_REPLIES)
 
 DEFAULT_DATA_RATES = (0, 1, 2, 3, 4, 5)
 DEFAULT_PAYLOADS_BYTES = (10, 20, 30, 40, 50)
@@ -71,27 +74,13 @@ class CycleSpec:
         object.__setattr__(self, "played", played)
 
 
-def cycle_states(config: ScenarioConfig, kind: str) -> list[tuple[DeviceState, float]]:
-    """Device states making up one cycle of the given kind.
-
-    ``UL`` is the uplink alone; ``UL+DL`` carries on through the reply
-    received in the first window, ending when its reception completes.
-    """
-    params = lorawan_params(config)
-    states = [(DeviceState.TX, params.ul_time_on_air())]
-    if kind == "UL+DL":
-        states.extend(post_tx_sequence(params, DlReply.IN_RX1)[:-1])
-    elif kind != "UL":
-        raise ValueError(f"unknown cycle kind {kind!r}")
-    return states
-
-
 def _cycle_shape(config: ScenarioConfig, kind: str) -> tuple[tuple[float, float], ...]:
     """The power-independent part of a cycle: its (duration, G_L) segments."""
+    if kind not in _KIND_REPLIES:
+        raise ValueError(f"unknown cycle kind {kind!r}")
     g_load = config.load_conductances()
-    return tuple(
-        (duration, g_load[state]) for state, duration in cycle_states(config, kind)
-    )
+    states = cycle_states(lorawan_params(config), _KIND_REPLIES[kind])
+    return tuple((duration, g_load[state]) for state, duration in states)
 
 
 def _banked(

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 from .clock import NS_PER_S
-from .energy import CapacitorParams, min_voltage_over_segments
+from .energy import CapacitorParams, min_voltage_over_played, played_segments
 from .lorawan import (
     DeviceState,
     DutyCycleBudget,
@@ -84,20 +84,24 @@ def post_tx_sequence(
     return segments
 
 
-def guard_segments(
-    params: LorawanParams, horizon: str
+def cycle_states(
+    params: LorawanParams, reply: DlReply | None
 ) -> list[tuple[DeviceState, float]]:
-    """Segments the energy guard looks ahead over before transmitting.
+    """Device states of one transmission cycle, with durations.
 
-    ``tx`` covers the uplink alone; ``cycle`` extends through the close of an
-    empty second receive window.
+    With ``reply=None`` the cycle is the uplink alone; otherwise it carries
+    on through ``post_tx_sequence(params, reply)`` up to the trailing
+    standby before sleep, which it leaves out.
     """
-    segments = [(DeviceState.TX, params.ul_time_on_air())]
-    if horizon == "cycle":
-        segments.extend(post_tx_sequence(params, DlReply.NONE)[:-1])
-    elif horizon != "tx":
-        raise ValueError(f"unknown guard horizon {horizon!r}")
-    return segments
+    states = [(DeviceState.TX, params.ul_time_on_air())]
+    if reply is not None:
+        states.extend(post_tx_sequence(params, reply)[:-1])
+    return states
+
+
+# The cycle each energy-guard horizon looks ahead over: ``tx`` the uplink
+# alone, ``cycle`` through the close of an empty second receive window.
+GUARD_HORIZON_REPLIES = {"tx": None, "cycle": DlReply.NONE}
 
 
 def smart_tx_guard(
@@ -108,12 +112,15 @@ def smart_tx_guard(
 ) -> bool:
     """Decide whether a transmission may start.
 
-    Plays the guarded horizon, its ``guard_segments`` as ``(duration,
+    Plays the guarded horizon, its ``cycle_states`` as ``(duration,
     g_load)``, forward in closed form, holding the current harvest rate,
     and vetoes the attempt if the predicted voltage would fall below the
     cutoff threshold anywhere along it.
     """
-    predicted = min_voltage_over_segments(voltage_v, segments, g_harv, cap_params)
+    played = played_segments(segments, g_harv, cap_params.rail_voltage_v)
+    predicted = min_voltage_over_played(
+        voltage_v, played, cap_params.capacitance_f, cap_params.max_voltage_v
+    )
     return predicted >= cap_params.v_th_low_v
 
 
@@ -154,7 +161,6 @@ class _Cycle:
     start_ns: int
     attempts: int = 0
     delivered: bool = False
-    ack_received: bool = False
 
 
 class LorawanDevice:
@@ -173,16 +179,27 @@ class LorawanDevice:
         # is never a second: ``on_generate`` starts a cycle only while asleep.
         self._pending: Event | None = None
         self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
-        self._packet_counter = 0
+        # Everything a cycle walks is fixed for the run, so each duration is
+        # turned into clock ticks once: the uplink, the reboot, and the
+        # states walked after an uplink, per reply.
         self._ul_time_on_air_s = params.ul_time_on_air()
-        # The downlink airtimes and the states walked after an uplink, per
-        # reply: all fixed for the run.
+        self._ul_ticks = round(self._ul_time_on_air_s * NS_PER_S)
+        self._turn_on_ticks = round(params.turn_on_s * NS_PER_S)
         self._dl_airtimes_s = params.dl_airtimes_s()
-        self._post_tx = {reply: post_tx_sequence(params, reply) for reply in DlReply}
+        self._post_tx = {
+            reply: tuple(
+                (state, round(duration * NS_PER_S))
+                for state, duration in post_tx_sequence(params, reply)
+            )
+            for reply in DlReply
+        }
+        # The post-TX steps being walked, and the index of the next one.
+        self._steps: tuple[tuple[DeviceState, int], ...] = ()
+        self._step = 0
         # The energy guard's horizon as ``(duration, g_load)`` segments.
+        reply = GUARD_HORIZON_REPLIES[sim.config.guard_horizon]
         self._guard_horizon = tuple(
-            (duration, sim.g_load[state])
-            for state, duration in guard_segments(params, sim.config.guard_horizon)
+            (duration, sim.g_load[state]) for state, duration in cycle_states(params, reply)
         )
 
     @property
@@ -196,9 +213,8 @@ class LorawanDevice:
         powered_down = self.state in (DeviceState.OFF, DeviceState.TURN_ON)
         if powered_down and not self.sim.config.generate_while_off:
             return
-        self._packet_counter += 1
-        packet_id = self._packet_counter
         self.sim.metrics.generated += 1
+        packet_id = self.sim.metrics.generated
         if powered_down:
             self._record(packet_id, now, now, CycleOutcome.FAILED_ENERGY)
             return
@@ -236,7 +252,7 @@ class LorawanDevice:
         toa = self._ul_time_on_air_s
         self.ul_budget.register(now, toa)
         self.sim.set_device_state(DeviceState.TX)
-        self._pending = self.sim.schedule_in(toa, self._on_tx_end)
+        self._pending = self.sim.schedule_at_ns(now + self._ul_ticks, self._on_tx_end)
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None
@@ -244,31 +260,28 @@ class LorawanDevice:
             self.cycle.delivered = True
             self.sim.metrics.delivered_ul += 1
         reply = self.sim.gateway.plan_reply(self.sim.now_ns, self.params, self._dl_airtimes_s)
-        self._walk_segments(self._post_tx[reply], reply)
+        self._steps = self._post_tx[reply]
+        self._step = 0
+        self._walk()
 
-    def _walk_segments(
-        self, segments: list[tuple[DeviceState, float]], reply: DlReply
-    ) -> None:
-        if not segments:
+    def _walk(self) -> None:
+        """End the post-TX step that just ran, if any, and start the next."""
+        steps, i = self._steps, self._step
+        if i and steps[i - 1][0] is DeviceState.RX:
+            self._on_ack_received()
+        if i == len(steps):
             self._on_windows_done()
             return
-        state, duration = segments[0]
+        state, ticks = steps[i]
+        self._step = i + 1
         self.sim.set_device_state(state)
-        is_reception = state is DeviceState.RX
-
-        def advance_segment() -> None:
-            if is_reception:
-                self._on_ack_received()
-            self._walk_segments(segments[1:], reply)
-
-        self._pending = self.sim.schedule_in(duration, advance_segment)
+        self._pending = self.sim.schedule_at_ns(self.sim.now_ns + ticks, self._walk)
 
     def _on_ack_received(self) -> None:
         # The cycle succeeds the moment the downlink is fully received; a
         # depletion during the trailing standby no longer changes that.
         if self.cycle is None or not self.params.confirmed:
             return
-        self.cycle.ack_received = True
         self.sim.metrics.acked += 1
         self._finish(CycleOutcome.ACKED)
 
@@ -299,7 +312,9 @@ class LorawanDevice:
             self.sim.metrics.off_time_ns += when_ns - self._off_since_ns
             self._off_since_ns = None
         self.sim.set_device_state(DeviceState.TURN_ON)
-        self._pending = self.sim.schedule_in(self.params.turn_on_s, self._on_turned_on)
+        self._pending = self.sim.schedule_at_ns(
+            self.sim.now_ns + self._turn_on_ticks, self._on_turned_on
+        )
 
     def _on_turned_on(self) -> None:
         self.sim.set_device_state(DeviceState.SLEEP)

@@ -262,25 +262,6 @@ def _exact_energy(
     return integral * g_load
 
 
-def min_voltage_over_segments(
-    v0: float,
-    segments: Iterable[tuple[float, float]],
-    g_harv: float,
-    params: CapacitorParams,
-) -> float:
-    """Minimum voltage reached while playing ``(duration, g_load)`` segments.
-
-    Within one segment the trajectory is monotone toward its asymptote, so the
-    minimum over the whole sequence is attained at a segment boundary.
-    """
-    return min_voltage_over_played(
-        v0,
-        played_segments(segments, g_harv, params.rail_voltage_v),
-        params.capacitance_f,
-        params.max_voltage_v,
-    )
-
-
 def played_segments(
     segments: Iterable[tuple[float, float]], g_harv: float, rail_voltage_v: float
 ) -> tuple[tuple[float, float, float], ...]:
@@ -309,6 +290,8 @@ def min_voltage_over_played(
     """Minimum voltage reached while playing ``played_segments`` output on a
     capacitor of ``capacitance_f``.
 
+    Within one segment the trajectory is monotone toward its asymptote, so
+    the minimum over the whole sequence is attained at a segment boundary.
     Each step is ``propagate_voltage``'s, bit for bit: the same time constant
     ``C / G``, the same convex combination and the same clamp.
     """

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
-from .device import CycleRecord, Gateway, LorawanDevice
+from .device import GUARD_HORIZON_REPLIES, CycleRecord, Gateway, LorawanDevice
 from .energy import (
     Capacitor,
     CapacitorParams,
@@ -59,7 +59,7 @@ from .harvester import (
 from .lorawan import DEFAULT_CURRENTS_A, DeviceState, LorawanParams
 
 HARVESTER_KINDS = ("constant", "trace", "random")
-GUARD_HORIZONS = ("tx", "cycle")
+GUARD_HORIZONS = tuple(GUARD_HORIZON_REPLIES)
 
 # The scenario field holding each device state's current: TURN_ON -> turn_on_a.
 _CURRENT_FIELDS = {state: f"{state.name.lower()}_a" for state in DeviceState}
@@ -101,7 +101,6 @@ class ScenarioConfig:
     standby_brief_s: float = 0.01
     max_transmissions: int = 1
     ul_duty_cycle: float = 0.01
-    dl_duty_cycle: float = 0.10
     # consumption per device state
     off_a: float = DEFAULT_CURRENTS_A[DeviceState.OFF]
     turn_on_a: float = DEFAULT_CURRENTS_A[DeviceState.TURN_ON]
@@ -376,11 +375,6 @@ class Simulator:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_in(self, delay_s: float, action: Callable[[], None]) -> Event:
-        return self.schedule_at_ns(
-            self.now_ns + round(delay_s * NS_PER_S), action
-        )
-
     def cancel(self, event: Event) -> None:
         event.cancelled = True
 
@@ -560,7 +554,6 @@ class Simulator:
             setattr(metrics, name, getattr(metrics, name) + copies * step)
         # Each packet generated took the next packet id.
         packets = delta["generated"]
-        self.device._packet_counter += copies * packets
         cycles = metrics.cycles
         logged = cycles[earlier.cycles:]
         for k in range(1, copies + 1):

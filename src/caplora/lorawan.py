@@ -118,7 +118,6 @@ class LorawanParams:
     standby_brief_s: float = 0.01
     max_transmissions: int = 1
     ul_duty_cycle: float = 0.01
-    dl_duty_cycle: float = 0.10
 
     def __post_init__(self) -> None:
         problems = []
@@ -152,8 +151,8 @@ class LorawanParams:
             problems.append(
                 f"max_transmissions must be >= 1, got {self.max_transmissions}"
             )
-        if not 0 < self.ul_duty_cycle <= 1 or not 0 < self.dl_duty_cycle <= 1:
-            problems.append("duty cycles must be in (0, 1]")
+        if not 0 < self.ul_duty_cycle <= 1:
+            problems.append(f"ul_duty_cycle must be in (0, 1], got {self.ul_duty_cycle}")
         if problems:
             raise ConfigError(problems)
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)

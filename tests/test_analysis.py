@@ -18,7 +18,6 @@ from caplora.analysis import (
     MinCapacitanceRow,
     SweepGrid,
     cycle_spec,
-    cycle_states,
     engine_cycle_feasible,
     expand_grid,
     min_capacitance,
@@ -31,25 +30,10 @@ from caplora.analysis import (
 )
 from caplora.engine import RESULTS_HEADER, capacitor_params
 from caplora.harvester import TraceExhaustedError
-from caplora.lorawan import DeviceState
 from conftest import stepwise_min_voltage
 
 
 BASE = ScenarioConfig(power_w=0.001, data_rate=3, ul_payload_bytes=10)
-
-
-def test_cycle_states_shapes():
-    ul = cycle_states(BASE, "UL")
-    assert [s for s, _ in ul] == [DeviceState.TX]
-    uldl = cycle_states(BASE, "UL+DL")
-    assert [s for s, _ in uldl] == [
-        DeviceState.TX,
-        DeviceState.STANDBY,
-        DeviceState.IDLE,
-        DeviceState.RX,
-    ]
-    with pytest.raises(ValueError):
-        cycle_states(BASE, "DL")
 
 
 def test_cycle_spec_starts_from_banked_voltage():
@@ -61,6 +45,8 @@ def test_cycle_spec_starts_from_banked_voltage():
     assert strong.initial_voltage_v == pytest.approx(3.3, abs=1e-3)
     nothing = cycle_spec(replace(BASE, power_w=0.0), "UL")
     assert nothing.initial_voltage_v == 0.0  # no harvest: nothing banked
+    with pytest.raises(ValueError, match="unknown cycle kind"):
+        cycle_spec(BASE, "DL")
 
 
 def test_min_capacitance_brackets_the_boundary():

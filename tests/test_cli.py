@@ -105,6 +105,12 @@ def test_config_problems_exit_2(tmp_path, capsys):
     assert "expected a boolean" in err
 
 
+def test_dl_duty_cycle_is_an_unknown_key(tmp_path, capsys):
+    # The gateway's window-2 budget is a fixed 10%; no key sets it.
+    assert main(["run", "--set", "dl_duty_cycle=0.5", "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'dl_duty_cycle'" in capsys.readouterr().err
+
+
 def test_each_capacitor_problem_gets_its_own_line(tmp_path, capsys):
     overrides = [
         "capacitor.max_voltage_v=0",

@@ -283,7 +283,6 @@ turn_on_s = 0.3
 standby_brief_s = 0.01
 max_transmissions = 1
 ul_duty_cycle = 0.01
-dl_duty_cycle = 0.1
 
 [currents]
 off_a = 5.5e-06

@@ -14,12 +14,12 @@ from caplora.device import (
     CycleOutcome,
     DlReply,
     Gateway,
-    guard_segments,
+    cycle_states,
     post_tx_sequence,
     smart_tx_guard,
 )
 from caplora.energy import harvester_conductance
-from caplora.engine import capacitor_params
+from caplora.engine import capacitor_params, lorawan_params
 from caplora.lorawan import DeviceState, LorawanParams
 
 
@@ -83,16 +83,22 @@ def test_sequence_with_downlink_in_second_window():
 # ------------------------------------------------------------------- guard
 
 
-def test_guard_segments_horizons():
-    tx_only = guard_segments(PARAMS, "tx")
-    assert tx_only == [(DeviceState.TX, pytest.approx(0.205824))]
-    cycle = guard_segments(PARAMS, "cycle")
+def test_cycle_states():
+    # The uplink alone: the guard's ``tx`` horizon and mincap's ``UL``.
+    assert cycle_states(PARAMS, None) == [(DeviceState.TX, pytest.approx(0.205824))]
+    # Through the close of an empty window 2, the guard's ``cycle`` horizon,
+    # but not the trailing standby before sleep.
+    cycle = cycle_states(PARAMS, DlReply.NONE)
     assert cycle[0] == (DeviceState.TX, pytest.approx(0.205824))
-    # The look-ahead covers the empty-window sequence up to the close of
-    # window 2 but not the trailing standby before sleep.
-    assert [s for s, _ in cycle[1:]] == [s for s, _ in post_tx_sequence(PARAMS, DlReply.NONE)][:-1]
-    with pytest.raises(ValueError):
-        guard_segments(PARAMS, "forever")
+    assert cycle[1:] == post_tx_sequence(PARAMS, DlReply.NONE)[:-1]
+    # Through the reception of a reply in window 1, mincap's ``UL+DL``.
+    uldl = cycle_states(PARAMS, DlReply.IN_RX1)
+    assert [s for s, _ in uldl] == [
+        DeviceState.TX,
+        DeviceState.STANDBY,
+        DeviceState.IDLE,
+        DeviceState.RX,
+    ]
 
 
 def test_guard_blocks_only_when_prediction_dips_below_cutoff():
@@ -101,8 +107,8 @@ def test_guard_blocks_only_when_prediction_dips_below_cutoff():
     g_load = config.load_conductances()
     g_harv = harvester_conductance(0.001, 3.3)
     tx, cycle = (
-        [(duration, g_load[state]) for state, duration in guard_segments(PARAMS, horizon)]
-        for horizon in ("tx", "cycle")
+        [(duration, g_load[state]) for state, duration in cycle_states(PARAMS, reply)]
+        for reply in (None, DlReply.NONE)
     )
     # Plenty of charge: allowed. Barely above the cutoff: vetoed.
     assert smart_tx_guard(3.3, tx, g_harv, cap)
@@ -239,6 +245,32 @@ def test_confirmed_cycle_retries_when_no_reply_arrives():
     # of one hundred times its own airtime.
     gap = tx_starts[1] - tx_starts[0]
     assert gap == pytest.approx(100.0 * 0.205824, abs=1e-6)
+
+
+def test_confirmed_cycle_is_acked_in_window_two_when_window_one_is_busy():
+    # An earlier downlink blocks only the window-1 band, so the reply comes
+    # in window 2 and the cycle closes when its reception ends.
+    config = _base_config(confirmed=True)
+    sim = Simulator(config)
+    sim.gateway.rx1_budget.register(0, 10.0)  # blocked for ~1000 s
+    metrics = sim.run()
+    assert metrics.acked == 1
+    assert [c.outcome for c in metrics.cycles] == [CycleOutcome.ACKED]
+    cycle = metrics.cycles[0]
+    assert cycle.start_ns == 5 * NS_PER_S
+    # Uplink, brief standby, idle, empty window 1, idle, window-2 reception,
+    # each on the clock to its nearest tick.
+    states = cycle_states(lorawan_params(config), DlReply.IN_RX2)
+    assert [s for s, _ in states] == [
+        DeviceState.TX,
+        DeviceState.STANDBY,
+        DeviceState.IDLE,
+        DeviceState.STANDBY,
+        DeviceState.IDLE,
+        DeviceState.RX,
+    ]
+    assert cycle.end_ns == cycle.start_ns + sum(round(d * NS_PER_S) for _, d in states)
+    assert sim.gateway.rx2_budget.airtime_total_ns == round(states[-1][1] * NS_PER_S)
 
 
 def test_depletion_aborts_cycle_and_recharge_restores_sleep():

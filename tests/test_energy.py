@@ -25,7 +25,8 @@ from caplora.energy import (
     harvester_conductance,
     load_conductance,
     load_energy_joules,
-    min_voltage_over_segments,
+    min_voltage_over_played,
+    played_segments,
     propagate_voltage,
     sample_voltages,
     steady_state_voltage,
@@ -271,12 +272,19 @@ def test_energy_trivial_cases(params):
 # ----------------------------------------------------- sequences of segments
 
 
-def test_min_voltage_over_segments_hits_segment_boundary(params):
+def _played_min_voltage(v0, segments, g_harv, params):
+    """Minimum voltage over ``(duration, g_load)`` segments, as the energy
+    guard plays them."""
+    played = played_segments(segments, g_harv, params.rail_voltage_v)
+    return min_voltage_over_played(v0, played, params.capacitance_f, params.max_voltage_v)
+
+
+def test_min_voltage_over_played_hits_segment_boundary(params):
     g_tx = load_conductance(28.011e-3, 3.3)
     g_sleep = load_conductance(5.6e-6, 3.3)
     g_harv = harvester_conductance(0.002, 3.3)
     segments = [(0.3, g_tx), (5.0, g_sleep), (0.2, g_tx)]
-    v_min = min_voltage_over_segments(3.3, segments, g_harv, params)
+    v_min = _played_min_voltage(3.3, segments, g_harv, params)
     # Brute force along a fine time grid.
     v = 3.3
     brute = v
@@ -289,7 +297,7 @@ def test_min_voltage_over_segments_hits_segment_boundary(params):
 
 
 def test_min_voltage_with_no_segments(params):
-    assert min_voltage_over_segments(2.5, [], 0.0, params) == 2.5
+    assert _played_min_voltage(2.5, [], 0.0, params) == 2.5
 
 
 _TX_G = load_conductance(28.011e-3, 3.3)
@@ -338,7 +346,7 @@ def test_segment_kernel_equals_stepwise_propagation(
         initial_voltage_v=max_voltage_v,
     )
     expected = stepwise_min_voltage(v0, segments, g_harv, params)
-    assert min_voltage_over_segments(v0, segments, g_harv, params) == expected
+    assert _played_min_voltage(v0, segments, g_harv, params) == expected
     spec = CycleSpec("UL", v0, tuple(segments), g_harv, params.rail_voltage_v)
     config = ScenarioConfig(capacitance_f=capacitance_f, max_voltage_v=max_voltage_v)
     assert min_voltage_over_cycle(capacitance_f, spec, config) == expected

@@ -99,7 +99,7 @@ def test_params_validation():
         LorawanParams(standby_brief_s=0.0)
     with pytest.raises(ValueError, match="max_transmissions"):
         LorawanParams(max_transmissions=0)
-    with pytest.raises(ValueError, match="duty cycles"):
+    with pytest.raises(ValueError, match="ul_duty_cycle"):
         LorawanParams(ul_duty_cycle=0.0)
     # A first window so long it would still be open when window 2 starts.
     with pytest.raises(ValueError, match="still be open"):
