@@ -21,6 +21,7 @@ from .analysis import (
 )
 from .config import ConfigError, parse_config
 from .engine import RESULTS_HEADER, Simulator, check_scenarios, results_row
+from .harvester import TraceFormatError, load_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,6 +103,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config, grid = parse_config(args.config, args.overrides)
     configs = expand_grid(grid, config)
     check_scenarios(configs)
+    if config.harvester == "trace":
+        # Every point replays the base scenario's trace: a malformed one is
+        # reported once, before any point runs.
+        load_trace(config.trace_file)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -138,6 +143,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
+    except TraceFormatError as exc:
+        for problem in exc.problems:
+            print(f"error: {problem}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_played, played_segments
@@ -40,8 +40,7 @@ class CycleOutcome(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Fate of one generated packet, with its clock times in nanoseconds."""
 
     packet_id: int

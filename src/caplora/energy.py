@@ -204,10 +204,16 @@ def crossing_time(
     segment = _segment(g_load, g_harv, params)
     if segment is None:
         return None
-    v_inf, tau = segment
+    return _crossing_s(v0, target_v, segment[0], segment[1], params.max_voltage_v)
+
+
+def _crossing_s(
+    v0: float, target_v: float, v_inf: float, tau: float, max_voltage_v: float
+) -> float | None:
+    """``crossing_time`` on the trajectory ``(v_inf, tau)``."""
     if v0 == v_inf:
         return None
-    target_v = min(target_v, params.max_voltage_v)
+    target_v = min(target_v, max_voltage_v)
     ratio = (target_v - v_inf) / (v0 - v_inf)
     if ratio <= 0.0 or ratio > 1.0:
         return None
@@ -328,6 +334,12 @@ def _ignore_crossing(when_ns: int) -> None:
     pass
 
 
+# A random harvest draws a new conductance per slot, so the capacitor's
+# trajectory cache is emptied when it holds this many rather than grown
+# over the whole run.
+_MAX_TRAJECTORIES = 256
+
+
 class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
@@ -337,6 +349,10 @@ class Capacitor:
     not on when it happens. A threshold crossing inside the elapsed interval
     flips ``depleted`` and calls ``on_depleted`` or ``on_recharged`` with the
     analytically solved crossing time on the clock, not the update time.
+
+    Each ``(g_load, g_harv)`` trajectory's asymptote and time constant are
+    computed once and kept; a step is ``propagate_voltage``'s, bit for bit,
+    and a crossing ``crossing_time``'s.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -346,33 +362,60 @@ class Capacitor:
         self.depleted = self.voltage_v < params.v_th_low_v
         self.on_depleted: Callable[[int], None] = _ignore_crossing
         self.on_recharged: Callable[[int], None] = _ignore_crossing
+        # ``_segment`` of each (g_load, g_harv) met so far.
+        self._trajectories: dict[tuple[float, float], tuple[float, float] | None] = {}
+
+    def _trajectory(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
+        """``_segment`` of a trajectory not yet in the cache, now cached."""
+        trajectories = self._trajectories
+        if len(trajectories) >= _MAX_TRAJECTORIES:
+            trajectories.clear()
+        segment = trajectories[g_load, g_harv] = _segment(g_load, g_harv, self.params)
+        return segment
 
     def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
         """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
         last_ns = self.last_update_ns
-        if now_ns < last_ns:
-            raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
-        if now_ns == last_ns:
+        if now_ns <= last_ns:
+            if now_ns < last_ns:
+                raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
             return
+        try:
+            segment = self._trajectories[g_load, g_harv]
+        except KeyError:
+            segment = self._trajectory(g_load, g_harv)
         params = self.params
-        elapsed = (now_ns - last_ns) / NS_PER_S
+        vmax = params.max_voltage_v
         v_prev = self.voltage_v
-        v_new = propagate_voltage(v_prev, elapsed, g_load, g_harv, params)
+        # propagate_voltage's step and clamp.
+        if segment is None:
+            v_new = v_prev
+        else:
+            x = -((now_ns - last_ns) / NS_PER_S) / segment[1]
+            v_new = segment[0] * -math.expm1(x) + v_prev * math.exp(x)
+        if v_new < 0.0:
+            v_new = 0.0
+        elif v_new > vmax:
+            v_new = vmax
         self.voltage_v = v_new
         self.last_update_ns = now_ns
         # The active threshold is crossed by a move onto or past it, toward it.
         if self.depleted:
             target = params.v_th_high_v
-            crossed = v_prev <= v_new >= target
+            if not v_prev <= v_new >= target:
+                return
         else:
             target = params.v_th_low_v
-            crossed = v_prev >= v_new <= target
-        if not crossed:
-            return
-        t_cross = crossing_time(v_prev, target, g_load, g_harv, params)
-        when_ns = now_ns if t_cross is None else min(last_ns + _ticks_until(t_cross), now_ns)
-        segment = _segment(g_load, g_harv, params)
-        tick_move = 0.0 if segment is None else abs(segment[0] - target) / segment[1] * TICK_S
+            if not v_prev >= v_new <= target:
+                return
+        if segment is None:
+            when_ns = now_ns
+            tick_move = 0.0
+        else:
+            v_inf, tau = segment
+            t_cross = _crossing_s(v_prev, target, v_inf, tau, vmax)
+            when_ns = now_ns if t_cross is None else min(last_ns + _ticks_until(t_cross), now_ns)
+            tick_move = abs(v_inf - target) / tau * TICK_S
         if abs(v_new - target) <= max(tick_move, _SNAP_TOLERANCE_V):
             self.voltage_v = target
         self.depleted = not self.depleted
@@ -381,9 +424,15 @@ class Capacitor:
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is
         crossed, at least one."""
+        try:
+            segment = self._trajectories[g_load, g_harv]
+        except KeyError:
+            segment = self._trajectory(g_load, g_harv)
+        if segment is None:
+            return None
         params = self.params
         target = params.v_th_high_v if self.depleted else params.v_th_low_v
-        t_cross = crossing_time(self.voltage_v, target, g_load, g_harv, params)
+        t_cross = _crossing_s(self.voltage_v, target, segment[0], segment[1], params.max_voltage_v)
         return None if t_cross is None else _ticks_until(t_cross)
 
 

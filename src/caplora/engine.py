@@ -4,12 +4,24 @@ Time advances on an integer nanosecond clock through a binary heap of
 events, and every event is a state change: a packet, a radio transition, a
 harvest change or a threshold crossing. Nothing is scheduled just to let
 time pass, because the capacitor voltage is known in closed form between
-events. The capacitor is brought up to date at the top of every dispatch,
-so threshold crossings are detected before any event logic runs. The
-crossing time predicted in closed form gets one wake-up event, re-armed
-only when the trajectory changes. Trace samples on the
-``update_interval_s`` grid are computed in closed form between events and
-never touch the heap or the capacitor.
+events. Trace samples on the ``update_interval_s`` grid are computed in
+closed form between events and never touch the heap or the capacitor.
+
+A heap entry is an ``Event``: the list ``[time_ns, seq, action,
+cancelled]``, which ``heapq`` orders in C by time and then by scheduling
+order, since ``seq`` is unique. Cancelling an entry sets its flag and
+leaves it in the heap. One loop in ``Simulator.run`` pops each entry in
+turn and:
+
+- brings the capacitor up to the entry's time, so a threshold crossing is
+  handled before any event logic runs;
+- runs the action, unless the entry is cancelled by then (a cancelled
+  entry still moves the clock);
+- re-arms the one wake-up at the crossing time predicted in closed form,
+  but only when the trajectory changed or the armed wake-up is due.
+
+A traced run also records the grid samples up to the entry and a row at
+each new instant, behind one test of whether the run is traced.
 
 Each device state's load current becomes a conductance once, when the
 simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
@@ -35,7 +47,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
@@ -129,12 +141,18 @@ class ScenarioConfig:
         }
 
 
-@dataclass(order=True)
-class Event:
-    time_ns: int
-    seq: int
-    action: Callable[[], None] = field(compare=False, repr=False)
-    cancelled: bool = field(default=False, compare=False)
+class Event(list):
+    """A heap entry ``[time_ns, seq, action, cancelled]``.
+
+    ``heapq`` orders entries as lists, in C: by time, then by the unique
+    scheduling sequence number, so a comparison never reaches the action.
+    """
+
+    __slots__ = ()
+
+    time_ns = property(itemgetter(0))
+    action = property(itemgetter(2))
+    cancelled = property(itemgetter(3))
 
 
 @dataclass
@@ -227,17 +245,21 @@ class _Mark(NamedTuple):
 _NO_MARK = _Mark(0, math.nan)
 
 
+# Each scenario field's name, and whether it is a time in seconds.
+_FIELD_TIMES = tuple((f.name, f.name.endswith("_s")) for f in fields(ScenarioConfig))
+
+
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
     """The checks no params class or harvester constructor makes."""
     problems = []
-    for f in fields(config):
-        value = getattr(config, f.name)
+    for name, is_time in _FIELD_TIMES:
+        value = getattr(config, name)
         if not isinstance(value, float):
             continue
         if not math.isfinite(value):
-            problems.append(f"{f.name} must be finite, got {value}")
-        elif f.name.endswith("_s") and not math.isfinite(value * NS_PER_S):
-            problems.append(f"{f.name} is beyond the range of the 1 ns clock, got {value}")
+            problems.append(f"{name} must be finite, got {value}")
+        elif is_time and not math.isfinite(value * NS_PER_S):
+            problems.append(f"{name} is beyond the range of the 1 ns clock, got {value}")
     if config.harvester not in HARVESTER_KINDS:
         problems.append(f"harvester must be one of {HARVESTER_KINDS}")
     if config.harvester == "trace" and not config.trace_file:
@@ -370,22 +392,21 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def schedule_at_ns(self, time_ns: int, action: Callable[[], None]) -> Event:
-        event = Event(max(time_ns, self.now_ns), self._seq, action)
-        self._seq += 1
+        now = self.now_ns
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((time_ns if time_ns > now else now, seq, action, False))
         heapq.heappush(self._heap, event)
         return event
 
     def cancel(self, event: Event) -> None:
-        event.cancelled = True
+        event[3] = True
 
     # -- state and bookkeeping ----------------------------------------------
 
     def set_device_state(self, state: DeviceState) -> None:
         self.device.state = state
         self._record_trace()
-
-    def _advance(self) -> None:
-        self.cap.update(self.now_ns, self.g_load[self.device.state], self.g_harv)
 
     def _record_trace(self) -> None:
         recorder = self.metrics.trace
@@ -428,16 +449,15 @@ class Simulator:
             t_ns += step
         self._next_sample_ns = t_ns
 
-    def _reschedule_crossing(self) -> None:
-        key = (self.device.state, self.g_harv, self.cap.depleted)
-        armed = self._crossing_event
-        if key == self._crossing_key and (armed is None or armed.time_ns > self.now_ns):
-            return  # same trajectory, and its crossing (if any) is still ahead
+    def _rearm_crossing(self, key: tuple[DeviceState, float, bool]) -> None:
+        """Arm one wake-up at the crossing of the trajectory ``key``, which
+        is ``(device state, g_harv, depleted)``, cancelling the one armed."""
         self._crossing_key = key
+        armed = self._crossing_event
         if armed is not None:
-            armed.cancelled = True
+            armed[3] = True
             self._crossing_event = None
-        delay_ns = self.cap.next_crossing_ns(self.g_load[self.device.state], self.g_harv)
+        delay_ns = self.cap.next_crossing_ns(self.g_load[key[0]], key[1])
         if delay_ns is None:
             return
         self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
@@ -478,18 +498,17 @@ class Simulator:
         now = self.now_ns
         generate = self._on_generate
         heap = []
-        for event in self._heap:
-            action = event.action
+        for time_ns, _, action, cancelled in self._heap:
             if action is not _noop and action != generate:
                 return None
-            heap.append((event.time_ns - now, event.cancelled, action is _noop))
+            heap.append((time_ns - now, cancelled, action is _noop))
         armed = self._crossing_event
         return (
             self.cap.voltage_v,
             self.cap.depleted,
             device.state,
             self._crossing_key,
-            None if armed is None else max(armed.time_ns - now, 0),
+            None if armed is None else max(armed[0] - now, 0),
             tuple(heap),
             tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
         )
@@ -556,18 +575,16 @@ class Simulator:
         packets = delta["generated"]
         cycles = metrics.cycles
         logged = cycles[earlier.cycles:]
+        # Builds each CycleRecord from a plain tuple, without NamedTuple's
+        # Python-level constructor.
+        new = tuple.__new__
         for k in range(1, copies + 1):
             shift = k * length
-            for record in logged:
-                cycles.append(
-                    CycleRecord(
-                        record.packet_id + k * packets,
-                        record.kind,
-                        record.start_ns + shift,
-                        record.end_ns + shift,
-                        record.outcome,
-                    )
-                )
+            ids = k * packets
+            cycles.extend([
+                new(CycleRecord, (packet_id + ids, kind, start_ns + shift, end_ns + shift, outcome))
+                for packet_id, kind, start_ns, end_ns, outcome in logged
+            ])
         shift = copies * length
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
@@ -577,24 +594,19 @@ class Simulator:
         self.now_ns += shift
         self.cap.last_update_ns += shift
         for event in self._heap:
-            event.time_ns += shift
+            event[0] += shift
 
     # -- main loop ------------------------------------------------------------
-
-    def _dispatch(self, event: Event) -> None:
-        self._sample_trace(event.time_ns)
-        moved = event.time_ns != self.now_ns
-        self.now_ns = event.time_ns
-        self._advance()
-        if moved:
-            self._record_trace()
-        if not event.cancelled:
-            event.action()
-        self._reschedule_crossing()
 
     def run(self) -> Metrics:
         config = self.config
         duration_ns = self._duration_ns
+        heap = self._heap
+        cap = self.cap
+        update = cap.update
+        device = self.device
+        g_load = self.g_load
+        recorder = self.metrics.trace
         try:
             self._record_trace()
             self._on_harvest_change()
@@ -602,15 +614,37 @@ class Simulator:
             if first is None:
                 first = self.rng.uniform(0.0, config.packet_period_s)
             self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
-            self._reschedule_crossing()
-            while self._heap:
-                event = heapq.heappop(self._heap)
-                if event.time_ns >= duration_ns:
+            self._rearm_crossing((device.state, self.g_harv, cap.depleted))
+            while heap:
+                event = heapq.heappop(heap)
+                time_ns = event[0]
+                if time_ns >= duration_ns:
                     break
-                self._dispatch(event)
+                # The capacitor is brought up to the event's time first, so a
+                # threshold crossing is handled before the event's own logic.
+                if recorder is None:
+                    self.now_ns = time_ns
+                    update(time_ns, g_load[device.state], self.g_harv)
+                else:
+                    self._sample_trace(time_ns)
+                    moved = time_ns != self.now_ns
+                    self.now_ns = time_ns
+                    update(time_ns, g_load[device.state], self.g_harv)
+                    if moved:
+                        self._record_trace()
+                # Read after the update: a depletion it finds cancels the
+                # device's pending event, which may be this one.
+                if not event[3]:
+                    event[2]()
+                # Re-arm the crossing wake-up only on a new trajectory, or
+                # once the armed one is due.
+                key = (device.state, self.g_harv, cap.depleted)
+                armed = self._crossing_event
+                if key != self._crossing_key or (armed is not None and armed[0] <= self.now_ns):
+                    self._rearm_crossing(key)
             self._sample_trace(duration_ns)
             self.now_ns = duration_ns
-            self._advance()
+            update(duration_ns, g_load[device.state], self.g_harv)
             self._record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False

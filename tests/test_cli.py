@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import caplora.cli
+import caplora.engine
 from caplora.cli import main
 from caplora.engine import RESULTS_HEADER
+from caplora.harvester import load_trace
 
 
 FAST = [
@@ -216,6 +219,40 @@ def test_sweep_keeps_the_base_harvester(tmp_path, capsys):
         run_rows.append((out / "results.csv").read_text().splitlines()[1])
     capsys.readouterr()
     assert rows == run_rows
+
+
+def test_sweep_rejects_a_malformed_trace_before_any_point(tmp_path, capsys):
+    # Unchecked, each point parsed the trace and failed on it: one
+    # "run <key> failed: ..." line per point, then "0 rows".
+    trace = tmp_path / "bad.csv"
+    trace.write_text("time_s,power_w\n0,0.004\nnan,0.001\n700,-1\n")
+    args = ["sweep", *FAST, "--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+    args += ["--set", "sweep.capacitance_f=0.004,0.01,0.02", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {trace}:3: non-finite timestamp nan\nerror: {trace}:4: negative power -1.0\n",
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "trace", "sweep"])
+def test_each_command_parses_the_trace_once(tmp_path, capsys, monkeypatch, command):
+    parsed = []
+
+    def counting(source):
+        parsed.append(source)
+        return load_trace(source)
+
+    for module in (caplora.cli, caplora.engine):
+        monkeypatch.setattr(module, "load_trace", counting)
+    trace = tmp_path / "ok.csv"
+    trace.write_text("0,0.004\n300,0\n600,0.002\n")
+    args = [command, *FAST, "--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # A sweep checks the trace once up front, then runs its one point on it.
+    assert len(parsed) == (2 if command == "sweep" else 1)
 
 
 @pytest.mark.parametrize("samples", ["5,0.001\n900,0.002\n", "0,0.001\n60,0.001\n"])

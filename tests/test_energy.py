@@ -21,6 +21,7 @@ from caplora.energy import (
     CapacitorParams,
     TraceRecord,
     TraceRecorder,
+    _ticks_until,
     crossing_time,
     harvester_conductance,
     load_conductance,
@@ -426,6 +427,83 @@ def test_no_flip_without_reaching_threshold(params):
     cap.update(_ns(10.0), light, 0.0)
     assert not cap.depleted
     assert 1.8 < cap.voltage_v < 3.3
+
+
+def _check_step(cap, t_ns, g_load, g_harv, v_expected):
+    """Update ``cap`` to ``t_ns`` and check it against the public kernels."""
+    params = cap.params
+    depleted = cap.depleted
+    target = params.v_th_high_v if depleted else params.v_th_low_v
+    cap.update(t_ns, g_load, g_harv)
+    if cap.depleted == depleted:
+        assert cap.voltage_v == v_expected
+    else:  # a crossing snaps the voltage onto the threshold, or keeps it
+        assert cap.voltage_v in (v_expected, target)
+    target = params.v_th_high_v if cap.depleted else params.v_th_low_v
+    t_cross = crossing_time(cap.voltage_v, target, g_load, g_harv, params)
+    expected_ns = None if t_cross is None else _ticks_until(t_cross)
+    assert cap.next_crossing_ns(g_load, g_harv) == expected_ns
+
+
+_STRONG_G = harvester_conductance(0.05, 3.3)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    v0=st.floats(min_value=0.0, max_value=3.3),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=600 * NS_PER_S),
+            st.sampled_from([0.0, _SLEEP_G, _TX_G]),
+            st.sampled_from([0.0, harvester_conductance(1e-4, 3.3), _STRONG_G]),
+        ),
+        max_size=12,
+    ),
+    capacitance_f=st.floats(min_value=1e-4, max_value=1.0),
+    max_voltage_v=st.sampled_from([3.1, 3.3]),
+)
+# Open harvest, open load, both sides open, and a strong harvest clamped at a
+# 3.1 V maximum below the 3.3 V rail.
+@example(
+    v0=3.1,
+    steps=[
+        (NS_PER_S, _TX_G, 0.0),
+        (5 * NS_PER_S, 0.0, _STRONG_G),
+        (7 * NS_PER_S, 0.0, 0.0),
+        (60 * NS_PER_S, _SLEEP_G, _STRONG_G),
+        (3 * NS_PER_S, _TX_G, 0.0),
+    ],
+    capacitance_f=0.01,
+    max_voltage_v=3.1,
+)
+# Resting on the cutoff, not yet depleted: the crossing is due now, and is
+# still armed one tick ahead.
+@example(v0=1.8, steps=[(0, _TX_G, 0.0)], capacitance_f=0.01, max_voltage_v=3.3)
+def test_capacitor_steps_are_the_public_kernels_chained(v0, steps, capacitance_f, max_voltage_v):
+    params = make_params(
+        capacitance_f=capacitance_f,
+        max_voltage_v=max_voltage_v,
+        v_th_high_v=3.0,
+        initial_voltage_v=min(v0, max_voltage_v),
+    )
+    cap = Capacitor(params)
+    t_ns = 0
+    for dt_ns, g_load, g_harv in steps:
+        v_expected = propagate_voltage(cap.voltage_v, dt_ns / NS_PER_S, g_load, g_harv, params)
+        t_ns += dt_ns
+        _check_step(cap, t_ns, g_load, g_harv, v_expected)
+
+
+def test_capacitor_steps_stay_exact_past_the_trajectory_cache():
+    # A random harvest meets a new conductance per slot; the cache is
+    # emptied when full and refilled, with the same results.
+    params = make_params(initial_voltage_v=2.5)
+    cap = Capacitor(params)
+    for k in range(1, 700):
+        g_harv = harvester_conductance(k * 1e-6, params.rail_voltage_v)
+        g_load = (_SLEEP_G, _TX_G)[k % 2]
+        v_expected = propagate_voltage(cap.voltage_v, 0.5, g_load, g_harv, params)
+        _check_step(cap, k * NS_PER_S // 2, g_load, g_harv, v_expected)
 
 
 def test_update_going_backwards_is_rejected(params):

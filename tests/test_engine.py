@@ -369,6 +369,84 @@ def test_valid_default_scenario_has_no_problems():
     assert validate_scenario(ScenarioConfig()) == []
 
 
+# ------------------------------------------------------------ the event heap
+
+
+def test_events_at_one_instant_run_in_scheduling_order():
+    sim = Simulator(ScenarioConfig(duration_s=60.0, first_packet_s=30.0))
+    at_ns = 10 * NS_PER_S
+    order = []
+
+    def first():
+        order.append(("first", sim.now_ns))
+        # Scheduled at the same instant, it runs after those already there.
+        sim.schedule_at_ns(sim.now_ns, lambda: order.append(("late", sim.now_ns)))
+
+    sim.schedule_at_ns(at_ns, first)
+    for k in range(4):
+        sim.schedule_at_ns(at_ns, lambda k=k: order.append((k, sim.now_ns)))
+    sim.run()
+    assert order == [("first", at_ns), *((k, at_ns) for k in range(4)), ("late", at_ns)]
+
+
+def test_a_cancelled_entry_moves_the_clock_but_never_runs():
+    config = ScenarioConfig(duration_s=60.0, first_packet_s=30.0, trace=True)
+    at_ns = 12_345_678_901  # off the 1 s trace grid, and no other event's time
+    rows = []
+    for cancel in (False, True):
+        sim = Simulator(config)
+        ran = []
+        if cancel:
+            sim.cancel(sim.schedule_at_ns(at_ns, lambda: ran.append(sim.now_ns)))
+        metrics = sim.run()
+        assert ran == []
+        rows.append([r for r in metrics.trace.records if r.time_s == at_ns / NS_PER_S])
+    # Its dispatch still brought the capacitor to its time, which a traced
+    # run records.
+    assert rows[0] == []
+    assert [r.state for r in rows[1]] == ["Sleep"]
+
+
+def test_an_entry_cancelled_by_its_own_update_never_runs():
+    # A sleeping load drains the capacitor past the cutoff at about 2 s.
+    # With no crossing wake-up armed, the update that brings the capacitor
+    # to the entry's time finds the depletion, whose callback cancels the
+    # entry, as the device cancels its pending event.
+    config = ScenarioConfig(
+        power_w=0.0, sleep_a=0.01, guard_enabled=False, first_packet_s=30.0, duration_s=60.0
+    )
+    sim = Simulator(config)
+    sim.cap.next_crossing_ns = lambda g_load, g_harv: None
+    ran = []
+    entry = sim.schedule_at_ns(10 * NS_PER_S, lambda: ran.append(sim.now_ns))
+    device_depleted = sim.cap.on_depleted
+
+    def on_depleted(when_ns):
+        sim.cancel(entry)
+        device_depleted(when_ns)
+
+    sim.cap.on_depleted = on_depleted
+    metrics = sim.run()
+    assert metrics.depletion_events == 1
+    assert entry.cancelled
+    assert ran == []
+
+
+def test_a_scheduled_entry_reads_back_its_time_and_cancellation():
+    sim = Simulator(ScenarioConfig())
+    sim.now_ns = 5_000
+
+    def action():
+        pass
+
+    entry = sim.schedule_at_ns(7_500, action)
+    assert (entry.time_ns, entry.action, entry.cancelled) == (7_500, action, False)
+    sim.cancel(entry)
+    assert (entry.time_ns, entry.action, entry.cancelled) == (7_500, action, True)
+    # A time already past is scheduled now.
+    assert sim.schedule_at_ns(1_000, action).time_ns == 5_000
+
+
 def test_idle_time_schedules_no_events(monkeypatch):
     # A traced run never skips orbits: compare the four with the fast-forward
     # off, so that only the trace grid could add events.
