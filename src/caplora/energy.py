@@ -334,12 +334,6 @@ def _ignore_crossing(when_ns: int) -> None:
     pass
 
 
-# A random harvest draws a new conductance per slot, so the capacitor's
-# trajectory cache is emptied when it holds this many rather than grown
-# over the whole run.
-_MAX_TRAJECTORIES = 256
-
-
 class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
@@ -350,9 +344,9 @@ class Capacitor:
     flips ``depleted`` and calls ``on_depleted`` or ``on_recharged`` with the
     analytically solved crossing time on the clock, not the update time.
 
-    Each ``(g_load, g_harv)`` trajectory's asymptote and time constant are
-    computed once and kept; a step is ``propagate_voltage``'s, bit for bit,
-    and a crossing ``crossing_time``'s.
+    Under the current harvest, each load's asymptote and time constant are
+    computed once and kept until the harvest changes; a step is
+    ``propagate_voltage``'s, bit for bit, and a crossing ``crossing_time``'s.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -362,15 +356,16 @@ class Capacitor:
         self.depleted = self.voltage_v < params.v_th_low_v
         self.on_depleted: Callable[[int], None] = _ignore_crossing
         self.on_recharged: Callable[[int], None] = _ignore_crossing
-        # ``_segment`` of each (g_load, g_harv) met so far.
-        self._trajectories: dict[tuple[float, float], tuple[float, float] | None] = {}
+        # ``_segment`` of each g_load met under the harvest ``_harvest_g``.
+        self._harvest_g: float | None = None
+        self._trajectories: dict[float, tuple[float, float] | None] = {}
 
     def _trajectory(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
         """``_segment`` of a trajectory not yet in the cache, now cached."""
-        trajectories = self._trajectories
-        if len(trajectories) >= _MAX_TRAJECTORIES:
-            trajectories.clear()
-        segment = trajectories[g_load, g_harv] = _segment(g_load, g_harv, self.params)
+        if g_harv != self._harvest_g:
+            self._harvest_g = g_harv
+            self._trajectories.clear()
+        segment = self._trajectories[g_load] = _segment(g_load, g_harv, self.params)
         return segment
 
     def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
@@ -380,9 +375,9 @@ class Capacitor:
             if now_ns < last_ns:
                 raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
             return
-        try:
-            segment = self._trajectories[g_load, g_harv]
-        except KeyError:
+        if g_harv == self._harvest_g and g_load in self._trajectories:
+            segment = self._trajectories[g_load]
+        else:
             segment = self._trajectory(g_load, g_harv)
         params = self.params
         vmax = params.max_voltage_v
@@ -424,9 +419,9 @@ class Capacitor:
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is
         crossed, at least one."""
-        try:
-            segment = self._trajectories[g_load, g_harv]
-        except KeyError:
+        if g_harv == self._harvest_g and g_load in self._trajectories:
+            segment = self._trajectories[g_load]
+        else:
             segment = self._trajectory(g_load, g_harv)
         if segment is None:
             return None
