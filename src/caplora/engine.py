@@ -32,13 +32,20 @@ integer clock, and every time a run records is a clock time or a sum of
 clock differences: crossing instants, cycle records, off time and airtime
 totals. So the same state at two instants evolves bit-identically and
 records the same values shifted by whole nanoseconds. A constant-harvest,
-untraced run uses that to simulate a periodic steady state once: at the
-first packet generation whose state, relative to the clock, equals the one
-1 or 2 periods earlier, brownouts in between or not, the orbit between the
-two has been simulated, and the run adds at once all the copies of it that
-fit before its end, with no second pass and nothing replayed. It simulates
-only the transient, one orbit and the tail (``Simulator._fast_forward``),
-and its metrics equal those of the run simulated event by event.
+untraced run uses that to simulate a repeating stretch once and add all the
+copies of it that fit before its end, with no second pass and nothing
+replayed; its metrics equal those of the run simulated event by event:
+
+- an orbit: at the first packet generation whose state, relative to the
+  clock, equals the one at an earlier generation, brownouts in between or
+  not, the periods between the two are added at once
+  (``Simulator._fast_forward``);
+- a boot loop: at the first recharge whose state equals the one at the
+  recharge before, with a turn-on that failed in between, the loop
+  OFF -> TURN_ON -> OFF is added as often as it fits, and the packets
+  generated meanwhile each fail at their own tick (``Simulator._on_recharge``).
+
+Such a run simulates only the transient, one repeat and the tail.
 """
 
 from __future__ import annotations
@@ -51,11 +58,12 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
-from .device import GUARD_HORIZON_REPLIES, CycleRecord, Gateway, LorawanDevice
+from .device import GUARD_HORIZON_REPLIES, CycleOutcome, CycleRecord, Gateway, LorawanDevice
 from .energy import (
     Capacitor,
     CapacitorParams,
     TraceRecorder,
+    crossing_time,
     harvester_conductance,
     load_conductance,
     sample_voltages,
@@ -222,27 +230,39 @@ _ORBIT_COUNTERS = (
 )
 
 
+# At most this many packet-time voltages, and as many snapshots, are kept
+# for the orbit search; each store is emptied when full. A longer orbit is
+# simulated in full.
+_ORBIT_MEMORY = 256
+
+
 class _Mark(NamedTuple):
-    """The run at one packet generation, as the fast-forward compares it."""
+    """The run at a snapshotted packet generation: the totals a skip adds to."""
 
     time_ns: int
-    voltage_v: float
-    # ``Simulator._snapshot()``, or None where none applies or was taken.
-    state: tuple | None = None
-    # Where a snapshot was taken, the totals a skip adds to: the
-    # _ORBIT_COUNTERS, the number of cycle records and each budget's
+    # The _ORBIT_COUNTERS, the number of cycle records and each budget's
     # ``airtime_total_ns``, in ``Simulator._budgets`` order.
-    counts: tuple[int, ...] = ()
-    cycles: int = 0
-    airtimes: tuple[int, ...] = ()
-
-    def repeats(self, earlier: _Mark) -> bool:
-        """Whether the run repeats from ``earlier`` on."""
-        return self.state is not None and self.state == earlier.state
+    counts: tuple[int, ...]
+    cycles: int
+    airtimes: tuple[int, ...]
 
 
-# Stands for a generation before the first: it repeats nothing.
-_NO_MARK = _Mark(0, math.nan)
+class _Boot(NamedTuple):
+    """The run at a recharge, as the boot-loop skip compares it."""
+
+    time_ns: int
+    # The device's pending ``_on_turned_on``: cancelled once the boot failed.
+    turn_on: Event
+    # ``Simulator._relative_state()``, or None where none was taken.
+    state: tuple | None
+    depletion_events: int
+    off_time_ns: int
+
+
+# A closed-form step rounds the voltage by a few ulps of the rail voltage;
+# the boot-loop skip allows this many per capacitor update (see
+# ``Simulator._loop_is_exact``).
+_ULPS_PER_UPDATE = 16
 
 
 # Each scenario field's name, and whether it is a time in seconds.
@@ -380,10 +400,15 @@ class Simulator:
             self.gateway.rx1_budget,
             self.gateway.rx2_budget,
         )
-        # The fast-forward's marks of the two generations before, oldest
-        # first; None when the run is not eligible or its orbit was skipped.
+        # The orbit search: the packet-time voltages seen, None when the run
+        # is not eligible or a skip was made, and the snapshots taken.
         fast_forward = config.harvester == "constant" and not config.trace
-        self._marks: list[_Mark] | None = [_NO_MARK, _NO_MARK] if fast_forward else None
+        self._voltages: set[float] | None = set() if fast_forward else None
+        self._snapshots: dict[tuple, _Mark] = {}
+        # The boot-loop search, on the same runs until a skip was made, and
+        # the run at the last recharge.
+        self._boot_loops = fast_forward
+        self._last_boot: _Boot | None = None
 
     @property
     def now_s(self) -> float:
@@ -451,22 +476,28 @@ class Simulator:
 
     def _rearm_crossing(self, key: tuple[DeviceState, float, bool]) -> None:
         """Arm one wake-up at the crossing of the trajectory ``key``, which
-        is ``(device state, g_harv, depleted)``, cancelling the one armed."""
+        is ``(device state, g_harv, depleted)``, cancelling the one armed.
+
+        A recharge flips ``depleted`` off, so this is also where a run learns,
+        once the recharge's event is done, that one happened.
+        """
+        old = self._crossing_key
         self._crossing_key = key
         armed = self._crossing_event
         if armed is not None:
             armed[3] = True
             self._crossing_event = None
         delay_ns = self.cap.next_crossing_ns(self.g_load[key[0]], key[1])
-        if delay_ns is None:
-            return
-        self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
+        if delay_ns is not None:
+            self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
+        if self._boot_loops and old is not None and old[2] and not key[2]:
+            self._on_recharge()
 
     # -- recurring drivers ---------------------------------------------------
 
     def _on_generate(self) -> None:
         self.schedule_at_ns(self.now_ns + self.packet_period_ns, self._on_generate)
-        if self._marks is not None:
+        if self._voltages is not None:
             self._fast_forward()
         self.device.on_generate()
 
@@ -485,39 +516,46 @@ class Simulator:
 
     # -- fast-forward over a periodic steady state ----------------------------
 
-    def _snapshot(self) -> tuple | None:
-        """Everything that drives the rest of the run, relative to now.
+    def _relative_state(self) -> tuple:
+        """Everything that drives the rest of the run, relative to now, but
+        the next packet generation.
 
-        Taken at a packet generation, once the next one is scheduled. None
-        unless the device is asleep with no open cycle and the heap holds
-        only that next generation and crossing wake-ups.
+        The heap entries are taken in the order they pop in, so two equal
+        states compare equal whatever the heap's layout.
         """
-        device = self.device
-        if device.cycle is not None or device.state is not DeviceState.SLEEP:
-            return None
         now = self.now_ns
         generate = self._on_generate
-        heap = []
-        for time_ns, _, action, cancelled in self._heap:
-            if action is not _noop and action != generate:
-                return None
-            heap.append((time_ns - now, cancelled, action is _noop))
         armed = self._crossing_event
         return (
             self.cap.voltage_v,
             self.cap.depleted,
-            device.state,
+            self.device.state,
             self._crossing_key,
             None if armed is None else max(armed[0] - now, 0),
-            tuple(heap),
+            tuple([
+                (time_ns - now, cancelled, action)
+                for time_ns, _, action, cancelled in sorted(self._heap)
+                if action != generate
+            ]),
             tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
         )
+
+    def _snapshot(self) -> tuple | None:
+        """The state a packet generation compares, relative to now.
+
+        Taken once the next generation is scheduled, so that one is always
+        a period ahead. None unless the device is asleep with no open cycle.
+        """
+        device = self.device
+        if device.cycle is not None or device.state is not DeviceState.SLEEP:
+            return None
+        return self._relative_state()
 
     def _fast_forward(self) -> None:
         """Skip whole periods of an exact orbit of the run's state.
 
         Called at each packet generation of a constant-harvest, untraced
-        run. When the state equals the one 1 or 2 periods earlier, the run
+        run. When the state equals the one at an earlier generation, the run
         is periodic from there on, and the orbit between the two has
         already been simulated. As many copies of it as end before the run
         does are added at once: each counter and airtime total grows by
@@ -527,34 +565,40 @@ class Simulator:
         every recorded time are on the integer-ns clock, so each skipped
         orbit, brownouts included, is bit-identical to the simulated one.
 
-        The state is snapshotted only where the packet-time voltage equals
-        one of the two before: a run that never repeats pays two float
-        comparisons per packet, and an orbit is skipped at the first
-        snapshot that equals the one 1 or 2 periods earlier.
+        The state is snapshotted only where the packet-time voltage was seen
+        at an earlier generation: a run that never repeats pays one set
+        lookup per packet. An orbit is skipped at the first snapshot equal
+        to an earlier one, whatever its length, as long as the stores,
+        ``_ORBIT_MEMORY`` entries each, were not emptied in between.
         """
-        marks = self._marks
-        assert marks is not None
-        now = self.now_ns
+        voltages = self._voltages
+        assert voltages is not None
         voltage = self.cap.voltage_v
         # The state repeats only where the voltage does: snapshot only then.
-        if voltage != marks[0].voltage_v and voltage != marks[1].voltage_v:
-            marks[:] = marks[1], _Mark(now, voltage)
+        if voltage not in voltages:
+            if len(voltages) == _ORBIT_MEMORY:
+                voltages.clear()
+            voltages.add(voltage)
+            return
+        state = self._snapshot()
+        if state is None:
             return
         metrics = self.metrics
         mark = _Mark(
-            now,
-            voltage,
-            self._snapshot(),
+            self.now_ns,
             tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
             len(metrics.cycles),
             tuple([budget.airtime_total_ns for budget in self._budgets]),
         )
-        for earlier in (marks[1], marks[0]):
-            if mark.repeats(earlier):
-                self._skip(earlier, mark)
-                self._marks = None
-                return
-        marks[:] = marks[1], mark
+        snapshots = self._snapshots
+        earlier = snapshots.get(state)
+        if earlier is not None:
+            self._skip(earlier, mark)
+            self._voltages = None
+            return
+        if len(snapshots) == _ORBIT_MEMORY:
+            snapshots.clear()
+        snapshots[state] = mark
 
     def _skip(self, earlier: _Mark, mark: _Mark) -> None:
         """Add the orbit from ``earlier`` to ``mark``, which is now, as often
@@ -595,6 +639,120 @@ class Simulator:
         self.cap.last_update_ns += shift
         for event in self._heap:
             event[0] += shift
+
+    # -- skipping a boot loop ------------------------------------------------
+
+    def _on_recharge(self) -> None:
+        """Skip whole boot loops once the last one repeats the one before.
+
+        Called at each recharge of a constant-harvest, untraced run, once
+        the wake-up for the next crossing is armed. A boot loop is the
+        device too small to finish its turn-on: it recharges, enters
+        TURN_ON, depletes before ``turn_on_s`` ends and recharges again,
+        never reaching SLEEP. When the turn-on begun at the last recharge
+        failed and the state now equals the state then, relative to the
+        clock, the run repeats that loop until it ends (``_skip_loops``).
+        """
+        last = self._last_boot
+        state = None
+        # Only a loop whose turn-on failed never reached SLEEP.
+        if last is not None and last.turn_on[3]:
+            state = self._relative_state()
+            if state == last.state and self._loop_is_exact():
+                self._skip_loops(last)
+                return
+        metrics = self.metrics
+        self._last_boot = _Boot(
+            self.now_ns,
+            self.device._pending,
+            state,
+            metrics.depletion_events,
+            metrics.off_time_ns,
+        )
+
+    def _loop_is_exact(self) -> bool:
+        """Whether every copy of the boot loop is bit-identical to the last.
+
+        The loop's capacitor updates are its own events plus one per packet
+        generation, and generations fall at other instants in each copy. An
+        extra update rounds the voltage differently by a few ulps. Each
+        crossing snaps it back onto its threshold, but only if the rounding
+        cannot move the crossing to another tick: a crossing's tick is its
+        time rounded to the nearest tick, and a wake-up sees it or not by
+        the side of its tick it lies on. So the voltage must be on its
+        threshold now, and each crossing's time must stay clear of every
+        whole and half tick by as long as the voltage takes to move
+        ``_ULPS_PER_UPDATE`` ulps of the rail voltage for each update that
+        may fall on the way: one per heap entry, one per packet generation
+        and two to spare.
+        """
+        params = self.cap.params
+        high, low = params.v_th_high_v, params.v_th_low_v
+        if self.cap.voltage_v != high:
+            return False
+        ulp_v = _ULPS_PER_UPDATE * math.ulp(params.rail_voltage_v)
+        crossings = ((high, low, DeviceState.TURN_ON), (low, high, DeviceState.OFF))
+        for v0, target_v, state in crossings:
+            g_load = self.g_load[state]
+            t_s = crossing_time(v0, target_v, g_load, self.g_harv, params)
+            if t_s is None:
+                return False
+            t_ns = t_s * NS_PER_S
+            error_v = (len(self._heap) + 2 + int(t_ns) // self.packet_period_ns) * ulp_v
+            nearer_v = target_v + error_v if v0 > target_v else target_v - error_v
+            nearer_s = crossing_time(v0, nearer_v, g_load, self.g_harv, params)
+            if nearer_s is None:
+                return False
+            margin_ns = (t_s - nearer_s) * NS_PER_S + _ULPS_PER_UPDATE * math.ulp(t_ns)
+            if math.floor(2.0 * (t_ns - margin_ns)) != math.floor(2.0 * (t_ns + margin_ns)):
+                return False
+        return True
+
+    def _skip_loops(self, last: _Boot) -> None:
+        """Add the boot loop from ``last`` to now as often as it fits before
+        the run ends, and move the clock past those copies.
+
+        The depletions and off time grow by whole multiples of their change
+        over the loop, and every heap entry moves by the copies' length but
+        the packet generation. Each generation inside the copies fails for
+        want of energy at its own tick, with its own packet id, or is not
+        counted when ``generate_while_off`` is off; the next one moves to
+        the first generation tick past the copies.
+        """
+        self._boot_loops = False
+        self._voltages = None
+        now = self.now_ns
+        length = now - last.time_ns
+        # Every skipped event must fall before the end, as must ``now``.
+        copies = (self._duration_ns - 1 - now) // length
+        if copies <= 0:
+            return
+        metrics = self.metrics
+        metrics.depletion_events += copies * (metrics.depletion_events - last.depletion_events)
+        metrics.off_time_ns += copies * (metrics.off_time_ns - last.off_time_ns)
+        shift = copies * length
+        end_ns = now + shift
+        generate = self._on_generate
+        period = self.packet_period_ns
+        for event in self._heap:
+            if event[2] != generate:
+                event[0] += shift
+                continue
+            ticks = range(event[0], end_ns, period)
+            event[0] += len(ticks) * period
+            if self.config.generate_while_off:
+                kind = self.device.kind
+                failed = CycleOutcome.FAILED_ENERGY
+                new = tuple.__new__
+                metrics.cycles.extend([
+                    new(CycleRecord, (packet_id, kind, t_ns, t_ns, failed))
+                    for packet_id, t_ns in enumerate(ticks, metrics.generated + 1)
+                ])
+                metrics.generated += len(ticks)
+        # The generation moved by other than the shift.
+        heapq.heapify(self._heap)
+        self.now_ns = end_ns
+        self.cap.last_update_ns += shift
 
     # -- main loop ------------------------------------------------------------
 

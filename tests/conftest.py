@@ -8,11 +8,14 @@ integrates the instantaneous load power by quadrature.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from caplora.energy import CapacitorParams, load_energy_joules
+from caplora.engine import Simulator
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -139,6 +142,34 @@ def traced_load_energy(sim) -> float:
         )
         for r, nxt in zip(records, records[1:])
     )
+
+
+@contextmanager
+def shortcuts_off():
+    """Turn off every exact shortcut of the engine while the block runs: the
+    orbit skip (no packet generation takes a snapshot) and the boot-loop
+    skip (no recharge is compared). A run then simulates every event."""
+    with mock.patch.object(Simulator, "_snapshot", lambda self: None):
+        with mock.patch.object(Simulator, "_on_recharge", lambda self: None):
+            yield
+
+
+def run_both_ways(config) -> tuple[Simulator, Simulator]:
+    """``config`` run as it is, then with every shortcut off."""
+    fast = Simulator(config)
+    fast.run()
+    slow = Simulator(config)
+    with shortcuts_off():
+        slow.run()
+    return fast, slow
+
+
+def assert_same_run(fast: Simulator, slow: Simulator) -> None:
+    """Two finished runs of one scenario ended in the same place."""
+    assert fast.metrics == slow.metrics
+    assert fast.cap.voltage_v == slow.cap.voltage_v
+    assert fast.device.state == slow.device.state
+    assert fast.device.cycle == slow.device.cycle
 
 
 def _clamp(v: float, params: CapacitorParams) -> float:

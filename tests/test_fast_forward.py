@@ -1,5 +1,5 @@
 """Fast-forward over a periodic steady state: a run that skips whole orbits
-ends exactly where the same run simulated event by event ends."""
+or boot loops ends exactly where the same run simulated event by event ends."""
 
 from __future__ import annotations
 
@@ -10,8 +10,11 @@ from dataclasses import replace
 import pytest
 
 from caplora import ScenarioConfig, Simulator
+from caplora.clock import NS_PER_S
 from caplora.device import CycleOutcome
 from caplora.lorawan import LorawanParams
+
+from conftest import assert_same_run, shortcuts_off
 
 # A 1% budget blocks the uplink band for toa / duty; at this duty that is
 # exactly two 60 s periods, so every other packet finds the band busy.
@@ -60,12 +63,13 @@ SCENARIOS = [
 ]
 
 
-def _run(config: ScenarioConfig, monkeypatch, fast_forward: bool = True) -> Simulator:
+def _run(config: ScenarioConfig, fast_forward: bool = True) -> Simulator:
     sim = Simulator(config)
-    with monkeypatch.context() as patch:
-        if not fast_forward:
-            patch.setattr(Simulator, "_snapshot", lambda self: None)
+    if fast_forward:
         sim.run()
+    else:
+        with shortcuts_off():
+            sim.run()
     return sim
 
 
@@ -73,12 +77,12 @@ def _outcomes(sim: Simulator) -> Counter:
     return Counter(record.outcome for record in sim.metrics.cycles)
 
 
-def test_skipping_orbits_changes_nothing(monkeypatch):
+def test_skipping_orbits_changes_nothing():
     assert len(SCENARIOS) >= 50
     skipped = []
     for config in SCENARIOS:
-        fast = _run(config, monkeypatch)
-        slow = _run(config, monkeypatch, fast_forward=False)
+        fast = _run(config)
+        slow = _run(config, fast_forward=False)
         assert fast.metrics == slow.metrics, config
         assert fast.cap.voltage_v == slow.cap.voltage_v
         assert fast.device.cycle == slow.device.cycle
@@ -86,9 +90,10 @@ def test_skipping_orbits_changes_nothing(monkeypatch):
         assert fast._seq <= slow._seq
         if fast._seq < slow._seq:
             skipped.append(fast)
-    # 49 of the 54 scenarios skip orbits; the rest do not repeat within two
-    # periods, or are off or busy at most packet generations.
-    assert len(skipped) == 49
+    # 52 of the 54 scenarios skip orbits. The 17.3 s period never repeats
+    # its packet-time voltage, and at 20 mF and 0.5 mW the device is off at
+    # most packet generations.
+    assert len(skipped) == 52
     assert any(
         sim.metrics.depletion_events > 0 and CycleOutcome.FAILED_ENERGY in _outcomes(sim)
         for sim in skipped
@@ -100,10 +105,10 @@ def test_skipping_orbits_changes_nothing(monkeypatch):
     assert any(sim.config.max_transmissions > 1 for sim in skipped)
 
 
-def test_an_orbit_with_brownouts_is_skipped(monkeypatch):
+def test_an_orbit_with_brownouts_is_skipped():
     config = ScenarioConfig(capacitance_f=0.005, power_w=0.001, duration_s=7200.0)
-    fast = _run(config, monkeypatch)
-    slow = _run(config, monkeypatch, fast_forward=False)
+    fast = _run(config)
+    slow = _run(config, fast_forward=False)
     assert fast.metrics == slow.metrics
     assert fast.metrics.depletion_events == fast.metrics.generated // 2
     assert fast._seq < slow._seq
@@ -145,30 +150,122 @@ def test_an_orbit_is_skipped_at_its_first_repeat(monkeypatch, overrides):
     assert skips == [first_repeat]
 
 
-def test_cost_no_longer_grows_with_duration(monkeypatch):
+def test_cost_no_longer_grows_with_duration():
     # 43,200 packets; the packet-time state repeats from about period 12.
     config = ScenarioConfig(
         capacitance_f=0.006, power_w=0.003, packet_period_s=60.0, duration_s=30 * 86_400.0
     )
-    fast = _run(config, monkeypatch)
-    slow = _run(config, monkeypatch, fast_forward=False)
+    fast = _run(config)
+    slow = _run(config, fast_forward=False)
     assert fast.metrics.generated == 43_200
     assert fast.metrics == slow.metrics
     assert fast._seq < 0.05 * slow._seq
     # Past the transient, a longer run costs no more events.
-    longer = _run(replace(config, duration_s=60 * 86_400.0), monkeypatch)
+    longer = _run(replace(config, duration_s=60 * 86_400.0))
     assert longer._seq <= fast._seq + 20
 
 
-def test_brownout_cost_no_longer_grows_with_duration(monkeypatch):
+def test_brownout_cost_no_longer_grows_with_duration():
     # 43,200 packets, every other one lost to a brownout.
     config = ScenarioConfig(
         capacitance_f=0.005, power_w=0.001, packet_period_s=60.0, duration_s=30 * 86_400.0
     )
-    fast = _run(config, monkeypatch)
+    fast = _run(config)
     assert fast.metrics.generated == 43_200
     assert fast.metrics.depletion_events == 21_600
     assert fast._seq < 1_000
-    longer = _run(replace(config, duration_s=60 * 86_400.0), monkeypatch)
+    longer = _run(replace(config, duration_s=60 * 86_400.0))
     assert longer.metrics.depletion_events == 43_200
     assert longer._seq <= fast._seq + 20
+
+
+# Too small a capacitor to boot: the 0.3 s turn-on at 15 mA drains 1 mF from
+# 3.0 V to 1.8 V in 0.118 s, and the device loops OFF -> TURN_ON -> OFF every
+# 3.68 s, never reaching SLEEP. Starting below the cutoff, it loops from t = 0.
+_BOOT_LOOP = ScenarioConfig(
+    capacitance_f=0.001, power_w=0.005, guard_enabled=False, initial_voltage_v=1.0
+)
+
+
+def _spied(config: ScenarioConfig) -> tuple[Simulator, list[int], list[int]]:
+    """``config`` simulated in full, with the ticks of its recharges and of
+    its depletions."""
+    sim = Simulator(config)
+    recharges: list[int] = []
+    depletions: list[int] = []
+    for name, ticks in (("on_recharged", recharges), ("on_depleted", depletions)):
+
+        def spy(when_ns, callback=getattr(sim.cap, name), ticks=ticks):
+            ticks.append(when_ns)
+            callback(when_ns)
+
+        setattr(sim.cap, name, spy)
+    with shortcuts_off():
+        sim.run()
+    return sim, recharges, depletions
+
+
+def test_a_boot_loop_costs_a_bounded_number_of_events():
+    config = replace(_BOOT_LOOP, initial_voltage_v=3.3, duration_s=86_400.0)
+    fast = _run(config)
+    assert_same_run(fast, _run(config, fast_forward=False))
+    # The first packet browns the device out, and it never boots again.
+    month = _run(replace(config, duration_s=30 * 86_400.0))
+    assert month.metrics.generated == 43_200
+    assert month.metrics.depletion_events == 704_144
+    assert month.metrics.delivered_ul == 0
+    assert month._seq < 50
+    longer = _run(replace(config, duration_s=60 * 86_400.0))
+    assert longer.metrics.depletion_events == 1_408_289
+    assert longer._seq <= month._seq + 20
+
+
+@pytest.mark.parametrize("tie", ["recharge", "depletion", "end", "not_generated"])
+def test_a_skipped_boot_loop_settles_ties(tie):
+    _, recharges, depletions = _spied(replace(_BOOT_LOOP, duration_s=30.0))
+    loop_ns = recharges[-1] - recharges[-2]
+    first_ns = depletions[3] if tie == "depletion" else recharges[3]
+    # Every packet lands on a recharge, or on a depletion, of a later loop.
+    period_ns = 7 * loop_ns
+    config = replace(
+        _BOOT_LOOP,
+        first_packet_s=first_ns / NS_PER_S,
+        packet_period_s=period_ns / NS_PER_S,
+        duration_s=600.0,
+        generate_while_off=tie != "not_generated",
+    )
+    if tie == "end":
+        # The 41st packet is due the instant the run ends.
+        config = replace(config, duration_s=(first_ns + 40 * period_ns) / NS_PER_S)
+    slow, recharges, depletions = _spied(config)
+    fast = _run(config)
+    assert fast.packet_period_ns == period_ns
+    assert_same_run(fast, slow)
+    assert fast._seq < slow._seq // 10
+    packets = [record.start_ns for record in fast.metrics.cycles]
+    if tie == "not_generated":
+        assert fast.metrics.generated == 0 and not packets
+        return
+    assert packets[0] == first_ns
+    assert all(record.outcome is CycleOutcome.FAILED_ENERGY for record in fast.metrics.cycles)
+    if tie == "end":
+        assert fast.metrics.generated == 40
+    else:
+        assert set(packets) <= set(depletions if tie == "depletion" else recharges)
+
+
+def test_a_boot_loop_too_near_a_tick_is_simulated_in_full():
+    # The harvest barely lifts the OFF asymptote above v_th_high_v, so near
+    # that threshold the voltage moves about an ulp per tick. A packet's
+    # extra capacitor update then moves the recharge by a few ticks, and no
+    # loop need repeat the one before: none may be skipped.
+    config = replace(
+        _BOOT_LOOP,
+        capacitance_f=0.00023,
+        power_w=0.0001815027,
+        packet_period_s=0.94,
+        duration_s=3000.0,
+    )
+    slow, recharges, _ = _spied(config)
+    assert len({b - a for a, b in zip(recharges[1:], recharges[2:])}) > 1
+    assert_same_run(_run(config), slow)
