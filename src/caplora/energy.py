@@ -334,15 +334,26 @@ def _ignore_crossing(when_ns: int) -> None:
     pass
 
 
+# Stands for no trajectory in ``Capacitor._solved``: never a segment.
+_UNSOLVED = object()
+
+
 class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
     ``update`` propagates the voltage under the load and harvest conductances
     that were active since the previous update. Clock times are integer
     nanoseconds, so the elapsed time of a step depends on its length only,
-    not on when it happens. A threshold crossing inside the elapsed interval
-    flips ``depleted`` and calls ``on_depleted`` or ``on_recharged`` with the
-    analytically solved crossing time on the clock, not the update time.
+    not on when it happens.
+
+    A crossing's tick is solved once per trajectory: at the first ``update``
+    or ``next_crossing_ns`` under a new load and harvest, or the first after
+    a flip, the active threshold's crossing time is solved from the voltage
+    at the last update and rounded to the nearest clock tick. The update
+    that reaches that tick flips ``depleted`` and calls ``on_depleted`` or
+    ``on_recharged`` with it, not with the update time. Updates in between
+    move the voltage but not the tick, so a crossing does not depend on how
+    many events fell on the way.
 
     Under the current harvest, each load's asymptote and time constant are
     computed once and kept until the harvest changes; a step is
@@ -359,6 +370,10 @@ class Capacitor:
         # ``_segment`` of each g_load met under the harvest ``_harvest_g``.
         self._harvest_g: float | None = None
         self._trajectories: dict[float, tuple[float, float] | None] = {}
+        # The cached segment the crossing tick ``_cross_ns`` was solved on,
+        # and that tick, None when the threshold is never reached.
+        self._solved: object = _UNSOLVED
+        self._cross_ns: int | None = None
 
     def _trajectory(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
         """``_segment`` of a trajectory not yet in the cache, now cached."""
@@ -367,6 +382,23 @@ class Capacitor:
             self._trajectories.clear()
         segment = self._trajectories[g_load] = _segment(g_load, g_harv, self.params)
         return segment
+
+    def _solve(self, segment: tuple[float, float] | None) -> None:
+        """Fix the crossing tick of the trajectory ``segment``, which starts
+        at the last update. A held voltage, or one moving away from the
+        active threshold, never crosses it."""
+        self._solved = segment
+        self._cross_ns = None
+        if segment is None:
+            return
+        v_inf, tau = segment
+        params = self.params
+        target = params.v_th_high_v if self.depleted else params.v_th_low_v
+        if (v_inf > target) != self.depleted:
+            return
+        t_cross = _crossing_s(self.voltage_v, target, v_inf, tau, params.max_voltage_v)
+        if t_cross is not None:
+            self._cross_ns = self.last_update_ns + _ticks_until(t_cross)
 
     def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
         """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
@@ -379,42 +411,33 @@ class Capacitor:
             segment = self._trajectories[g_load]
         else:
             segment = self._trajectory(g_load, g_harv)
-        params = self.params
-        vmax = params.max_voltage_v
-        v_prev = self.voltage_v
+        if segment is not self._solved:
+            self._solve(segment)
+        vmax = self.params.max_voltage_v
         # propagate_voltage's step and clamp.
         if segment is None:
-            v_new = v_prev
+            v_new = self.voltage_v
         else:
             x = -((now_ns - last_ns) / NS_PER_S) / segment[1]
-            v_new = segment[0] * -math.expm1(x) + v_prev * math.exp(x)
+            v_new = segment[0] * -math.expm1(x) + self.voltage_v * math.exp(x)
         if v_new < 0.0:
             v_new = 0.0
         elif v_new > vmax:
             v_new = vmax
         self.voltage_v = v_new
         self.last_update_ns = now_ns
-        # The active threshold is crossed by a move onto or past it, toward it.
-        if self.depleted:
-            target = params.v_th_high_v
-            if not v_prev <= v_new >= target:
-                return
-        else:
-            target = params.v_th_low_v
-            if not v_prev >= v_new <= target:
-                return
-        if segment is None:
-            when_ns = now_ns
-            tick_move = 0.0
-        else:
-            v_inf, tau = segment
-            t_cross = _crossing_s(v_prev, target, v_inf, tau, vmax)
-            when_ns = now_ns if t_cross is None else min(last_ns + _ticks_until(t_cross), now_ns)
-            tick_move = abs(v_inf - target) / tau * TICK_S
+        cross_ns = self._cross_ns
+        if cross_ns is None or now_ns < cross_ns:
+            return
+        assert segment is not None
+        v_inf, tau = segment
+        target = self.params.v_th_high_v if self.depleted else self.params.v_th_low_v
+        tick_move = abs(v_inf - target) / tau * TICK_S
         if abs(v_new - target) <= max(tick_move, _SNAP_TOLERANCE_V):
             self.voltage_v = target
         self.depleted = not self.depleted
-        (self.on_depleted if self.depleted else self.on_recharged)(when_ns)
+        self._solved = _UNSOLVED
+        (self.on_depleted if self.depleted else self.on_recharged)(cross_ns)
 
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is
@@ -423,12 +446,16 @@ class Capacitor:
             segment = self._trajectories[g_load]
         else:
             segment = self._trajectory(g_load, g_harv)
-        if segment is None:
-            return None
-        params = self.params
-        target = params.v_th_high_v if self.depleted else params.v_th_low_v
-        t_cross = _crossing_s(self.voltage_v, target, segment[0], segment[1], params.max_voltage_v)
-        return None if t_cross is None else _ticks_until(t_cross)
+        if segment is not self._solved:
+            self._solve(segment)
+        cross_ns = self._cross_ns
+        return None if cross_ns is None else cross_ns - self.last_update_ns
+
+    def shift(self, shift_ns: int) -> None:
+        """Move the capacitor's clock, and its crossing tick, by ``shift_ns``."""
+        self.last_update_ns += shift_ns
+        if self._cross_ns is not None:
+            self._cross_ns += shift_ns
 
 
 class TraceRecord(NamedTuple):

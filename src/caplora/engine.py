@@ -18,7 +18,7 @@ turn and:
 - runs the action, unless the entry is cancelled by then (a cancelled
   entry still moves the clock);
 - re-arms the one wake-up at the crossing time predicted in closed form,
-  but only when the trajectory changed or the armed wake-up is due.
+  but only when the trajectory changed.
 
 A traced run also records the grid samples up to the entry and a row at
 each new instant, behind one test of whether the run is traced.
@@ -63,7 +63,6 @@ from .energy import (
     Capacitor,
     CapacitorParams,
     TraceRecorder,
-    crossing_time,
     harvester_conductance,
     load_conductance,
     sample_voltages,
@@ -257,12 +256,6 @@ class _Boot(NamedTuple):
     state: tuple | None
     depletion_events: int
     off_time_ns: int
-
-
-# A closed-form step rounds the voltage by a few ulps of the rail voltage;
-# the boot-loop skip allows this many per capacitor update (see
-# ``Simulator._loop_is_exact``).
-_ULPS_PER_UPDATE = 16
 
 
 # Each scenario field's name, and whether it is a time in seconds.
@@ -531,7 +524,7 @@ class Simulator:
             self.cap.depleted,
             self.device.state,
             self._crossing_key,
-            None if armed is None else max(armed[0] - now, 0),
+            None if armed is None else armed[0] - now,
             tuple([
                 (time_ns - now, cancelled, action)
                 for time_ns, _, action, cancelled in sorted(self._heap)
@@ -636,7 +629,7 @@ class Simulator:
             if airtime_ns:  # a budget unused in the orbit keeps its past block
                 budget.blocked_until_ns += shift
         self.now_ns += shift
-        self.cap.last_update_ns += shift
+        self.cap.shift(shift)
         for event in self._heap:
             event[0] += shift
 
@@ -658,7 +651,7 @@ class Simulator:
         # Only a loop whose turn-on failed never reached SLEEP.
         if last is not None and last.turn_on[3]:
             state = self._relative_state()
-            if state == last.state and self._loop_is_exact():
+            if state == last.state:
                 self._skip_loops(last)
                 return
         metrics = self.metrics
@@ -669,44 +662,6 @@ class Simulator:
             metrics.depletion_events,
             metrics.off_time_ns,
         )
-
-    def _loop_is_exact(self) -> bool:
-        """Whether every copy of the boot loop is bit-identical to the last.
-
-        The loop's capacitor updates are its own events plus one per packet
-        generation, and generations fall at other instants in each copy. An
-        extra update rounds the voltage differently by a few ulps. Each
-        crossing snaps it back onto its threshold, but only if the rounding
-        cannot move the crossing to another tick: a crossing's tick is its
-        time rounded to the nearest tick, and a wake-up sees it or not by
-        the side of its tick it lies on. So the voltage must be on its
-        threshold now, and each crossing's time must stay clear of every
-        whole and half tick by as long as the voltage takes to move
-        ``_ULPS_PER_UPDATE`` ulps of the rail voltage for each update that
-        may fall on the way: one per heap entry, one per packet generation
-        and two to spare.
-        """
-        params = self.cap.params
-        high, low = params.v_th_high_v, params.v_th_low_v
-        if self.cap.voltage_v != high:
-            return False
-        ulp_v = _ULPS_PER_UPDATE * math.ulp(params.rail_voltage_v)
-        crossings = ((high, low, DeviceState.TURN_ON), (low, high, DeviceState.OFF))
-        for v0, target_v, state in crossings:
-            g_load = self.g_load[state]
-            t_s = crossing_time(v0, target_v, g_load, self.g_harv, params)
-            if t_s is None:
-                return False
-            t_ns = t_s * NS_PER_S
-            error_v = (len(self._heap) + 2 + int(t_ns) // self.packet_period_ns) * ulp_v
-            nearer_v = target_v + error_v if v0 > target_v else target_v - error_v
-            nearer_s = crossing_time(v0, nearer_v, g_load, self.g_harv, params)
-            if nearer_s is None:
-                return False
-            margin_ns = (t_s - nearer_s) * NS_PER_S + _ULPS_PER_UPDATE * math.ulp(t_ns)
-            if math.floor(2.0 * (t_ns - margin_ns)) != math.floor(2.0 * (t_ns + margin_ns)):
-                return False
-        return True
 
     def _skip_loops(self, last: _Boot) -> None:
         """Add the boot loop from ``last`` to now as often as it fits before
@@ -752,7 +707,7 @@ class Simulator:
         # The generation moved by other than the shift.
         heapq.heapify(self._heap)
         self.now_ns = end_ns
-        self.cap.last_update_ns += shift
+        self.cap.shift(shift)
 
     # -- main loop ------------------------------------------------------------
 
@@ -794,11 +749,9 @@ class Simulator:
                 # device's pending event, which may be this one.
                 if not event[3]:
                     event[2]()
-                # Re-arm the crossing wake-up only on a new trajectory, or
-                # once the armed one is due.
+                # Re-arm the crossing wake-up only on a new trajectory.
                 key = (device.state, self.g_harv, cap.depleted)
-                armed = self._crossing_event
-                if key != self._crossing_key or (armed is not None and armed[0] <= self.now_ns):
+                if key != self._crossing_key:
                     self._rearm_crossing(key)
             self._sample_trace(duration_ns)
             self.now_ns = duration_ns

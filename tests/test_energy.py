@@ -429,20 +429,41 @@ def test_no_flip_without_reaching_threshold(params):
     assert 1.8 < cap.voltage_v < 3.3
 
 
-def _check_step(cap, t_ns, g_load, g_harv, v_expected):
-    """Update ``cap`` to ``t_ns`` and check it against the public kernels."""
+def _crossing_tick(cap, g_load, g_harv):
+    """The tick at which a trajectory ``(g_load, g_harv)`` starting at
+    ``cap``'s last update crosses its active threshold, by ``crossing_time``;
+    None when it never does, or when it leaves the threshold it sits on."""
+    params = cap.params
+    target = params.v_th_high_v if cap.depleted else params.v_th_low_v
+    t_cross = crossing_time(cap.voltage_v, target, g_load, g_harv, params)
+    if t_cross is None:
+        return None
+    if t_cross == 0.0 and (steady_state_voltage(g_load, g_harv, params) > target) != cap.depleted:
+        return None
+    return cap.last_update_ns + _ticks_until(t_cross)
+
+
+def _check_step(cap, t_ns, g_load, g_harv, v_expected, trajectory=None):
+    """Update ``cap`` to ``t_ns`` and check it against the public kernels.
+
+    ``trajectory`` is ``(g_load, g_harv, crossing tick)`` of the trajectory
+    the capacitor is on, or None; the one it is on after the step is
+    returned. A crossing's tick is solved where its trajectory starts."""
     params = cap.params
     depleted = cap.depleted
     target = params.v_th_high_v if depleted else params.v_th_low_v
+    if trajectory is None or trajectory[:2] != (g_load, g_harv):
+        trajectory = (g_load, g_harv, _crossing_tick(cap, g_load, g_harv))
     cap.update(t_ns, g_load, g_harv)
     if cap.depleted == depleted:
         assert cap.voltage_v == v_expected
     else:  # a crossing snaps the voltage onto the threshold, or keeps it
         assert cap.voltage_v in (v_expected, target)
-    target = params.v_th_high_v if cap.depleted else params.v_th_low_v
-    t_cross = crossing_time(cap.voltage_v, target, g_load, g_harv, params)
-    expected_ns = None if t_cross is None else _ticks_until(t_cross)
+        trajectory = (g_load, g_harv, _crossing_tick(cap, g_load, g_harv))
+    tick = trajectory[2]
+    expected_ns = None if tick is None else tick - cap.last_update_ns
     assert cap.next_crossing_ns(g_load, g_harv) == expected_ns
+    return trajectory
 
 
 _STRONG_G = harvester_conductance(0.05, 3.3)
@@ -488,10 +509,57 @@ def test_capacitor_steps_are_the_public_kernels_chained(v0, steps, capacitance_f
     )
     cap = Capacitor(params)
     t_ns = 0
+    trajectory = None
     for dt_ns, g_load, g_harv in steps:
         v_expected = propagate_voltage(cap.voltage_v, dt_ns / NS_PER_S, g_load, g_harv, params)
         t_ns += dt_ns
-        _check_step(cap, t_ns, g_load, g_harv, v_expected)
+        trajectory = _check_step(cap, t_ns, g_load, g_harv, v_expected, trajectory)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(
+    v0=st.floats(min_value=0.0, max_value=3.3),
+    steps=st.lists(st.integers(min_value=1, max_value=60 * NS_PER_S), min_size=1, max_size=10),
+    capacitance_f=st.floats(min_value=1e-4, max_value=1.0),
+    g_load=st.sampled_from([0.0, _SLEEP_G, _TX_G]),
+    g_harv=st.sampled_from([harvester_conductance(1e-4, 3.3), _STRONG_G]),
+)
+# One 39 ns step: solved again from the voltage it left, this crossing would
+# move from 173,087,457,111,240 ns to the tick after.
+@example(
+    v0=1.0,
+    steps=[39],
+    capacitance_f=0.7803184274586411,
+    g_load=0.0,
+    g_harv=9.18273645546373e-06,
+)
+def test_an_update_along_a_trajectory_keeps_its_crossing(v0, steps, capacitance_f, g_load, g_harv):
+    cap = Capacitor(make_params(capacitance_f=capacitance_f, initial_voltage_v=v0))
+    crossings = []
+    cap.on_depleted = cap.on_recharged = crossings.append
+    first = cap.next_crossing_ns(g_load, g_harv)
+    assert first == _crossing_tick(cap, g_load, g_harv)
+    t_ns = 0
+    for dt_ns in steps:
+        t_ns += dt_ns
+        if first is not None and t_ns >= first:
+            break
+        cap.update(t_ns, g_load, g_harv)
+        assert crossings == []
+        assert cap.next_crossing_ns(g_load, g_harv) == (None if first is None else first - t_ns)
+    if first is not None:
+        # Reached at its tick, or past it.
+        cap.update(max(t_ns, first), g_load, g_harv)
+        assert crossings == [first]
+
+
+def test_a_voltage_leaving_the_threshold_it_sits_on_never_crosses_it():
+    # Not yet depleted at the cutoff, and charging: no crossing, and no flip.
+    cap = Capacitor(make_params(initial_voltage_v=1.8))
+    assert not cap.depleted
+    assert cap.next_crossing_ns(0.0, _STRONG_G) is None
+    cap.update(1, 0.0, _STRONG_G)
+    assert not cap.depleted
 
 
 def test_capacitor_steps_stay_exact_as_the_harvest_changes():

@@ -254,18 +254,45 @@ def test_a_skipped_boot_loop_settles_ties(tie):
         assert set(packets) <= set(depletions if tie == "depletion" else recharges)
 
 
-def test_a_boot_loop_too_near_a_tick_is_simulated_in_full():
+def test_a_boot_loop_near_a_tick_is_skipped_exactly():
     # The harvest barely lifts the OFF asymptote above v_th_high_v, so near
     # that threshold the voltage moves about an ulp per tick. A packet's
-    # extra capacitor update then moves the recharge by a few ticks, and no
-    # loop need repeat the one before: none may be skipped.
+    # extra capacitor update rounds the voltage differently, but each
+    # crossing's tick is solved where its trajectory starts: every loop
+    # repeats the one before, and the rest of the run is skipped once the
+    # third recharge, 480 s in, repeats the second.
     config = replace(
         _BOOT_LOOP,
         capacitance_f=0.00023,
         power_w=0.0001815027,
         packet_period_s=0.94,
-        duration_s=3000.0,
+        duration_s=10_000.0,
     )
     slow, recharges, _ = _spied(config)
-    assert len({b - a for a, b in zip(recharges[1:], recharges[2:])}) > 1
-    assert_same_run(_run(config), slow)
+    assert len({b - a for a, b in zip(recharges[1:], recharges[2:])}) == 1
+    fast = _run(config)
+    assert_same_run(fast, slow)
+    assert fast._seq < slow._seq // 10
+
+
+def test_a_boot_loop_does_not_depend_on_the_packet_period():
+    # Packets generated while OFF update the capacitor at instants that
+    # depend on the period; the crossings and the off time must not.
+    runs = [
+        _spied(
+            replace(
+                _BOOT_LOOP,
+                capacitance_f=0.000712,
+                power_w=0.00018150009,
+                packet_period_s=period_s,
+                duration_s=2000.0,
+            )
+        )
+        for period_s in (0.527, 0.94, 7.0)
+    ]
+    (first, recharges, depletions), *others = runs
+    assert len(recharges) > 1 and depletions
+    for sim, other_recharges, other_depletions in others:
+        assert other_recharges == recharges
+        assert other_depletions == depletions
+        assert sim.metrics.off_time_ns == first.metrics.off_time_ns
