@@ -208,15 +208,11 @@ class LorawanDevice:
     # -- packet generation ------------------------------------------------
 
     def on_generate(self) -> None:
+        """A packet falls due while the device is powered up; the simulator
+        settles the ones due while it is down (``Simulator.resume_packets``)."""
         now = self.sim.now_ns
-        powered_down = self.state in (DeviceState.OFF, DeviceState.TURN_ON)
-        if powered_down and not self.sim.config.generate_while_off:
-            return
         self.sim.metrics.generated += 1
         packet_id = self.sim.metrics.generated
-        if powered_down:
-            self._record(packet_id, now, now, CycleOutcome.FAILED_ENERGY)
-            return
         # An acknowledged cycle is closed while its trailing standby still
         # runs; a new cycle must wait until the device is back asleep.
         if self.cycle is not None or self.state is not DeviceState.SLEEP:
@@ -317,6 +313,7 @@ class LorawanDevice:
 
     def _on_turned_on(self) -> None:
         self.sim.set_device_state(DeviceState.SLEEP)
+        self.sim.resume_packets()
 
     def finalize(self, end_ns: int) -> None:
         """Close open accounting at the end of the run."""

@@ -23,6 +23,11 @@ turn and:
 A traced run also records the grid samples up to the entry and a row at
 each new instant, behind one test of whether the run is traced.
 
+A powered-down device schedules no packets. From the depletion on, the
+packet generation is held out of the heap; when the turn-on completes,
+every packet that fell due meanwhile, up to and including that tick, fails
+for want of energy at its own tick (``Simulator.resume_packets``).
+
 Each device state's load current becomes a conductance once, when the
 simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
 the trace samples and the energy guard look that conductance up by state.
@@ -34,18 +39,14 @@ totals. So the same state at two instants evolves bit-identically and
 records the same values shifted by whole nanoseconds. A constant-harvest,
 untraced run uses that to simulate a repeating stretch once and add all the
 copies of it that fit before its end, with no second pass and nothing
-replayed; its metrics equal those of the run simulated event by event:
-
-- an orbit: at the first packet generation whose state, relative to the
-  clock, equals the one at an earlier generation, brownouts in between or
-  not, the periods between the two are added at once
-  (``Simulator._fast_forward``);
-- a boot loop: at the first recharge whose state equals the one at the
-  recharge before, with a turn-on that failed in between, the loop
-  OFF -> TURN_ON -> OFF is added as often as it fits, and the packets
-  generated meanwhile each fail at their own tick (``Simulator._on_recharge``).
-
-Such a run simulates only the transient, one repeat and the tail.
+replayed; its metrics equal those of the run simulated event by event.
+The state is compared, relative to the clock, at each packet generation
+and at each recharge while packets are held (``Simulator._fast_forward``).
+At the first one equal to an earlier one, the stretch between the two is
+added at once: an orbit of packet periods, brownouts in between or not, or
+a boot loop OFF -> TURN_ON -> OFF, whose held packets are counted when the
+device wakes or the run ends. Such a run simulates only the transient, one
+repeat and the tail.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ _ORBIT_MEMORY = 256
 
 
 class _Mark(NamedTuple):
-    """The run at a snapshotted packet generation: the totals a skip adds to."""
+    """The run at a snapshot: the totals a skip adds to."""
 
     time_ns: int
     # The _ORBIT_COUNTERS, the number of cycle records and each budget's
@@ -244,18 +245,6 @@ class _Mark(NamedTuple):
     counts: tuple[int, ...]
     cycles: int
     airtimes: tuple[int, ...]
-
-
-class _Boot(NamedTuple):
-    """The run at a recharge, as the boot-loop skip compares it."""
-
-    time_ns: int
-    # The device's pending ``_on_turned_on``: cancelled once the boot failed.
-    turn_on: Event
-    # ``Simulator._relative_state()``, or None where none was taken.
-    state: tuple | None
-    depletion_events: int
-    off_time_ns: int
 
 
 # Each scenario field's name, and whether it is a time in seconds.
@@ -383,6 +372,12 @@ class Simulator:
         self.g_harv = 0.0
         self._heap: list[Event] = []
         self._seq = 0
+        # The packet generation last scheduled, the tick of the first packet
+        # held while the device is powered down (None while none is), and
+        # the number of times the device woke to SLEEP.
+        self._generation: Event | None = None
+        self._missed_from_ns: int | None = None
+        self._wakes = 0
         self._crossing_event: Event | None = None
         self._crossing_key: tuple[DeviceState, float, bool] | None = None
         self._last_record_key: tuple[int, DeviceState] | None = None
@@ -393,15 +388,12 @@ class Simulator:
             self.gateway.rx1_budget,
             self.gateway.rx2_budget,
         )
-        # The orbit search: the packet-time voltages seen, None when the run
-        # is not eligible or a skip was made, and the snapshots taken.
+        # The repeat search: the voltages seen where a snapshot may be taken,
+        # None when the run is not eligible or a skip was made, and the
+        # snapshots taken.
         fast_forward = config.harvester == "constant" and not config.trace
         self._voltages: set[float] | None = set() if fast_forward else None
         self._snapshots: dict[tuple, _Mark] = {}
-        # The boot-loop search, on the same runs until a skip was made, and
-        # the run at the last recharge.
-        self._boot_loops = fast_forward
-        self._last_boot: _Boot | None = None
 
     @property
     def now_s(self) -> float:
@@ -471,8 +463,10 @@ class Simulator:
         """Arm one wake-up at the crossing of the trajectory ``key``, which
         is ``(device state, g_harv, depleted)``, cancelling the one armed.
 
-        A recharge flips ``depleted`` off, so this is also where a run learns,
-        once the recharge's event is done, that one happened.
+        A crossing flips ``depleted``, so this is also where a run learns,
+        once the crossing's event is done, that one happened: a depletion
+        holds the pending packet generation out of the heap, and a recharge
+        is where a held stretch may repeat.
         """
         old = self._crossing_key
         self._crossing_key = key
@@ -483,16 +477,57 @@ class Simulator:
         delay_ns = self.cap.next_crossing_ns(self.g_load[key[0]], key[1])
         if delay_ns is not None:
             self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
-        if self._boot_loops and old is not None and old[2] and not key[2]:
-            self._on_recharge()
+        if key[2]:
+            # A generation due on the depletion tick may have held itself.
+            if self._missed_from_ns is None:
+                generation = self._generation
+                assert generation is not None
+                self._heap.remove(generation)
+                heapq.heapify(self._heap)
+                self._missed_from_ns = generation[0]
+        elif old is not None and old[2] and self._voltages is not None:
+            self._fast_forward()
 
     # -- recurring drivers ---------------------------------------------------
 
     def _on_generate(self) -> None:
-        self.schedule_at_ns(self.now_ns + self.packet_period_ns, self._on_generate)
+        now = self.now_ns
+        if self.cap.depleted:
+            # Due on the tick the device depleted: held with the ones after.
+            self._missed_from_ns = now
+            return
+        self._generation = self.schedule_at_ns(now + self.packet_period_ns, self._on_generate)
         if self._voltages is not None:
             self._fast_forward()
         self.device.on_generate()
+
+    def _fail_held(self, until_ns: int) -> int:
+        """Fail each packet held since ``_missed_from_ns`` and due before
+        ``until_ns`` for want of energy, at its own tick and with the next
+        packet id, or leave it uncounted when ``generate_while_off`` is off.
+        Returns the tick of the first packet not yet due."""
+        missed_from = self._missed_from_ns
+        assert missed_from is not None
+        ticks = range(missed_from, until_ns, self.packet_period_ns)
+        if self.config.generate_while_off:
+            metrics = self.metrics
+            kind = self.device.kind
+            failed = CycleOutcome.FAILED_ENERGY
+            new = tuple.__new__
+            metrics.cycles.extend([
+                new(CycleRecord, (packet_id, kind, t_ns, t_ns, failed))
+                for packet_id, t_ns in enumerate(ticks, metrics.generated + 1)
+            ])
+            metrics.generated += len(ticks)
+        return missed_from + len(ticks) * self.packet_period_ns
+
+    def resume_packets(self) -> None:
+        """Called as the device wakes to SLEEP: fail the packets held while
+        it was powered down, up to and including now, and schedule the next."""
+        next_ns = self._fail_held(self.now_ns + 1)
+        self._missed_from_ns = None
+        self._wakes += 1
+        self._generation = self.schedule_at_ns(next_ns, self._on_generate)
 
     def _on_harvest_change(self) -> None:
         now_s = self.now_s
@@ -510,14 +545,12 @@ class Simulator:
     # -- fast-forward over a periodic steady state ----------------------------
 
     def _relative_state(self) -> tuple:
-        """Everything that drives the rest of the run, relative to now, but
-        the next packet generation.
+        """Everything that drives the rest of the run, relative to now.
 
         The heap entries are taken in the order they pop in, so two equal
         states compare equal whatever the heap's layout.
         """
         now = self.now_ns
-        generate = self._on_generate
         armed = self._crossing_event
         return (
             self.cap.voltage_v,
@@ -528,40 +561,49 @@ class Simulator:
             tuple([
                 (time_ns - now, cancelled, action)
                 for time_ns, _, action, cancelled in sorted(self._heap)
-                if action != generate
             ]),
             tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
         )
 
     def _snapshot(self) -> tuple | None:
-        """The state a packet generation compares, relative to now.
+        """The state a packet generation or a recharge compares, relative
+        to now.
 
-        Taken once the next generation is scheduled, so that one is always
-        a period ahead. None unless the device is asleep with no open cycle.
+        A generation takes it once the next one is scheduled, so that one is
+        always a period ahead, and only while the device is asleep with no
+        open cycle: otherwise it is None. While packets are held, the heap
+        holds no generation, and the state goes with the number of wakes so
+        far: two equal snapshots then lie in one powered-down stretch, with
+        no wake between them. The held tick would not do: a wake before it
+        falls due holds it again at the next depletion.
         """
+        if self._missed_from_ns is not None:
+            return self._relative_state(), self._wakes
         device = self.device
         if device.cycle is not None or device.state is not DeviceState.SLEEP:
             return None
         return self._relative_state()
 
     def _fast_forward(self) -> None:
-        """Skip whole periods of an exact orbit of the run's state.
+        """Skip whole copies of an exact orbit of the run's state.
 
         Called at each packet generation of a constant-harvest, untraced
-        run. When the state equals the one at an earlier generation, the run
-        is periodic from there on, and the orbit between the two has
-        already been simulated. As many copies of it as end before the run
-        does are added at once: each counter and airtime total grows by
-        whole multiples of its change over the orbit, and the orbit's cycle
-        records are copied shifted by whole orbit lengths. The clock moves
-        past the copies and the tail is simulated as usual. The state and
-        every recorded time are on the integer-ns clock, so each skipped
-        orbit, brownouts included, is bit-identical to the simulated one.
+        run, and at each recharge while packets are held. When the state
+        equals the one at an earlier snapshot, the run is periodic from
+        there on, and the orbit between the two has already been simulated:
+        whole packet periods, or boot loops that never reached SLEEP. As
+        many copies of it as end before the run does are added at once:
+        each counter and airtime total grows by whole multiples of its
+        change over the orbit, and the orbit's cycle records are copied
+        shifted by whole orbit lengths. The clock moves past the copies and
+        the tail is simulated as usual. The state and every recorded time
+        are on the integer-ns clock, so each skipped orbit, brownouts
+        included, is bit-identical to the simulated one.
 
-        The state is snapshotted only where the packet-time voltage was seen
-        at an earlier generation: a run that never repeats pays one set
-        lookup per packet. An orbit is skipped at the first snapshot equal
-        to an earlier one, whatever its length, as long as the stores,
+        The state is snapshotted only where the voltage was seen at an
+        earlier call: a run that never repeats pays one set lookup per
+        packet. An orbit is skipped at the first snapshot equal to an
+        earlier one, whatever its length, as long as the stores,
         ``_ORBIT_MEMORY`` entries each, were not emptied in between.
         """
         voltages = self._voltages
@@ -613,15 +655,17 @@ class Simulator:
         cycles = metrics.cycles
         logged = cycles[earlier.cycles:]
         # Builds each CycleRecord from a plain tuple, without NamedTuple's
-        # Python-level constructor.
+        # Python-level constructor. A boot loop logs none: its packets are
+        # held until the device wakes.
         new = tuple.__new__
-        for k in range(1, copies + 1):
-            shift = k * length
-            ids = k * packets
-            cycles.extend([
-                new(CycleRecord, (packet_id + ids, kind, start_ns + shift, end_ns + shift, outcome))
-                for packet_id, kind, start_ns, end_ns, outcome in logged
-            ])
+        if logged:
+            for k in range(1, copies + 1):
+                shift = k * length
+                ids = k * packets
+                cycles.extend([
+                    new(CycleRecord, (packet_id + ids, kind, start_ns + shift, end_ns + shift, outcome))
+                    for packet_id, kind, start_ns, end_ns, outcome in logged
+                ])
         shift = copies * length
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
@@ -632,82 +676,6 @@ class Simulator:
         self.cap.shift(shift)
         for event in self._heap:
             event[0] += shift
-
-    # -- skipping a boot loop ------------------------------------------------
-
-    def _on_recharge(self) -> None:
-        """Skip whole boot loops once the last one repeats the one before.
-
-        Called at each recharge of a constant-harvest, untraced run, once
-        the wake-up for the next crossing is armed. A boot loop is the
-        device too small to finish its turn-on: it recharges, enters
-        TURN_ON, depletes before ``turn_on_s`` ends and recharges again,
-        never reaching SLEEP. When the turn-on begun at the last recharge
-        failed and the state now equals the state then, relative to the
-        clock, the run repeats that loop until it ends (``_skip_loops``).
-        """
-        last = self._last_boot
-        state = None
-        # Only a loop whose turn-on failed never reached SLEEP.
-        if last is not None and last.turn_on[3]:
-            state = self._relative_state()
-            if state == last.state:
-                self._skip_loops(last)
-                return
-        metrics = self.metrics
-        self._last_boot = _Boot(
-            self.now_ns,
-            self.device._pending,
-            state,
-            metrics.depletion_events,
-            metrics.off_time_ns,
-        )
-
-    def _skip_loops(self, last: _Boot) -> None:
-        """Add the boot loop from ``last`` to now as often as it fits before
-        the run ends, and move the clock past those copies.
-
-        The depletions and off time grow by whole multiples of their change
-        over the loop, and every heap entry moves by the copies' length but
-        the packet generation. Each generation inside the copies fails for
-        want of energy at its own tick, with its own packet id, or is not
-        counted when ``generate_while_off`` is off; the next one moves to
-        the first generation tick past the copies.
-        """
-        self._boot_loops = False
-        self._voltages = None
-        now = self.now_ns
-        length = now - last.time_ns
-        # Every skipped event must fall before the end, as must ``now``.
-        copies = (self._duration_ns - 1 - now) // length
-        if copies <= 0:
-            return
-        metrics = self.metrics
-        metrics.depletion_events += copies * (metrics.depletion_events - last.depletion_events)
-        metrics.off_time_ns += copies * (metrics.off_time_ns - last.off_time_ns)
-        shift = copies * length
-        end_ns = now + shift
-        generate = self._on_generate
-        period = self.packet_period_ns
-        for event in self._heap:
-            if event[2] != generate:
-                event[0] += shift
-                continue
-            ticks = range(event[0], end_ns, period)
-            event[0] += len(ticks) * period
-            if self.config.generate_while_off:
-                kind = self.device.kind
-                failed = CycleOutcome.FAILED_ENERGY
-                new = tuple.__new__
-                metrics.cycles.extend([
-                    new(CycleRecord, (packet_id, kind, t_ns, t_ns, failed))
-                    for packet_id, t_ns in enumerate(ticks, metrics.generated + 1)
-                ])
-                metrics.generated += len(ticks)
-        # The generation moved by other than the shift.
-        heapq.heapify(self._heap)
-        self.now_ns = end_ns
-        self.cap.shift(shift)
 
     # -- main loop ------------------------------------------------------------
 
@@ -726,7 +694,7 @@ class Simulator:
             first = config.first_packet_s
             if first is None:
                 first = self.rng.uniform(0.0, config.packet_period_s)
-            self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
+            self._generation = self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
             self._rearm_crossing((device.state, self.g_harv, cap.depleted))
             while heap:
                 event = heapq.heappop(heap)
@@ -759,6 +727,10 @@ class Simulator:
             self._record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False
+        # A held packet due on the last tick, that of an aborted run too,
+        # falls past the end and is not counted.
+        if self._missed_from_ns is not None:
+            self._fail_held(self.now_ns)
         self.device.finalize(self.now_ns)
         self.metrics.final_voltage_v = self.cap.voltage_v
         self.metrics.ul_airtime_s = self.device.ul_budget.airtime_total_ns / NS_PER_S

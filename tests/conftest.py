@@ -146,12 +146,11 @@ def traced_load_energy(sim) -> float:
 
 @contextmanager
 def shortcuts_off():
-    """Turn off every exact shortcut of the engine while the block runs: the
-    orbit skip (no packet generation takes a snapshot) and the boot-loop
-    skip (no recharge is compared). A run then simulates every event."""
+    """Turn off every exact shortcut of the engine while the block runs: no
+    packet generation or recharge takes a snapshot, so no orbit or boot loop
+    is skipped. A run then simulates every event."""
     with mock.patch.object(Simulator, "_snapshot", lambda self: None):
-        with mock.patch.object(Simulator, "_on_recharge", lambda self: None):
-            yield
+        yield
 
 
 def run_both_ways(config) -> tuple[Simulator, Simulator]:

@@ -10,6 +10,7 @@ import pytest
 
 from caplora import Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
+from caplora.device import CycleOutcome
 from caplora.energy import (
     TraceRecorder,
     harvester_conductance,
@@ -298,6 +299,28 @@ def test_exhausted_trace_aborts_at_its_last_sample(tmp_path):
     assert metrics.generated == 20  # packets at 0, 20, ..., 380
 
 
+@pytest.mark.parametrize("period_s, generated", [(100.0, 6), (30.0, 20)])
+def test_a_run_aborted_while_powered_down_ends_before_its_last_tick(tmp_path, period_s, generated):
+    # The harvest changes every 50 s, too little to power the device up, and
+    # the trace ends at 600 s, before the run. Like a run that ends on time,
+    # it counts the packets due before that tick, not one due on it, whether
+    # the packet period is longer than the trace's step or shorter.
+    rows = [(t, t // 50 % 2 * 1e-6) for t in range(0, 601, 50)]
+    config = ScenarioConfig(
+        harvester="trace",
+        trace_file=_write_trace(tmp_path / "dim.csv", rows),
+        initial_voltage_v=1.0,
+        packet_period_s=period_s,
+        first_packet_s=0.0,
+        duration_s=900.0,
+    )
+    metrics = run_scenario(config)
+    assert metrics.valid is False
+    assert metrics.generated == generated
+    last_ns = round((600.0 - period_s) * NS_PER_S)
+    assert metrics.cycles[-1] == (generated, "UL", last_ns, last_ns, CycleOutcome.FAILED_ENERGY)
+
+
 def test_results_row_matches_header():
     config = ScenarioConfig(
         capacitance_f=0.047,
@@ -468,6 +491,31 @@ def test_idle_time_schedules_no_events(monkeypatch):
         assert sim._seq < 20 * metrics.generated
         pushes.add(sim._seq)
     assert len(pushes) == 1
+
+
+@pytest.mark.parametrize("harvester", ["constant", "trace"])
+def test_a_powered_down_device_costs_no_events(tmp_path, harvester):
+    # No harvest and a start below the cutoff: the device never powers up.
+    # A trace harvester takes no shortcut, so the saving is not one.
+    month_s = 30 * 86_400.0
+    base = ScenarioConfig(power_w=0.0, initial_voltage_v=1.0, duration_s=month_s)
+    if harvester == "trace":
+        dark = _write_trace(tmp_path / "dark.csv", [(0, 0.0), (month_s, 0.0)])
+        base = replace(base, harvester="trace", trace_file=dark)
+    sim = Simulator(replace(base, packet_period_s=60.0))
+    metrics = sim.run()
+    assert metrics.valid
+    assert metrics.generated == 43_200
+    first_ns, period_ns = metrics.cycles[0].start_ns, sim.packet_period_ns
+    assert metrics.cycles == [
+        (k + 1, "UL", first_ns + k * period_ns, first_ns + k * period_ns, CycleOutcome.FAILED_ENERGY)
+        for k in range(43_200)
+    ]
+    assert sim._seq < 10
+    # 259 million packets fall due, and none is counted or costs an event.
+    muted = Simulator(replace(base, packet_period_s=0.01, generate_while_off=False))
+    assert muted.run().generated == 0
+    assert muted._seq < 10
 
 
 @pytest.mark.parametrize(

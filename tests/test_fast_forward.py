@@ -254,6 +254,74 @@ def test_a_skipped_boot_loop_settles_ties(tie):
         assert set(packets) <= set(depletions if tie == "depletion" else recharges)
 
 
+@pytest.mark.parametrize("period_s", [60.0, 0.3], ids=["longer_than_turn_on", "equal"])
+def test_a_packet_due_as_the_turn_on_completes_fails(period_s):
+    # Held while the device is down, a packet due on the very tick the
+    # turn-on completes fails for want of energy; the next starts a cycle.
+    # At a period equal to the turn-on, the one before is due on the
+    # recharge tick.
+    config = ScenarioConfig(initial_voltage_v=1.0, power_w=0.005, turn_on_s=0.3, duration_s=120.0)
+    _, recharges, _ = _spied(config)
+    awake_ns = recharges[0] + round(config.turn_on_s * NS_PER_S)
+    period_ns = round(period_s * NS_PER_S)
+    config = replace(
+        config, first_packet_s=awake_ns % period_ns / NS_PER_S, packet_period_s=period_s
+    )
+    due = awake_ns // period_ns + 1
+    for sim in (_run(config), _run(config, fast_forward=False)):
+        records = {record.packet_id: record for record in sim.metrics.cycles}
+        assert records[due] == (due, "UL", awake_ns, awake_ns, CycleOutcome.FAILED_ENERGY)
+        assert all(records[k].outcome is CycleOutcome.FAILED_ENERGY for k in range(1, due))
+        assert records[due + 1].start_ns == awake_ns + period_ns
+        assert records[due + 1].outcome is CycleOutcome.DELIVERED
+
+
+@pytest.mark.parametrize("generate_while_off", [True, False])
+def test_a_packet_due_as_the_device_depletes_fails(generate_while_off):
+    # The first packet's uplink browns the device out; the second is due on
+    # that very tick and pops before the crossing's own wake-up.
+    config = ScenarioConfig(
+        capacitance_f=0.001,
+        power_w=0.0001,
+        guard_enabled=False,
+        first_packet_s=1.0,
+        duration_s=120.0,
+        generate_while_off=generate_while_off,
+    )
+    _, _, depletions = _spied(config)
+    first_ns = round(config.first_packet_s * NS_PER_S)
+    config = replace(config, packet_period_s=(depletions[0] - first_ns) / NS_PER_S)
+    for sim in (_run(config), _run(config, fast_forward=False)):
+        assert sim.packet_period_ns == depletions[0] - first_ns
+        records = sim.metrics.cycles
+        assert records[0][2:] == (first_ns, depletions[0], CycleOutcome.FAILED_ENERGY)
+        if generate_while_off:
+            assert records[1] == (2, "UL", depletions[0], depletions[0], CycleOutcome.FAILED_ENERGY)
+        else:
+            assert sim.metrics.generated == 1
+
+
+@pytest.mark.parametrize("guard_enabled", [True, False])
+def test_a_device_drained_in_sleep_is_not_taken_for_a_boot_loop(guard_enabled):
+    # The harvest recharges the device under the OFF load but cannot hold it
+    # under this SLEEP load, so it loops OFF -> TURN_ON -> SLEEP -> OFF a few
+    # times per packet period. A wake before the held packet falls due holds
+    # the same packet again at the next depletion: the recharges then repeat
+    # with the same held tick, yet each packet falls due while asleep.
+    config = ScenarioConfig(
+        sleep_a=1e-4,
+        power_w=0.2e-3,
+        capacitance_f=0.01,
+        packet_period_s=3 * 3600.0,
+        duration_s=30 * 86_400.0,
+        guard_enabled=guard_enabled,
+    )
+    fast, slow = _run(config), _run(config, fast_forward=False)
+    assert slow.metrics.depletion_events > 4 * slow.metrics.generated
+    assert slow.metrics.delivered_ul > 0
+    assert_same_run(fast, slow)
+
+
 def test_a_boot_loop_near_a_tick_is_skipped_exactly():
     # The harvest barely lifts the OFF asymptote above v_th_high_v, so near
     # that threshold the voltage moves about an ulp per tick. A packet's
