@@ -233,12 +233,8 @@ class LorawanDevice:
             self._pending = self.sim.schedule_at_ns(allowed, self._attempt_transmission)
             return
         if self.sim.config.guard_enabled:
-            proceed = smart_tx_guard(
-                self.sim.cap.voltage_v,
-                self._guard_horizon,
-                self.sim.g_harv,
-                self.sim.cap.params,
-            )
+            proceed = self.guard_allows(self.sim.cap.voltage_v)
+            self.sim.log_guard(proceed)
             if not proceed:
                 self.sim.metrics.skipped_by_guard += 1
                 self._finish(CycleOutcome.SKIPPED_GUARD)
@@ -248,6 +244,12 @@ class LorawanDevice:
         self.ul_budget.register(now, toa)
         self.sim.set_device_state(DeviceState.TX)
         self._pending = self.sim.schedule_at_ns(now + self._ul_ticks, self._on_tx_end)
+
+    def guard_allows(self, voltage_v: float) -> bool:
+        """The energy guard's answer at ``voltage_v`` under the current harvest."""
+        return smart_tx_guard(
+            voltage_v, self._guard_horizon, self.sim.g_harv, self.sim.cap.params
+        )
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None

@@ -330,6 +330,44 @@ def _ticks_until(t_cross_s: float) -> int:
     return max(1, round(t_cross_s * NS_PER_S))
 
 
+def step_coefficients(
+    elapsed_ns: int, segment: tuple[float, float] | None
+) -> tuple[float, float]:
+    """``(a, b)`` of a ``Capacitor.update`` step of ``elapsed_ns`` along the
+    trajectory ``segment``: a voltage ``v`` steps to ``a + v * b``, then is
+    clamped. A held voltage, ``segment`` None, is ``(0.0, 1.0)``.
+
+    ``update`` computes the same two products inline, and CPython fuses no
+    multiply-add, so a step taken either way gives the same bits.
+    """
+    if segment is None:
+        return 0.0, 1.0
+    x = -(elapsed_ns / NS_PER_S) / segment[1]
+    return segment[0] * -math.expm1(x), math.exp(x)
+
+
+def crossing_tick(
+    v: float,
+    t0_ns: int,
+    depleted: bool,
+    segment: tuple[float, float] | None,
+    params: CapacitorParams,
+) -> int | None:
+    """The clock tick at which the trajectory ``segment``, from ``v`` at
+    ``t0_ns``, reaches the threshold a capacitor ``depleted`` or not watches,
+    rounded to the nearest tick and at least one tick on; None when it never
+    does. A held voltage, or one moving away from the threshold, never does.
+    """
+    if segment is None:
+        return None
+    v_inf, tau = segment
+    target = params.v_th_high_v if depleted else params.v_th_low_v
+    if (v_inf > target) != depleted:
+        return None
+    t_cross = _crossing_s(v, target, v_inf, tau, params.max_voltage_v)
+    return None if t_cross is None else t0_ns + _ticks_until(t_cross)
+
+
 def _ignore_crossing(when_ns: int) -> None:
     pass
 
@@ -388,17 +426,9 @@ class Capacitor:
         at the last update. A held voltage, or one moving away from the
         active threshold, never crosses it."""
         self._solved = segment
-        self._cross_ns = None
-        if segment is None:
-            return
-        v_inf, tau = segment
-        params = self.params
-        target = params.v_th_high_v if self.depleted else params.v_th_low_v
-        if (v_inf > target) != self.depleted:
-            return
-        t_cross = _crossing_s(self.voltage_v, target, v_inf, tau, params.max_voltage_v)
-        if t_cross is not None:
-            self._cross_ns = self.last_update_ns + _ticks_until(t_cross)
+        self._cross_ns = crossing_tick(
+            self.voltage_v, self.last_update_ns, self.depleted, segment, self.params
+        )
 
     def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
         """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
@@ -414,7 +444,7 @@ class Capacitor:
         if segment is not self._solved:
             self._solve(segment)
         vmax = self.params.max_voltage_v
-        # propagate_voltage's step and clamp.
+        # propagate_voltage's step and clamp, as ``step_coefficients`` has it.
         if segment is None:
             v_new = self.voltage_v
         else:
@@ -442,20 +472,33 @@ class Capacitor:
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is
         crossed, at least one."""
-        if g_harv == self._harvest_g and g_load in self._trajectories:
-            segment = self._trajectories[g_load]
-        else:
-            segment = self._trajectory(g_load, g_harv)
+        segment = self.segment(g_load, g_harv)
         if segment is not self._solved:
             self._solve(segment)
         cross_ns = self._cross_ns
         return None if cross_ns is None else cross_ns - self.last_update_ns
+
+    def segment(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
+        """The cached ``_segment`` of the trajectory under ``g_load`` and
+        ``g_harv``: the object ``update`` steps along, so two calls under
+        one load return the same object until the harvest changes."""
+        if g_harv == self._harvest_g and g_load in self._trajectories:
+            return self._trajectories[g_load]
+        return self._trajectory(g_load, g_harv)
 
     def shift(self, shift_ns: int) -> None:
         """Move the capacitor's clock, and its crossing tick, by ``shift_ns``."""
         self.last_update_ns += shift_ns
         if self._cross_ns is not None:
             self._cross_ns += shift_ns
+
+    def replayed(self, voltage_v: float, cross_ns: int | None) -> None:
+        """Take the voltage at the last update, and the crossing tick of the
+        trajectory under way, that a replay reached by taking ``update``'s
+        steps with ``step_coefficients`` and its solves with
+        ``crossing_tick``."""
+        self.voltage_v = voltage_v
+        self._cross_ns = cross_ns
 
 
 class TraceRecord(NamedTuple):

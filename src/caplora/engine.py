@@ -11,17 +11,21 @@ A heap entry is an ``Event``: the list ``[time_ns, seq, action,
 cancelled]``, which ``heapq`` orders in C by time and then by scheduling
 order, since ``seq`` is unique. Cancelling an entry sets its flag and
 leaves it in the heap. One loop in ``Simulator.run`` pops each entry in
-turn and:
+turn and, unless it is cancelled:
 
 - brings the capacitor up to the entry's time, so a threshold crossing is
   handled before any event logic runs;
-- runs the action, unless the entry is cancelled by then (a cancelled
-  entry still moves the clock);
+- runs the action, unless the entry is cancelled by then: a depletion the
+  update finds cancels the device's pending event, which may be this one;
 - re-arms the one wake-up at the crossing time predicted in closed form,
   but only when the trajectory changed.
 
-A traced run also records the grid samples up to the entry and a row at
-each new instant, behind one test of whether the run is traced.
+A cancelled entry leaves the capacitor alone, so where a trajectory's
+closed-form step is split depends on the live events only.
+
+A traced run also records the grid samples up to each entry and a row at
+each new instant, a cancelled entry's computed in closed form, behind one
+test of whether the run is traced.
 
 A powered-down device schedules no packets. From the depletion on, the
 packet generation is held out of the heap; when the turn-on completes,
@@ -37,16 +41,26 @@ integer clock, and every time a run records is a clock time or a sum of
 clock differences: crossing instants, cycle records, off time and airtime
 totals. So the same state at two instants evolves bit-identically and
 records the same values shifted by whole nanoseconds. A constant-harvest,
-untraced run uses that to simulate a repeating stretch once and add all the
-copies of it that fit before its end, with no second pass and nothing
-replayed; its metrics equal those of the run simulated event by event.
-The state is compared, relative to the clock, at each packet generation
-and at each recharge while packets are held (``Simulator._fast_forward``).
-At the first one equal to an earlier one, the stretch between the two is
-added at once: an orbit of packet periods, brownouts in between or not, or
-a boot loop OFF -> TURN_ON -> OFF, whose held packets are counted when the
-device wakes or the run ends. Such a run simulates only the transient, one
-repeat and the tail.
+untraced run uses that to simulate a repeating stretch once and add the
+copies of it that fit before its end; its metrics equal those of the run
+simulated event by event. Two shortcuts find such stretches:
+
+- A stretch between two packet generations that find the device asleep
+  repeats the one before it but for the voltage, as while the voltage
+  settles (``Simulator._match_period``). The voltage alone then differs,
+  and only through the energy guard's answers and the crossing ticks, so
+  the stretch's capacitor steps are replayed copy by copy in closed form
+  and every copy whose guard answers and crossings stay the same is added
+  (``Simulator._replay``), up to the end once the voltage repeats.
+- The state, voltage included, is compared at each packet generation and
+  at each recharge while packets are held (``Simulator._fast_forward``).
+  At the first one equal to an earlier one, the stretch between the two
+  is added at once: an orbit of packet periods, brownouts in between or
+  not, or a boot loop OFF -> TURN_ON -> OFF, whose held packets are
+  counted when the device wakes or the run ends.
+
+Such a run simulates only the transient, a period or a repeat, and the
+tail.
 """
 
 from __future__ import annotations
@@ -64,9 +78,11 @@ from .energy import (
     Capacitor,
     CapacitorParams,
     TraceRecorder,
+    crossing_tick,
     harvester_conductance,
     load_conductance,
     sample_voltages,
+    step_coefficients,
 )
 from .errors import ConfigError
 from .harvester import (
@@ -235,6 +251,10 @@ _ORBIT_COUNTERS = (
 # simulated in full.
 _ORBIT_MEMORY = 256
 
+# A stretch logged for a replay is dropped at the first generation past
+# this many steps and guard answers.
+_PERIOD_MEMORY = 4096
+
 
 class _Mark(NamedTuple):
     """The run at a snapshot: the totals a skip adds to."""
@@ -394,6 +414,14 @@ class Simulator:
         fast_forward = config.harvester == "constant" and not config.trace
         self._voltages: set[float] | None = set() if fast_forward else None
         self._snapshots: dict[tuple, _Mark] = {}
+        # The replay of a settling stretch: at the last generation one may
+        # start at, the uplink band's block, ``_period_state()`` and the
+        # mark, the state None when not taken; and the log of the capacitor
+        # steps and guard answers since, None while nothing is logged.
+        self._period_block: int | None = None
+        self._period_key: tuple | None = None
+        self._period_mark: _Mark | None = None
+        self._steps: list | None = None
 
     @property
     def now_s(self) -> float:
@@ -427,6 +455,24 @@ class Simulator:
             return
         self._last_record_key = key
         recorder.record(self.now_s, self.cap.voltage_v, self.device.state.value)
+
+    def _record_propagated(self) -> None:
+        """Record a row now, its voltage propagated in closed form from the
+        capacitor's last update, which is left untouched."""
+        state = self.device.state
+        now = self.now_ns
+        self._last_record_key = (now, state)
+        cap = self.cap
+        sample_voltages(
+            self.metrics.trace.records,
+            range(now, now + 1),
+            cap.last_update_ns,
+            cap.voltage_v,
+            self.g_load[state],
+            self.g_harv,
+            cap.params,
+            state.value,
+        )
 
     def _sample_trace(self, until_ns: int) -> None:
         """Record the grid samples strictly before ``until_ns``.
@@ -478,6 +524,8 @@ class Simulator:
         if delay_ns is not None:
             self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
         if key[2]:
+            # No period holding a depletion is replayed.
+            self._steps = None
             # A generation due on the depletion tick may have held itself.
             if self._missed_from_ns is None:
                 generation = self._generation
@@ -499,7 +547,16 @@ class Simulator:
         self._generation = self.schedule_at_ns(now + self.packet_period_ns, self._on_generate)
         if self._voltages is not None:
             self._fast_forward()
+            if self._voltages is not None:
+                self._match_period()
         self.device.on_generate()
+
+    def log_guard(self, proceed: bool) -> None:
+        """Called with each answer of the energy guard, which the period
+        being logged for a replay must give again at the same place."""
+        steps = self._steps
+        if steps is not None:
+            steps.append(proceed)
 
     def _fail_held(self, until_ns: int) -> int:
         """Fail each packet held since ``_missed_from_ns`` and due before
@@ -618,31 +675,37 @@ class Simulator:
         state = self._snapshot()
         if state is None:
             return
-        metrics = self.metrics
-        mark = _Mark(
-            self.now_ns,
-            tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
-            len(metrics.cycles),
-            tuple([budget.airtime_total_ns for budget in self._budgets]),
-        )
+        mark = self._mark()
         snapshots = self._snapshots
         earlier = snapshots.get(state)
         if earlier is not None:
-            self._skip(earlier, mark)
-            self._voltages = None
+            copies = self._copies_left(mark.time_ns - earlier.time_ns)
+            if copies > 0:
+                self._skip(earlier, mark, copies)
+            self._voltages = self._steps = None
             return
         if len(snapshots) == _ORBIT_MEMORY:
             snapshots.clear()
         snapshots[state] = mark
 
-    def _skip(self, earlier: _Mark, mark: _Mark) -> None:
-        """Add the orbit from ``earlier`` to ``mark``, which is now, as often
-        as it fits before the run ends, and move the clock past those copies."""
+    def _mark(self) -> _Mark:
+        metrics = self.metrics
+        return _Mark(
+            self.now_ns,
+            tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
+            len(metrics.cycles),
+            tuple([budget.airtime_total_ns for budget in self._budgets]),
+        )
+
+    def _copies_left(self, length_ns: int) -> int:
+        """How many stretches of ``length_ns`` from now fit before the end:
+        every event skipped must fall before it, as must the new ``now``."""
+        return (self._duration_ns - 1 - self.now_ns) // length_ns
+
+    def _skip(self, earlier: _Mark, mark: _Mark, copies: int) -> None:
+        """Add the stretch from ``earlier`` to ``mark``, which is now,
+        ``copies`` times, and move the clock past those copies."""
         length = mark.time_ns - earlier.time_ns
-        # Every skipped event must fall before the end, as must ``now``.
-        copies = (self._duration_ns - 1 - self.now_ns) // length
-        if copies <= 0:
-            return
         metrics = self.metrics
         delta = {
             name: now - then
@@ -658,14 +721,11 @@ class Simulator:
         # Python-level constructor. A boot loop logs none: its packets are
         # held until the device wakes.
         new = tuple.__new__
-        if logged:
-            for k in range(1, copies + 1):
-                shift = k * length
-                ids = k * packets
-                cycles.extend([
-                    new(CycleRecord, (packet_id + ids, kind, start_ns + shift, end_ns + shift, outcome))
-                    for packet_id, kind, start_ns, end_ns, outcome in logged
-                ])
+        cycles.extend([
+            new(CycleRecord, (packet_id + k * packets, kind, start_ns + k * length, end_ns + k * length, outcome))
+            for k in range(1, copies + 1)
+            for packet_id, kind, start_ns, end_ns, outcome in logged
+        ])
         shift = copies * length
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
@@ -676,6 +736,201 @@ class Simulator:
         self.cap.shift(shift)
         for event in self._heap:
             event[0] += shift
+
+    # -- replay of a settling period --------------------------------------------
+
+    def _period_state(self) -> tuple:
+        """The live heap entries but the crossing wake-up, and each duty
+        budget's block, relative to now; the entries in the order they pop in.
+
+        At a generation that finds the device asleep with no open cycle,
+        this is everything the coming period depends on but the voltage; the
+        voltage sets the crossing wake-up.
+        """
+        now = self.now_ns
+        armed = self._crossing_event
+        return (
+            tuple([
+                (entry[0] - now, entry[2])
+                for entry in sorted(self._heap)
+                if not entry[3] and entry is not armed
+            ]),
+            tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
+        )
+
+    def _match_period(self) -> None:
+        """Replay the stretches that repeat the last one but for the voltage.
+
+        Called at each packet generation of a constant-harvest, untraced run
+        until a skip reaches the end. A stretch runs from one generation
+        that finds the device asleep with no open cycle to the next: one
+        packet period, or more when the generations between find it busy.
+        Unless the last such generation found the uplink band blocked for
+        another time, its ``_period_state`` and mark are kept, and the
+        capacitor steps and guard answers since it are logged. When this
+        generation's state equals that one, and no depletion broke the log,
+        the logged stretch is the template of the ones to come
+        (``_replay``).
+        """
+        steps = self._steps
+        device = self.device
+        if device.cycle is not None or device.state is not DeviceState.SLEEP:
+            # A stretch runs on through a generation that finds the device
+            # busy, up to a bounded log.
+            if steps is not None and len(steps) > _PERIOD_MEMORY:
+                self._steps = None
+            return
+        key = self._period_key
+        self._steps = self._period_key = None
+        block = device.ul_budget.blocked_until_ns - self.now_ns
+        if block < 0:
+            block = 0
+        last_block = self._period_block
+        self._period_block = block
+        # A run bound by its uplink budget, whose band is blocked for another
+        # time at every generation, stops here.
+        if last_block is not None and last_block != block:
+            return
+        state = self._period_state()
+        mark = self._mark()
+        if steps is not None and state == key:
+            assert self._period_mark is not None
+            mark = self._replay(self._period_mark, mark, steps)
+            if mark is None:
+                return
+        self._period_key = state
+        self._period_mark = mark
+        self._steps = []
+
+    def _template(self, start_ns: int, steps: list) -> list:
+        """The steps logged since ``start_ns`` as a replay takes them.
+
+        A guard answer stays as it is. A step becomes ``(tick from the
+        start, a, b, new, crossing)``: ``step_coefficients``, ``new`` when
+        its trajectory is not the one before it, so the capacitor solves it
+        afresh where it starts, and ``crossing`` its segment if it may reach
+        the cutoff, else None. A zero-length step moves no voltage, but may
+        start a trajectory. The stretch starts on the trajectory it ends on.
+        """
+        cap = self.cap
+        g_harv = self.g_harv
+        v_low = cap.params.v_th_low_v
+        segments = [cap.segment(entry[1], g_harv) for entry in steps if entry.__class__ is not bool]
+        before = segments[-1]
+        ops: list = []
+        last_ns = start_ns
+        k = 0
+        for entry in steps:
+            if entry.__class__ is bool:
+                ops.append(entry)
+                continue
+            time_ns = entry[0]
+            segment = segments[k]
+            k += 1
+            crossing = segment if segment is not None and segment[0] <= v_low else None
+            ops.append((
+                time_ns - start_ns,
+                *step_coefficients(time_ns - last_ns, segment),
+                segment is not before,
+                crossing,
+            ))
+            before = segment
+            last_ns = time_ns
+        return ops
+
+    def _replay(self, earlier: _Mark, mark: _Mark, steps: list) -> _Mark | None:
+        """Add the copies of the period from ``earlier`` to ``mark``, which
+        is now, that repeat it with only the voltage changed. Returns the
+        mark of the run where the copies end, or None if they reach the end.
+
+        ``steps`` holds each capacitor step of the period, as the tick and
+        load of the update that ended it, and each guard answer, at its
+        place. A copy takes the same steps from its own start voltage, with
+        ``Capacitor.update``'s arithmetic bit for bit, and repeats the
+        period exactly if two things hold: each trajectory's crossing tick,
+        solved where it starts as ``Capacitor`` solves it, falls after the
+        trajectory's last step, and the guard gives every answer again.
+        Everything else the period does depends on the clock only. So the
+        copies are replayed one by one, each from the voltage the one before
+        left, up to the first that fails or the end of the run; once a
+        copy's start repeats an earlier one's, the rest are periodic and
+        the last is known at once. The copies that hold are added as
+        ``_skip`` adds an orbit, and the capacitor takes the voltage and
+        crossing tick they end at.
+        """
+        length = mark.time_ns - earlier.time_ns
+        fit = self._copies_left(length)
+        if fit <= 0:
+            return mark
+        ops = self._template(earlier.time_ns, steps)
+        cap = self.cap
+        params = cap.params
+        vmax = params.max_voltage_v
+        allows = self.device.guard_allows
+        # The period ends with an update, on the trajectory each copy starts
+        # on; its crossing tick from the copy's start.
+        cross = cap.next_crossing_ns(steps[-1][1], self.g_harv)
+        v = cap.voltage_v
+        # Each copy's start (v, cross) seen, with the number of copies
+        # before it; ``starts[k]`` is the start after ``base + k`` copies.
+        seen: dict[tuple, int] = {}
+        starts: list[tuple] = []
+        base = copies = 0
+        while copies < fit:
+            start = (v, cross)
+            first = seen.get(start)
+            if first is not None:
+                v, cross = starts[first - base + (fit - first) % (copies - first)]
+                copies = fit
+                break
+            if len(seen) == _ORBIT_MEMORY:
+                seen.clear()
+                starts.clear()
+                base = copies
+            seen[start] = copies
+            starts.append(start)
+            v_copy, cross_copy, last = v, cross, 0
+            for op in ops:
+                if op.__class__ is bool:
+                    if allows(v_copy) is not op:
+                        break
+                    continue
+                tick, a, b, new, crossing = op
+                if new:
+                    cross_copy = (
+                        None if crossing is None else crossing_tick(v_copy, last, False, crossing, params)
+                    )
+                if tick == last:
+                    continue
+                if cross_copy is not None and tick >= cross_copy:
+                    break
+                v_copy = a + v_copy * b
+                if v_copy < 0.0:
+                    v_copy = 0.0
+                elif v_copy > vmax:
+                    v_copy = vmax
+                last = tick
+            else:
+                v = v_copy
+                cross = None if cross_copy is None else cross_copy - length
+                copies += 1
+                continue
+            break
+        if copies == 0:
+            return mark
+        self._skip(earlier, mark, copies)
+        now = self.now_ns
+        cross_ns = None if cross is None else now + cross
+        cap.replayed(v, cross_ns)
+        armed = self._crossing_event
+        if armed is None or armed[0] != cross_ns:
+            if armed is not None:
+                armed[3] = True
+            self._crossing_event = None if cross_ns is None else self.schedule_at_ns(cross_ns, _noop)
+        if copies == fit:
+            self._voltages = None
+            return None
+        return self._mark()
 
     # -- main loop ------------------------------------------------------------
 
@@ -701,20 +956,32 @@ class Simulator:
                 time_ns = event[0]
                 if time_ns >= duration_ns:
                     break
+                if event[3]:
+                    # A cancelled entry leaves the capacitor alone; a traced
+                    # run still records a row at its time.
+                    if recorder is not None and time_ns != self.now_ns:
+                        self._sample_trace(time_ns)
+                        self.now_ns = time_ns
+                        self._record_propagated()
+                    continue
                 # The capacitor is brought up to the event's time first, so a
                 # threshold crossing is handled before the event's own logic.
+                g = g_load[device.state]
                 if recorder is None:
                     self.now_ns = time_ns
-                    update(time_ns, g_load[device.state], self.g_harv)
+                    update(time_ns, g, self.g_harv)
+                    steps = self._steps
+                    if steps is not None:
+                        steps.append((time_ns, g))
                 else:
                     self._sample_trace(time_ns)
                     moved = time_ns != self.now_ns
                     self.now_ns = time_ns
-                    update(time_ns, g_load[device.state], self.g_harv)
+                    update(time_ns, g, self.g_harv)
                     if moved:
                         self._record_trace()
-                # Read after the update: a depletion it finds cancels the
-                # device's pending event, which may be this one.
+                # Read again after the update: a depletion it finds cancels
+                # the device's pending event, which may be this one.
                 if not event[3]:
                     event[2]()
                 # Re-arm the crossing wake-up only on a new trajectory.

@@ -178,15 +178,21 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     Rows are ``time, power`` with a comma or semicolon delimiter, detected
     automatically; one optional header line is skipped. Times must be finite
     and strictly increasing, powers finite and non-negative. All malformed
-    lines are reported together, with line numbers.
+    lines are reported together, with line numbers; a file that cannot be
+    read as text is reported as one problem.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
         origin = "<stream>"
     else:
         path = Path(source)  # type: ignore[arg-type]
-        text = path.read_text()
         origin = str(path)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise TraceFormatError([f"{origin}: {exc.strerror or exc}"]) from exc
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError([f"{origin}: not a text file ({exc.reason})"]) from exc
     lines = text.splitlines()
     delimiter = ";" if any(";" in line for line in lines[:2]) else ","
     problems: list[str] = []

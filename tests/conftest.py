@@ -148,8 +148,11 @@ def traced_load_energy(sim) -> float:
 def shortcuts_off():
     """Turn off every exact shortcut of the engine while the block runs: no
     packet generation or recharge takes a snapshot, so no orbit or boot loop
-    is skipped. A run then simulates every event."""
-    with mock.patch.object(Simulator, "_snapshot", lambda self: None):
+    is skipped, and no generation matches a period, so none is replayed. A
+    run then simulates every event."""
+    with mock.patch.multiple(
+        Simulator, _snapshot=lambda self: None, _match_period=lambda self: None
+    ):
         yield
 
 

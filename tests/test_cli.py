@@ -323,19 +323,21 @@ def test_trace_with_a_nan_timestamp_is_rejected_before_running(tmp_path, capsys)
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
     code = main(
         [
             "run",
             "--set",
             "harvester.kind=trace",
             "--set",
-            f"trace_file={tmp_path / 'missing.csv'}",
+            f"trace_file={missing}",
             "--out",
             str(tmp_path),
         ]
     )
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # A trace it cannot read is reported as a trace problem.
+    assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
 
 
 def test_usage_errors_exit_nonzero(capsys):

@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import caplora
 from caplora import ScenarioConfig
@@ -31,6 +31,7 @@ from caplora.energy import (
     propagate_voltage,
     sample_voltages,
     steady_state_voltage,
+    step_coefficients,
 )
 from conftest import make_params, rk4_voltage, simpson_load_energy, stepwise_min_voltage
 
@@ -653,6 +654,26 @@ def test_sampled_voltages_are_propagate_voltage_exactly(g_load, power_w, v0):
     if power_w == 0.01:
         assert voltages[-1] == params.max_voltage_v
         assert voltages[0] < params.max_voltage_v
+
+
+@given(
+    v0=st.floats(0.0, 3.1),
+    elapsed_ns=st.integers(1, 10**13),
+    current_a=st.sampled_from((0.0, 5.6e-6, 0.0105055, 0.028011)),
+    power_w=st.sampled_from((0.0, 1e-4, 1e-3, 2e-2)),
+)
+def test_a_step_from_its_coefficients_is_an_update_bit_for_bit(v0, elapsed_ns, current_a, power_w):
+    # A replay steps a + v * b from ``step_coefficients``; the capacitor
+    # computes the same products inline. A cap below the rail clamps.
+    params = make_params(max_voltage_v=3.1, initial_voltage_v=v0, v_th_low_v=1e-6, v_th_high_v=3.1)
+    g_load = load_conductance(current_a, params.rail_voltage_v)
+    g_harv = harvester_conductance(power_w, params.rail_voltage_v)
+    cap = Capacitor(params)
+    depleted = cap.depleted
+    cap.update(elapsed_ns, g_load, g_harv)
+    assume(cap.depleted == depleted)
+    a, b = step_coefficients(elapsed_ns, cap.segment(g_load, g_harv))
+    assert cap.voltage_v == min(max(a + v0 * b, 0.0), params.max_voltage_v)
 
 
 def test_sampling_refuses_a_time_before_the_start_or_a_negative_voltage():

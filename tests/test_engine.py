@@ -19,13 +19,14 @@ from caplora.energy import (
 )
 from caplora.engine import (
     RESULTS_HEADER,
+    capacitor_params,
     results_row,
     success_probability,
     validate_scenario,
 )
 from caplora.lorawan import DeviceState
 
-from conftest import traced_load_energy
+from conftest import shortcuts_off, traced_load_energy
 
 
 def test_periodic_generation_count():
@@ -415,7 +416,7 @@ def test_events_at_one_instant_run_in_scheduling_order():
 def test_a_cancelled_entry_moves_the_clock_but_never_runs():
     config = ScenarioConfig(duration_s=60.0, first_packet_s=30.0, trace=True)
     at_ns = 12_345_678_901  # off the 1 s trace grid, and no other event's time
-    rows = []
+    records = []
     for cancel in (False, True):
         sim = Simulator(config)
         ran = []
@@ -423,11 +424,34 @@ def test_a_cancelled_entry_moves_the_clock_but_never_runs():
             sim.cancel(sim.schedule_at_ns(at_ns, lambda: ran.append(sim.now_ns)))
         metrics = sim.run()
         assert ran == []
-        rows.append([r for r in metrics.trace.records if r.time_s == at_ns / NS_PER_S])
-    # Its dispatch still brought the capacitor to its time, which a traced
-    # run records.
-    assert rows[0] == []
-    assert [r.state for r in rows[1]] == ["Sleep"]
+        records.append(metrics.trace.records)
+    # It leaves the capacitor alone, but a traced run still records a row at
+    # its time, propagated in closed form, and only that row.
+    without, with_entry = records
+    rows = [r for r in with_entry if r.time_s == at_ns / NS_PER_S]
+    assert [r.state for r in rows] == ["Sleep"]
+    assert [r for r in with_entry if r not in rows] == without
+    t0 = max(r.time_s for r in without if r.time_s < rows[0].time_s)
+    v0 = next(r.voltage_v for r in without if r.time_s == t0)
+    g_sleep = config.load_conductances()[DeviceState.SLEEP]
+    g_harv = harvester_conductance(config.power_w, config.rail_voltage_v)
+    params = capacitor_params(config)
+    expected = propagate_voltage(v0, rows[0].time_s - t0, g_sleep, g_harv, params)
+    assert rows[0].voltage_v == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_cancelled_entry_leaves_the_capacitor_alone():
+    # Brought up to the entry's time, the capacitor would split its
+    # trajectory's closed-form step there, and the run would end an ulp off.
+    config = ScenarioConfig(duration_s=60.0, first_packet_s=30.0)
+    at_ns = 12_345_678_901
+    voltages = []
+    for cancel in (False, True):
+        sim = Simulator(config)
+        if cancel:
+            sim.cancel(sim.schedule_at_ns(at_ns, lambda: None))
+        voltages.append(sim.run().final_voltage_v)
+    assert voltages[1] == voltages[0]
 
 
 def test_an_entry_cancelled_by_its_own_update_never_runs():
@@ -470,10 +494,9 @@ def test_a_scheduled_entry_reads_back_its_time_and_cancellation():
     assert sim.schedule_at_ns(1_000, action).time_ns == 5_000
 
 
-def test_idle_time_schedules_no_events(monkeypatch):
-    # A traced run never skips orbits: compare the four with the fast-forward
+def test_idle_time_schedules_no_events():
+    # A traced run takes no shortcut: compare the four with every shortcut
     # off, so that only the trace grid could add events.
-    monkeypatch.setattr(Simulator, "_snapshot", lambda self: None)
     base = ScenarioConfig(
         capacitance_f=0.005,
         power_w=0.001,
@@ -485,7 +508,8 @@ def test_idle_time_schedules_no_events(monkeypatch):
     # already puts 86,400 grid instants between the 360 packets.
     for update_interval_s, trace in ((1.0, False), (0.01, False), (1.0, True), (0.25, True)):
         sim = Simulator(replace(base, update_interval_s=update_interval_s, trace=trace))
-        metrics = sim.run()
+        with shortcuts_off():
+            metrics = sim.run()
         assert metrics.generated == 360
         # Events follow packets and radio states, not the seconds that pass.
         assert sim._seq < 20 * metrics.generated

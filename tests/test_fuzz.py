@@ -1,25 +1,35 @@
 """Every exact shortcut of the engine is invisible: a constant-harvest,
 untraced run, drawn at random, ends exactly where the same run simulated
-event by event ends, boot loops and brownouts included. Every run, whatever
-its harvester, accounts for each packet it generated once."""
+event by event ends, boot loops, brownouts and replayed settling periods
+included. Every run, whatever its harvester, accounts for each packet it
+generated once."""
 
 from __future__ import annotations
 
 import atexit
 import shutil
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplora import ScenarioConfig, Simulator
+from caplora.cli import main
+from caplora.config import _SCHEMA
+from caplora.engine import GUARD_HORIZONS
 from caplora.lorawan import DeviceState
 
 from conftest import assert_same_run, run_both_ways
 
 # Below about 1.5 mF the 0.3 s turn-on cannot finish: the device boot-loops.
 _CAPACITANCES_F = st.floats(0.2e-3, 1.5e-3) | st.floats(1.5e-3, 0.03)
+# Up to 0.1 F the voltage settles over many packet periods, which the
+# replay of a settling period skips.
+_SETTLING_CAPACITANCES_F = _CAPACITANCES_F | st.floats(0.03, 0.1)
 
 
 # Some draws change the powered-down currents and the SLEEP one: a turn-on
@@ -38,40 +48,95 @@ _CURRENTS_A = st.fixed_dictionaries(
 @st.composite
 def constant_harvest_runs(draw) -> ScenarioConfig:
     period_s = draw(st.floats(1.0, 300.0))
+    # Below the rail voltage, the maximum clamps a strong harvest.
+    max_voltage_v = draw(st.sampled_from((3.3, 3.1)))
     return ScenarioConfig(
         **draw(_CURRENTS_A),
-        capacitance_f=draw(_CAPACITANCES_F),
+        capacitance_f=draw(_SETTLING_CAPACITANCES_F),
         power_w=draw(st.sampled_from((0.0, 0.5e-3)) | st.floats(0.1e-3, 10e-3)),
-        initial_voltage_v=draw(st.sampled_from((3.3, 2.5, 1.0))),
+        max_voltage_v=max_voltage_v,
+        initial_voltage_v=min(max_voltage_v, draw(st.sampled_from((3.3, 2.5, 1.0)))),
         packet_period_s=period_s,
         first_packet_s=draw(st.none() | st.floats(0.0, 2 * period_s)),
         confirmed=draw(st.booleans()),
         max_transmissions=draw(st.integers(1, 3)),
         guard_enabled=draw(st.booleans()),
+        guard_horizon=draw(st.sampled_from(GUARD_HORIZONS)),
         generate_while_off=draw(st.booleans()),
         # At most 100 packets, and at most an hour.
         duration_s=min(3600.0, period_s * draw(st.floats(0.5, 100.0))),
     )
 
 
-@settings(max_examples=150, derandomize=True)
-@given(constant_harvest_runs())
-@example(ScenarioConfig(capacitance_f=0.3e-3, power_w=0.5e-3, confirmed=True, guard_enabled=False))
-@example(ScenarioConfig(capacitance_f=0.001, power_w=0.005, guard_enabled=False, duration_s=600.0))
-@example(
-    ScenarioConfig(
-        capacitance_f=0.3e-3,
-        power_w=0.5e-3,
-        turn_on_a=1e-4,
-        sleep_a=2e-4,
-        packet_period_s=60.0,
-        duration_s=600.0,
+def _replayed(config: ScenarioConfig) -> tuple[Simulator, Simulator, bool]:
+    """``run_both_ways(config)``, and whether the first run added a replayed
+    copy of a settling period."""
+    replay = Simulator._replay
+    added = []
+
+    def spy(self, earlier, mark, steps):
+        after = replay(self, earlier, mark, steps)
+        added.append(after is not mark)
+        return after
+
+    with mock.patch.object(Simulator, "_replay", spy):
+        fast, slow = run_both_ways(config)
+    return fast, slow, any(added)
+
+
+def test_every_shortcut_is_invisible():
+    replays = []
+
+    @settings(max_examples=150, derandomize=True)
+    @given(constant_harvest_runs())
+    @example(ScenarioConfig(capacitance_f=0.3e-3, power_w=0.5e-3, confirmed=True, guard_enabled=False))
+    @example(ScenarioConfig(capacitance_f=0.001, power_w=0.005, guard_enabled=False, duration_s=600.0))
+    @example(
+        ScenarioConfig(
+            capacitance_f=0.3e-3,
+            power_w=0.5e-3,
+            turn_on_a=1e-4,
+            sleep_a=2e-4,
+            packet_period_s=60.0,
+            duration_s=600.0,
+        )
     )
-)
-def test_every_shortcut_is_invisible(config):
-    fast, slow = run_both_ways(config)
-    assert_same_run(fast, slow)
-    _assert_each_packet_accounted_once(fast)
+    # A 600 s sizing probe at 0.1 F settles over all of its ten packets.
+    @example(ScenarioConfig(capacitance_f=0.1, power_w=0.5e-3, confirmed=True, duration_s=600.0))
+    # A settling voltage that reaches the maximum between packets; the run
+    # ends 1 s after a packet, before it is back there.
+    @example(
+        ScenarioConfig(
+            capacitance_f=0.02,
+            power_w=5e-3,
+            max_voltage_v=3.1,
+            initial_voltage_v=2.5,
+            first_packet_s=0.0,
+            duration_s=3601.0,
+        )
+    )
+    # Retried confirmed uplinks guarded over the whole cycle, settling.
+    @example(
+        ScenarioConfig(
+            capacitance_f=0.05,
+            power_w=2e-3,
+            confirmed=True,
+            max_transmissions=3,
+            guard_horizon="cycle",
+            duration_s=3600.0,
+        )
+    )
+    def check(config):
+        fast, slow, replayed = _replayed(config)
+        assert_same_run(fast, slow)
+        _assert_each_packet_accounted_once(fast)
+        replays.append(replayed)
+
+    check()
+    # The replay is exercised, not only compared with itself: 37 of the 156
+    # draws replay. The others are mostly short, unharvested, browned out or
+    # bound by the uplink budget.
+    assert sum(replays) >= 25
 
 
 def _assert_each_packet_accounted_once(sim: Simulator) -> None:
@@ -194,3 +259,58 @@ def near_threshold_boot_loops(draw) -> ScenarioConfig:
 def test_a_near_threshold_boot_loop_skip_is_invisible(config):
     fast, slow = run_both_ways(config)
     assert_same_run(fast, slow)
+
+
+# Trace files a command line may name: a good one, a malformed one, one that
+# is missing, a directory and a binary file.
+_MALFORMED = _TRACE_DIR / "malformed.csv"
+_MALFORMED.write_text("time_s,power_w\n0,abc\n5,-1\n3,nan\n")
+_BINARY = _TRACE_DIR / "binary.csv"
+_BINARY.write_bytes(b"\xff\xfe\x00\x81")
+_TRACE_FILES = tuple(
+    str(path) for path in (_TRACE, _MALFORMED, _TRACE_DIR / "missing.csv", _TRACE_DIR, _BINARY)
+)
+_KEYS = sorted(
+    {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
+    | {key for keys in _SCHEMA.values() for key in keys}
+    | {"nope", "capacitor.nope", ""}
+)
+# Non-finite, huge, negative, empty and malformed values, and ones a run
+# accepts; none makes a valid run long.
+_VALUES = (
+    "nan", "inf", "-inf", "1e400", "-1", "0", "", "abc", "none", "1,2", "0,nan",
+    "0.5", "2", "60", "1e-12", "true", "trace", "random", "cycle", "UL+DL",
+)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    argv = [draw(st.sampled_from(("run", "trace", "mincap", "sweep", "bogus")))]
+    if draw(st.booleans()):
+        trace_file = draw(st.sampled_from(_TRACE_FILES))
+        argv += ["--set", "harvester.kind=trace", "--set", f"harvester.trace_file={trace_file}"]
+    for _ in range(draw(st.integers(0, 3))):
+        argv += ["--set", f"{draw(st.sampled_from(_KEYS))}={draw(st.sampled_from(_VALUES))}"]
+    return argv
+
+
+@settings(max_examples=100, derandomize=True)
+@given(command_lines())
+def test_a_command_line_exits_0_1_or_2_without_a_traceback(argv):
+    out_dir = tempfile.mkdtemp(dir=_TRACE_DIR)
+    err = StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        code = main([*argv, "--out", out_dir])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    # Exit 1 is a runtime failure of the harvest trace only: one it cannot
+    # read or parse, each problem on an ``error: <file>:`` line, or one that
+    # runs out.
+    if code == 1:
+        trace_file = [arg.partition("=")[2] for arg in argv if "trace_file=" in arg][-1]
+        assert all(
+            line.startswith(f"error: {trace_file}:") or "harvest trace exhausted" in line
+            for line in lines
+        )
+
