@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +25,9 @@ from .engine import RESULTS_HEADER, Simulator, check_scenarios, results_row
 from .harvester import TraceFormatError, load_trace
 
 
+# Built once per process: parsing leaves the parser unchanged, and each
+# call's arguments land in a fresh namespace.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caplora",

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .clock import NS_PER_S
@@ -162,6 +164,24 @@ class _Cycle:
     delivered: bool = False
 
 
+@lru_cache(maxsize=64)
+def _cycle_tables(params: LorawanParams) -> tuple:
+    """What every cycle of a device with ``params`` walks, in clock ticks,
+    shared read-only by all devices with equal params: the uplink's airtime
+    and ticks, the reboot's ticks, the downlink airtimes, the post-TX steps
+    per reply and the states each energy-guard horizon looks ahead over."""
+    ul_s = params.ul_time_on_air()
+    post_tx = {
+        reply: tuple(
+            (state, round(duration * NS_PER_S)) for state, duration in post_tx_sequence(params, reply)
+        )
+        for reply in DlReply
+    }
+    horizons = {name: tuple(cycle_states(params, reply)) for name, reply in GUARD_HORIZON_REPLIES.items()}
+    return (ul_s, round(ul_s * NS_PER_S), round(params.turn_on_s * NS_PER_S), params.dl_airtimes_s(),
+            MappingProxyType(post_tx), MappingProxyType(horizons))
+
+
 class LorawanDevice:
     """Event-driven end device. The simulator owns time and the capacitor;
     the device reacts to packet generation and threshold notifications."""
@@ -178,27 +198,15 @@ class LorawanDevice:
         # is never a second: ``on_generate`` starts a cycle only while asleep.
         self._pending: Event | None = None
         self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
-        # Everything a cycle walks is fixed for the run, so each duration is
-        # turned into clock ticks once: the uplink, the reboot, and the
-        # states walked after an uplink, per reply.
-        self._ul_time_on_air_s = params.ul_time_on_air()
-        self._ul_ticks = round(self._ul_time_on_air_s * NS_PER_S)
-        self._turn_on_ticks = round(params.turn_on_s * NS_PER_S)
-        self._dl_airtimes_s = params.dl_airtimes_s()
-        self._post_tx = {
-            reply: tuple(
-                (state, round(duration * NS_PER_S))
-                for state, duration in post_tx_sequence(params, reply)
-            )
-            for reply in DlReply
-        }
+        (self._ul_time_on_air_s, self._ul_ticks, self._turn_on_ticks, self._dl_airtimes_s,
+         self._post_tx, horizons) = _cycle_tables(params)
         # The post-TX steps being walked, and the index of the next one.
         self._steps: tuple[tuple[DeviceState, int], ...] = ()
         self._step = 0
         # The energy guard's horizon as ``(duration, g_load)`` segments.
-        reply = GUARD_HORIZON_REPLIES[sim.config.guard_horizon]
         self._guard_horizon = tuple(
-            (duration, sim.g_load[state]) for state, duration in cycle_states(params, reply)
+            (duration, sim.g_load[state])
+            for state, duration in horizons[sim.config.guard_horizon]
         )
 
     @property

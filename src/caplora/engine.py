@@ -51,7 +51,10 @@ simulated event by event. Two shortcuts find such stretches:
   and only through the energy guard's answers and the crossing ticks, so
   the stretch's capacitor steps are replayed copy by copy in closed form
   and every copy whose guard answers and crossings stay the same is added
-  (``Simulator._replay``), up to the end once the voltage repeats.
+  (``Simulator._replay``), up to the end once the voltage repeats. A
+  discharge ending inside a copy is solved for its crossing only when its
+  last step is within ``_crossing_margin`` of the cutoff: only then can it
+  have crossed.
 - The state, voltage included, is compared at each packet generation and
   at each recharge while packets are held (``Simulator._fast_forward``).
   At the first one equal to an earlier one, the stretch between the two
@@ -69,6 +72,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -358,18 +362,55 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     return problems
 
 
+# Each scenario found valid, as its field values and their types, so that a
+# sweep, which checks every point up front and then builds a Simulator for
+# it, validates each point once. At most this many are kept; the store is
+# emptied when full. A problem is reported afresh every time.
+_VALID_MEMORY = 1024
+_valid: set[tuple] = set()
+_scenario_fields = attrgetter(*(name for name, _ in _FIELD_TIMES))
+
+
+def _problems(config: ScenarioConfig) -> list[str]:
+    """``validate_scenario(config)``, skipped for one found valid before."""
+    values = _scenario_fields(config)
+    key = (values, tuple(map(type, values)))
+    try:
+        if key in _valid:
+            return []
+    except TypeError:  # an unhashable field value: never kept
+        return validate_scenario(config)
+    problems = validate_scenario(config)
+    if not problems:
+        if len(_valid) == _VALID_MEMORY:
+            _valid.clear()
+        _valid.add(key)
+    return problems
+
+
 def check_scenarios(configs: Iterable[ScenarioConfig]) -> None:
     """Raise one ConfigError with every scenario's problems, each listed once."""
-    problems = dict.fromkeys(p for config in configs for p in validate_scenario(config))
+    problems = dict.fromkeys(p for config in configs for p in _problems(config))
     if problems:
         raise ConfigError(list(problems))
+
+
+def _crossing_margin(segment: tuple[float, float], max_voltage_v: float) -> float:
+    """How far above the cutoff a discharge along ``segment`` must be at a
+    tick T for its crossing tick to fall after T. A discharge is monotone
+    and steepest at the highest voltage; a crossing tick on or before T is
+    at most half a tick before the crossing instant, so the voltage at T is
+    at most half the steepest one-tick move above the cutoff. The margin is
+    twice that move, plus 1e-9 V for the rounding of steps and solve."""
+    v_inf, tau = segment
+    return 2.0 * (max_voltage_v - v_inf) / tau * TICK_S + 1e-9
 
 
 class Simulator:
     """Runs one scenario to completion and reports its metrics."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        problems = validate_scenario(config)
+        problems = _problems(config)
         if problems:
             raise ConfigError(problems)
 
@@ -713,19 +754,24 @@ class Simulator:
         }
         for name, step in delta.items():
             setattr(metrics, name, getattr(metrics, name) + copies * step)
-        # Each packet generated took the next packet id.
+        # Each packet generated took the next packet id; every record logged
+        # is of a packet generated in the stretch, so ``packets`` > 0 when
+        # there is one. A boot loop logs none: its packets are held until
+        # the device wakes.
         packets = delta["generated"]
         cycles = metrics.cycles
-        logged = cycles[earlier.cycles:]
-        # Builds each CycleRecord from a plain tuple, without NamedTuple's
-        # Python-level constructor. A boot loop logs none: its packets are
-        # held until the device wakes.
-        new = tuple.__new__
-        cycles.extend([
-            new(CycleRecord, (packet_id + k * packets, kind, start_ns + k * length, end_ns + k * length, outcome))
-            for k in range(1, copies + 1)
-            for packet_id, kind, start_ns, end_ns, outcome in logged
-        ])
+        end = copies + 1
+        # Each logged record's copies, built in C from plain tuples without
+        # NamedTuple's Python-level constructor, and taken copy by copy.
+        columns = [
+            map(tuple.__new__, repeat(CycleRecord), zip(
+                range(packet_id + packets, packet_id + end * packets, packets), repeat(kind),
+                range(start_ns + length, start_ns + end * length, length),
+                range(end_ns + length, end_ns + end * length, length), repeat(outcome),
+            ))
+            for packet_id, kind, start_ns, end_ns, outcome in cycles[earlier.cycles:]
+        ]
+        cycles.extend(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
         shift = copies * length
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
@@ -806,18 +852,27 @@ class Simulator:
         """The steps logged since ``start_ns`` as a replay takes them.
 
         A guard answer stays as it is. A step becomes ``(tick from the
-        start, a, b, new, crossing)``: ``step_coefficients``, ``new`` when
-        its trajectory is not the one before it, so the capacitor solves it
-        afresh where it starts, and ``crossing`` its segment if it may reach
-        the cutoff, else None. A zero-length step moves no voltage, but may
-        start a trajectory. The stretch starts on the trajectory it ends on.
+        start, a, b, new, crossing, ending)``: ``step_coefficients``, and
+        ``new`` when its trajectory is not the one before it, so the
+        capacitor solves it afresh where it starts. A zero-length step moves
+        no voltage, but may start a trajectory. The stretch starts on the
+        trajectory it ends on, whose crossing tick carries into the next
+        copy: its first step has ``crossing``, its segment if it may reach
+        the cutoff, to solve it there. The step after any other such
+        trajectory has ``ending``, its ``(margin, segment)``: it is solved
+        only if its last step ends within ``_crossing_margin`` of the cutoff.
         """
         cap = self.cap
         g_harv = self.g_harv
+        vmax = cap.params.max_voltage_v
         v_low = cap.params.v_th_low_v
         segments = [cap.segment(entry[1], g_harv) for entry in steps if entry.__class__ is not bool]
-        before = segments[-1]
+        # The capacitor step where the trajectory the stretch ends on starts.
+        final = max((k for k, segment in enumerate(segments) if segment is not segments[k - 1]), default=None)
         ops: list = []
+        # The ``(margin, segment)`` of the trajectory under way, if it may
+        # reach the cutoff and ends inside the copy.
+        ending = None
         last_ns = start_ns
         k = 0
         for entry in steps:
@@ -826,16 +881,15 @@ class Simulator:
                 continue
             time_ns = entry[0]
             segment = segments[k]
-            k += 1
-            crossing = segment if segment is not None and segment[0] <= v_low else None
-            ops.append((
-                time_ns - start_ns,
-                *step_coefficients(time_ns - last_ns, segment),
-                segment is not before,
-                crossing,
-            ))
-            before = segment
+            a, b = step_coefficients(time_ns - last_ns, segment)
+            if segment is segments[k - 1]:
+                ops.append((time_ns - start_ns, a, b, False, None, None))
+            else:
+                crossing = segment if segment is not None and segment[0] <= v_low else None
+                ops.append((time_ns - start_ns, a, b, True, crossing if k == final else None, ending))
+                ending = (_crossing_margin(crossing, vmax), crossing) if crossing and k != final else None
             last_ns = time_ns
+            k += 1
         return ops
 
     def _replay(self, earlier: _Mark, mark: _Mark, steps: list) -> _Mark | None:
@@ -850,13 +904,15 @@ class Simulator:
         period exactly if two things hold: each trajectory's crossing tick,
         solved where it starts as ``Capacitor`` solves it, falls after the
         trajectory's last step, and the guard gives every answer again.
-        Everything else the period does depends on the clock only. So the
-        copies are replayed one by one, each from the voltage the one before
-        left, up to the first that fails or the end of the run; once a
-        copy's start repeats an earlier one's, the rest are periodic and
-        the last is known at once. The copies that hold are added as
-        ``_skip`` adds an orbit, and the capacitor takes the voltage and
-        crossing tick they end at.
+        A trajectory that ends inside the copy is solved only when its last
+        step ends within ``_crossing_margin`` of the cutoff: beyond it, a
+        discharge has not crossed yet. Everything else the period does
+        depends on the clock only. So the copies are replayed one by one,
+        each from the voltage the one before left, up to the first that
+        fails or the end of the run; once a copy's start repeats an earlier
+        one's, the rest are periodic and the last is known at once. The
+        copies that hold are added as ``_skip`` adds an orbit, and the
+        capacitor takes the voltage and crossing tick they end at.
         """
         length = mark.time_ns - earlier.time_ns
         fit = self._copies_left(length)
@@ -866,6 +922,7 @@ class Simulator:
         cap = self.cap
         params = cap.params
         vmax = params.max_voltage_v
+        v_low = params.v_th_low_v
         allows = self.device.guard_allows
         # The period ends with an update, on the trajectory each copy starts
         # on; its crossing tick from the copy's start.
@@ -895,8 +952,16 @@ class Simulator:
                     if allows(v_copy) is not op:
                         break
                     continue
-                tick, a, b, new, crossing = op
+                tick, a, b, new, crossing, ending = op
                 if new:
+                    # A trajectory that ended near the cutoff: solved from its
+                    # start. A copy that fails here, rather than at the first
+                    # step past the crossing, is dropped all the same.
+                    if ending is not None and v_copy - v_low <= ending[0]:
+                        ended = crossing_tick(v_start, t_start, False, ending[1], params)
+                        if ended is not None and ended <= last:
+                            break
+                    v_start, t_start = v_copy, last
                     cross_copy = (
                         None if crossing is None else crossing_tick(v_copy, last, False, crossing, params)
                     )

@@ -373,3 +373,39 @@ def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, fie
     assert len(err) == 1
     assert err[0].startswith("config error: ")
     assert field in err[0]
+
+
+def test_sweep_validates_each_point_once(tmp_path, capsys, monkeypatch):
+    # A sweep checks every point up front; the Simulator of each point then
+    # finds it already checked.
+    calls = []
+    validate = caplora.engine.validate_scenario
+
+    def counting(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
+    monkeypatch.setattr(caplora.engine, "_valid", set())
+    grid = ["--set", "sweep.capacitance_f=0.004,0.01", "--set", "sweep.kind=UL,UL+DL"]
+    assert main(["sweep", *FAST, *grid, "--fresh", "--out", str(tmp_path)]) == 0
+    assert "4 rows" in capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 4
+
+
+def test_two_calls_in_one_process_share_no_arguments(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process: a --set or --fresh given to one
+    # call must not reach the next.
+    assert caplora.cli._build_parser() is caplora.cli._build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", *FAST, "--out", str(first)]) == 0
+    assert main(["run", "--out", str(second)]) == 0
+    config = caplora.engine.ScenarioConfig()
+    row = caplora.engine.results_row(config, caplora.engine.run_scenario(config))
+    assert (second / "results.csv").read_text().splitlines()[1] == row
+    assert (first / "results.csv").read_text().splitlines()[1] != row
+    seen = []
+    monkeypatch.setattr(caplora.cli, "_cmd_sweep", lambda args: seen.append(args) or 0)
+    assert main(["sweep", "--set", "duration_s=600", "--fresh", "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    assert [(args.overrides, args.fresh) for args in seen] == [(["duration_s=600"], True), ([], False)]

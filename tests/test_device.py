@@ -4,6 +4,7 @@ energy guard, the replying gateway, and full transmission cycles."""
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -203,7 +204,9 @@ def test_confirmed_cycle_is_acked_at_reception_end():
 
 def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
     # The airtimes are fixed per run: a longer run, with more confirmed
-    # uplinks, makes no more time_on_air calls than a short one.
+    # uplinks, makes no more time_on_air calls than a short one. Each run
+    # builds its device's tables afresh, not from the ones the run before
+    # left in the cache.
     calls = Counter()
     time_on_air = caplora.lorawan.time_on_air
 
@@ -215,6 +218,7 @@ def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
     counts = []
     for duration_s in (300.0, 3000.0):
         calls.clear()
+        caplora.device._cycle_tables.cache_clear()
         config = _base_config(confirmed=True, duration_s=duration_s, trace=False)
         metrics = Simulator(config).run()
         counts.append((calls["time_on_air"], metrics.acked))
@@ -407,3 +411,24 @@ def test_generation_while_powered_down_can_be_counted_or_muted():
     muted = run_scenario(ScenarioConfig(**base, generate_while_off=False))
     assert muted.generated == 0
     assert muted.cycles == []
+
+
+def test_devices_of_equal_params_share_their_tables():
+    # A device's cycle tables are built once per distinct LorawanParams and
+    # shared, read-only, by every device built from equal params.
+    caplora.device._cycle_tables.cache_clear()
+    a, b = (Simulator(ScenarioConfig(seed=seed, confirmed=True)) for seed in (1, 2))
+    assert a.device.params == b.device.params and a.device is not b.device
+    assert a.device._post_tx is b.device._post_tx
+    assert a.device._guard_horizon == b.device._guard_horizon
+    with pytest.raises(TypeError):
+        a.device._post_tx[DlReply.NONE] = ()
+    # A run with other params in between leaves them as they were.
+    config_a = ScenarioConfig(capacitance_f=0.005, power_w=0.002, confirmed=True, duration_s=7200.0)
+    config_b = replace(config_a, data_rate=0, dl_payload_bytes=40, guard_horizon="cycle")
+    first = run_scenario(config_a)
+    other = run_scenario(config_b)
+    again = run_scenario(config_a)
+    assert first == again
+    assert other != first
+    assert first.cycles and first.acked > 0

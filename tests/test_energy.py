@@ -22,6 +22,7 @@ from caplora.energy import (
     TraceRecord,
     TraceRecorder,
     _ticks_until,
+    crossing_tick,
     crossing_time,
     harvester_conductance,
     load_conductance,
@@ -33,6 +34,7 @@ from caplora.energy import (
     steady_state_voltage,
     step_coefficients,
 )
+from caplora.engine import _crossing_margin
 from conftest import make_params, rk4_voltage, simpson_load_energy, stepwise_min_voltage
 
 
@@ -674,6 +676,51 @@ def test_a_step_from_its_coefficients_is_an_update_bit_for_bit(v0, elapsed_ns, c
     assume(cap.depleted == depleted)
     a, b = step_coefficients(elapsed_ns, cap.segment(g_load, g_harv))
     assert cap.voltage_v == min(max(a + v0 * b, 0.0), params.max_voltage_v)
+
+
+@st.composite
+def _discharges(draw) -> tuple[float, float, float]:
+    """A cutoff, an asymptote at or below it and a start voltage above it."""
+    v_low = draw(st.floats(min_value=0.5, max_value=2.9))
+    v_inf = draw(st.floats(min_value=0.0, max_value=v_low))
+    v0 = draw(st.floats(min_value=v_low, max_value=3.3, exclude_min=True))
+    return v_low, v_inf, v0
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    discharge=_discharges(),
+    tau_s=st.floats(min_value=1e-6, max_value=1e4),
+    lead_ticks=st.integers(-3, 3) | st.integers(-(10**13), 10**13),
+    pieces=st.integers(1, 3),
+)
+# TX at 3 mW on 10 mF from 2.19 V: the crossing instant, 236,170,449.23 ns
+# on, rounds onto the tick before it, where the voltage is still 3.5e-10 V
+# above the cutoff.
+@example(
+    discharge=(1.8, 0.10373411374917091, 2.1900528483517383),
+    tau_s=1.14107525124088,
+    lead_ticks=0,
+    pieces=1,
+)
+def test_a_discharge_past_its_margin_has_not_crossed(discharge, tau_s, lead_ticks, pieces):
+    # A replay solves the crossing of a discharge that ends inside a copy
+    # only where the voltage at its last step T is within the margin of the
+    # cutoff: beyond it, the crossing tick solved from the start must fall
+    # after T. T is reached in a few steps, as a replay takes them.
+    v_low, v_inf, v0 = discharge
+    params = make_params(v_th_low_v=v_low)
+    segment = (v_inf, tau_s)
+    cross = crossing_tick(v0, 0, False, segment, params)
+    assume(cross is not None)
+    end = max(1, cross + lead_ticks)
+    v, t = v0, 0
+    for k in range(1, pieces + 1):
+        a, b = step_coefficients(end * k // pieces - t, segment)
+        v = min(max(a + v * b, 0.0), params.max_voltage_v)
+        t = end * k // pieces
+    if v - v_low > _crossing_margin(segment, params.max_voltage_v):
+        assert cross > end
 
 
 def test_sampling_refuses_a_time_before_the_start_or_a_negative_voltage():

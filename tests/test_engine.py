@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from caplora import Metrics, ScenarioConfig, Simulator, run_scenario
+import caplora.engine
+from caplora import ConfigError, Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
 from caplora.device import CycleOutcome
 from caplora.energy import (
@@ -20,6 +21,7 @@ from caplora.energy import (
 from caplora.engine import (
     RESULTS_HEADER,
     capacitor_params,
+    check_scenarios,
     results_row,
     success_probability,
     validate_scenario,
@@ -648,3 +650,29 @@ def test_run_converts_each_load_current_once(monkeypatch, duration_s):
     metrics = run_scenario(config)
     assert metrics.generated > 0 and metrics.trace.records
     assert len(calls) == len(DeviceState)
+
+
+def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return validate_scenario(config)
+
+    monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
+    monkeypatch.setattr(caplora.engine, "_valid", set())
+    good = ScenarioConfig(capacitance_f=1)
+    check_scenarios([good])
+    Simulator(good)
+    Simulator(replace(good))
+    assert calls == [good]
+    # Equal, but with a field of another type: validated afresh.
+    Simulator(ScenarioConfig(capacitance_f=1.0))
+    assert len(calls) == 2
+    bad = ScenarioConfig(capacitance_f=-1.0, duration_s=0.0)
+    for _ in range(2):
+        with pytest.raises(ConfigError) as excinfo:
+            Simulator(bad)
+        assert excinfo.value.problems == validate_scenario(bad)
+        assert len(excinfo.value.problems) == 2
+    assert len(calls) == 4

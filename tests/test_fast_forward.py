@@ -12,7 +12,8 @@ import pytest
 from caplora import ScenarioConfig, Simulator
 from caplora.clock import NS_PER_S
 from caplora.device import CycleOutcome
-from caplora.lorawan import LorawanParams
+from caplora.energy import crossing_tick, harvester_conductance, step_coefficients
+from caplora.lorawan import DeviceState, LorawanParams
 
 from conftest import assert_same_run, shortcuts_off
 
@@ -435,3 +436,40 @@ def test_a_replay_stops_short_of_a_brownout_and_resumes_after_it(monkeypatch):
     assert fast.metrics.depletion_events == 12
     assert len(commits) >= 5
     assert fast._seq < slow._seq // 2
+
+
+def _copies_replayed(config: ScenarioConfig, steps: list) -> int:
+    """The copies ``_replay`` adds of a hand-made period log ``steps`` that
+    ends now, on a fresh simulator of ``config`` at its initial voltage."""
+    sim = Simulator(config)
+    sim.g_harv = harvester_conductance(config.power_w, config.rail_voltage_v)
+    length = steps[-1][0]
+    sim.now_ns = sim.cap.last_update_ns = length
+    mark = sim._mark()
+    sim._replay(mark._replace(time_ns=0), mark, steps)
+    return sim.now_ns // length - 1
+
+
+def test_a_replayed_copy_fails_on_a_crossing_at_a_steps_tick():
+    # A crossing tick on a trajectory's last step is reached by that step,
+    # as the capacitor reaches it at that update, so the copy fails there;
+    # one tick later and it holds. Checked for the trajectory a copy starts
+    # on, whose crossing carries over, and for a discharge inside it.
+    month = 30 * 86_400.0
+    drain = ScenarioConfig(power_w=0.0, duration_s=month)
+    sim = Simulator(drain)
+    g_sleep, g_tx = sim.g_load[DeviceState.SLEEP], sim.g_load[DeviceState.TX]
+    cross = sim.cap.next_crossing_ns(g_sleep, 0.0)
+    assert _copies_replayed(drain, [(cross, g_sleep)]) == 0
+    assert _copies_replayed(drain, [(cross - 1, g_sleep)]) == 1
+    # From near the cutoff, the uplink's TX crosses it a tenth of a second
+    # after the first second's SLEEP.
+    config = ScenarioConfig(initial_voltage_v=1.85, power_w=0.003, duration_s=month)
+    sim = Simulator(config)
+    g_harv = harvester_conductance(config.power_w, config.rail_voltage_v)
+    a, b = step_coefficients(NS_PER_S, sim.cap.segment(g_sleep, g_harv))
+    tx_start = a + sim.cap.voltage_v * b
+    tx_cross = crossing_tick(tx_start, NS_PER_S, False, sim.cap.segment(g_tx, g_harv), sim.cap.params)
+    for tx_end, copies in ((tx_cross, 0), (tx_cross - 1, 1)):
+        steps = [(NS_PER_S, g_sleep), (tx_end, g_tx), (tx_end + NS_PER_S, g_sleep)]
+        assert min(_copies_replayed(config, steps), 1) == copies
