@@ -14,6 +14,7 @@ from .device import DlReply, cycle_states
 from .energy import (
     CapacitorParams,
     harvester_conductance,
+    min_capacitance_over_played,
     min_voltage_over_played,
     played_segments,
     propagate_voltage,
@@ -32,7 +33,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .harvester import TraceExhaustedError
-from .lorawan import DeviceState
+from .lorawan import DeviceState, LorawanParams
 
 # The cycle each kind sizes: ``UL`` the uplink alone, ``UL+DL`` on through
 # the reply received in the first window, until its reception completes.
@@ -74,28 +75,24 @@ class CycleSpec:
         object.__setattr__(self, "played", played)
 
 
-def _cycle_shape(config: ScenarioConfig, kind: str) -> tuple[tuple[float, float], ...]:
+def _cycle_shape(
+    radio: LorawanParams, g_load: dict[DeviceState, float], kind: str
+) -> tuple[tuple[float, float], ...]:
     """The power-independent part of a cycle: its (duration, G_L) segments."""
     if kind not in _KIND_REPLIES:
         raise ValueError(f"unknown cycle kind {kind!r}")
-    g_load = config.load_conductances()
-    states = cycle_states(lorawan_params(config), _KIND_REPLIES[kind])
+    states = cycle_states(radio, _KIND_REPLIES[kind])
     return tuple((duration, g_load[state]) for state, duration in states)
 
 
 def _banked(
-    config: ScenarioConfig, power_w: float, params: CapacitorParams
+    config: ScenarioConfig, power_w: float, params: CapacitorParams, g_off: float
 ) -> tuple[float, float]:
-    """Harvester conductance at ``power_w`` and the voltage banked under it."""
+    """Harvester conductance at ``power_w`` and the voltage banked under it
+    with the Off-state load ``g_off``."""
     g_harv = harvester_conductance(power_w, config.rail_voltage_v)
     # Settled after unbounded time; with both sides open the voltage holds.
-    v0 = propagate_voltage(
-        config.initial_voltage_v,
-        math.inf,
-        config.load_conductances()[DeviceState.OFF],
-        g_harv,
-        params,
-    )
+    v0 = propagate_voltage(config.initial_voltage_v, math.inf, g_off, g_harv, params)
     return g_harv, v0
 
 
@@ -104,10 +101,12 @@ def cycle_spec(
 ) -> CycleSpec:
     """Build the analytic cycle description for ``kind`` at ``power_w``."""
     power = config.power_w if power_w is None else power_w
-    g_harv, v0 = _banked(config, power, capacitor_params(config))
-    return CycleSpec(
-        kind, v0, _cycle_shape(config, kind), g_harv, config.rail_voltage_v
+    g_load = config.load_conductances()
+    g_harv, v0 = _banked(
+        config, power, capacitor_params(config), g_load[DeviceState.OFF]
     )
+    shape = _cycle_shape(lorawan_params(config), g_load, kind)
+    return CycleSpec(kind, v0, shape, g_harv, config.rail_voltage_v)
 
 
 def min_voltage_over_cycle(
@@ -142,7 +141,16 @@ def min_capacitance(
     sags lower than ``c_lo``.
     """
     _check_bracket(c_lo, c_hi, tol_rel)
-    return _size(cycle_spec(config, kind, power_w), config, c_lo, c_hi, tol_rel)
+    spec = cycle_spec(config, kind, power_w)
+    return min_capacitance_over_played(
+        spec.initial_voltage_v,
+        spec.played,
+        config.max_voltage_v,
+        config.v_th_low_v,
+        c_lo,
+        c_hi,
+        tol_rel,
+    )
 
 
 def _check_bracket(c_lo: float, c_hi: float, tol_rel: float) -> None:
@@ -152,26 +160,6 @@ def _check_bracket(c_lo: float, c_hi: float, tol_rel: float) -> None:
             "bisection needs 0 < c_lo < c_hi, both finite, and a finite"
             f" tol_rel > 0; got c_lo={c_lo}, c_hi={c_hi}, tol_rel={tol_rel}"
         )
-
-
-def _size(
-    spec: CycleSpec, config: ScenarioConfig, c_lo: float, c_hi: float, tol_rel: float
-) -> float | None:
-    """``min_capacitance`` of a built cycle over a checked bracket."""
-    v_low = config.v_th_low_v
-    v_hi = min_voltage_over_cycle(c_hi, spec, config)
-    v_lo = min_voltage_over_cycle(c_lo, spec, config)
-    # Larger capacitors sag less; check that on the bracket before trusting
-    # bisection with it.
-    if v_hi < v_lo:
-        raise RuntimeError("minimum cycle voltage is not monotone in capacitance")
-    if v_hi < v_low:
-        return None
-    if v_lo >= v_low:
-        return c_lo
-    return _bisect(
-        c_lo, c_hi, lambda c: min_voltage_over_cycle(c, spec, config) >= v_low, tol_rel
-    )
 
 
 def _bisect(
@@ -287,16 +275,30 @@ def mincap_table(
     # the same for every row at that power; the cycle's shape depends on the
     # data rate, payload and kind only.
     params = capacitor_params(base)
-    banked = [_banked(base, power, params) for power in powers_w]
+    g_load = base.load_conductances()
+    banked = [
+        _banked(base, power, params, g_load[DeviceState.OFF]) for power in powers_w
+    ]
+    radio = lorawan_params(base)
+    rail = base.rail_voltage_v
+    max_v = base.max_voltage_v
+    v_low = base.v_th_low_v
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
-            cfg = replace(base, data_rate=dr, ul_payload_bytes=payload)
-            shapes = [_cycle_shape(cfg, kind) for kind in kinds]
+            row_radio = replace(radio, data_rate=dr, ul_payload_bytes=payload)
+            shapes = [_cycle_shape(row_radio, g_load, kind) for kind in kinds]
             for power, (g_harv, v0) in zip(powers_w, banked):
                 for kind, shape in zip(kinds, shapes):
-                    spec = CycleSpec(kind, v0, shape, g_harv, cfg.rail_voltage_v)
-                    c_min = _size(spec, cfg, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
+                    c_min = min_capacitance_over_played(
+                        v0,
+                        played_segments(shape, g_harv, rail),
+                        max_v,
+                        v_low,
+                        DEFAULT_C_LO_F,
+                        DEFAULT_C_HI_F,
+                        tol_rel,
+                    )
                     rows.append(MinCapacitanceRow(dr, payload, power, kind, c_min))
     return rows
 

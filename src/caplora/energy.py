@@ -319,6 +319,62 @@ def min_voltage_over_played(
     return v_min
 
 
+def min_capacitance_over_played(
+    v0: float,
+    played: Iterable[tuple[float, float, float]],
+    max_voltage_v: float,
+    v_cutoff_v: float,
+    c_lo: float,
+    c_hi: float,
+    tol_rel: float,
+) -> float | None:
+    """Smallest capacitance of the geometric bracket ``[c_lo, c_hi]`` whose
+    minimum voltage over ``played`` stays at or above ``v_cutoff_v``, to
+    within ``tol_rel``.
+
+    ``None`` when even ``c_hi`` dips below the cutoff, ``c_lo`` when it
+    fits already; otherwise the answer is on the fitting side of the final
+    bracket. Raises ``RuntimeError`` when ``c_hi`` sags lower than ``c_lo``.
+    The caller checks ``0 < c_lo < c_hi``, both finite, and a finite
+    ``tol_rel > 0``: bisection never narrows any other bracket.
+
+    The bracket ends are probed by ``min_voltage_over_played``. Every
+    midpoint then plays the cycle with that function's step, bit for bit,
+    and stops at the first voltage below the cutoff. That is the same
+    decision as comparing the minimum: once ``c_hi`` fits, the clamped
+    start voltage is at or above the cutoff, so only a step can fall short.
+    """
+    v_hi = min_voltage_over_played(v0, played, c_hi, max_voltage_v)
+    v_lo = min_voltage_over_played(v0, played, c_lo, max_voltage_v)
+    # Larger capacitors sag less; check that on the bracket before trusting
+    # bisection with it.
+    if v_hi < v_lo:
+        raise RuntimeError("minimum cycle voltage is not monotone in capacitance")
+    if v_hi < v_cutoff_v:
+        return None
+    if v_lo >= v_cutoff_v:
+        return c_lo
+    v_start = _clamp(v0, max_voltage_v)
+    exp, expm1 = math.exp, math.expm1
+    lo, hi = c_lo, c_hi
+    while hi / lo > 1.0 + tol_rel:
+        mid = math.sqrt(lo * hi)
+        v = v_start
+        for duration_s, g, v_inf in played:
+            x = -duration_s / (mid / g)
+            v = v_inf * -expm1(x) + v * exp(x)
+            if v < 0.0:
+                v = 0.0
+            elif v > max_voltage_v:
+                v = max_voltage_v
+            if v < v_cutoff_v:
+                lo = mid
+                break
+        else:
+            hi = mid
+    return hi
+
+
 # A crossing voltage closer to its threshold than one clock tick's move, and
 # never closer than this, is snapped onto it when the hysteresis flag flips,
 # so crossings land exactly on the configured level.

@@ -425,7 +425,6 @@ class Simulator:
         self.device = LorawanDevice(self, lorawan_params(config))
         self.cap.on_depleted = self.device.on_depleted
         self.cap.on_recharged = self.device.on_recharged
-        self.rng = random.Random(config.seed)
         self.now_ns = 0
         self.packet_period_ns = round(config.packet_period_s * NS_PER_S)
         self._duration_ns = round(config.duration_s * NS_PER_S)
@@ -1013,7 +1012,8 @@ class Simulator:
             self._on_harvest_change()
             first = config.first_packet_s
             if first is None:
-                first = self.rng.uniform(0.0, config.packet_period_s)
+                # Seeded here, as it is read only for this one draw.
+                first = random.Random(config.seed).uniform(0.0, config.packet_period_s)
             self._generation = self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
             self._rearm_crossing((device.state, self.g_harv, cap.depleted))
             while heap:

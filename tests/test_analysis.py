@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from caplora import ConfigError, ScenarioConfig, analysis
+from caplora import ConfigError, ScenarioConfig, analysis, energy
 from caplora.analysis import (
     CYCLE_KINDS,
     DEFAULT_C_HI_F,
@@ -106,7 +106,9 @@ def _bracket_id(bracket):
 def test_min_capacitance_rejects_a_degenerate_bracket_before_probing(monkeypatch, bracket):
     # Unchecked, tol_rel <= 0 bisects forever and NaN returns the bracket's top.
     probed = []
-    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: probed.append(args))
+    monkeypatch.setattr(
+        analysis, "min_capacitance_over_played", lambda *args: probed.append(args)
+    )
     with pytest.raises(ValueError, match="bisection needs 0 < c_lo < c_hi"):
         min_capacitance(BASE, "UL", **bracket)
     assert probed == []
@@ -125,8 +127,12 @@ def test_min_capacitance_for_target_rejects_a_degenerate_bracket_before_running(
 
 @pytest.mark.parametrize("tol_rel", [0.0, math.nan])
 def test_mincap_table_rejects_a_degenerate_tolerance(monkeypatch, tol_rel):
+    # The spy is the sizing kernel every row calls: a check run after the
+    # rows were sized would leave it called.
     probed = []
-    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: probed.append(args))
+    monkeypatch.setattr(
+        analysis, "min_capacitance_over_played", lambda *args: probed.append(args)
+    )
     with pytest.raises(ValueError, match="bisection needs"):
         mincap_table(BASE, data_rates=(3,), payloads_bytes=(10,), tol_rel=tol_rel)
     assert probed == []
@@ -171,7 +177,9 @@ def test_mincap_table_rows_and_csv():
 )
 def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
     sized = []
-    monkeypatch.setattr(analysis, "min_voltage_over_cycle", lambda *args: sized.append(args))
+    monkeypatch.setattr(
+        analysis, "min_capacitance_over_played", lambda *args: sized.append(args)
+    )
     with pytest.raises(ConfigError) as excinfo:
         mincap_table(BASE, **{"data_rates": (3,), "payloads_bytes": (10,), **axis})
     assert excinfo.value.problems == [problem]
@@ -263,27 +271,41 @@ def test_mincap_table_rows_equal_public_min_capacitance():
 
 
 def test_min_capacitance_probes_each_bracket_end_once(monkeypatch):
-    probed = []
-    real = analysis.min_voltage_over_cycle
+    # Every probe, a bracket end or a midpoint, plays the cycle's segments
+    # once; only the bracket ends go through min_voltage_over_played.
+    plays = []
+    ends = []
 
-    def counting(capacitance_f, spec, config):
-        probed.append(capacitance_f)
-        return real(capacitance_f, spec, config)
+    class CountedPlays(tuple):
+        def __iter__(self):
+            plays.append(None)
+            return super().__iter__()
 
-    monkeypatch.setattr(analysis, "min_voltage_over_cycle", counting)
+    real_played = analysis.played_segments
+    real_min_voltage = energy.min_voltage_over_played
+
+    def probing(v0, played, capacitance_f, max_voltage_v):
+        ends.append(capacitance_f)
+        return real_min_voltage(v0, played, capacitance_f, max_voltage_v)
+
+    monkeypatch.setattr(
+        analysis, "played_segments", lambda *args: CountedPlays(real_played(*args))
+    )
+    monkeypatch.setattr(energy, "min_voltage_over_played", probing)
     c_min = min_capacitance(BASE, "UL")
     assert DEFAULT_C_LO_F < c_min < DEFAULT_C_HI_F
     midpoints = math.ceil(
         math.log2(math.log(DEFAULT_C_HI_F / DEFAULT_C_LO_F) / math.log1p(DEFAULT_TOL_REL))
     )
-    assert len(probed) == 2 + midpoints
-    assert probed.count(DEFAULT_C_HI_F) == 1
-    assert probed.count(DEFAULT_C_LO_F) == 1
+    assert len(plays) == 2 + midpoints
+    assert sorted(ends) == [DEFAULT_C_LO_F, DEFAULT_C_HI_F]
 
 
 def test_min_capacitance_rejects_voltage_falling_with_capacitance(monkeypatch):
     monkeypatch.setattr(
-        analysis, "min_voltage_over_cycle", lambda capacitance_f, spec, config: 3.0 - capacitance_f
+        energy,
+        "min_voltage_over_played",
+        lambda v0, played, capacitance_f, max_voltage_v: 3.0 - capacitance_f,
     )
     with pytest.raises(RuntimeError, match="not monotone in capacitance"):
         min_capacitance(BASE, "UL")

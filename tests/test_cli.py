@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import caplora.cli
@@ -154,6 +156,18 @@ def test_sweep_grid_problems_get_one_line_each(tmp_path, capsys):
     assert len(err) == 2
     assert err[0] == "config error: sweep capacitances must be positive"
     assert err[1].startswith("config error: sweep kinds must be among")
+
+
+def test_default_mincap_table_is_pinned(tmp_path, capsys):
+    # The default grid's CSV, byte for byte: a faster way to size a row
+    # must give every row the same answer.
+    assert main(["mincap", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "min_capacitance.csv").read_bytes()
+    assert data.count(b"\n") == 1 + 180
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "1f7f769c8ffaa402ddd4e1fdd05dc2f82d613469225ffc5d8508f63b1fdd1685"
+    )
 
 
 def test_mincap_rejects_repeated_axis_values(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import caplora
 from caplora import ScenarioConfig
-from caplora.analysis import CycleSpec, min_voltage_over_cycle
+from caplora.analysis import CycleSpec, _bisect, min_voltage_over_cycle
 from caplora.clock import NS_PER_S
 from caplora.lorawan import DeviceState
 from caplora.energy import (
@@ -27,6 +27,7 @@ from caplora.energy import (
     harvester_conductance,
     load_conductance,
     load_energy_joules,
+    min_capacitance_over_played,
     min_voltage_over_played,
     played_segments,
     propagate_voltage,
@@ -354,6 +355,126 @@ def test_segment_kernel_equals_stepwise_propagation(
     spec = CycleSpec("UL", v0, tuple(segments), g_harv, params.rail_voltage_v)
     config = ScenarioConfig(capacitance_f=capacitance_f, max_voltage_v=max_voltage_v)
     assert min_voltage_over_cycle(capacitance_f, spec, config) == expected
+
+
+def _sized_by_bisect(v0, played, max_voltage_v, v_cutoff_v, c_lo, c_hi, tol_rel):
+    """Reference sizing: ``_bisect`` over whole ``min_voltage_over_played``
+    probes, each compared with the cutoff."""
+
+    def fits(c):
+        return min_voltage_over_played(v0, played, c, max_voltage_v) >= v_cutoff_v
+
+    v_hi = min_voltage_over_played(v0, played, c_hi, max_voltage_v)
+    v_lo = min_voltage_over_played(v0, played, c_lo, max_voltage_v)
+    if v_hi < v_lo:
+        raise RuntimeError("minimum cycle voltage is not monotone in capacitance")
+    if not fits(c_hi):
+        return None
+    if fits(c_lo):
+        return c_lo
+    return _bisect(c_lo, c_hi, fits, tol_rel)
+
+
+def _outcome(size, **case):
+    try:
+        return size(**case)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+_SIZING_CASES = {
+    # From a start above the maximum, the midpoints that survive the first
+    # uplink charge toward a 3.3 V asymptote and clamp at the 2.5 V maximum.
+    "inside": dict(
+        v0=4.0,
+        played=((0.5, _TX_G, 0.0), (10.0, 1.0, 3.3), (0.5, _TX_G, 0.0)),
+        max_voltage_v=2.5,
+        v_cutoff_v=1.8,
+        c_lo=1e-6,
+        c_hi=10.0,
+        tol_rel=0.01,
+    ),
+    "floor": dict(
+        v0=3.3,
+        played=((1e-3, 1e-6, 0.0),),
+        max_voltage_v=3.3,
+        v_cutoff_v=1.8,
+        c_lo=1e-6,
+        c_hi=10.0,
+        tol_rel=0.01,
+    ),
+    "infeasible": dict(
+        v0=1.0,
+        played=((1.0, _TX_G, 0.0),),
+        max_voltage_v=3.3,
+        v_cutoff_v=1.8,
+        c_lo=1e-6,
+        c_hi=10.0,
+        tol_rel=0.01,
+    ),
+    # The first midpoint's minimum lands exactly on the cutoff, so it fits.
+    # Here d * G / C would round that voltage one ulp lower.
+    "on the cutoff": dict(
+        v0=3.3,
+        played=((0.02, _TX_G, 0.0),),
+        max_voltage_v=3.3,
+        v_cutoff_v=min_voltage_over_played(
+            3.3, ((0.02, _TX_G, 0.0),), math.sqrt(1e-6 * 10.0), 3.3
+        ),
+        c_lo=1e-6,
+        c_hi=10.0,
+        tol_rel=0.01,
+    ),
+}
+
+
+def test_sizing_cases_cover_every_answer():
+    inside = min_capacitance_over_played(**_SIZING_CASES["inside"])
+    assert 1e-6 < inside < 10.0
+    assert min_capacitance_over_played(**_SIZING_CASES["floor"]) == 1e-6
+    assert min_capacitance_over_played(**_SIZING_CASES["infeasible"]) is None
+    assert min_capacitance_over_played(**_SIZING_CASES["on the cutoff"]) <= math.sqrt(
+        1e-6 * 10.0
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    v0=st.floats(min_value=1.0, max_value=4.0),
+    played=st.lists(
+        st.tuples(
+            st.floats(min_value=1e-4, max_value=600.0),
+            st.floats(min_value=1e-7, max_value=1.0),
+            # Asymptotes above either maximum voltage clamp.
+            st.floats(min_value=0.0, max_value=4.0),
+        ),
+        max_size=4,
+    ).map(tuple),
+    max_voltage_v=st.sampled_from([2.5, 3.3]),
+    v_cutoff_v=st.floats(min_value=0.5, max_value=2.4),
+    c_lo=st.floats(min_value=1e-7, max_value=1e-2),
+    span=st.floats(min_value=1.001, max_value=1e8),
+    tol_rel=st.floats(min_value=1e-4, max_value=1.0),
+)
+@example(span=1e7, **{k: v for k, v in _SIZING_CASES["inside"].items() if k != "c_hi"})
+@example(span=1e7, **{k: v for k, v in _SIZING_CASES["floor"].items() if k != "c_hi"})
+@example(span=1e7, **{k: v for k, v in _SIZING_CASES["infeasible"].items() if k != "c_hi"})
+@example(span=1e7, **{k: v for k, v in _SIZING_CASES["on the cutoff"].items() if k != "c_hi"})
+def test_inline_sizing_equals_bisection_over_whole_probes(
+    v0, played, max_voltage_v, v_cutoff_v, c_lo, span, tol_rel
+):
+    case = dict(
+        v0=v0,
+        played=played,
+        max_voltage_v=max_voltage_v,
+        v_cutoff_v=v_cutoff_v,
+        c_lo=c_lo,
+        c_hi=c_lo * span,
+        tol_rel=tol_rel,
+    )
+    assert _outcome(min_capacitance_over_played, **case) == _outcome(
+        _sized_by_bisect, **case
+    )
 
 
 # ------------------------------------------------------------ the capacitor
