@@ -75,6 +75,18 @@ class CycleSpec:
         object.__setattr__(self, "played", played)
 
 
+def _point(base: ScenarioConfig, **changes: object) -> ScenarioConfig:
+    """``replace(base, **changes)`` without its per-field work: a new point
+    with the frozen base's fields copied and the changed ones set. This is
+    the same only while ScenarioConfig has no ``__post_init__``, no
+    ``InitVar`` and no ``init=False`` field, as a test checks."""
+    point = object.__new__(ScenarioConfig)
+    values = point.__dict__
+    values.update(base.__dict__)
+    values.update(changes)
+    return point
+
+
 def _cycle_shape(
     radio: LorawanParams, g_load: dict[DeviceState, float], kind: str
 ) -> tuple[tuple[float, float], ...]:
@@ -372,7 +384,7 @@ def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
                     for period in grid.periods_s or (base.packet_period_s,):
                         for cap in grid.capacitances_f or (base.capacitance_f,):
                             configs.append(
-                                replace(
+                                _point(
                                     base,
                                     capacitance_f=cap,
                                     power_w=power,
@@ -453,7 +465,7 @@ def success_curve(
     """
     curve = []
     for cap in sorted(capacitances_f):
-        cfg = replace(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        cfg = _point(base, capacitance_f=cap, confirmed=kind == "UL+DL")
         metrics = _run_complete(cfg)
         curve.append((cap, success_probability(metrics, kind)))
     return curve
@@ -478,7 +490,7 @@ def min_capacitance_for_target(
     _check_bracket(c_lo, c_hi, tol_rel)
 
     def success(cap: float) -> float:
-        cfg = replace(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        cfg = _point(base, capacitance_f=cap, confirmed=kind == "UL+DL")
         return success_probability(_run_complete(cfg), kind)
 
     if success(c_hi) < target:

@@ -4,11 +4,11 @@ side that answers confirmed uplinks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_played, played_segments
@@ -20,7 +20,7 @@ from .lorawan import (
 )
 
 if TYPE_CHECKING:
-    from .engine import Event, Simulator
+    from .engine import Event, ScenarioConfig, Simulator
 
 class DlReply(Enum):
     """Which receive window, if any, carries the downlink answer."""
@@ -164,12 +164,48 @@ class _Cycle:
     delivered: bool = False
 
 
-@lru_cache(maxsize=64)
-def _cycle_tables(params: LorawanParams) -> tuple:
-    """What every cycle of a device with ``params`` walks, in clock ticks,
-    shared read-only by all devices with equal params: the uplink's airtime
-    and ticks, the reboot's ticks, the downlink airtimes, the post-TX steps
-    per reply and the states each energy-guard horizon looks ahead over."""
+_T = TypeVar("_T")
+
+# At most this many parts are kept in each store of shared run parts; a
+# full store is emptied.
+_PART_MEMORY = 256
+
+
+def _shared(store: dict[tuple, _T], values: tuple, build: Callable[..., _T]) -> _T:
+    """``build(*values)``, built once and shared read-only by every call
+    with ``store`` and equal ``values`` of equal types, so that ``1``,
+    ``1.0`` and ``True`` stay apart. A value that cannot be hashed is never
+    kept."""
+    key = (values, tuple(map(type, values)))
+    try:
+        part = store.get(key)
+    except TypeError:
+        return build(*values)
+    if part is None:
+        part = build(*values)
+        if len(store) >= _PART_MEMORY:
+            store.clear()
+        store[key] = part
+    return part
+
+
+# The radio fields a scenario declares under LorawanParams' names, read in
+# its positional order, and the cycle tables of each distinct value of them.
+_radio_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
+_radios: dict[tuple, tuple] = {}
+
+
+def _cycle_tables(config: ScenarioConfig) -> tuple:
+    """The LorawanParams of ``config``'s radio fields and what every cycle of
+    a device with them walks, in clock ticks, shared read-only by all devices
+    with equal radio fields: the params, the uplink's airtime and ticks, the
+    reboot's ticks, the downlink airtimes, the post-TX steps per reply and
+    the states each energy-guard horizon looks ahead over."""
+    return _shared(_radios, _radio_fields(config), _build_cycle_tables)
+
+
+def _build_cycle_tables(*radio: object) -> tuple:
+    params = LorawanParams(*radio)
     ul_s = params.ul_time_on_air()
     post_tx = {
         reply: tuple(
@@ -178,28 +214,27 @@ def _cycle_tables(params: LorawanParams) -> tuple:
         for reply in DlReply
     }
     horizons = {name: tuple(cycle_states(params, reply)) for name, reply in GUARD_HORIZON_REPLIES.items()}
-    return (ul_s, round(ul_s * NS_PER_S), round(params.turn_on_s * NS_PER_S), params.dl_airtimes_s(),
-            MappingProxyType(post_tx), MappingProxyType(horizons))
+    return (params, ul_s, round(ul_s * NS_PER_S), round(params.turn_on_s * NS_PER_S),
+            params.dl_airtimes_s(), MappingProxyType(post_tx), MappingProxyType(horizons))
 
 
 class LorawanDevice:
     """Event-driven end device. The simulator owns time and the capacitor;
     the device reacts to packet generation and threshold notifications."""
 
-    def __init__(self, sim: Simulator, params: LorawanParams) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.params = params
+        (self.params, self._ul_time_on_air_s, self._ul_ticks, self._turn_on_ticks,
+         self._dl_airtimes_s, self._post_tx, horizons) = _cycle_tables(sim.config)
         self.state = (
             DeviceState.OFF if sim.cap.depleted else DeviceState.SLEEP
         )
-        self.ul_budget = DutyCycleBudget(params.ul_duty_cycle)
+        self.ul_budget = DutyCycleBudget(self.params.ul_duty_cycle)
         self.cycle: _Cycle | None = None
         # The device's one scheduled event that may not have fired yet. There
         # is never a second: ``on_generate`` starts a cycle only while asleep.
         self._pending: Event | None = None
         self._off_since_ns: int | None = 0 if self.state is DeviceState.OFF else None
-        (self._ul_time_on_air_s, self._ul_ticks, self._turn_on_ticks, self._dl_airtimes_s,
-         self._post_tx, horizons) = _cycle_tables(params)
         # The post-TX steps being walked, and the index of the next one.
         self._steps: tuple[tuple[DeviceState, int], ...] = ()
         self._step = 0
@@ -341,8 +376,9 @@ class LorawanDevice:
         self.cycle = None
 
     def _record(self, packet_id: int, start_ns: int, end_ns: int, outcome: CycleOutcome) -> None:
-        record = CycleRecord(packet_id, self.kind, start_ns, end_ns, outcome)
-        self.sim.metrics.cycles.append(record)
+        metrics = self.sim.metrics
+        metrics.cycles._append(CycleRecord(packet_id, self.kind, start_ns, end_ns, outcome))
+        metrics.outcomes[outcome] += 1
 
     def _cancel_pending(self) -> None:
         if self._pending is not None:

@@ -32,9 +32,12 @@ packet generation is held out of the heap; when the turn-on completes,
 every packet that fell due meanwhile, up to and including that tick, fails
 for want of energy at its own tick (``Simulator.resume_packets``).
 
-Each device state's load current becomes a conductance once, when the
-simulator is built (``ScenarioConfig.load_conductances``); the capacitor,
-the trace samples and the energy guard look that conductance up by state.
+Each device state's load current becomes a conductance once per distinct
+rail voltage and currents, and the runs that share them share one read-only
+table (``_conductances``); the capacitor, the trace samples and the energy
+guard look that conductance up by state. The radio's cycle tables and the
+first packet's tick are shared the same way, so a study's points and probes
+pay for their events, not for parts another point already built.
 
 Every time difference the physics and the duty budgets use is taken on the
 integer clock, and every time a run records is a clock time or a sum of
@@ -63,7 +66,9 @@ simulated event by event. Two shortcuts find such stretches:
   counted when the device wakes or the run ends.
 
 Such a run simulates only the transient, a period or a repeat, and the
-tail.
+tail. The records of the copies it adds, and those of the packets held while
+the device is powered down, are kept as one block each until read
+(``CycleLog``).
 """
 
 from __future__ import annotations
@@ -71,13 +76,23 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
-from .device import GUARD_HORIZON_REPLIES, CycleOutcome, CycleRecord, Gateway, LorawanDevice
+from .device import (
+    GUARD_HORIZON_REPLIES,
+    CycleOutcome,
+    CycleRecord,
+    Gateway,
+    LorawanDevice,
+    _radio_fields,
+    _shared,
+)
 from .energy import (
     Capacitor,
     CapacitorParams,
@@ -162,11 +177,43 @@ class ScenarioConfig:
 
     def load_conductances(self) -> dict[DeviceState, float]:
         """Each device state's load conductance ``I / E`` at the rail voltage."""
-        rail = self.rail_voltage_v
-        return {
-            state: load_conductance(getattr(self, name), rail)
-            for state, name in _CURRENT_FIELDS.items()
-        }
+        return _load_conductances(*_conductance_fields(self))
+
+
+# The fields the load conductances are built from: the rail voltage, then
+# each device state's current in DeviceState order.
+_conductance_fields = attrgetter("rail_voltage_v", *_CURRENT_FIELDS.values())
+
+
+def _load_conductances(rail_voltage_v: float, *currents_a: float) -> dict[DeviceState, float]:
+    return {
+        state: load_conductance(current, rail_voltage_v)
+        for state, current in zip(_CURRENT_FIELDS, currents_a)
+    }
+
+
+# The read-only load conductances of every run with equal rail voltage and
+# currents (``device._shared``).
+_conductances: dict[tuple, MappingProxyType] = {}
+
+
+def _shared_conductances(*values: float) -> MappingProxyType:
+    return MappingProxyType(_load_conductances(*values))
+
+
+# The first packet's tick of every run with equal ``first_packet_s``,
+# ``seed`` and ``packet_period_s`` (``device._shared``).
+_first_ticks: dict[tuple, int] = {}
+_first_fields = attrgetter("first_packet_s", "seed", "packet_period_s")
+
+
+def _first_tick(first_packet_s: float | None, seed: int, packet_period_s: float) -> int:
+    """The first packet's tick: at ``first_packet_s``, or drawn uniformly
+    over the first period by a generator seeded with ``seed`` for this one
+    draw."""
+    if first_packet_s is None:
+        first_packet_s = random.Random(seed).uniform(0.0, packet_period_s)
+    return round(first_packet_s * NS_PER_S)
 
 
 class Event(list):
@@ -183,6 +230,132 @@ class Event(list):
     cancelled = property(itemgetter(3))
 
 
+class _Copies(NamedTuple):
+    """Records ``start`` to ``stop`` of a log, repeated ``copies`` times: the
+    k-th copy's packet ids ``k * packets`` and its ticks ``k * length_ns``
+    later."""
+
+    start: int
+    stop: int
+    copies: int
+    packets: int
+    length_ns: int
+
+
+class _Held(NamedTuple):
+    """One ``FAILED_ENERGY`` record of ``kind`` at each tick of ``ticks``,
+    with consecutive packet ids from ``first_id``."""
+
+    first_id: int
+    ticks: range
+    kind: str
+
+
+class CycleLog(Sequence):
+    """A run's cycle records, in the order they were logged: a read-only
+    sequence of ``CycleRecord``.
+
+    The records the run simulated are kept as they come (``_append``). The
+    copies a shortcut adds (``_copy``), and the packets held while the device
+    was powered down (``_fail``), are kept as one block each, in O(1) time
+    and memory. The first read (iteration, indexing or slicing, ``==`` or
+    ``repr``) expands every block, in order and once, into the records the
+    run simulated event by event would have logged; a block's template may
+    span an earlier block. ``len`` expands nothing. A log equals a list or a
+    log of the same records.
+    """
+
+    __slots__ = ("_records", "_blocks", "_pending", "_append")
+
+    def __init__(self) -> None:
+        self._records: list[CycleRecord] = []
+        # Each block not yet expanded, after the number of records kept
+        # before it, and the number of records the blocks hold.
+        self._blocks: list[tuple[int, _Copies | _Held]] = []
+        self._pending = 0
+        self._append = self._records.append
+
+    def __len__(self) -> int:
+        return len(self._records) + self._pending
+
+    def _add(self, block: _Copies | _Held, size: int) -> None:
+        if size:
+            self._blocks.append((len(self._records), block))
+            self._pending += size
+
+    def _copy(self, start: int, copies: int, packets: int, length_ns: int) -> None:
+        """Log ``copies`` copies of the records from index ``start`` on."""
+        stop = len(self)
+        self._add(_Copies(start, stop, copies, packets, length_ns), copies * (stop - start))
+
+    def _fail(self, first_id: int, ticks: range, kind: str) -> None:
+        """Log one packet failed for want of energy at each of ``ticks``."""
+        self._add(_Held(first_id, ticks, kind), len(ticks))
+
+    def _expanded(self) -> list[CycleRecord]:
+        if not self._blocks:
+            return self._records
+        records = self._records
+        out: list[CycleRecord] = []
+        kept = 0
+        new = tuple.__new__
+        for at, block in self._blocks:
+            out += records[kept:at]
+            kept = at
+            if block.__class__ is _Held:
+                first_id, ticks, kind = block
+                out += map(new, repeat(CycleRecord), zip(
+                    count(first_id), repeat(kind), ticks, ticks, repeat(CycleOutcome.FAILED_ENERGY)
+                ))
+                continue
+            start, stop, copies, packets, length = block
+            end = copies + 1
+            # Each template record's copies, built in C from plain tuples
+            # without NamedTuple's Python-level constructor, and taken copy
+            # by copy. Every record is of a packet generated in the
+            # template's stretch, so ``packets`` > 0.
+            columns = [
+                map(new, repeat(CycleRecord), zip(
+                    range(packet_id + packets, packet_id + end * packets, packets), repeat(kind),
+                    range(start_ns + length, start_ns + end * length, length),
+                    range(end_ns + length, end_ns + end * length, length), repeat(outcome),
+                ))
+                for packet_id, kind, start_ns, end_ns, outcome in out[start:stop]
+            ]
+            out += columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
+        out += records[kept:]
+        self._records = out
+        self._append = out.append
+        self._blocks = []
+        self._pending = 0
+        return out
+
+    def __getitem__(self, index):
+        return self._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CycleLog):
+            other = other._expanded()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._expanded() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._expanded())
+
+
+_OUTCOMES = tuple(CycleOutcome)
+
+
+def _no_outcomes() -> dict[CycleOutcome, int]:
+    return dict.fromkeys(_OUTCOMES, 0)
+
+
 @dataclass
 class Metrics:
     """Counters and totals accumulated over one run."""
@@ -197,7 +370,9 @@ class Metrics:
     ul_airtime_s: float = 0.0
     max_ul_airtime_s: float = 0.0
     valid: bool = True
-    cycles: list[CycleRecord] = field(default_factory=list)
+    cycles: CycleLog = field(default_factory=CycleLog)
+    # The number of records of each outcome, kept without reading ``cycles``.
+    outcomes: dict[CycleOutcome, int] = field(default_factory=_no_outcomes)
     trace: TraceRecorder | None = None
 
 
@@ -264,10 +439,12 @@ class _Mark(NamedTuple):
     """The run at a snapshot: the totals a skip adds to."""
 
     time_ns: int
-    # The _ORBIT_COUNTERS, the number of cycle records and each budget's
-    # ``airtime_total_ns``, in ``Simulator._budgets`` order.
+    # The _ORBIT_COUNTERS, the number of cycle records, each outcome's count
+    # in CycleOutcome order, and each budget's ``airtime_total_ns``, in
+    # ``Simulator._budgets`` order.
     counts: tuple[int, ...]
     cycles: int
+    outcomes: tuple[int, ...]
     airtimes: tuple[int, ...]
 
 
@@ -317,7 +494,6 @@ def _below_tick(name: str, config: ScenarioConfig) -> str:
 # ScenarioConfig declares every CapacitorParams and LorawanParams field
 # under the same name; these read them in the params' positional order.
 _capacitor_fields = attrgetter(*(f.name for f in fields(CapacitorParams)))
-_lorawan_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
 
 
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
@@ -325,7 +501,7 @@ def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
 
 
 def lorawan_params(config: ScenarioConfig) -> LorawanParams:
-    return LorawanParams(*_lorawan_fields(config))
+    return LorawanParams(*_radio_fields(config))
 
 
 def _build_harvester(config: ScenarioConfig) -> HarvestSource:
@@ -417,12 +593,12 @@ class Simulator:
         self.config = config
         self.cap = Capacitor(capacitor_params(config))
         self.harvester = _build_harvester(config)
-        self.g_load = config.load_conductances()
+        self.g_load = _shared(_conductances, _conductance_fields(config), _shared_conductances)
         self.metrics = Metrics()
         if config.trace:
             self.metrics.trace = TraceRecorder()
         self.gateway = Gateway()
-        self.device = LorawanDevice(self, lorawan_params(config))
+        self.device = LorawanDevice(self)
         self.cap.on_depleted = self.device.on_depleted
         self.cap.on_recharged = self.device.on_recharged
         self.now_ns = 0
@@ -608,13 +784,8 @@ class Simulator:
         ticks = range(missed_from, until_ns, self.packet_period_ns)
         if self.config.generate_while_off:
             metrics = self.metrics
-            kind = self.device.kind
-            failed = CycleOutcome.FAILED_ENERGY
-            new = tuple.__new__
-            metrics.cycles.extend([
-                new(CycleRecord, (packet_id, kind, t_ns, t_ns, failed))
-                for packet_id, t_ns in enumerate(ticks, metrics.generated + 1)
-            ])
+            metrics.cycles._fail(metrics.generated + 1, ticks, self.device.kind)
+            metrics.outcomes[CycleOutcome.FAILED_ENERGY] += len(ticks)
             metrics.generated += len(ticks)
         return missed_from + len(ticks) * self.packet_period_ns
 
@@ -734,6 +905,7 @@ class Simulator:
             self.now_ns,
             tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
             len(metrics.cycles),
+            tuple(metrics.outcomes.values()),
             tuple([budget.airtime_total_ns for budget in self._budgets]),
         )
 
@@ -753,24 +925,13 @@ class Simulator:
         }
         for name, step in delta.items():
             setattr(metrics, name, getattr(metrics, name) + copies * step)
-        # Each packet generated took the next packet id; every record logged
-        # is of a packet generated in the stretch, so ``packets`` > 0 when
-        # there is one. A boot loop logs none: its packets are held until
-        # the device wakes.
-        packets = delta["generated"]
-        cycles = metrics.cycles
-        end = copies + 1
-        # Each logged record's copies, built in C from plain tuples without
-        # NamedTuple's Python-level constructor, and taken copy by copy.
-        columns = [
-            map(tuple.__new__, repeat(CycleRecord), zip(
-                range(packet_id + packets, packet_id + end * packets, packets), repeat(kind),
-                range(start_ns + length, start_ns + end * length, length),
-                range(end_ns + length, end_ns + end * length, length), repeat(outcome),
-            ))
-            for packet_id, kind, start_ns, end_ns, outcome in cycles[earlier.cycles:]
-        ]
-        cycles.extend(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
+        outcomes = metrics.outcomes
+        for outcome, now, then in zip(_OUTCOMES, mark.outcomes, earlier.outcomes):
+            outcomes[outcome] += copies * (now - then)
+        # Each packet generated took the next packet id, and every record
+        # logged is of a packet generated in the stretch. A boot loop logs
+        # none: its packets are held until the device wakes.
+        metrics.cycles._copy(earlier.cycles, copies, delta["generated"], length)
         shift = copies * length
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
@@ -1010,11 +1171,8 @@ class Simulator:
         try:
             self._record_trace()
             self._on_harvest_change()
-            first = config.first_packet_s
-            if first is None:
-                # Seeded here, as it is read only for this one draw.
-                first = random.Random(config.seed).uniform(0.0, config.packet_period_s)
-            self._generation = self.schedule_at_ns(round(first * NS_PER_S), self._on_generate)
+            first_ns = _shared(_first_ticks, _first_fields(config), _first_tick)
+            self._generation = self.schedule_at_ns(first_ns, self._on_generate)
             self._rearm_crossing((device.state, self.g_harv, cap.depleted))
             while heap:
                 event = heapq.heappop(heap)

@@ -8,12 +8,16 @@ integrates the instantaneous load power by quadrature.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import settings
 
+import caplora.device
+import caplora.engine
+from caplora.device import CycleOutcome
 from caplora.energy import CapacitorParams, load_energy_joules
 from caplora.engine import Simulator
 
@@ -157,13 +161,34 @@ def shortcuts_off():
 
 
 def run_both_ways(config) -> tuple[Simulator, Simulator]:
-    """``config`` run as it is, then with every shortcut off."""
+    """``config`` run as it is, then with every shortcut off; each run's
+    outcome counts match its records."""
     fast = Simulator(config)
     fast.run()
     slow = Simulator(config)
     with shortcuts_off():
         slow.run()
+    assert_outcome_counts(fast.metrics)
+    assert_outcome_counts(slow.metrics)
     return fast, slow
+
+
+def assert_outcome_counts(metrics) -> None:
+    """A run's outcome counts, kept without reading its records, are the
+    tally of those records. The counts are read first: reading them must
+    not need the records."""
+    counts = dict(metrics.outcomes)
+    tally = Counter(record.outcome for record in metrics.cycles)
+    assert counts == {outcome: tally[outcome] for outcome in CycleOutcome}
+
+
+def empty_stores(monkeypatch) -> None:
+    """Give the engine empty stores of valid scenarios and shared run parts,
+    so that no run reuses what an earlier one left."""
+    monkeypatch.setattr(caplora.engine, "_valid", set())
+    monkeypatch.setattr(caplora.engine, "_conductances", {})
+    monkeypatch.setattr(caplora.engine, "_first_ticks", {})
+    monkeypatch.setattr(caplora.device, "_radios", {})
 
 
 def assert_same_run(fast: Simulator, slow: Simulator) -> None:

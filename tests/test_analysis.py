@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -458,3 +459,58 @@ def test_peak_success_prefers_smallest_capacitance():
     curve = dict(success_curve(base, caps, "UL"))
     assert p == max(curve.values())
     assert cap == min(c for c, q in curve.items() if q >= p - 1e-12)
+
+
+def test_scenario_config_can_be_derived_by_copying_its_fields():
+    # What analysis._point relies on to stand in for dataclasses.replace:
+    # every field is an init field, none an InitVar, and construction runs
+    # nothing past setting them.
+    params = ScenarioConfig.__dataclass_params__
+    assert params.frozen and params.init
+    assert not hasattr(ScenarioConfig, "__post_init__")
+    assert not hasattr(ScenarioConfig, "__slots__")
+    declared = ScenarioConfig.__dataclass_fields__
+    assert list(declared) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert all(f.init for f in declared.values())
+
+
+def _same_point(got: ScenarioConfig, want: ScenarioConfig) -> bool:
+    """Equal field by field, each value of the same type: ``==`` alone would
+    take ``1`` for ``1.0`` or ``True``."""
+    return vars(got) == vars(want) and [type(v) for v in vars(got).values()] == [
+        type(v) for v in vars(want).values()
+    ]
+
+
+def test_each_study_derives_the_points_replace_would(monkeypatch):
+    base = replace(BASE, capacitance_f=1, power_w=0.002, duration_s=600.0, seed=5)
+    grid = SweepGrid(
+        capacitances_f=(0.004, 0.01), powers_w=(0.001,), periods_s=(30.0,), kinds=CYCLE_KINDS
+    )
+    want = [
+        replace(
+            base, capacitance_f=c, power_w=0.001, data_rate=3, ul_payload_bytes=10,
+            packet_period_s=30.0, confirmed=kind == "UL+DL",
+        )
+        for kind in CYCLE_KINDS
+        for c in (0.004, 0.01)
+    ]
+    got = expand_grid(grid, base)
+    assert len(got) == len(want) and all(map(_same_point, got, want))
+    assert all(hash(point) == hash(w) for point, w in zip(got, want))
+
+    runs = []
+    real = analysis.run_scenario
+
+    def spy(config):
+        runs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(analysis, "run_scenario", spy)
+    success_curve(base, [0.01, 0.004], "UL+DL")
+    min_capacitance_for_target(base, "UL", target=0.5, c_lo=0.001, c_hi=0.01, tol_rel=0.5)
+    caps = [0.004, 0.01] + [config.capacitance_f for config in runs[2:]]
+    kinds = ["UL+DL", "UL+DL"] + ["UL"] * (len(runs) - 2)
+    assert len(runs) >= 3
+    for config, cap, kind in zip(runs, caps, kinds, strict=True):
+        assert _same_point(config, replace(base, capacitance_f=cap, confirmed=kind == "UL+DL"))

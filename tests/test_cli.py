@@ -12,6 +12,8 @@ from caplora.cli import main
 from caplora.engine import RESULTS_HEADER
 from caplora.harvester import load_trace
 
+from conftest import empty_stores
+
 
 FAST = [
     "--set",
@@ -400,7 +402,7 @@ def test_sweep_validates_each_point_once(tmp_path, capsys, monkeypatch):
         return validate(config)
 
     monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
-    monkeypatch.setattr(caplora.engine, "_valid", set())
+    empty_stores(monkeypatch)
     grid = ["--set", "sweep.capacitance_f=0.004,0.01", "--set", "sweep.kind=UL,UL+DL"]
     assert main(["sweep", *FAST, *grid, "--fresh", "--out", str(tmp_path)]) == 0
     assert "4 rows" in capsys.readouterr().out

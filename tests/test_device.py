@@ -218,7 +218,7 @@ def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
     counts = []
     for duration_s in (300.0, 3000.0):
         calls.clear()
-        caplora.device._cycle_tables.cache_clear()
+        caplora.device._radios.clear()
         config = _base_config(confirmed=True, duration_s=duration_s, trace=False)
         metrics = Simulator(config).run()
         counts.append((calls["time_on_air"], metrics.acked))
@@ -414,9 +414,9 @@ def test_generation_while_powered_down_can_be_counted_or_muted():
 
 
 def test_devices_of_equal_params_share_their_tables():
-    # A device's cycle tables are built once per distinct LorawanParams and
-    # shared, read-only, by every device built from equal params.
-    caplora.device._cycle_tables.cache_clear()
+    # A device's cycle tables are built once per distinct value of the radio
+    # fields and shared, read-only, by every device built from equal ones.
+    caplora.device._radios.clear()
     a, b = (Simulator(ScenarioConfig(seed=seed, confirmed=True)) for seed in (1, 2))
     assert a.device.params == b.device.params and a.device is not b.device
     assert a.device._post_tx is b.device._post_tx

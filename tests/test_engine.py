@@ -3,11 +3,13 @@ determinism, validation, and reporting."""
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import replace
 
 import pytest
 
+import caplora.device
 import caplora.engine
 from caplora import ConfigError, Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
@@ -28,7 +30,7 @@ from caplora.engine import (
 )
 from caplora.lorawan import DeviceState
 
-from conftest import shortcuts_off, traced_load_energy
+from conftest import empty_stores, shortcuts_off, traced_load_energy
 
 
 def test_periodic_generation_count():
@@ -644,12 +646,18 @@ def test_run_converts_each_load_current_once(monkeypatch, duration_s):
         bound = getattr(module, "load_conductance", None)
         if name.split(".")[0] == "caplora" and bound is load_conductance:
             monkeypatch.setattr(module, "load_conductance", counting)
+    monkeypatch.setattr(caplora.engine, "_conductances", {})
     config = ScenarioConfig(
         capacitance_f=0.005, confirmed=True, duration_s=duration_s, trace=True
     )
     metrics = run_scenario(config)
     assert metrics.generated > 0 and metrics.trace.records
     assert len(calls) == len(DeviceState)
+    # Another run with equal currents shares the conductances of the first.
+    calls.clear()
+    again = run_scenario(replace(config, capacitance_f=0.006, seed=2))
+    assert again.generated > 0 and again.trace.records
+    assert calls == []
 
 
 def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch):
@@ -660,7 +668,7 @@ def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch
         return validate_scenario(config)
 
     monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
-    monkeypatch.setattr(caplora.engine, "_valid", set())
+    empty_stores(monkeypatch)
     good = ScenarioConfig(capacitance_f=1)
     check_scenarios([good])
     Simulator(good)
@@ -676,3 +684,53 @@ def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch
         assert excinfo.value.problems == validate_scenario(bad)
         assert len(excinfo.value.problems) == 2
     assert len(calls) == 4
+
+
+def test_runs_with_equal_radio_fields_share_one_lorawan_params(monkeypatch):
+    empty_stores(monkeypatch)
+    a = Simulator(ScenarioConfig(capacitance_f=0.004, confirmed=True))
+    b = Simulator(ScenarioConfig(capacitance_f=0.01, power_w=0.002, seed=3, confirmed=True))
+    assert a.device.params is b.device.params
+    assert a.device._post_tx is b.device._post_tx
+    assert len(caplora.device._radios) == 1
+    # An equal value of another type is kept apart, and keeps its type.
+    c = Simulator(ScenarioConfig(capacitance_f=0.004, confirmed=True, max_transmissions=True))
+    assert c.device.params == a.device.params and c.device.params is not a.device.params
+    assert c.device.params.max_transmissions is True
+    assert len(caplora.device._radios) == 2
+
+
+def test_shared_conductances_are_read_only(monkeypatch):
+    empty_stores(monkeypatch)
+    config = ScenarioConfig(capacitance_f=0.004, duration_s=600.0)
+    a = Simulator(config)
+    b = Simulator(replace(config, capacitance_f=0.005))
+    assert a.g_load is b.g_load
+    assert dict(a.g_load) == config.load_conductances()
+    with pytest.raises(TypeError):
+        a.g_load[DeviceState.TX] = 0.0
+    # The config's own table is a fresh dict; changing it changes no run.
+    config.load_conductances()[DeviceState.TX] = 0.0
+    assert a.g_load == config.load_conductances()
+
+
+class _UnhashableFloat(float):
+    __hash__ = None  # type: ignore[assignment]
+
+
+def test_a_field_value_that_cannot_be_hashed_is_never_kept(monkeypatch):
+    empty_stores(monkeypatch)
+    config = ScenarioConfig(capacitance_f=0.004, sleep_a=_UnhashableFloat(2e-6), duration_s=3600.0)
+    first, second = run_scenario(config), run_scenario(config)
+    assert caplora.engine._conductances == {}
+    assert first == second == run_scenario(replace(config, sleep_a=2e-6))
+
+
+def test_the_first_packet_tick_is_drawn_once_per_seed_and_period(monkeypatch):
+    empty_stores(monkeypatch)
+    config = ScenarioConfig(packet_period_s=60.0, duration_s=600.0)
+    runs = [Simulator(replace(config, capacitance_f=c, seed=seed)) for seed in (1, 2) for c in (0.004, 0.01)]
+    starts = [sim.run().cycles[0].start_ns for sim in runs]
+    drawn = [round(random.Random(seed).uniform(0.0, 60.0) * NS_PER_S) for seed in (1, 2)]
+    assert starts == [drawn[0], drawn[0], drawn[1], drawn[1]]
+    assert len(caplora.engine._first_ticks) == 2

@@ -23,7 +23,7 @@ from caplora.config import _SCHEMA
 from caplora.engine import GUARD_HORIZONS
 from caplora.lorawan import DeviceState
 
-from conftest import assert_same_run, run_both_ways
+from conftest import assert_outcome_counts, assert_same_run, run_both_ways
 
 # Below about 1.5 mF the 0.3 s turn-on cannot finish: the device boot-loops.
 _CAPACITANCES_F = st.floats(0.2e-3, 1.5e-3) | st.floats(1.5e-3, 0.03)
@@ -150,6 +150,7 @@ def _assert_each_packet_accounted_once(sim: Simulator) -> None:
     assert sorted(ids) == list(range(1, metrics.generated + 1))
     assert 0 <= metrics.acked <= metrics.delivered_ul <= metrics.generated
     assert all(record.start_ns <= record.end_ns for record in metrics.cycles)
+    assert_outcome_counts(metrics)
 
 
 # A 40-minute harvest trace of six 400 s stretches; the dark and the
