@@ -206,7 +206,7 @@ def engine_cycle_feasible(
     spec = cycle_spec(config, kind, power_w)
     duration = sum(duration for duration, _ in spec.segments) + config.rx2_delay_s + 3.0
     power = config.power_w if power_w is None else power_w
-    cfg = replace(
+    cfg = _point(
         config,
         capacitance_f=capacitance_f,
         harvester="constant",
@@ -274,14 +274,14 @@ def mincap_table(
             [f"mincap needs harvester kind constant, got {config.harvester}"]
         )
     _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
-    base = replace(config, dl_payload_bytes=dl_payload_bytes)
+    base = _point(config, dl_payload_bytes=dl_payload_bytes)
     # A row's scenario is the base with its data rate, payload and power set,
     # and no check couples two of these axes: checking each axis value on the
     # base checks every row, without building the whole grid.
     check_scenarios(
-        [replace(base, data_rate=dr) for dr in data_rates]
-        + [replace(base, ul_payload_bytes=payload) for payload in payloads_bytes]
-        + [replace(base, power_w=power) for power in powers_w]
+        [_point(base, data_rate=dr) for dr in data_rates]
+        + [_point(base, ul_payload_bytes=payload) for payload in payloads_bytes]
+        + [_point(base, power_w=power) for power in powers_w]
     )
     # Every row shares the capacitor, and the voltage banked at a power is
     # the same for every row at that power; the cycle's shape depends on the

@@ -424,6 +424,18 @@ def crossing_tick(
     return None if t_cross is None else t0_ns + _ticks_until(t_cross)
 
 
+def crossing_voltage(
+    v: float, segment: tuple[float, float], target: float
+) -> float:
+    """The voltage an update that reaches its crossing tick along ``segment``
+    keeps: ``v``, or the threshold ``target`` when ``v`` lies within one
+    tick's move of it there, and never closer than ``_SNAP_TOLERANCE_V``."""
+    v_inf, tau = segment
+    if abs(v - target) <= max(abs(v_inf - target) / tau * TICK_S, _SNAP_TOLERANCE_V):
+        return target
+    return v
+
+
 def _ignore_crossing(when_ns: int) -> None:
     pass
 
@@ -516,11 +528,8 @@ class Capacitor:
         if cross_ns is None or now_ns < cross_ns:
             return
         assert segment is not None
-        v_inf, tau = segment
         target = self.params.v_th_high_v if self.depleted else self.params.v_th_low_v
-        tick_move = abs(v_inf - target) / tau * TICK_S
-        if abs(v_new - target) <= max(tick_move, _SNAP_TOLERANCE_V):
-            self.voltage_v = target
+        self.voltage_v = crossing_voltage(v_new, segment, target)
         self.depleted = not self.depleted
         self._solved = _UNSOLVED
         (self.on_depleted if self.depleted else self.on_recharged)(cross_ns)

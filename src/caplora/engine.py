@@ -46,27 +46,18 @@ totals. So the same state at two instants evolves bit-identically and
 records the same values shifted by whole nanoseconds. A constant-harvest,
 untraced run uses that to simulate a repeating stretch once and add the
 copies of it that fit before its end; its metrics equal those of the run
-simulated event by event. Two shortcuts find such stretches:
-
-- A stretch between two packet generations that find the device asleep
-  repeats the one before it but for the voltage, as while the voltage
-  settles (``Simulator._match_period``). The voltage alone then differs,
-  and only through the energy guard's answers and the crossing ticks, so
-  the stretch's capacitor steps are replayed copy by copy in closed form
-  and every copy whose guard answers and crossings stay the same is added
-  (``Simulator._replay``), up to the end once the voltage repeats. A
-  discharge ending inside a copy is solved for its crossing only when its
-  last step is within ``_crossing_margin`` of the cutoff: only then can it
-  have crossed.
-- The state, voltage included, is compared at each packet generation and
-  at each recharge while packets are held (``Simulator._fast_forward``).
-  At the first one equal to an earlier one, the stretch between the two
-  is added at once: an orbit of packet periods, brownouts in between or
-  not, or a boot loop OFF -> TURN_ON -> OFF, whose held packets are
-  counted when the device wakes or the run ends.
-
-Such a run simulates only the transient, a period or a repeat, and the
-tail. The records of the copies it adds, and those of the packets held while
+simulated event by event. One mechanism finds them (``Simulator._anchor``).
+At each anchor, a packet generation that finds the device asleep or a
+recharge while packets are held, either with the uplink band free, the
+state but the capacitor is compared with that at earlier anchors. The
+capacitor steps, guard answers and crossings logged since a matching one
+are a template: each copy replays its steps in closed form from where the
+last left the voltage, and holds while the guard answers alike and each
+trajectory crosses its threshold after its last step or, where the
+template crossed, on the same tick (``Simulator._replay``). So settling
+periods, brownout orbits and boot loops OFF -> TURN_ON -> OFF are all
+copied, and once a copy starts where an earlier one did, the run jumps to
+its end. The records of the copies, and those of the packets held while
 the device is powered down, are kept as one block each until read
 (``CycleLog``).
 """
@@ -78,10 +69,10 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
 from .device import (
@@ -98,6 +89,7 @@ from .energy import (
     CapacitorParams,
     TraceRecorder,
     crossing_tick,
+    crossing_voltage,
     harvester_conductance,
     load_conductance,
     sample_voltages,
@@ -256,7 +248,7 @@ class CycleLog(Sequence):
     sequence of ``CycleRecord``.
 
     The records the run simulated are kept as they come (``_append``). The
-    copies a shortcut adds (``_copy``), and the packets held while the device
+    copies a replay adds (``_copy``), and the packets held while the device
     was powered down (``_fail``), are kept as one block each, in O(1) time
     and memory. The first read (iteration, indexing or slicing, ``==`` or
     ``repr``) expands every block, in order and once, into the records the
@@ -419,33 +411,48 @@ def _noop() -> None:
     pass
 
 
-# The Metrics counters a skipped orbit adds to.
-_ORBIT_COUNTERS = (
+# The Metrics counters a replay adds to.
+_COPY_COUNTERS = (
     "generated", "delivered_ul", "acked", "skipped_by_guard", "depletion_events", "off_time_ns"
 )
+_counts = attrgetter(*_COPY_COUNTERS)
+_airtime = attrgetter("airtime_total_ns")
+_blocked = attrgetter("blocked_until_ns")
 
 
-# At most this many packet-time voltages, and as many snapshots, are kept
-# for the orbit search; each store is emptied when full. A longer orbit is
-# simulated in full.
-_ORBIT_MEMORY = 256
-
-# A stretch logged for a replay is dropped at the first generation past
-# this many steps and guard answers.
-_PERIOD_MEMORY = 4096
+# The repeat search logs at most this many capacitor steps, guard answers
+# and crossings, and a replay keeps at most this many copy starts; each is
+# emptied when full, the log with the anchors kept in it.
+_REPEAT_MEMORY = 4096
 
 
 class _Mark(NamedTuple):
-    """The run at a snapshot: the totals a skip adds to."""
+    """The run at an anchor: the totals a replay adds to, and where the
+    capacitor starts the stretch that follows."""
 
     time_ns: int
-    # The _ORBIT_COUNTERS, the number of cycle records, each outcome's count
+    # The voltage and the crossing tick, relative to ``time_ns``, of the
+    # trajectory under way, None after a crossing or when it never crosses.
+    start: tuple[float, int | None]
+    # The _COPY_COUNTERS, the number of cycle records, each outcome's count
     # in CycleOutcome order, and each budget's ``airtime_total_ns``, in
     # ``Simulator._budgets`` order.
     counts: tuple[int, ...]
     cycles: int
     outcomes: tuple[int, ...]
     airtimes: tuple[int, ...]
+
+
+class _Crossing(NamedTuple):
+    """A crossing of ``target`` by the trajectory along ``segment``."""
+
+    depleted: bool
+    segment: tuple[float, float]
+    target: float
+
+
+# The trajectory under way just after a crossing: never a segment.
+_CROSSED = object()
 
 
 # Each scenario field's name, and whether it is a time in seconds.
@@ -624,20 +631,23 @@ class Simulator:
             self.gateway.rx1_budget,
             self.gateway.rx2_budget,
         )
-        # The repeat search: the voltages seen where a snapshot may be taken,
-        # None when the run is not eligible or a skip was made, and the
-        # snapshots taken.
-        fast_forward = config.harvester == "constant" and not config.trace
-        self._voltages: set[float] | None = set() if fast_forward else None
-        self._snapshots: dict[tuple, _Mark] = {}
-        # The replay of a settling stretch: at the last generation one may
-        # start at, the uplink band's block, ``_period_state()`` and the
-        # mark, the state None when not taken; and the log of the capacitor
-        # steps and guard answers since, None while nothing is logged.
-        self._period_block: int | None = None
-        self._period_key: tuple | None = None
-        self._period_mark: _Mark | None = None
+        # The repeat search, None when the run is not eligible or a replay
+        # reached the end: each anchor's period state, with each anchor of it
+        # by its start, as its mark, the number of the log and the log's
+        # length there; and the number of anchors kept.
+        repeats = config.harvester == "constant" and not config.trace
+        self._anchors: dict[tuple, dict[tuple, tuple[_Mark, int, int]]] | None = (
+            {} if repeats else None
+        )
+        self._kept = 0
+        # The log, None while none is kept: each capacitor step as the tick
+        # and load of the update that ended it, each guard answer, and None
+        # after the step that reached a crossing; and the number of logs
+        # ended before it.
         self._steps: list | None = None
+        self._logs = 0
+        # ``_ending`` of each trajectory met, by depleted flag and segment.
+        self._endings: dict[tuple, tuple] = {}
 
     @property
     def now_s(self) -> float:
@@ -726,9 +736,10 @@ class Simulator:
         is ``(device state, g_harv, depleted)``, cancelling the one armed.
 
         A crossing flips ``depleted``, so this is also where a run learns,
-        once the crossing's event is done, that one happened: a depletion
-        holds the pending packet generation out of the heap, and a recharge
-        is where a held stretch may repeat.
+        once the crossing's event is done, that one happened: it is logged
+        for a replay after the step that reached it, a depletion holds the
+        pending packet generation out of the heap, and a recharge is an
+        anchor of the repeat search.
         """
         old = self._crossing_key
         self._crossing_key = key
@@ -736,12 +747,16 @@ class Simulator:
         if armed is not None:
             armed[3] = True
             self._crossing_event = None
+        if old is not None and old[2] != key[2]:
+            steps = self._steps
+            if steps is not None:
+                steps.append(None)
+            if not key[2] and self._anchors is not None:
+                self._anchor()
         delay_ns = self.cap.next_crossing_ns(self.g_load[key[0]], key[1])
         if delay_ns is not None:
             self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
         if key[2]:
-            # No period holding a depletion is replayed.
-            self._steps = None
             # A generation due on the depletion tick may have held itself.
             if self._missed_from_ns is None:
                 generation = self._generation
@@ -749,8 +764,6 @@ class Simulator:
                 self._heap.remove(generation)
                 heapq.heapify(self._heap)
                 self._missed_from_ns = generation[0]
-        elif old is not None and old[2] and self._voltages is not None:
-            self._fast_forward()
 
     # -- recurring drivers ---------------------------------------------------
 
@@ -761,15 +774,13 @@ class Simulator:
             self._missed_from_ns = now
             return
         self._generation = self.schedule_at_ns(now + self.packet_period_ns, self._on_generate)
-        if self._voltages is not None:
-            self._fast_forward()
-            if self._voltages is not None:
-                self._match_period()
+        if self._anchors is not None:
+            self._anchor()
         self.device.on_generate()
 
     def log_guard(self, proceed: bool) -> None:
-        """Called with each answer of the energy guard, which the period
-        being logged for a replay must give again at the same place."""
+        """Called with each answer of the energy guard, which a copy of the
+        stretch being logged must give again at the same place."""
         steps = self._steps
         if steps is not None:
             steps.append(proceed)
@@ -810,103 +821,98 @@ class Simulator:
             # Raises when an input trace ends before the run does.
             self.harvester.power_at(self.config.duration_s)
 
-    # -- fast-forward over a periodic steady state ----------------------------
+    # -- replay of a repeating stretch ------------------------------------------
 
-    def _relative_state(self) -> tuple:
-        """Everything that drives the rest of the run, relative to now.
-
-        The heap entries are taken in the order they pop in, so two equal
-        states compare equal whatever the heap's layout.
+    def _period_state(self) -> tuple:
+        """Everything the run from an anchor on depends on but the
+        capacitor: the live heap entries but the crossing wake-up, and each
+        duty budget's block, relative to now, the entries in the order they
+        pop in; and, while packets are held, the number of wakes so far.
+        A held packet keeps its own tick, and a wake before it falls due
+        holds it again at the next depletion: two recharges with the same
+        wake count lie in one powered-down stretch, holding the same packet.
         """
         now = self.now_ns
         armed = self._crossing_event
         return (
-            self.cap.voltage_v,
-            self.cap.depleted,
-            self.device.state,
-            self._crossing_key,
-            None if armed is None else armed[0] - now,
             tuple([
-                (time_ns - now, cancelled, action)
-                for time_ns, _, action, cancelled in sorted(self._heap)
+                (entry[0] - now, entry[2])
+                for entry in sorted(self._heap)
+                if not entry[3] and entry is not armed
             ]),
-            tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
+            tuple([blocked - now if blocked > now else 0 for blocked in map(_blocked, self._budgets)]),
+            None if self._missed_from_ns is None else self._wakes,
         )
 
-    def _snapshot(self) -> tuple | None:
-        """The state a packet generation or a recharge compares, relative
-        to now.
+    def _anchor(self) -> None:
+        """Replay the stretch since an earlier anchor of the same period
+        state, or keep this one for a later anchor.
 
-        A generation takes it once the next one is scheduled, so that one is
-        always a period ahead, and only while the device is asleep with no
-        open cycle: otherwise it is None. While packets are held, the heap
-        holds no generation, and the state goes with the number of wakes so
-        far: two equal snapshots then lie in one powered-down stretch, with
-        no wake between them. The held tick would not do: a wake before it
-        falls due holds it again at the next depletion.
+        Called at each packet generation and each recharge of a
+        constant-harvest, untraced run, until a replay reaches the end. An
+        anchor is a generation that finds the device asleep with no open
+        cycle, or a recharge while packets are held, either with the uplink
+        band free: a run bound by its duty budget finds the band blocked for
+        another time at nearly every generation, where an anchor would cost
+        its mark and seldom match. At most ``_REPEAT_MEMORY`` anchors are
+        kept. The log is started at an anchor, ended after each replay, and
+        dropped past ``_REPEAT_MEMORY`` entries. The anchors kept with this
+        one's ``_period_state`` are tried in turn (``_replay``): first one
+        whose start this one repeats, an exact orbit, then each from the
+        latest back, as inside a longer orbit a short stretch may match and
+        fail where the whole orbit holds.
         """
-        if self._missed_from_ns is not None:
-            return self._relative_state(), self._wakes
+        anchors = self._anchors
+        assert anchors is not None
+        steps = self._steps
+        if steps is not None and len(steps) > _REPEAT_MEMORY:
+            self._logs += 1
+            self._steps = steps = None
         device = self.device
-        if device.cycle is not None or device.state is not DeviceState.SLEEP:
-            return None
-        return self._relative_state()
-
-    def _fast_forward(self) -> None:
-        """Skip whole copies of an exact orbit of the run's state.
-
-        Called at each packet generation of a constant-harvest, untraced
-        run, and at each recharge while packets are held. When the state
-        equals the one at an earlier snapshot, the run is periodic from
-        there on, and the orbit between the two has already been simulated:
-        whole packet periods, or boot loops that never reached SLEEP. As
-        many copies of it as end before the run does are added at once:
-        each counter and airtime total grows by whole multiples of its
-        change over the orbit, and the orbit's cycle records are copied
-        shifted by whole orbit lengths. The clock moves past the copies and
-        the tail is simulated as usual. The state and every recorded time
-        are on the integer-ns clock, so each skipped orbit, brownouts
-        included, is bit-identical to the simulated one.
-
-        The state is snapshotted only where the voltage was seen at an
-        earlier call: a run that never repeats pays one set lookup per
-        packet. An orbit is skipped at the first snapshot equal to an
-        earlier one, whatever its length, as long as the stores,
-        ``_ORBIT_MEMORY`` entries each, were not emptied in between.
-        """
-        voltages = self._voltages
-        assert voltages is not None
-        voltage = self.cap.voltage_v
-        # The state repeats only where the voltage does: snapshot only then.
-        if voltage not in voltages:
-            if len(voltages) == _ORBIT_MEMORY:
-                voltages.clear()
-            voltages.add(voltage)
+        if device.ul_budget.blocked_until_ns > self.now_ns or (
+            self._missed_from_ns is None
+            and (device.cycle is not None or device.state is not DeviceState.SLEEP)
+        ):
             return
-        state = self._snapshot()
-        if state is None:
-            return
+        key = self._period_state()
         mark = self._mark()
-        snapshots = self._snapshots
-        earlier = snapshots.get(state)
-        if earlier is not None:
-            copies = self._copies_left(mark.time_ns - earlier.time_ns)
-            if copies > 0:
-                self._skip(earlier, mark, copies)
-            self._voltages = self._steps = None
-            return
-        if len(snapshots) == _ORBIT_MEMORY:
-            snapshots.clear()
-        snapshots[state] = mark
+        kept = anchors.get(key)
+        if kept is None:
+            kept = anchors[key] = {}
+        else:
+            exact = kept.get(mark.start)
+            tries = reversed(kept.values())
+            for earlier, log, at in tries if exact is None else chain((exact,), tries):
+                after = self._replay(earlier, mark, at if log == self._logs else None)
+                if after is None:
+                    self._anchors = self._steps = None
+                    return
+                if after is not mark:
+                    mark = after
+                    self._logs += 1  # the log holds none of the copies
+                    steps = None
+                    break
+        if steps is None:
+            self._steps = steps = []
+        if self._kept == _REPEAT_MEMORY:
+            anchors.clear()
+            kept = anchors[key] = {}
+            self._kept = 0
+        self._kept += 1
+        kept[mark.start] = (mark, self._logs, len(steps))
 
     def _mark(self) -> _Mark:
         metrics = self.metrics
+        # The wake-up armed is at the crossing tick of the trajectory under
+        # way; none is armed just after a recharge's crossing.
+        armed = self._crossing_event
         return _Mark(
             self.now_ns,
-            tuple([getattr(metrics, name) for name in _ORBIT_COUNTERS]),
+            (self.cap.voltage_v, None if armed is None else armed[0] - self.now_ns),
+            _counts(metrics),
             len(metrics.cycles),
             tuple(metrics.outcomes.values()),
-            tuple([budget.airtime_total_ns for budget in self._budgets]),
+            tuple(map(_airtime, self._budgets)),
         )
 
     def _copies_left(self, length_ns: int) -> int:
@@ -921,7 +927,7 @@ class Simulator:
         metrics = self.metrics
         delta = {
             name: now - then
-            for name, now, then in zip(_ORBIT_COUNTERS, mark.counts, earlier.counts)
+            for name, now, then in zip(_COPY_COUNTERS, mark.counts, earlier.counts)
         }
         for name, step in delta.items():
             setattr(metrics, name, getattr(metrics, name) + copies * step)
@@ -936,163 +942,120 @@ class Simulator:
         for budget, now_total, then_total in zip(self._budgets, mark.airtimes, earlier.airtimes):
             airtime_ns = now_total - then_total
             budget.airtime_total_ns += copies * airtime_ns
-            if airtime_ns:  # a budget unused in the orbit keeps its past block
+            if airtime_ns:  # a budget unused in the stretch keeps its past block
                 budget.blocked_until_ns += shift
         self.now_ns += shift
         self.cap.shift(shift)
         for event in self._heap:
             event[0] += shift
 
-    # -- replay of a settling period --------------------------------------------
-
-    def _period_state(self) -> tuple:
-        """The live heap entries but the crossing wake-up, and each duty
-        budget's block, relative to now; the entries in the order they pop in.
-
-        At a generation that finds the device asleep with no open cycle,
-        this is everything the coming period depends on but the voltage; the
-        voltage sets the crossing wake-up.
-        """
-        now = self.now_ns
-        armed = self._crossing_event
-        return (
-            tuple([
-                (entry[0] - now, entry[2])
-                for entry in sorted(self._heap)
-                if not entry[3] and entry is not armed
-            ]),
-            tuple([max(0, budget.blocked_until_ns - now) for budget in self._budgets]),
-        )
-
-    def _match_period(self) -> None:
-        """Replay the stretches that repeat the last one but for the voltage.
-
-        Called at each packet generation of a constant-harvest, untraced run
-        until a skip reaches the end. A stretch runs from one generation
-        that finds the device asleep with no open cycle to the next: one
-        packet period, or more when the generations between find it busy.
-        Unless the last such generation found the uplink band blocked for
-        another time, its ``_period_state`` and mark are kept, and the
-        capacitor steps and guard answers since it are logged. When this
-        generation's state equals that one, and no depletion broke the log,
-        the logged stretch is the template of the ones to come
-        (``_replay``).
-        """
-        steps = self._steps
-        device = self.device
-        if device.cycle is not None or device.state is not DeviceState.SLEEP:
-            # A stretch runs on through a generation that finds the device
-            # busy, up to a bounded log.
-            if steps is not None and len(steps) > _PERIOD_MEMORY:
-                self._steps = None
-            return
-        key = self._period_key
-        self._steps = self._period_key = None
-        block = device.ul_budget.blocked_until_ns - self.now_ns
-        if block < 0:
-            block = 0
-        last_block = self._period_block
-        self._period_block = block
-        # A run bound by its uplink budget, whose band is blocked for another
-        # time at every generation, stops here.
-        if last_block is not None and last_block != block:
-            return
-        state = self._period_state()
-        mark = self._mark()
-        if steps is not None and state == key:
-            assert self._period_mark is not None
-            mark = self._replay(self._period_mark, mark, steps)
-            if mark is None:
-                return
-        self._period_key = state
-        self._period_mark = mark
-        self._steps = []
-
-    def _template(self, start_ns: int, steps: list) -> list:
-        """The steps logged since ``start_ns`` as a replay takes them.
-
-        A guard answer stays as it is. A step becomes ``(tick from the
-        start, a, b, new, crossing, ending)``: ``step_coefficients``, and
-        ``new`` when its trajectory is not the one before it, so the
-        capacitor solves it afresh where it starts. A zero-length step moves
-        no voltage, but may start a trajectory. The stretch starts on the
-        trajectory it ends on, whose crossing tick carries into the next
-        copy: its first step has ``crossing``, its segment if it may reach
-        the cutoff, to solve it there. The step after any other such
-        trajectory has ``ending``, its ``(margin, segment)``: it is solved
-        only if its last step ends within ``_crossing_margin`` of the cutoff.
-        """
-        cap = self.cap
-        g_harv = self.g_harv
-        vmax = cap.params.max_voltage_v
-        v_low = cap.params.v_th_low_v
-        segments = [cap.segment(entry[1], g_harv) for entry in steps if entry.__class__ is not bool]
-        # The capacitor step where the trajectory the stretch ends on starts.
-        final = max((k for k, segment in enumerate(segments) if segment is not segments[k - 1]), default=None)
-        ops: list = []
-        # The ``(margin, segment)`` of the trajectory under way, if it may
-        # reach the cutoff and ends inside the copy.
-        ending = None
-        last_ns = start_ns
-        k = 0
-        for entry in steps:
-            if entry.__class__ is bool:
-                ops.append(entry)
-                continue
-            time_ns = entry[0]
-            segment = segments[k]
-            a, b = step_coefficients(time_ns - last_ns, segment)
-            if segment is segments[k - 1]:
-                ops.append((time_ns - start_ns, a, b, False, None, None))
+    def _ending(self, depleted: bool, segment: tuple[float, float] | None) -> tuple:
+        """What a copy checks where a trajectory along ``segment`` ends with
+        no crossing: nothing if it never reaches its threshold, else
+        ``(depleted, segment, margin)``; a discharge is solved only within
+        ``_crossing_margin`` of the cutoff, a charge (margin None) always."""
+        end = self._endings.get((depleted, segment))
+        if end is None:
+            params = self.cap.params
+            if segment is None or (
+                segment[0] <= params.v_th_high_v if depleted else segment[0] > params.v_th_low_v
+            ):
+                end = ()
             else:
-                crossing = segment if segment is not None and segment[0] <= v_low else None
-                ops.append((time_ns - start_ns, a, b, True, crossing if k == final else None, ending))
-                ending = (_crossing_margin(crossing, vmax), crossing) if crossing and k != final else None
-            last_ns = time_ns
-            k += 1
-        return ops
+                margin = None if depleted else _crossing_margin(segment, params.max_voltage_v)
+                end = depleted, segment, margin
+            self._endings[depleted, segment] = end
+        return end
 
-    def _replay(self, earlier: _Mark, mark: _Mark, steps: list) -> _Mark | None:
-        """Add the copies of the period from ``earlier`` to ``mark``, which
+    def _template(self, start_ns: int, at: int, segment: object, end: tuple | None, ops: list) -> Iterator:
+        """Yield the log from entry ``at``, logged from ``start_ns``, as a
+        replay takes it, each entry once it is appended to ``ops``. The
+        stretch starts powered up on the trajectory along ``segment``, which
+        ends as ``end`` says (``_ending``, None just after a crossing).
+
+        A guard answer stays as it is, and a crossing becomes a
+        ``_Crossing`` of the trajectory under way. A capacitor step becomes
+        ``(tick, a, b, end)``: ``step_coefficients``, and ``end`` None on a
+        step along the trajectory under way. A step on a new segment, or the
+        first after a crossing, starts a trajectory, which the capacitor
+        solves afresh where it starts; its ``end`` is what a copy checks
+        where the trajectory before it ended. A zero-length step moves no
+        voltage, but may start a trajectory.
+        """
+        params = self.cap.params
+        trajectory = self.cap.segment
+        g_harv = self.g_harv
+        depleted = False
+        last_ns = start_ns
+        for entry in islice(self._steps, at, None):
+            if entry.__class__ is bool:
+                op = entry
+            elif entry is None:
+                target = params.v_th_high_v if depleted else params.v_th_low_v
+                op = _Crossing(depleted, segment, target)
+                depleted = not depleted
+                segment, end = _CROSSED, None
+            else:
+                time_ns, g_load = entry
+                new = trajectory(g_load, g_harv)
+                a, b = step_coefficients(time_ns - last_ns, new)
+                if new is segment:
+                    op = (time_ns, a, b, None)
+                else:
+                    op = (time_ns, a, b, end or ())
+                    segment, end = new, self._ending(depleted, new)
+                last_ns = time_ns
+            ops.append(op)
+            yield op
+
+    def _replay(self, earlier: _Mark, mark: _Mark, at: int | None) -> _Mark | None:
+        """Add the copies of the stretch from ``earlier`` to ``mark``, which
         is now, that repeat it with only the voltage changed. Returns the
         mark of the run where the copies end, or None if they reach the end.
 
-        ``steps`` holds each capacitor step of the period, as the tick and
-        load of the update that ended it, and each guard answer, at its
-        place. A copy takes the same steps from its own start voltage, with
-        ``Capacitor.update``'s arithmetic bit for bit, and repeats the
-        period exactly if two things hold: each trajectory's crossing tick,
-        solved where it starts as ``Capacitor`` solves it, falls after the
-        trajectory's last step, and the guard gives every answer again.
-        A trajectory that ends inside the copy is solved only when its last
-        step ends within ``_crossing_margin`` of the cutoff: beyond it, a
-        discharge has not crossed yet. Everything else the period does
-        depends on the clock only. So the copies are replayed one by one,
-        each from the voltage the one before left, up to the first that
-        fails or the end of the run; once a copy's start repeats an earlier
-        one's, the rest are periodic and the last is known at once. The
-        copies that hold are added as ``_skip`` adds an orbit, and the
-        capacitor takes the voltage and crossing tick they end at.
+        The stretch is the log from entry ``at`` on. A copy takes its steps
+        from its own start with ``Capacitor.update``'s arithmetic bit for
+        bit, and repeats it exactly if the guard gives every answer again
+        and each trajectory's crossing tick, solved where it starts as
+        ``Capacitor`` solves it, falls after the trajectory's last step, or
+        on it where the stretch crossed, the voltage then snapped alike. All
+        else depends on the clock only. The copies are replayed one by one
+        up to the first that fails or the end of the run; once a copy starts
+        where an earlier one did, the rest are periodic. With ``at`` None,
+        only an exact orbit, a copy that starts where the stretch did, is
+        known to repeat it. The copies that hold are added (``_skip``).
         """
         length = mark.time_ns - earlier.time_ns
         fit = self._copies_left(length)
         if fit <= 0:
             return mark
-        ops = self._template(earlier.time_ns, steps)
-        cap = self.cap
-        params = cap.params
+        v, cross = mark.start
+        if at is None and mark.start != earlier.start:
+            return mark
+        # The stretch starts and ends as this anchor does: on the trajectory
+        # under way at a generation, on none just after a recharge's
+        # crossing, which leaves no crossing tick to carry (``final`` None).
+        # Its first copy takes it as it is converted, and stops converting
+        # it where it fails.
+        segment, final = _CROSSED, None
+        if self._missed_from_ns is None:
+            segment = self.cap.segment(self.g_load[self.device.state], self.g_harv)
+            final = self._ending(False, segment)
+        ops: list = []
+        template = self._template(earlier.time_ns, at, segment, final, ops)
+        params = self.cap.params
         vmax = params.max_voltage_v
         v_low = params.v_th_low_v
         allows = self.device.guard_allows
-        # The period ends with an update, on the trajectory each copy starts
-        # on; its crossing tick from the copy's start.
-        cross = cap.next_crossing_ns(steps[-1][1], self.g_harv)
-        v = cap.voltage_v
+        start_ns = earlier.time_ns
         # Each copy's start (v, cross) seen, with the number of copies
         # before it; ``starts[k]`` is the start after ``base + k`` copies.
-        seen: dict[tuple, int] = {}
-        starts: list[tuple] = []
-        base = copies = 0
+        # The stretch itself is copy -1, so a copy that starts where it did
+        # ends an exact orbit.
+        seen: dict[tuple, int] = {earlier.start: -1}
+        starts: list[tuple] = [earlier.start]
+        base = -1
+        copies = 0
         while copies < fit:
             start = (v, cross)
             first = seen.get(start)
@@ -1100,62 +1063,74 @@ class Simulator:
                 v, cross = starts[first - base + (fit - first) % (copies - first)]
                 copies = fit
                 break
-            if len(seen) == _ORBIT_MEMORY:
+            if len(seen) == _REPEAT_MEMORY:
                 seen.clear()
                 starts.clear()
                 base = copies
             seen[start] = copies
             starts.append(start)
-            v_copy, cross_copy, last = v, cross, 0
-            for op in ops:
-                if op.__class__ is bool:
+            # The copy, on the stretch's own ticks. The crossing tick of the
+            # trajectory under way is carried from the copy before while
+            # ``t_start`` is None.
+            v_copy, last, t_start = v, start_ns, None
+            cross_copy = None if cross is None else start_ns + cross
+            for op in ops if copies else template:
+                kind = op.__class__
+                if kind is bool:
                     if allows(v_copy) is not op:
                         break
                     continue
-                tick, a, b, new, crossing, ending = op
-                if new:
-                    # A trajectory that ended near the cutoff: solved from its
-                    # start. A copy that fails here, rather than at the first
-                    # step past the crossing, is dropped all the same.
-                    if ending is not None and v_copy - v_low <= ending[0]:
-                        ended = crossing_tick(v_start, t_start, False, ending[1], params)
-                        if ended is not None and ended <= last:
-                            break
-                    v_start, t_start = v_copy, last
-                    cross_copy = (
-                        None if crossing is None else crossing_tick(v_copy, last, False, crossing, params)
-                    )
-                if tick == last:
+                if kind is _Crossing:
+                    depleted, segment, target = op
+                    if t_start is not None:
+                        cross_copy = crossing_tick(v_start, t_start, depleted, segment, params)
+                    if cross_copy != last:
+                        break
+                    v_copy = crossing_voltage(v_copy, segment, target)
+                    cross_copy = None
                     continue
-                if cross_copy is not None and tick >= cross_copy:
-                    break
-                v_copy = a + v_copy * b
-                if v_copy < 0.0:
-                    v_copy = 0.0
-                elif v_copy > vmax:
-                    v_copy = vmax
-                last = tick
+                tick, a, b, end = op
+                if end is not None:
+                    if end and t_start is not None:
+                        depleted, segment, margin = end
+                        cross_copy = None
+                        if margin is None or v_copy - v_low <= margin:
+                            cross_copy = crossing_tick(v_start, t_start, depleted, segment, params)
+                    if cross_copy is not None and cross_copy <= last:
+                        break
+                    v_start, t_start = v_copy, last
+                    cross_copy = None
+                if tick != last:
+                    v_copy = a + v_copy * b
+                    if v_copy < 0.0:
+                        v_copy = 0.0
+                    elif v_copy > vmax:
+                        v_copy = vmax
+                    last = tick
             else:
-                v = v_copy
-                cross = None if cross_copy is None else cross_copy - length
-                copies += 1
-                continue
+                if final is None:
+                    cross_copy = None
+                elif t_start is not None and final:
+                    cross_copy = crossing_tick(v_start, t_start, final[0], final[1], params)
+                if cross_copy is None or cross_copy > last:
+                    v = v_copy
+                    cross = None if cross_copy is None else cross_copy - mark.time_ns
+                    copies += 1
+                    continue
             break
         if copies == 0:
             return mark
         self._skip(earlier, mark, copies)
-        now = self.now_ns
-        cross_ns = None if cross is None else now + cross
-        cap.replayed(v, cross_ns)
+        # The capacitor takes the voltage and crossing tick the copies ended
+        # at, and the wake-up moves there.
+        cross_ns = None if cross is None else self.now_ns + cross
+        self.cap.replayed(v, cross_ns)
         armed = self._crossing_event
         if armed is None or armed[0] != cross_ns:
             if armed is not None:
                 armed[3] = True
             self._crossing_event = None if cross_ns is None else self.schedule_at_ns(cross_ns, _noop)
-        if copies == fit:
-            self._voltages = None
-            return None
-        return self._mark()
+        return None if copies == fit else self._mark()
 
     # -- main loop ------------------------------------------------------------
 

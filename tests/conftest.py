@@ -150,13 +150,10 @@ def traced_load_energy(sim) -> float:
 
 @contextmanager
 def shortcuts_off():
-    """Turn off every exact shortcut of the engine while the block runs: no
-    packet generation or recharge takes a snapshot, so no orbit or boot loop
-    is skipped, and no generation matches a period, so none is replayed. A
-    run then simulates every event."""
-    with mock.patch.multiple(
-        Simulator, _snapshot=lambda self: None, _match_period=lambda self: None
-    ):
+    """Turn off the engine's exact shortcut while the block runs: no packet
+    generation or recharge is an anchor, so no stretch is replayed. A run
+    then simulates every event."""
+    with mock.patch.object(Simulator, "_anchor", lambda self: None):
         yield
 
 

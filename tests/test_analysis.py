@@ -514,3 +514,28 @@ def test_each_study_derives_the_points_replace_would(monkeypatch):
     assert len(runs) >= 3
     for config, cap, kind in zip(runs, caps, kinds, strict=True):
         assert _same_point(config, replace(base, capacitance_f=cap, confirmed=kind == "UL+DL"))
+
+    # The brute-force check of one cycle.
+    runs.clear()
+    engine_cycle_feasible(base, "UL+DL", 0.01, power_w=0.003)
+    spec = cycle_spec(base, "UL+DL", 0.003)
+    duration = sum(d for d, _ in spec.segments) + base.rx2_delay_s + 3.0
+    want = replace(
+        base, capacitance_f=0.01, harvester="constant", power_w=0.003, confirmed=True,
+        initial_voltage_v=spec.initial_voltage_v, first_packet_s=0.0,
+        packet_period_s=duration + 60.0, duration_s=duration, guard_enabled=False,
+        generate_while_off=True, trace=False,
+    )
+    assert len(runs) == 1 and _same_point(runs[0], want)
+
+    # The points mincap checks up front: one per data rate, payload and power.
+    checked = []
+    monkeypatch.setattr(analysis, "check_scenarios", checked.extend)
+    mincap_table(base, data_rates=(2, 3), payloads_bytes=(10, 20), powers_w=(0.001,), dl_payload_bytes=20)
+    row_base = replace(base, dl_payload_bytes=20)
+    want = (
+        [replace(row_base, data_rate=dr) for dr in (2, 3)]
+        + [replace(row_base, ul_payload_bytes=payload) for payload in (10, 20)]
+        + [replace(row_base, power_w=0.001)]
+    )
+    assert len(checked) == len(want) and all(map(_same_point, checked, want))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -15,7 +16,7 @@ from caplora.device import CycleOutcome
 from caplora.energy import crossing_tick, harvester_conductance, step_coefficients
 from caplora.lorawan import DeviceState, LorawanParams
 
-from conftest import assert_same_run, shortcuts_off
+from conftest import assert_same_run, run_both_ways, shortcuts_off
 
 # A 1% budget blocks the uplink band for toa / duty; at this duty that is
 # exactly two 60 s periods, so every other packet finds the band busy.
@@ -115,6 +116,32 @@ def test_an_orbit_with_brownouts_is_skipped():
     assert fast._seq < slow._seq
 
 
+def _anchors_and_skips(config: ScenarioConfig, replays: bool = True) -> tuple[Simulator, dict, list]:
+    """``config`` run, with the period state and the start of each anchor
+    by its tick, and the ticks of the skips; with ``replays`` off, every
+    anchor is taken and none is replayed."""
+    anchors: dict[int, tuple] = {}
+    skips: list[int] = []
+    period_state, skip = Simulator._period_state, Simulator._skip
+
+    def spy_period_state(self):
+        state = period_state(self)
+        anchors[self.now_ns] = (state, self._mark().start)
+        return state
+
+    def spy_skip(self, *args):
+        skips.append(self.now_ns)
+        skip(self, *args)
+
+    spies = dict(_period_state=spy_period_state, _skip=spy_skip)
+    if not replays:
+        spies["_replay"] = lambda self, earlier, mark, at: mark
+    with mock.patch.multiple(Simulator, **spies):
+        sim = Simulator(config)
+        sim.run()
+    return sim, anchors, skips
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -123,55 +150,89 @@ def test_an_orbit_with_brownouts_is_skipped():
     ],
     ids=["one_period", "two_periods"],
 )
-def test_an_orbit_is_skipped_at_its_first_repeat(monkeypatch, overrides):
+def test_an_orbit_is_skipped_at_its_first_repeat(overrides):
     # The one-period orbit settles: its periods repeat but for the voltage
     # from the start, and are replayed to the end at the first generation
-    # whose period state equals the one a period before, with no depletion
-    # in between. The two-period orbit browns out in every other period: a
-    # period without a brownout matches the one before it, but its first
-    # copy would cross the cutoff, so none is replayed, and the orbit is
-    # skipped at its first exact repeat.
+    # whose period state equals the one a period before. The two-period
+    # orbit browns out in every other period: a period without a brownout
+    # matches the one before it, but its first copy would cross the cutoff.
+    # The two periods before it are tried next, and are replayed no later
+    # than the first anchor whose whole state, voltage and crossing tick
+    # included, repeats an earlier one's.
     config = ScenarioConfig(duration_s=7200.0, **overrides)
-    snapshots: dict[int, tuple | None] = {}
-    periods: dict[int, tuple] = {}
-    skips: list[int] = []
-    snapshot, period_state, skip = Simulator._snapshot, Simulator._period_state, Simulator._skip
-
-    def spy_snapshot(self):
-        snapshots[self.now_ns] = state = snapshot(self)
-        return state
-
-    def spy_period_state(self):
-        state = period_state(self)
-        periods[self.now_ns] = (state, self.metrics.depletion_events)
-        return state
-
-    def spy_skip(self, *args):
-        skips.append(self.now_ns)
-        skip(self, *args)
-
-    monkeypatch.setattr(Simulator, "_snapshot", spy_snapshot)
-    monkeypatch.setattr(Simulator, "_period_state", spy_period_state)
-    monkeypatch.setattr(Simulator, "_skip", spy_skip)
-    sim = Simulator(config)
-    sim.run()
+    sim, anchors, skips = _anchors_and_skips(config)
     period = sim.packet_period_ns
-    first_repeat = next(
-        (
-            t
-            for t, state in snapshots.items()
-            if state is not None
-            and state in (snapshots.get(t - period), snapshots.get(t - 2 * period))
-        ),
-        None,
-    )
-    first_match = next((t for t, state in periods.items() if periods.get(t - period) == state), None)
+    first_match = next(t for t, (state, _) in anchors.items() if anchors.get(t - period, (None,))[0] == state)
+    _, anchors, _ = _anchors_and_skips(config, replays=False)
+    seen = set()
+    first_repeat = next(t for t, anchor in anchors.items() if anchor in seen or seen.add(anchor))
     if overrides["power_w"] == 0.003:
-        assert first_repeat is None
-        assert skips == [first_match]
+        assert skips == [first_match] and first_match <= first_repeat
     else:
-        assert first_match is not None
-        assert skips == [first_repeat]
+        assert len(skips) == 1 and first_match < skips[0] <= first_repeat
+        assert sim.metrics.depletion_events == sim.metrics.generated // 2
+
+
+def _template_replays(monkeypatch) -> list[tuple[int, list]]:
+    """The length and the logged stretch of each replay that adds copies of
+    a template, for runs made afterwards."""
+    replays = []
+    replay = Simulator._replay
+
+    def spy(self, earlier, mark, at):
+        steps = None if at is None else self._steps[at:]
+        after = replay(self, earlier, mark, at)
+        if after is not mark and steps is not None:
+            replays.append((mark.time_ns - earlier.time_ns, steps))
+        return after
+
+    monkeypatch.setattr(Simulator, "_replay", spy)
+    return replays
+
+
+def test_a_brownout_orbit_is_replayed_by_a_template_that_crosses(monkeypatch):
+    # At 5 mF and 1 mW the device browns out in every other 60 s period. The
+    # two periods between anchors are the template: each copy's uplink
+    # crosses the cutoff on the template's own tick, where the voltage is
+    # snapped onto it, and the recharge crosses the turn-on threshold alike.
+    replays = _template_replays(monkeypatch)
+    config = ScenarioConfig(capacitance_f=0.005, power_w=0.001, duration_s=7200.0)
+    fast, slow = run_both_ways(config)
+    assert_same_run(fast, slow)
+    assert fast._seq < slow._seq // 5
+    [(length, steps)] = replays
+    assert length == 2 * fast.packet_period_ns
+    assert steps.count(None) == 2
+
+
+def test_a_boot_loop_is_skipped_from_a_recharge_anchor(monkeypatch):
+    # The first packet browns the 1 mF device out, and each turn-on after it
+    # browns out again. Two recharges in that powered-down stretch match,
+    # and the loop between them, two crossings, is copied to the end.
+    replays = _template_replays(monkeypatch)
+    config = replace(_BOOT_LOOP, initial_voltage_v=3.3, duration_s=86_400.0)
+    fast, slow = run_both_ways(config)
+    assert_same_run(fast, slow)
+    # The stretch ends on the recharge's crossing, after the turn-on's.
+    [(_, steps)] = replays
+    assert [entry for entry in steps if entry.__class__ is not tuple] == [None, None]
+    assert steps[-1] is None
+    month = _run(replace(config, duration_s=30 * 86_400.0))
+    assert month.metrics.depletion_events == 704_144
+    assert month._seq < 50
+
+
+def test_a_duty_bound_two_period_orbit_is_skipped(monkeypatch):
+    # The uplink budget blocks the band for two periods after each send, so
+    # at every other generation the band is still blocked and no anchor is
+    # taken: the anchors two periods apart match, and the orbit is copied.
+    replays = _template_replays(monkeypatch)
+    config = ScenarioConfig(ul_duty_cycle=_TWO_PERIOD_DUTY, power_w=0.003, duration_s=7200.0)
+    fast, slow = run_both_ways(config)
+    assert_same_run(fast, slow)
+    assert fast._seq < slow._seq // 10
+    assert fast.metrics.outcomes[CycleOutcome.FAILED_DUTY_CYCLE] == fast.metrics.generated // 2
+    assert [length for length, _ in replays] == [2 * fast.packet_period_ns]
 
 
 def test_cost_no_longer_grows_with_duration():
@@ -443,10 +504,14 @@ def _copies_replayed(config: ScenarioConfig, steps: list) -> int:
     ends now, on a fresh simulator of ``config`` at its initial voltage."""
     sim = Simulator(config)
     sim.g_harv = harvester_conductance(config.power_w, config.rail_voltage_v)
+    sim._steps = list(steps)
     length = steps[-1][0]
     sim.now_ns = sim.cap.last_update_ns = length
+    sim._rearm_crossing((DeviceState.SLEEP, sim.g_harv, False))
     mark = sim._mark()
-    sim._replay(mark._replace(time_ns=0), mark, steps)
+    # The template's own start is left unknown, so no copy is taken for an
+    # exact repeat of it.
+    sim._replay(mark._replace(time_ns=0, start=None), mark, 0)
     return sim.now_ns // length - 1
 
 

@@ -1,7 +1,7 @@
 """Every exact shortcut of the engine is invisible: a constant-harvest,
 untraced run, drawn at random, ends exactly where the same run simulated
-event by event ends, boot loops, brownouts and replayed settling periods
-included. Every run, whatever its harvester, accounts for each packet it
+event by event ends, replayed settling periods, brownout orbits and boot
+loops included. Every run, whatever its harvester, accounts for each packet it
 generated once."""
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def constant_harvest_runs(draw) -> ScenarioConfig:
 
 def _replayed(config: ScenarioConfig) -> tuple[Simulator, Simulator, bool]:
     """``run_both_ways(config)``, and whether the first run added a replayed
-    copy of a settling period."""
+    copy of a logged stretch."""
     replay = Simulator._replay
     added = []
 
@@ -133,7 +133,7 @@ def test_every_shortcut_is_invisible():
         replays.append(replayed)
 
     check()
-    # The replay is exercised, not only compared with itself: 37 of the 156
+    # The replay is exercised, not only compared with itself: 48 of the 156
     # draws replay. The others are mostly short, unharvested, browned out or
     # bound by the uplink budget.
     assert sum(replays) >= 25
