@@ -8,7 +8,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .device import DlReply, cycle_states
 from .energy import (
@@ -231,8 +231,7 @@ MINCAP_HEADER = "dr,payload_bytes,P_harvest_W,kind,min_C_farads"
 INFEASIBLE_MARKER = "infeasible"
 
 
-@dataclass(frozen=True)
-class MinCapacitanceRow:
+class MinCapacitanceRow(NamedTuple):
     data_rate: int
     payload_bytes: int
     power_w: float
@@ -295,23 +294,35 @@ def mincap_table(
     rail = base.rail_voltage_v
     max_v = base.max_voltage_v
     v_low = base.v_th_low_v
+    # LoRa codes a payload in blocks of symbols, so payloads a few bytes
+    # apart play the same cycle, and sizing is a pure function of the cycle
+    # and the power: each distinct shape is sized once, at every power.
+    sized: dict[tuple[tuple[float, float], ...], list[float | None]] = {}
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
             row_radio = replace(radio, data_rate=dr, ul_payload_bytes=payload)
-            shapes = [_cycle_shape(row_radio, g_load, kind) for kind in kinds]
-            for power, (g_harv, v0) in zip(powers_w, banked):
-                for kind, shape in zip(kinds, shapes):
-                    c_min = min_capacitance_over_played(
-                        v0,
-                        played_segments(shape, g_harv, rail),
-                        max_v,
-                        v_low,
-                        DEFAULT_C_LO_F,
-                        DEFAULT_C_HI_F,
-                        tol_rel,
-                    )
-                    rows.append(MinCapacitanceRow(dr, payload, power, kind, c_min))
+            answers = []
+            for kind in kinds:
+                shape = _cycle_shape(row_radio, g_load, kind)
+                c_mins = sized.get(shape)
+                if c_mins is None:
+                    c_mins = sized[shape] = [
+                        min_capacitance_over_played(
+                            v0,
+                            played_segments(shape, g_harv, rail),
+                            max_v,
+                            v_low,
+                            DEFAULT_C_LO_F,
+                            DEFAULT_C_HI_F,
+                            tol_rel,
+                        )
+                        for g_harv, v0 in banked
+                    ]
+                answers.append(c_mins)
+            for i, power in enumerate(powers_w):
+                for kind, c_mins in zip(kinds, answers):
+                    rows.append(MinCapacitanceRow(dr, payload, power, kind, c_mins[i]))
     return rows
 
 

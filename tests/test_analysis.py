@@ -13,6 +13,7 @@ from caplora.analysis import (
     CYCLE_KINDS,
     DEFAULT_C_HI_F,
     DEFAULT_C_LO_F,
+    DEFAULT_DATA_RATES,
     DEFAULT_TOL_REL,
     INFEASIBLE_MARKER,
     MINCAP_HEADER,
@@ -214,30 +215,41 @@ def _bisect_on_whole_configs(config, kind, power_w, tol_rel):
     return hi
 
 
+def _grid_rows(grid):
+    return [
+        (dr, payload, power, kind)
+        for dr in grid["data_rates"]
+        for payload in grid["payloads_bytes"]
+        for power in grid["powers_w"]
+        for kind in CYCLE_KINDS
+    ]
+
+
+def _row_config(dr, payload):
+    return replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39)
+
+
 # Infeasible rows, rows at the bracket floor and bisected rows all occur.
 _MINCAP_GRID = dict(data_rates=(3, 5), payloads_bytes=(10, 40), powers_w=(1e-5, 0.001, 1.0))
 
+# Payloads 10, 11 and 12 bytes code to the same number of symbols at some
+# data rates and not at others, so some rows repeat an earlier row's cycle.
+_REPEATING_GRID = dict(
+    data_rates=DEFAULT_DATA_RATES, payloads_bytes=(10, 11, 12, 40), powers_w=(1e-5, 0.001, 1.0)
+)
+
 
 def test_mincap_table_equals_whole_config_bisection_exactly():
-    grid = _MINCAP_GRID
-    rows = mincap_table(BASE, kinds=CYCLE_KINDS, tol_rel=0.02, **grid)
+    rows = mincap_table(BASE, kinds=CYCLE_KINDS, tol_rel=0.02, **_MINCAP_GRID)
     expected = [
         MinCapacitanceRow(
             dr,
             payload,
             power,
             kind,
-            _bisect_on_whole_configs(
-                replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39),
-                kind,
-                power,
-                0.02,
-            ),
+            _bisect_on_whole_configs(_row_config(dr, payload), kind, power, 0.02),
         )
-        for dr in grid["data_rates"]
-        for payload in grid["payloads_bytes"]
-        for power in grid["powers_w"]
-        for kind in CYCLE_KINDS
+        for dr, payload, power, kind in _grid_rows(_MINCAP_GRID)
     ]
     assert rows == expected
     answers = {row.capacitance_f for row in rows}
@@ -247,28 +259,37 @@ def test_mincap_table_equals_whole_config_bisection_exactly():
 
 
 def test_mincap_table_rows_equal_public_min_capacitance():
-    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_MINCAP_GRID)
+    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID)
     expected = [
         MinCapacitanceRow(
-            dr,
-            payload,
-            power,
-            kind,
-            min_capacitance(
-                replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39),
-                kind,
-                power,
-            ),
+            dr, payload, power, kind, min_capacitance(_row_config(dr, payload), kind, power)
         )
-        for dr in _MINCAP_GRID["data_rates"]
-        for payload in _MINCAP_GRID["payloads_bytes"]
-        for power in _MINCAP_GRID["powers_w"]
-        for kind in CYCLE_KINDS
+        for dr, payload, power, kind in _grid_rows(_REPEATING_GRID)
     ]
+    # Float equality: every capacitance is the same bits, row by row.
     assert rows == expected
     answers = {row.capacitance_f for row in rows}
     assert None in answers and DEFAULT_C_LO_F in answers
     assert len(answers - {None, DEFAULT_C_LO_F}) > 1
+
+
+def test_mincap_table_sizes_each_distinct_cycle_once_per_power(monkeypatch):
+    kernel = analysis.min_capacitance_over_played
+    sized = []
+
+    def spy(v0, played, *args):
+        sized.append((v0, played))
+        return kernel(v0, played, *args)
+
+    monkeypatch.setattr(analysis, "min_capacitance_over_played", spy)
+    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID)
+    distinct = {
+        (cycle_spec(_row_config(dr, payload), kind).segments, power)
+        for dr, payload, power, kind in _grid_rows(_REPEATING_GRID)
+    }
+    assert len(distinct) < len(rows)  # the grid repeats cycles
+    assert len(sized) == len(distinct)
+    assert len(set(sized)) == len(sized)
 
 
 def test_min_capacitance_probes_each_bracket_end_once(monkeypatch):
