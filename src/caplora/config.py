@@ -131,17 +131,17 @@ def parse_config(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
     if source is not None:
-        if hasattr(source, "read"):
-            parser.read_file(source)
-        else:
-            path = Path(source)
-            if not path.is_file():
-                raise ConfigError([f"config file not found: {path}"])
-            with path.open() as handle:
-                try:
+        try:
+            if hasattr(source, "read"):
+                parser.read_file(source)
+            else:
+                path = Path(source)
+                if not path.is_file():
+                    raise ConfigError([f"config file not found: {path}"])
+                with path.open() as handle:
                     parser.read_file(handle)
-                except configparser.Error as exc:
-                    raise ConfigError([str(exc)]) from exc
+        except configparser.Error as exc:
+            raise ConfigError([str(exc)]) from exc
 
     problems: list[str] = []
     config_kwargs: dict[str, Any] = {}

@@ -167,15 +167,16 @@ class _Cycle:
 _T = TypeVar("_T")
 
 # At most this many parts are kept in each store of shared run parts; a
-# full store is emptied.
-_PART_MEMORY = 256
+# full store is emptied. A sweep of up to this many points validates each
+# point once.
+_PART_MEMORY = 1024
 
 
 def _shared(store: dict[tuple, _T], values: tuple, build: Callable[..., _T]) -> _T:
     """``build(*values)``, built once and shared read-only by every call
     with ``store`` and equal ``values`` of equal types, so that ``1``,
     ``1.0`` and ``True`` stay apart. A value that cannot be hashed is never
-    kept."""
+    kept, nor is anything when ``build`` raises."""
     key = (values, tuple(map(type, values)))
     try:
         part = store.get(key)
@@ -319,9 +320,9 @@ class LorawanDevice:
 
     def _on_ack_received(self) -> None:
         # The cycle succeeds the moment the downlink is fully received; a
-        # depletion during the trailing standby no longer changes that.
-        if self.cycle is None or not self.params.confirmed:
-            return
+        # depletion during the trailing standby no longer changes that. Only
+        # a confirmed cycle receives, and a depletion cancels the step that
+        # would end the reception, so the cycle is still open here.
         self.sim.metrics.acked += 1
         self._finish(CycleOutcome.ACKED)
 

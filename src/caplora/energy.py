@@ -393,8 +393,8 @@ def step_coefficients(
     trajectory ``segment``: a voltage ``v`` steps to ``a + v * b``, then is
     clamped. A held voltage, ``segment`` None, is ``(0.0, 1.0)``.
 
-    ``update`` computes the same two products inline, and CPython fuses no
-    multiply-add, so a step taken either way gives the same bits.
+    The step is ``propagate_voltage``'s, bit for bit: CPython fuses no
+    multiply-add, and the sum's two terms commute exactly.
     """
     if segment is None:
         return 0.0, 1.0
@@ -462,8 +462,9 @@ class Capacitor:
     many events fell on the way.
 
     Under the current harvest, each load's asymptote and time constant are
-    computed once and kept until the harvest changes; a step is
-    ``propagate_voltage``'s, bit for bit, and a crossing ``crossing_time``'s.
+    computed once and kept until the harvest changes (``segment``). A step
+    is ``step_coefficients``', the one a replay takes, and a crossing
+    ``crossing_time``'s.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -481,14 +482,6 @@ class Capacitor:
         self._solved: object = _UNSOLVED
         self._cross_ns: int | None = None
 
-    def _trajectory(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
-        """``_segment`` of a trajectory not yet in the cache, now cached."""
-        if g_harv != self._harvest_g:
-            self._harvest_g = g_harv
-            self._trajectories.clear()
-        segment = self._trajectories[g_load] = _segment(g_load, g_harv, self.params)
-        return segment
-
     def _solve(self, segment: tuple[float, float] | None) -> None:
         """Fix the crossing tick of the trajectory ``segment``, which starts
         at the last update. A held voltage, or one moving away from the
@@ -505,19 +498,12 @@ class Capacitor:
             if now_ns < last_ns:
                 raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
             return
-        if g_harv == self._harvest_g and g_load in self._trajectories:
-            segment = self._trajectories[g_load]
-        else:
-            segment = self._trajectory(g_load, g_harv)
+        segment = self.segment(g_load, g_harv)
         if segment is not self._solved:
             self._solve(segment)
+        a, b = step_coefficients(now_ns - last_ns, segment)
+        v_new = a + self.voltage_v * b
         vmax = self.params.max_voltage_v
-        # propagate_voltage's step and clamp, as ``step_coefficients`` has it.
-        if segment is None:
-            v_new = self.voltage_v
-        else:
-            x = -((now_ns - last_ns) / NS_PER_S) / segment[1]
-            v_new = segment[0] * -math.expm1(x) + self.voltage_v * math.exp(x)
         if v_new < 0.0:
             v_new = 0.0
         elif v_new > vmax:
@@ -547,9 +533,14 @@ class Capacitor:
         """The cached ``_segment`` of the trajectory under ``g_load`` and
         ``g_harv``: the object ``update`` steps along, so two calls under
         one load return the same object until the harvest changes."""
-        if g_harv == self._harvest_g and g_load in self._trajectories:
-            return self._trajectories[g_load]
-        return self._trajectory(g_load, g_harv)
+        trajectories = self._trajectories
+        if g_harv != self._harvest_g:
+            self._harvest_g = g_harv
+            trajectories.clear()
+        elif g_load in trajectories:
+            return trajectories[g_load]
+        segment = trajectories[g_load] = _segment(g_load, g_harv, self.params)
+        return segment
 
     def shift(self, shift_ns: int) -> None:
         """Move the capacitor's clock, and its crossing tick, by ``shift_ns``."""
@@ -560,8 +551,7 @@ class Capacitor:
     def replayed(self, voltage_v: float, cross_ns: int | None) -> None:
         """Take the voltage at the last update, and the crossing tick of the
         trajectory under way, that a replay reached by taking ``update``'s
-        steps with ``step_coefficients`` and its solves with
-        ``crossing_tick``."""
+        steps and its solves with ``crossing_tick``."""
         self.voltage_v = voltage_v
         self._cross_ns = cross_ns
 

@@ -32,12 +32,13 @@ packet generation is held out of the heap; when the turn-on completes,
 every packet that fell due meanwhile, up to and including that tick, fails
 for want of energy at its own tick (``Simulator.resume_packets``).
 
-Each device state's load current becomes a conductance once per distinct
-rail voltage and currents, and the runs that share them share one read-only
-table (``_conductances``); the capacitor, the trace samples and the energy
-guard look that conductance up by state. The radio's cycle tables and the
-first packet's tick are shared the same way, so a study's points and probes
-pay for their events, not for parts another point already built.
+Each device state's load current becomes a conductance once per run
+(``ScenarioConfig.load_conductances``); the capacitor, the trace samples and
+the energy guard look that conductance up by state. The radio's cycle
+tables, the first packet's tick and the finding that a scenario is valid
+are built once per distinct value and shared by every run with it
+(``device._shared``), so a study's points and probes pay for their events,
+not for parts another point already built.
 
 Every time difference the physics and the duty budgets use is taken on the
 integer clock, and every time a run records is a clock time or a sum of
@@ -58,8 +59,8 @@ template crossed, on the same tick (``Simulator._replay``). So settling
 periods, brownout orbits and boot loops OFF -> TURN_ON -> OFF are all
 copied, and once a copy starts where an earlier one did, the run jumps to
 its end. The records of the copies, and those of the packets held while
-the device is powered down, are kept as one block each until read
-(``CycleLog``).
+the device is powered down, each a copy of the first one's record, are
+kept as one block each until read (``CycleLog``).
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
@@ -169,28 +169,11 @@ class ScenarioConfig:
 
     def load_conductances(self) -> dict[DeviceState, float]:
         """Each device state's load conductance ``I / E`` at the rail voltage."""
-        return _load_conductances(*_conductance_fields(self))
-
-
-# The fields the load conductances are built from: the rail voltage, then
-# each device state's current in DeviceState order.
-_conductance_fields = attrgetter("rail_voltage_v", *_CURRENT_FIELDS.values())
-
-
-def _load_conductances(rail_voltage_v: float, *currents_a: float) -> dict[DeviceState, float]:
-    return {
-        state: load_conductance(current, rail_voltage_v)
-        for state, current in zip(_CURRENT_FIELDS, currents_a)
-    }
-
-
-# The read-only load conductances of every run with equal rail voltage and
-# currents (``device._shared``).
-_conductances: dict[tuple, MappingProxyType] = {}
-
-
-def _shared_conductances(*values: float) -> MappingProxyType:
-    return MappingProxyType(_load_conductances(*values))
+        rail_voltage_v = self.rail_voltage_v
+        return {
+            state: load_conductance(getattr(self, name), rail_voltage_v)
+            for state, name in _CURRENT_FIELDS.items()
+        }
 
 
 # The first packet's tick of every run with equal ``first_packet_s``,
@@ -234,27 +217,19 @@ class _Copies(NamedTuple):
     length_ns: int
 
 
-class _Held(NamedTuple):
-    """One ``FAILED_ENERGY`` record of ``kind`` at each tick of ``ticks``,
-    with consecutive packet ids from ``first_id``."""
-
-    first_id: int
-    ticks: range
-    kind: str
-
-
 class CycleLog(Sequence):
     """A run's cycle records, in the order they were logged: a read-only
     sequence of ``CycleRecord``.
 
     The records the run simulated are kept as they come (``_append``). The
-    copies a replay adds (``_copy``), and the packets held while the device
-    was powered down (``_fail``), are kept as one block each, in O(1) time
-    and memory. The first read (iteration, indexing or slicing, ``==`` or
-    ``repr``) expands every block, in order and once, into the records the
-    run simulated event by event would have logged; a block's template may
-    span an earlier block. ``len`` expands nothing. A log equals a list or a
-    log of the same records.
+    copies a replay adds are kept as one block each (``_copy``), in O(1)
+    time and memory, and so are the packets held while the device was
+    powered down: the first one's record, then its copies, each one packet
+    id and one packet period on. The first read (iteration, indexing or
+    slicing, ``==`` or ``repr``) expands every block, in order and once,
+    into the records the run simulated event by event would have logged; a
+    block's template may span an earlier block. ``len`` expands nothing. A
+    log equals a list or a log of the same records.
     """
 
     __slots__ = ("_records", "_blocks", "_pending", "_append")
@@ -263,26 +238,21 @@ class CycleLog(Sequence):
         self._records: list[CycleRecord] = []
         # Each block not yet expanded, after the number of records kept
         # before it, and the number of records the blocks hold.
-        self._blocks: list[tuple[int, _Copies | _Held]] = []
+        self._blocks: list[tuple[int, _Copies]] = []
         self._pending = 0
         self._append = self._records.append
 
     def __len__(self) -> int:
         return len(self._records) + self._pending
 
-    def _add(self, block: _Copies | _Held, size: int) -> None:
-        if size:
-            self._blocks.append((len(self._records), block))
-            self._pending += size
-
     def _copy(self, start: int, copies: int, packets: int, length_ns: int) -> None:
         """Log ``copies`` copies of the records from index ``start`` on."""
         stop = len(self)
-        self._add(_Copies(start, stop, copies, packets, length_ns), copies * (stop - start))
-
-    def _fail(self, first_id: int, ticks: range, kind: str) -> None:
-        """Log one packet failed for want of energy at each of ``ticks``."""
-        self._add(_Held(first_id, ticks, kind), len(ticks))
+        size = copies * (stop - start)
+        if size:
+            block = _Copies(start, stop, copies, packets, length_ns)
+            self._blocks.append((len(self._records), block))
+            self._pending += size
 
     def _expanded(self) -> list[CycleRecord]:
         if not self._blocks:
@@ -291,16 +261,9 @@ class CycleLog(Sequence):
         out: list[CycleRecord] = []
         kept = 0
         new = tuple.__new__
-        for at, block in self._blocks:
+        for at, (start, stop, copies, packets, length) in self._blocks:
             out += records[kept:at]
             kept = at
-            if block.__class__ is _Held:
-                first_id, ticks, kind = block
-                out += map(new, repeat(CycleRecord), zip(
-                    count(first_id), repeat(kind), ticks, ticks, repeat(CycleOutcome.FAILED_ENERGY)
-                ))
-                continue
-            start, stop, copies, packets, length = block
             end = copies + 1
             # Each template record's copies, built in C from plain tuples
             # without NamedTuple's Python-level constructor, and taken copy
@@ -545,35 +508,35 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-# Each scenario found valid, as its field values and their types, so that a
-# sweep, which checks every point up front and then builds a Simulator for
-# it, validates each point once. At most this many are kept; the store is
-# emptied when full. A problem is reported afresh every time.
-_VALID_MEMORY = 1024
-_valid: set[tuple] = set()
+# Each scenario found valid, by its field values (``device._shared``), so
+# that a sweep, which checks every point up front and then builds a
+# Simulator for it, validates each point once. A scenario with a problem is
+# never kept, so its problems are reported afresh every time.
+_valid_scenarios: dict[tuple, bool] = {}
 _scenario_fields = attrgetter(*(name for name, _ in _FIELD_TIMES))
 
 
-def _problems(config: ScenarioConfig) -> list[str]:
-    """``validate_scenario(config)``, skipped for one found valid before."""
-    values = _scenario_fields(config)
-    key = (values, tuple(map(type, values)))
-    try:
-        if key in _valid:
-            return []
-    except TypeError:  # an unhashable field value: never kept
-        return validate_scenario(config)
+def _check(config: ScenarioConfig) -> None:
+    """Raise one ConfigError with every problem of ``config``, which is
+    validated unless it was found valid before."""
+    _shared(_valid_scenarios, _scenario_fields(config), lambda *values: _require_valid(config))
+
+
+def _require_valid(config: ScenarioConfig) -> bool:
     problems = validate_scenario(config)
-    if not problems:
-        if len(_valid) == _VALID_MEMORY:
-            _valid.clear()
-        _valid.add(key)
-    return problems
+    if problems:
+        raise ConfigError(problems)
+    return True
 
 
 def check_scenarios(configs: Iterable[ScenarioConfig]) -> None:
     """Raise one ConfigError with every scenario's problems, each listed once."""
-    problems = dict.fromkeys(p for config in configs for p in _problems(config))
+    problems: dict[str, None] = {}
+    for config in configs:
+        try:
+            _check(config)
+        except ConfigError as exc:
+            problems.update(dict.fromkeys(exc.problems))
     if problems:
         raise ConfigError(list(problems))
 
@@ -593,14 +556,11 @@ class Simulator:
     """Runs one scenario to completion and reports its metrics."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        problems = _problems(config)
-        if problems:
-            raise ConfigError(problems)
-
+        _check(config)
         self.config = config
         self.cap = Capacitor(capacitor_params(config))
         self.harvester = _build_harvester(config)
-        self.g_load = _shared(_conductances, _conductance_fields(config), _shared_conductances)
+        self.g_load = config.load_conductances()
         self.metrics = Metrics()
         if config.trace:
             self.metrics.trace = TraceRecorder()
@@ -745,7 +705,7 @@ class Simulator:
         self._crossing_key = key
         armed = self._crossing_event
         if armed is not None:
-            armed[3] = True
+            self.cancel(armed)
             self._crossing_event = None
         if old is not None and old[2] != key[2]:
             steps = self._steps
@@ -789,16 +749,23 @@ class Simulator:
         """Fail each packet held since ``_missed_from_ns`` and due before
         ``until_ns`` for want of energy, at its own tick and with the next
         packet id, or leave it uncounted when ``generate_while_off`` is off.
+        The first one's record is logged, and the others as its copies.
         Returns the tick of the first packet not yet due."""
         missed_from = self._missed_from_ns
         assert missed_from is not None
-        ticks = range(missed_from, until_ns, self.packet_period_ns)
-        if self.config.generate_while_off:
+        period = self.packet_period_ns
+        held = len(range(missed_from, until_ns, period))
+        if held and self.config.generate_while_off:
             metrics = self.metrics
-            metrics.cycles._fail(metrics.generated + 1, ticks, self.device.kind)
-            metrics.outcomes[CycleOutcome.FAILED_ENERGY] += len(ticks)
-            metrics.generated += len(ticks)
-        return missed_from + len(ticks) * self.packet_period_ns
+            cycles = metrics.cycles
+            cycles._append(CycleRecord(
+                metrics.generated + 1, self.device.kind, missed_from, missed_from,
+                CycleOutcome.FAILED_ENERGY,
+            ))
+            cycles._copy(len(cycles) - 1, held - 1, 1, period)
+            metrics.outcomes[CycleOutcome.FAILED_ENERGY] += held
+            metrics.generated += held
+        return missed_from + held * period
 
     def resume_packets(self) -> None:
         """Called as the device wakes to SLEEP: fail the packets held while
@@ -1014,8 +981,8 @@ class Simulator:
         mark of the run where the copies end, or None if they reach the end.
 
         The stretch is the log from entry ``at`` on. A copy takes its steps
-        from its own start with ``Capacitor.update``'s arithmetic bit for
-        bit, and repeats it exactly if the guard gives every answer again
+        from its own start with ``step_coefficients``, as
+        ``Capacitor.update`` does, and repeats it exactly if the guard gives every answer again
         and each trajectory's crossing tick, solved where it starts as
         ``Capacitor`` solves it, falls after the trajectory's last step, or
         on it where the stretch crossed, the voltage then snapped alike. All
@@ -1108,9 +1075,9 @@ class Simulator:
                         v_copy = vmax
                     last = tick
             else:
-                if final is None:
-                    cross_copy = None
-                elif t_start is not None and final:
+                # A stretch from a recharge (``final`` None) ends with that
+                # recharge's crossing, which left no crossing tick.
+                if t_start is not None and final:
                     cross_copy = crossing_tick(v_start, t_start, final[0], final[1], params)
                 if cross_copy is None or cross_copy > last:
                     v = v_copy
@@ -1128,7 +1095,7 @@ class Simulator:
         armed = self._crossing_event
         if armed is None or armed[0] != cross_ns:
             if armed is not None:
-                armed[3] = True
+                self.cancel(armed)
             self._crossing_event = None if cross_ns is None else self.schedule_at_ns(cross_ns, _noop)
         return None if copies == fit else self._mark()
 

@@ -57,38 +57,35 @@ class ConstantHarvester:
 class TraceHarvester:
     """Replays a recorded power trace with zero-order hold between samples.
 
-    Only a sample whose power differs from the previous one is a change: a
-    repeated power is not reported by ``next_change_after``, so a run driven
-    by the trace spends no event on it. The first and last samples' times
-    are reported as changes too, because the trace begins and ends there.
-    Queries before the first or after the last sample raise
-    ``TraceExhaustedError``: a trace says nothing outside its span.
+    A trace is kept as its change points, each with the power held from it:
+    the first sample, each sample whose power differs from the one before,
+    and the last sample, where the trace ends. A repeated power is no
+    change, so ``next_change_after`` does not report it and a run driven by
+    the trace spends no event on it. Queries before the first or after the
+    last sample raise ``TraceExhaustedError``: a trace says nothing outside
+    its span.
     """
 
     def __init__(self, samples: Iterable[tuple[float, float]]) -> None:
         times: list[float] = []
         powers: list[float] = []
-        changes: list[float] = []
         prev_t = prev_p = None
         for t, p in samples:
-            if prev_t is None:
-                changes.append(t)
-            elif not prev_t < t:
+            if prev_t is not None and not prev_t < t:
                 raise ValueError(
                     f"trace timestamps must be strictly increasing, got {prev_t} then {t}"
                 )
-            elif p != prev_p:
-                changes.append(t)
-            times.append(t)
-            powers.append(p)
+            if prev_t is None or p != prev_p:
+                times.append(t)
+                powers.append(p)
             prev_t, prev_p = t, p
         if prev_t is None:
             raise ValueError("a harvest trace needs at least one sample")
-        if changes[-1] != prev_t:
-            changes.append(prev_t)
+        if times[-1] != prev_t:
+            times.append(prev_t)
+            powers.append(prev_p)
         self._times = times
         self._powers = powers
-        self._changes = changes
 
     def power_at(self, time_s: float) -> float:
         times = self._times
@@ -96,13 +93,14 @@ class TraceHarvester:
             raise TraceExhaustedError(
                 f"time {time_s} s outside trace span [{times[0]}, {times[-1]}] s"
             )
-        # Zero-order hold: latest sample at or before the query time.
+        # Zero-order hold: the power held from the latest change at or
+        # before the query time.
         return self._powers[bisect_right(times, time_s) - 1]
 
     def next_change_after(self, time_s: float) -> float | None:
         """First change point after ``time_s``; the last one is the trace's end."""
-        index = bisect_right(self._changes, time_s)
-        return self._changes[index] if index < len(self._changes) else None
+        index = bisect_right(self._times, time_s)
+        return self._times[index] if index < len(self._times) else None
 
 
 class RandomHarvester:

@@ -182,8 +182,7 @@ def assert_outcome_counts(metrics) -> None:
 def empty_stores(monkeypatch) -> None:
     """Give the engine empty stores of valid scenarios and shared run parts,
     so that no run reuses what an earlier one left."""
-    monkeypatch.setattr(caplora.engine, "_valid", set())
-    monkeypatch.setattr(caplora.engine, "_conductances", {})
+    monkeypatch.setattr(caplora.engine, "_valid_scenarios", {})
     monkeypatch.setattr(caplora.engine, "_first_ticks", {})
     monkeypatch.setattr(caplora.device, "_radios", {})
 

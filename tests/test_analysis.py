@@ -84,6 +84,8 @@ def test_min_capacitance_rejects_non_finite_power(power_w):
 
 def test_min_capacitance_returns_floor_when_already_feasible():
     assert min_capacitance(BASE, "UL", c_lo=1.0, c_hi=10.0) == 1.0
+    # The engine-driven sizing too: a run at the floor already succeeds.
+    assert min_capacitance_for_target(BASE, "UL", c_lo=1.0, c_hi=10.0) == 1.0
 
 
 _BAD_BRACKETS = [
@@ -174,8 +176,9 @@ def test_mincap_table_rows_and_csv():
         ({"powers_w": (0.001, math.nan)}, "power_w must be finite, got nan"),
         ({"data_rates": (3, 9)}, "data_rate must be in 0..5, got 9"),
         ({"dl_payload_bytes": -1}, "dl_payload_bytes must be >= 0, got -1"),
+        ({"payloads_bytes": (10, -1)}, "ul_payload_bytes must be >= 0, got -1"),
     ],
-    ids=["power_w", "data_rate", "dl_payload"],
+    ids=["power_w", "data_rate", "dl_payload", "ul_payload"],
 )
 def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
     sized = []

@@ -138,8 +138,10 @@ def test_each_capacitor_problem_gets_its_own_line(tmp_path, capsys):
         ("sweep.data_rate=3,9", "data_rate must be in 0..5, got 9"),
         ("sweep.power_w=0.001,nan", "power_w must be finite, got nan"),
         ("sweep.power_w=nan,nan", "power_w must be finite, got nan"),
+        ("sweep.power_w=0.001,-1", "sweep powers must be non-negative"),
+        ("sweep.payload_bytes=10,-1", "ul_payload_bytes must be >= 0, got -1"),
     ],
-    ids=["data_rate", "power_w", "power_w-twice"],
+    ids=["data_rate", "power_w", "power_w-twice", "power_w-negative", "payload_bytes"],
 )
 def test_sweep_rejects_bad_grid_points_up_front(tmp_path, capsys, axis, problem):
     sweep_csv = tmp_path / "sweep.csv"
@@ -380,6 +382,8 @@ def test_usage_errors_exit_nonzero(capsys):
         (["update_interval_s=1e300"], "update_interval_s is beyond the range"),
         (["first_packet_s=1e300"], "first_packet_s is beyond the range"),
         (["packet_period_s=1e300"], "packet_period_s is beyond the range"),
+        (["dl_payload_bytes=-1"], "dl_payload_bytes must be >= 0"),
+        (["harvester.kind=trace"], "trace_file is required for the trace harvester"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

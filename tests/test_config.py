@@ -206,6 +206,24 @@ def test_missing_file_is_one_clear_problem(tmp_path):
     assert "config file not found" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("capacitance_f = 0.01\n", "File contains no section headers"),
+        ("[capacitor]\n[capacitor]\n", "section 'capacitor' already exists"),
+    ],
+    ids=["no-section-header", "duplicate-section"],
+)
+def test_a_malformed_file_is_one_problem_from_a_path_or_a_stream(tmp_path, text, problem):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(source)
+        assert len(err.value.problems) == 1
+        assert problem in err.value.problems[0]
+
+
 def test_boolean_and_none_spellings():
     config, _ = parse_config(
         io.StringIO(

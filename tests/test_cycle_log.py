@@ -1,5 +1,5 @@
-"""The cycle log: records kept as they come, and blocks of copied or held
-records expanded, in order and once, by the first read."""
+"""The cycle log: records kept as they come, and blocks of copied records
+expanded, in order and once, by the first read."""
 
 from __future__ import annotations
 
@@ -20,6 +20,14 @@ def _record(packet_id: int, start_ns: int, end_ns: int, outcome=DELIVERED) -> Cy
     return CycleRecord(packet_id, "UL", start_ns, end_ns, outcome)
 
 
+def _hold(log: CycleLog, first_id: int, ticks: range, kind: str) -> None:
+    """Log one packet failed for want of energy at each of ``ticks``, as a
+    run logs the packets held while its device was powered down: the first
+    one's record, and its copies one packet id and one period on."""
+    log._append(CycleRecord(first_id, kind, ticks[0], ticks[0], FAILED))
+    log._copy(len(log) - 1, len(ticks) - 1, 1, ticks.step)
+
+
 def test_copies_are_expanded_copy_by_copy():
     log = CycleLog()
     log._append(_record(1, 0, 5))
@@ -38,7 +46,7 @@ def test_copies_are_expanded_copy_by_copy():
 def test_a_template_may_span_an_earlier_block():
     log = CycleLog()
     log._append(_record(1, 0, 3))
-    log._fail(2, range(10, 30, 10), "UL")  # packets 2 and 3
+    _hold(log, 2, range(10, 30, 10), "UL")  # packets 2 and 3
     log._copy(1, 1, 3, 40)  # packets 2..4 again, 40 ns later
     log._append(_record(8, 90, 91))
     assert log == [
@@ -54,7 +62,7 @@ def test_a_template_may_span_an_earlier_block():
 def test_a_held_block_sits_between_the_records_around_it():
     log = CycleLog()
     log._append(_record(1, 0, 1))
-    log._fail(2, range(5, 20, 5), "UL+DL")
+    _hold(log, 2, range(5, 20, 5), "UL+DL")
     log._append(_record(5, 25, 26))
     assert [record.packet_id for record in log] == [1, 2, 3, 4, 5]
     assert log[1:4] == [CycleRecord(k, "UL+DL", t, t, FAILED) for k, t in ((2, 5), (3, 10), (4, 15))]
@@ -64,13 +72,14 @@ def test_len_needs_no_expansion_and_stays_the_same():
     log = CycleLog()
     log._append(_record(1, 0, 1))
     log._copy(0, 100_000, 1, 10)
-    log._fail(100_002, range(0, 7 * 100_000, 7), "UL")
+    _hold(log, 100_002, range(0, 7 * 100_000, 7), "UL")
     assert len(log) == 1 + 100_000 + 100_000
-    assert log._records == [_record(1, 0, 1)]  # nothing expanded
+    # Nothing expanded: only the records appended are kept.
+    assert log._records == [_record(1, 0, 1), CycleRecord(100_002, "UL", 0, 0, FAILED)]
     small = CycleLog()
     small._append(_record(1, 0, 1))
     small._copy(0, 3, 1, 10)
-    small._fail(5, range(40, 60, 10), "UL")
+    _hold(small, 5, range(40, 60, 10), "UL")
     before = len(small)
     assert before == len(list(small)) == len(small) == 6
     # Appending after a read keeps counting.

@@ -646,18 +646,12 @@ def test_run_converts_each_load_current_once(monkeypatch, duration_s):
         bound = getattr(module, "load_conductance", None)
         if name.split(".")[0] == "caplora" and bound is load_conductance:
             monkeypatch.setattr(module, "load_conductance", counting)
-    monkeypatch.setattr(caplora.engine, "_conductances", {})
     config = ScenarioConfig(
         capacitance_f=0.005, confirmed=True, duration_s=duration_s, trace=True
     )
     metrics = run_scenario(config)
     assert metrics.generated > 0 and metrics.trace.records
     assert len(calls) == len(DeviceState)
-    # Another run with equal currents shares the conductances of the first.
-    calls.clear()
-    again = run_scenario(replace(config, capacitance_f=0.006, seed=2))
-    assert again.generated > 0 and again.trace.records
-    assert calls == []
 
 
 def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch):
@@ -700,20 +694,6 @@ def test_runs_with_equal_radio_fields_share_one_lorawan_params(monkeypatch):
     assert len(caplora.device._radios) == 2
 
 
-def test_shared_conductances_are_read_only(monkeypatch):
-    empty_stores(monkeypatch)
-    config = ScenarioConfig(capacitance_f=0.004, duration_s=600.0)
-    a = Simulator(config)
-    b = Simulator(replace(config, capacitance_f=0.005))
-    assert a.g_load is b.g_load
-    assert dict(a.g_load) == config.load_conductances()
-    with pytest.raises(TypeError):
-        a.g_load[DeviceState.TX] = 0.0
-    # The config's own table is a fresh dict; changing it changes no run.
-    config.load_conductances()[DeviceState.TX] = 0.0
-    assert a.g_load == config.load_conductances()
-
-
 class _UnhashableFloat(float):
     __hash__ = None  # type: ignore[assignment]
 
@@ -722,7 +702,7 @@ def test_a_field_value_that_cannot_be_hashed_is_never_kept(monkeypatch):
     empty_stores(monkeypatch)
     config = ScenarioConfig(capacitance_f=0.004, sleep_a=_UnhashableFloat(2e-6), duration_s=3600.0)
     first, second = run_scenario(config), run_scenario(config)
-    assert caplora.engine._conductances == {}
+    assert caplora.engine._valid_scenarios == {}
     assert first == second == run_scenario(replace(config, sleep_a=2e-6))
 
 

@@ -7,23 +7,29 @@ generated once."""
 from __future__ import annotations
 
 import atexit
+import inspect
 import shutil
+import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import caplora.device
+import caplora.engine
 from caplora import ScenarioConfig, Simulator
 from caplora.cli import main
 from caplora.config import _SCHEMA
 from caplora.engine import GUARD_HORIZONS
 from caplora.lorawan import DeviceState
 
-from conftest import assert_outcome_counts, assert_same_run, run_both_ways
+from conftest import assert_outcome_counts, assert_same_run, empty_stores, run_both_ways
 
 # Below about 1.5 mF the 0.3 s turn-on cannot finish: the device boot-loops.
 _CAPACITANCES_F = st.floats(0.2e-3, 1.5e-3) | st.floats(1.5e-3, 0.03)
@@ -84,48 +90,77 @@ def _replayed(config: ScenarioConfig) -> tuple[Simulator, Simulator, bool]:
     return fast, slow, any(added)
 
 
+# Runs each shortcut test below starts from.
+_SHORTCUT_EXAMPLES = (
+    ScenarioConfig(capacitance_f=0.3e-3, power_w=0.5e-3, confirmed=True, guard_enabled=False),
+    ScenarioConfig(capacitance_f=0.001, power_w=0.005, guard_enabled=False, duration_s=600.0),
+    ScenarioConfig(
+        capacitance_f=0.3e-3,
+        power_w=0.5e-3,
+        turn_on_a=1e-4,
+        sleep_a=2e-4,
+        packet_period_s=60.0,
+        duration_s=600.0,
+    ),
+    # A 600 s sizing probe at 0.1 F settles over all of its ten packets.
+    ScenarioConfig(capacitance_f=0.1, power_w=0.5e-3, confirmed=True, duration_s=600.0),
+    # A settling voltage that reaches the maximum between packets; the run
+    # ends 1 s after a packet, before it is back there.
+    ScenarioConfig(
+        capacitance_f=0.02,
+        power_w=5e-3,
+        max_voltage_v=3.1,
+        initial_voltage_v=2.5,
+        first_packet_s=0.0,
+        duration_s=3601.0,
+    ),
+    # Retried confirmed uplinks guarded over the whole cycle, settling.
+    ScenarioConfig(
+        capacitance_f=0.05,
+        power_w=2e-3,
+        confirmed=True,
+        max_transmissions=3,
+        guard_horizon="cycle",
+        duration_s=3600.0,
+    ),
+)
+_BOOT_LOOP_EXAMPLES = (
+    ScenarioConfig(
+        capacitance_f=0.712e-3,
+        power_w=0.18150009e-3,
+        initial_voltage_v=1.0,
+        packet_period_s=0.527,
+        guard_enabled=False,
+        duration_s=2000.0,
+    ),
+    ScenarioConfig(
+        capacitance_f=0.23e-3,
+        power_w=0.1815027e-3,
+        initial_voltage_v=1.0,
+        packet_period_s=0.94,
+        guard_enabled=False,
+        duration_s=3000.0,
+    ),
+)
+
+
+def _examples(configs):
+    """Give a Hypothesis test each of ``configs`` as an explicit example."""
+
+    def decorate(test):
+        for config in reversed(configs):
+            test = example(config)(test)
+        return test
+
+    return decorate
+
+
 def test_every_shortcut_is_invisible():
     replays = []
 
     @settings(max_examples=150, derandomize=True)
     @given(constant_harvest_runs())
-    @example(ScenarioConfig(capacitance_f=0.3e-3, power_w=0.5e-3, confirmed=True, guard_enabled=False))
-    @example(ScenarioConfig(capacitance_f=0.001, power_w=0.005, guard_enabled=False, duration_s=600.0))
-    @example(
-        ScenarioConfig(
-            capacitance_f=0.3e-3,
-            power_w=0.5e-3,
-            turn_on_a=1e-4,
-            sleep_a=2e-4,
-            packet_period_s=60.0,
-            duration_s=600.0,
-        )
-    )
-    # A 600 s sizing probe at 0.1 F settles over all of its ten packets.
-    @example(ScenarioConfig(capacitance_f=0.1, power_w=0.5e-3, confirmed=True, duration_s=600.0))
-    # A settling voltage that reaches the maximum between packets; the run
-    # ends 1 s after a packet, before it is back there.
-    @example(
-        ScenarioConfig(
-            capacitance_f=0.02,
-            power_w=5e-3,
-            max_voltage_v=3.1,
-            initial_voltage_v=2.5,
-            first_packet_s=0.0,
-            duration_s=3601.0,
-        )
-    )
-    # Retried confirmed uplinks guarded over the whole cycle, settling.
-    @example(
-        ScenarioConfig(
-            capacitance_f=0.05,
-            power_w=2e-3,
-            confirmed=True,
-            max_transmissions=3,
-            guard_horizon="cycle",
-            duration_s=3600.0,
-        )
-    )
+    @_examples(_SHORTCUT_EXAMPLES)
     def check(config):
         fast, slow, replayed = _replayed(config)
         assert_same_run(fast, slow)
@@ -237,26 +272,7 @@ def near_threshold_boot_loops(draw) -> ScenarioConfig:
 
 @settings(max_examples=12, derandomize=True)
 @given(near_threshold_boot_loops())
-@example(
-    ScenarioConfig(
-        capacitance_f=0.712e-3,
-        power_w=0.18150009e-3,
-        initial_voltage_v=1.0,
-        packet_period_s=0.527,
-        guard_enabled=False,
-        duration_s=2000.0,
-    )
-)
-@example(
-    ScenarioConfig(
-        capacitance_f=0.23e-3,
-        power_w=0.1815027e-3,
-        initial_voltage_v=1.0,
-        packet_period_s=0.94,
-        guard_enabled=False,
-        duration_s=3000.0,
-    )
-)
+@_examples(_BOOT_LOOP_EXAMPLES)
 def test_a_near_threshold_boot_loop_skip_is_invisible(config):
     fast, slow = run_both_ways(config)
     assert_same_run(fast, slow)
@@ -315,3 +331,56 @@ def test_a_command_line_exits_0_1_or_2_without_a_traceback(argv):
             for line in lines
         )
 
+
+@contextmanager
+def _lines_run(*lines: tuple[Callable, str]):
+    """The ``(function, line)`` pairs, each naming one source line of a
+    function, whose line ran while the block did."""
+    targets: dict = {}
+    for function, line in lines:
+        source, first = inspect.getsourcelines(function)
+        [at] = [first + k for k, text in enumerate(source) if text.strip() == line]
+        targets.setdefault(function.__code__, {})[at] = (function, line)
+    ran = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            hit = targets[frame.f_code].get(frame.f_lineno)
+            if hit is not None:
+                ran.add(hit)
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code in targets else None)
+    try:
+        yield ran
+    finally:
+        sys.settrace(previous)
+
+
+# Where each store of the shortcuts is emptied once full.
+_RESETS = (
+    (Simulator._anchor, "anchors.clear()"),
+    (Simulator._replay, "seen.clear()"),
+    (caplora.device._shared, "store.clear()"),
+)
+
+
+def test_shortcuts_stay_invisible_as_their_stores_fill(monkeypatch):
+    # Stores this small fill over and over: the repeat search's anchors and
+    # log, and a replay's copy starts, at ``memory`` entries, and each store
+    # of parts runs share at its second part. Below about 8 entries the log
+    # is dropped before a stretch fits in it, so only exact orbits are
+    # replayed. A day of the retried, guarded example settles over more
+    # copies than 8 starts, then repeats one, which a replay finds among
+    # the starts kept since the last reset.
+    day = replace(_SHORTCUT_EXAMPLES[-1], duration_s=86_400.0)
+    empty_stores(monkeypatch)
+    monkeypatch.setattr(caplora.device, "_PART_MEMORY", 1)
+    with _lines_run(*_RESETS) as ran:
+        for memory in (2, 3, 8):
+            monkeypatch.setattr(caplora.engine, "_REPEAT_MEMORY", memory)
+            for config in (*_SHORTCUT_EXAMPLES, *_BOOT_LOOP_EXAMPLES, day):
+                fast, slow = run_both_ways(config)
+                assert_same_run(fast, slow)
+    assert ran == set(_RESETS)
