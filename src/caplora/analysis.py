@@ -272,6 +272,8 @@ def mincap_table(
         raise ConfigError(
             [f"mincap needs harvester kind constant, got {config.harvester}"]
         )
+    if any(kind not in _KIND_REPLIES for kind in kinds):
+        raise ConfigError([f"mincap kinds must be among {CYCLE_KINDS}"])
     _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
     base = _point(config, dl_payload_bytes=dl_payload_bytes)
     # A row's scenario is the base with its data rate, payload and power set,
@@ -295,19 +297,21 @@ def mincap_table(
     max_v = base.max_voltage_v
     v_low = base.v_th_low_v
     # LoRa codes a payload in blocks of symbols, so payloads a few bytes
-    # apart play the same cycle, and sizing is a pure function of the cycle
-    # and the power: each distinct shape is sized once, at every power.
-    sized: dict[tuple[tuple[float, float], ...], list[float | None]] = {}
+    # apart have one uplink airtime, and a cycle depends on the payload only
+    # through that airtime: each distinct (data rate, kind, airtime) cycle is
+    # shaped and sized once, at every power.
+    sized: dict[tuple[int, str, float], list[float | None]] = {}
     rows = []
     for dr in data_rates:
         for payload in payloads_bytes:
             row_radio = replace(radio, data_rate=dr, ul_payload_bytes=payload)
+            ul_s = row_radio.ul_time_on_air()
             answers = []
             for kind in kinds:
-                shape = _cycle_shape(row_radio, g_load, kind)
-                c_mins = sized.get(shape)
+                c_mins = sized.get((dr, kind, ul_s))
                 if c_mins is None:
-                    c_mins = sized[shape] = [
+                    shape = _cycle_shape(row_radio, g_load, kind)
+                    c_mins = sized[dr, kind, ul_s] = [
                         min_capacitance_over_played(
                             v0,
                             played_segments(shape, g_harv, rail),

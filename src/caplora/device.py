@@ -4,11 +4,10 @@ side that answers confirmed uplinks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_played, played_segments
@@ -20,7 +19,7 @@ from .lorawan import (
 )
 
 if TYPE_CHECKING:
-    from .engine import Event, ScenarioConfig, Simulator
+    from .engine import Event, Simulator
 
 class DlReply(Enum):
     """Which receive window, if any, carries the downlink answer."""
@@ -164,69 +163,36 @@ class _Cycle:
     delivered: bool = False
 
 
-_T = TypeVar("_T")
-
-# At most this many parts are kept in each store of shared run parts; a
-# full store is emptied. A sweep of up to this many points validates each
-# point once.
-_PART_MEMORY = 1024
-
-
-def _shared(store: dict[tuple, _T], values: tuple, build: Callable[..., _T]) -> _T:
-    """``build(*values)``, built once and shared read-only by every call
-    with ``store`` and equal ``values`` of equal types, so that ``1``,
-    ``1.0`` and ``True`` stay apart. A value that cannot be hashed is never
-    kept, nor is anything when ``build`` raises."""
-    key = (values, tuple(map(type, values)))
-    try:
-        part = store.get(key)
-    except TypeError:
-        return build(*values)
-    if part is None:
-        part = build(*values)
-        if len(store) >= _PART_MEMORY:
-            store.clear()
-        store[key] = part
-    return part
-
-
-# The radio fields a scenario declares under LorawanParams' names, read in
-# its positional order, and the cycle tables of each distinct value of them.
-_radio_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
-_radios: dict[tuple, tuple] = {}
-
-
-def _cycle_tables(config: ScenarioConfig) -> tuple:
-    """The LorawanParams of ``config``'s radio fields and what every cycle of
-    a device with them walks, in clock ticks, shared read-only by all devices
-    with equal radio fields: the params, the uplink's airtime and ticks, the
-    reboot's ticks, the downlink airtimes, the post-TX steps per reply and
-    the states each energy-guard horizon looks ahead over."""
-    return _shared(_radios, _radio_fields(config), _build_cycle_tables)
-
-
-def _build_cycle_tables(*radio: object) -> tuple:
-    params = LorawanParams(*radio)
+def cycle_tables(params: LorawanParams, guard_horizon: str) -> tuple:
+    """What every cycle of a device with ``params`` walks, in clock ticks:
+    the params, the uplink's airtime and ticks, the reboot's ticks, the
+    downlink airtimes, the post-TX steps per reply and the states the
+    ``guard_horizon`` looks ahead over. The mapping is read-only, so the
+    tables can be shared by every device built from them."""
     ul_s = params.ul_time_on_air()
+    # The replies' sequences repeat steps; each distinct step is one pair,
+    # which keeps small the tables kept for every valid scenario.
+    steps: dict[tuple[DeviceState, float], tuple[DeviceState, int]] = {}
     post_tx = {
         reply: tuple(
-            (state, round(duration * NS_PER_S)) for state, duration in post_tx_sequence(params, reply)
+            steps.setdefault(step, (step[0], round(step[1] * NS_PER_S)))
+            for step in post_tx_sequence(params, reply)
         )
         for reply in DlReply
     }
-    horizons = {name: tuple(cycle_states(params, reply)) for name, reply in GUARD_HORIZON_REPLIES.items()}
+    horizon = tuple(cycle_states(params, GUARD_HORIZON_REPLIES[guard_horizon]))
     return (params, ul_s, round(ul_s * NS_PER_S), round(params.turn_on_s * NS_PER_S),
-            params.dl_airtimes_s(), MappingProxyType(post_tx), MappingProxyType(horizons))
+            params.dl_airtimes_s(), MappingProxyType(post_tx), horizon)
 
 
 class LorawanDevice:
     """Event-driven end device. The simulator owns time and the capacitor;
     the device reacts to packet generation and threshold notifications."""
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, tables: tuple) -> None:
         self.sim = sim
         (self.params, self._ul_time_on_air_s, self._ul_ticks, self._turn_on_ticks,
-         self._dl_airtimes_s, self._post_tx, horizons) = _cycle_tables(sim.config)
+         self._dl_airtimes_s, self._post_tx, horizon) = tables
         self.state = (
             DeviceState.OFF if sim.cap.depleted else DeviceState.SLEEP
         )
@@ -242,7 +208,7 @@ class LorawanDevice:
         # The energy guard's horizon as ``(duration, g_load)`` segments.
         self._guard_horizon = tuple(
             (duration, sim.g_load[state])
-            for state, duration in horizons[sim.config.guard_horizon]
+            for state, duration in horizon
         )
 
     @property

@@ -34,11 +34,12 @@ for want of energy at its own tick (``Simulator.resume_packets``).
 
 Each device state's load current becomes a conductance once per run
 (``ScenarioConfig.load_conductances``); the capacitor, the trace samples and
-the energy guard look that conductance up by state. The radio's cycle
-tables, the first packet's tick and the finding that a scenario is valid
-are built once per distinct value and shared by every run with it
-(``device._shared``), so a study's points and probes pay for their events,
-not for parts another point already built.
+the energy guard look that conductance up by state. Validating a scenario
+builds what its runs fix: the CapacitorParams, the device's cycle tables
+and the first packet's tick. One store keeps them for each valid scenario
+and shares them with every run of an equal one (``_parts_of``), so a
+sweep's up-front check and its runs, and a study that runs a scenario
+again, validate and build it once.
 
 Every time difference the physics and the duty budgets use is taken on the
 integer clock, and every time a run records is a clock time or a sum of
@@ -81,8 +82,7 @@ from .device import (
     CycleRecord,
     Gateway,
     LorawanDevice,
-    _radio_fields,
-    _shared,
+    cycle_tables,
 )
 from .energy import (
     Capacitor,
@@ -174,21 +174,6 @@ class ScenarioConfig:
             state: load_conductance(getattr(self, name), rail_voltage_v)
             for state, name in _CURRENT_FIELDS.items()
         }
-
-
-# The first packet's tick of every run with equal ``first_packet_s``,
-# ``seed`` and ``packet_period_s`` (``device._shared``).
-_first_ticks: dict[tuple, int] = {}
-_first_fields = attrgetter("first_packet_s", "seed", "packet_period_s")
-
-
-def _first_tick(first_packet_s: float | None, seed: int, packet_period_s: float) -> int:
-    """The first packet's tick: at ``first_packet_s``, or drawn uniformly
-    over the first period by a generator seeded with ``seed`` for this one
-    draw."""
-    if first_packet_s is None:
-        first_packet_s = random.Random(seed).uniform(0.0, packet_period_s)
-    return round(first_packet_s * NS_PER_S)
 
 
 class Event(list):
@@ -464,6 +449,7 @@ def _below_tick(name: str, config: ScenarioConfig) -> str:
 # ScenarioConfig declares every CapacitorParams and LorawanParams field
 # under the same name; these read them in the params' positional order.
 _capacitor_fields = attrgetter(*(f.name for f in fields(CapacitorParams)))
+_radio_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
 
 
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:
@@ -490,8 +476,10 @@ def _build_harvester(config: ScenarioConfig) -> HarvestSource:
     )
 
 
-def validate_scenario(config: ScenarioConfig) -> list[str]:
-    """Every violated constraint in ``config``, one message per problem.
+def _build_parts(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
+    """Validate ``config`` and build what every run of it fixes: its
+    CapacitorParams, its device's ``cycle_tables`` and the first packet's
+    tick. Raise one ConfigError with every violated constraint instead.
 
     The capacitor, the radio and the constant or random harvester check
     their own parameters; a trace file is not read here.
@@ -500,43 +488,65 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     builds = [capacitor_params, lorawan_params]
     if config.harvester in ("constant", "random"):
         builds.append(_build_harvester)
+    parts = []
     for build in builds:
         try:
-            build(config)
+            parts.append(build(config))
         except ConfigError as exc:
             problems.extend(exc.problems)
-    return problems
+    if problems:
+        raise ConfigError(problems)
+    # The first packet is at ``first_packet_s``, or drawn uniformly over the
+    # first period by a generator seeded with ``seed`` for this one draw.
+    first_packet_s = config.first_packet_s
+    if first_packet_s is None:
+        first_packet_s = random.Random(config.seed).uniform(0.0, config.packet_period_s)
+    # Rounded only now: a non-finite time would crash the rounding.
+    tables = cycle_tables(parts[1], config.guard_horizon)
+    return parts[0], tables, round(first_packet_s * NS_PER_S)
 
 
-# Each scenario found valid, by its field values (``device._shared``), so
-# that a sweep, which checks every point up front and then builds a
-# Simulator for it, validates each point once. A scenario with a problem is
-# never kept, so its problems are reported afresh every time.
-_valid_scenarios: dict[tuple, bool] = {}
+# The parts (``_build_parts``) of each scenario found valid, by its field
+# values and their types, so that ``1``, ``1.0`` and ``True`` stay apart. A
+# sweep checks every point up front and then runs it, and a study may run
+# one scenario many times: each is validated and built once. A scenario
+# with a problem, or with a value that cannot be hashed, is never kept. At
+# most _PART_MEMORY scenarios are kept; a full store is emptied.
+_PART_MEMORY = 1024
+_scenario_parts: dict[tuple, tuple[CapacitorParams, tuple, int]] = {}
 _scenario_fields = attrgetter(*(name for name, _ in _FIELD_TIMES))
 
 
-def _check(config: ScenarioConfig) -> None:
-    """Raise one ConfigError with every problem of ``config``, which is
-    validated unless it was found valid before."""
-    _shared(_valid_scenarios, _scenario_fields(config), lambda *values: _require_valid(config))
+def _parts_of(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
+    """``_build_parts(config)``, shared read-only by every equal scenario."""
+    values = _scenario_fields(config)
+    key = (values, tuple(map(type, values)))
+    try:
+        parts = _scenario_parts.get(key)
+    except TypeError:
+        return _build_parts(config)
+    if parts is None:
+        parts = _build_parts(config)
+        if len(_scenario_parts) >= _PART_MEMORY:
+            _scenario_parts.clear()
+        _scenario_parts[key] = parts
+    return parts
 
 
-def _require_valid(config: ScenarioConfig) -> bool:
-    problems = validate_scenario(config)
-    if problems:
-        raise ConfigError(problems)
-    return True
+def validate_scenario(config: ScenarioConfig) -> list[str]:
+    """Every violated constraint in ``config``, one message per problem."""
+    try:
+        _parts_of(config)
+    except ConfigError as exc:
+        return exc.problems
+    return []
 
 
 def check_scenarios(configs: Iterable[ScenarioConfig]) -> None:
     """Raise one ConfigError with every scenario's problems, each listed once."""
     problems: dict[str, None] = {}
     for config in configs:
-        try:
-            _check(config)
-        except ConfigError as exc:
-            problems.update(dict.fromkeys(exc.problems))
+        problems.update(dict.fromkeys(validate_scenario(config)))
     if problems:
         raise ConfigError(list(problems))
 
@@ -556,16 +566,16 @@ class Simulator:
     """Runs one scenario to completion and reports its metrics."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        _check(config)
+        cap_params, tables, self._first_ns = _parts_of(config)
         self.config = config
-        self.cap = Capacitor(capacitor_params(config))
+        self.cap = Capacitor(cap_params)
         self.harvester = _build_harvester(config)
         self.g_load = config.load_conductances()
         self.metrics = Metrics()
         if config.trace:
             self.metrics.trace = TraceRecorder()
         self.gateway = Gateway()
-        self.device = LorawanDevice(self)
+        self.device = LorawanDevice(self, tables)
         self.cap.on_depleted = self.device.on_depleted
         self.cap.on_recharged = self.device.on_recharged
         self.now_ns = 0
@@ -1102,7 +1112,6 @@ class Simulator:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Metrics:
-        config = self.config
         duration_ns = self._duration_ns
         heap = self._heap
         cap = self.cap
@@ -1113,8 +1122,7 @@ class Simulator:
         try:
             self._record_trace()
             self._on_harvest_change()
-            first_ns = _shared(_first_ticks, _first_fields(config), _first_tick)
-            self._generation = self.schedule_at_ns(first_ns, self._on_generate)
+            self._generation = self.schedule_at_ns(self._first_ns, self._on_generate)
             self._rearm_crossing((device.state, self.g_harv, cap.depleted))
             while heap:
                 event = heapq.heappop(heap)

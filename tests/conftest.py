@@ -15,7 +15,6 @@ from unittest import mock
 import pytest
 from hypothesis import settings
 
-import caplora.device
 import caplora.engine
 from caplora.device import CycleOutcome
 from caplora.energy import CapacitorParams, load_energy_joules
@@ -180,11 +179,9 @@ def assert_outcome_counts(metrics) -> None:
 
 
 def empty_stores(monkeypatch) -> None:
-    """Give the engine empty stores of valid scenarios and shared run parts,
-    so that no run reuses what an earlier one left."""
-    monkeypatch.setattr(caplora.engine, "_valid_scenarios", {})
-    monkeypatch.setattr(caplora.engine, "_first_ticks", {})
-    monkeypatch.setattr(caplora.device, "_radios", {})
+    """Give the engine an empty store of valid scenarios' run parts, so that
+    no run reuses what an earlier one left."""
+    monkeypatch.setattr(caplora.engine, "_scenario_parts", {})
 
 
 def assert_same_run(fast: Simulator, slow: Simulator) -> None:

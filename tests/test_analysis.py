@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caplora import ConfigError, ScenarioConfig, analysis, energy
 from caplora.analysis import (
@@ -177,8 +178,9 @@ def test_mincap_table_rows_and_csv():
         ({"data_rates": (3, 9)}, "data_rate must be in 0..5, got 9"),
         ({"dl_payload_bytes": -1}, "dl_payload_bytes must be >= 0, got -1"),
         ({"payloads_bytes": (10, -1)}, "ul_payload_bytes must be >= 0, got -1"),
+        ({"kinds": ("UL", "bogus")}, f"mincap kinds must be among {CYCLE_KINDS}"),
     ],
-    ids=["power_w", "data_rate", "dl_payload", "ul_payload"],
+    ids=["power_w", "data_rate", "dl_payload", "ul_payload", "kind"],
 )
 def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
     sized = []
@@ -274,6 +276,34 @@ def test_mincap_table_rows_equal_public_min_capacitance():
     answers = {row.capacitance_f for row in rows}
     assert None in answers and DEFAULT_C_LO_F in answers
     assert len(answers - {None, DEFAULT_C_LO_F}) > 1
+
+
+@settings(max_examples=150)
+@given(
+    data_rates=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+    first_payload=st.integers(0, 60),
+    span=st.integers(1, 6),
+    powers_w=st.lists(st.sampled_from((1e-5, 1e-4, 0.001, 0.01, 1.0)), min_size=1, max_size=2, unique=True),
+    kinds=st.lists(st.sampled_from(CYCLE_KINDS), min_size=1, max_size=2, unique=True),
+)
+def test_mincap_table_equals_min_capacitance_on_random_grids(
+    data_rates, first_payload, span, powers_w, kinds
+):
+    # Consecutive payloads mostly code to the same number of symbols, so
+    # rows repeat an earlier row's cycle.
+    payloads = tuple(range(first_payload, first_payload + span))
+    rows = mincap_table(
+        BASE, data_rates=data_rates, payloads_bytes=payloads, powers_w=powers_w, kinds=kinds
+    )
+    assert rows == [
+        MinCapacitanceRow(
+            dr, payload, power, kind, min_capacitance(_row_config(dr, payload), kind, power)
+        )
+        for dr in data_rates
+        for payload in payloads
+        for power in powers_w
+        for kind in kinds
+    ]
 
 
 def test_mincap_table_sizes_each_distinct_cycle_once_per_power(monkeypatch):

@@ -397,20 +397,20 @@ def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, fie
 
 def test_sweep_validates_each_point_once(tmp_path, capsys, monkeypatch):
     # A sweep checks every point up front; the Simulator of each point then
-    # finds it already checked.
+    # finds it already checked. The parsed base scenario is checked too.
     calls = []
-    validate = caplora.engine.validate_scenario
+    build = caplora.engine._build_parts
 
     def counting(config):
         calls.append(config)
-        return validate(config)
+        return build(config)
 
-    monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
+    monkeypatch.setattr(caplora.engine, "_build_parts", counting)
     empty_stores(monkeypatch)
     grid = ["--set", "sweep.capacitance_f=0.004,0.01", "--set", "sweep.kind=UL,UL+DL"]
     assert main(["sweep", *FAST, *grid, "--fresh", "--out", str(tmp_path)]) == 0
     assert "4 rows" in capsys.readouterr().out
-    assert len(calls) == len(set(calls)) == 4
+    assert len(calls) == len(set(calls)) == 1 + 4
 
 
 def test_two_calls_in_one_process_share_no_arguments(tmp_path, capsys, monkeypatch):

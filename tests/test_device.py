@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import caplora
 from caplora import ScenarioConfig, Simulator, run_scenario
@@ -22,6 +23,8 @@ from caplora.device import (
 from caplora.energy import harvester_conductance
 from caplora.engine import capacitor_params, lorawan_params
 from caplora.lorawan import DeviceState, LorawanParams
+
+from conftest import empty_stores
 
 
 PARAMS = LorawanParams(data_rate=3, ul_payload_bytes=10, dl_payload_bytes=0)
@@ -79,6 +82,32 @@ def test_sequence_with_downlink_in_second_window():
     ]
     rx = [duration for state, duration in seq if state is DeviceState.RX]
     assert rx == [pytest.approx(1.155072)]  # 13-byte frame at SF12
+
+
+@settings(max_examples=300)
+@given(
+    data_rate=st.integers(0, 5),
+    payload=st.integers(0, 200),
+    dl_payload=st.integers(0, 60),
+    mac_overhead=st.integers(0, 20),
+    rx_window_symbols=st.integers(1, 16),
+)
+def test_cycle_states_depend_on_the_payload_only_through_its_airtime(
+    data_rate, payload, dl_payload, mac_overhead, rx_window_symbols
+):
+    # The key mincap sizes each cycle under: a payload within a LoRa symbol
+    # block of another has the same airtime, and then plays the same cycle.
+    radio = LorawanParams(
+        data_rate=data_rate, ul_payload_bytes=payload, dl_payload_bytes=dl_payload,
+        mac_overhead_bytes=mac_overhead, rx_window_symbols=rx_window_symbols,
+    )
+    airtime = radio.ul_time_on_air()
+    near = (replace(radio, ul_payload_bytes=p) for p in range(max(0, payload - 8), payload + 9))
+    alike = [other for other in near if other.ul_time_on_air() == airtime]
+    assert radio in alike
+    for reply in (None, *DlReply):
+        states = cycle_states(radio, reply)
+        assert all(cycle_states(other, reply) == states for other in alike)
 
 
 # ------------------------------------------------------------------- guard
@@ -204,9 +233,9 @@ def test_confirmed_cycle_is_acked_at_reception_end():
 
 def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
     # The airtimes are fixed per run: a longer run, with more confirmed
-    # uplinks, makes no more time_on_air calls than a short one. Each run
-    # builds its device's tables afresh, not from the ones the run before
-    # left in the cache.
+    # uplinks, makes no more time_on_air calls than a short one. Each run is
+    # of a scenario not run before, so it builds its device's tables afresh.
+    empty_stores(monkeypatch)
     calls = Counter()
     time_on_air = caplora.lorawan.time_on_air
 
@@ -218,7 +247,6 @@ def test_confirmed_uplinks_compute_no_airtime(monkeypatch):
     counts = []
     for duration_s in (300.0, 3000.0):
         calls.clear()
-        caplora.device._radios.clear()
         config = _base_config(confirmed=True, duration_s=duration_s, trace=False)
         metrics = Simulator(config).run()
         counts.append((calls["time_on_air"], metrics.acked))
@@ -413,12 +441,12 @@ def test_generation_while_powered_down_can_be_counted_or_muted():
     assert muted.cycles == []
 
 
-def test_devices_of_equal_params_share_their_tables():
-    # A device's cycle tables are built once per distinct value of the radio
-    # fields and shared, read-only, by every device built from equal ones.
-    caplora.device._radios.clear()
-    a, b = (Simulator(ScenarioConfig(seed=seed, confirmed=True)) for seed in (1, 2))
-    assert a.device.params == b.device.params and a.device is not b.device
+def test_devices_of_equal_params_share_their_tables(monkeypatch):
+    # A device's cycle tables are built once per scenario and shared,
+    # read-only, by every device of an equal scenario.
+    empty_stores(monkeypatch)
+    a, b = (Simulator(ScenarioConfig(confirmed=True)) for _ in range(2))
+    assert a.device.params is b.device.params and a.device is not b.device
     assert a.device._post_tx is b.device._post_tx
     assert a.device._guard_horizon == b.device._guard_horizon
     with pytest.raises(TypeError):

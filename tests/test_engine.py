@@ -6,10 +6,10 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-import caplora.device
 import caplora.engine
 from caplora import ConfigError, Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
@@ -656,12 +656,13 @@ def test_run_converts_each_load_current_once(monkeypatch, duration_s):
 
 def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch):
     calls = []
+    build = caplora.engine._build_parts
 
     def counting(config):
         calls.append(config)
-        return validate_scenario(config)
+        return build(config)
 
-    monkeypatch.setattr(caplora.engine, "validate_scenario", counting)
+    monkeypatch.setattr(caplora.engine, "_build_parts", counting)
     empty_stores(monkeypatch)
     good = ScenarioConfig(capacitance_f=1)
     check_scenarios([good])
@@ -677,21 +678,26 @@ def test_a_valid_scenario_is_validated_once_and_a_bad_one_every_time(monkeypatch
             Simulator(bad)
         assert excinfo.value.problems == validate_scenario(bad)
         assert len(excinfo.value.problems) == 2
-    assert len(calls) == 4
+    assert len(calls) == 6
 
 
-def test_runs_with_equal_radio_fields_share_one_lorawan_params(monkeypatch):
+def test_runs_of_an_equal_scenario_share_its_parts(monkeypatch):
     empty_stores(monkeypatch)
-    a = Simulator(ScenarioConfig(capacitance_f=0.004, confirmed=True))
-    b = Simulator(ScenarioConfig(capacitance_f=0.01, power_w=0.002, seed=3, confirmed=True))
+    config = ScenarioConfig(capacitance_f=0.004, confirmed=True)
+    a, b = Simulator(config), Simulator(replace(config))
+    assert a.cap.params is b.cap.params
     assert a.device.params is b.device.params
     assert a.device._post_tx is b.device._post_tx
-    assert len(caplora.device._radios) == 1
+    assert caplora.engine._parts_of(config) is caplora.engine._parts_of(replace(config))
+    assert len(caplora.engine._scenario_parts) == 1
+    # Any other field keeps the scenarios apart.
+    other = Simulator(replace(config, seed=3))
+    assert other.device.params == a.device.params and other.device.params is not a.device.params
     # An equal value of another type is kept apart, and keeps its type.
-    c = Simulator(ScenarioConfig(capacitance_f=0.004, confirmed=True, max_transmissions=True))
+    c = Simulator(replace(config, max_transmissions=True))
     assert c.device.params == a.device.params and c.device.params is not a.device.params
     assert c.device.params.max_transmissions is True
-    assert len(caplora.device._radios) == 2
+    assert len(caplora.engine._scenario_parts) == 3
 
 
 class _UnhashableFloat(float):
@@ -702,15 +708,23 @@ def test_a_field_value_that_cannot_be_hashed_is_never_kept(monkeypatch):
     empty_stores(monkeypatch)
     config = ScenarioConfig(capacitance_f=0.004, sleep_a=_UnhashableFloat(2e-6), duration_s=3600.0)
     first, second = run_scenario(config), run_scenario(config)
-    assert caplora.engine._valid_scenarios == {}
+    assert caplora.engine._scenario_parts == {}
     assert first == second == run_scenario(replace(config, sleep_a=2e-6))
+    assert len(caplora.engine._scenario_parts) == 1
 
 
-def test_the_first_packet_tick_is_drawn_once_per_seed_and_period(monkeypatch):
+def test_the_first_packet_tick_is_drawn_once_per_scenario(monkeypatch):
     empty_stores(monkeypatch)
     config = ScenarioConfig(packet_period_s=60.0, duration_s=600.0)
     runs = [Simulator(replace(config, capacitance_f=c, seed=seed)) for seed in (1, 2) for c in (0.004, 0.01)]
     starts = [sim.run().cycles[0].start_ns for sim in runs]
     drawn = [round(random.Random(seed).uniform(0.0, 60.0) * NS_PER_S) for seed in (1, 2)]
     assert starts == [drawn[0], drawn[0], drawn[1], drawn[1]]
-    assert len(caplora.engine._first_ticks) == 2
+    # A run of a scenario seen before draws nothing; one of a new scenario draws.
+    draws = []
+    counted = SimpleNamespace(Random=lambda seed: draws.append(seed) or random.Random(seed))
+    monkeypatch.setattr(caplora.engine, "random", counted)
+    assert Simulator(replace(config, capacitance_f=0.004, seed=1)).run().cycles[0].start_ns == drawn[0]
+    assert draws == []
+    assert Simulator(replace(config, capacitance_f=0.02, seed=1)).run().cycles[0].start_ns == drawn[0]
+    assert draws == [1]

@@ -21,7 +21,6 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import caplora.device
 import caplora.engine
 from caplora import ScenarioConfig, Simulator
 from caplora.cli import main
@@ -362,21 +361,21 @@ def _lines_run(*lines: tuple[Callable, str]):
 _RESETS = (
     (Simulator._anchor, "anchors.clear()"),
     (Simulator._replay, "seen.clear()"),
-    (caplora.device._shared, "store.clear()"),
+    (caplora.engine._parts_of, "_scenario_parts.clear()"),
 )
 
 
 def test_shortcuts_stay_invisible_as_their_stores_fill(monkeypatch):
     # Stores this small fill over and over: the repeat search's anchors and
-    # log, and a replay's copy starts, at ``memory`` entries, and each store
-    # of parts runs share at its second part. Below about 8 entries the log
+    # log, and a replay's copy starts, at ``memory`` entries, and the store
+    # of run parts at its second scenario. Below about 8 entries the log
     # is dropped before a stretch fits in it, so only exact orbits are
     # replayed. A day of the retried, guarded example settles over more
     # copies than 8 starts, then repeats one, which a replay finds among
     # the starts kept since the last reset.
     day = replace(_SHORTCUT_EXAMPLES[-1], duration_s=86_400.0)
     empty_stores(monkeypatch)
-    monkeypatch.setattr(caplora.device, "_PART_MEMORY", 1)
+    monkeypatch.setattr(caplora.engine, "_PART_MEMORY", 1)
     with _lines_run(*_RESETS) as ran:
         for memory in (2, 3, 8):
             monkeypatch.setattr(caplora.engine, "_REPEAT_MEMORY", memory)
