@@ -108,14 +108,24 @@ def _banked(
     return g_harv, v0
 
 
+def _require_constant(config: ScenarioConfig, what: str) -> None:
+    """Raise ``ConfigError`` unless ``config``'s harvester is constant, the
+    only one that harvests its ``power_w``, at which ``what`` sizes or runs."""
+    if config.harvester != "constant":
+        raise ConfigError([f"{what} needs harvester kind constant, got {config.harvester}"])
+
+
 def cycle_spec(
     config: ScenarioConfig, kind: str, power_w: float | None = None
 ) -> CycleSpec:
-    """Build the analytic cycle description for ``kind`` at ``power_w``."""
-    power = config.power_w if power_w is None else power_w
+    """Build the analytic cycle description for ``kind`` at ``power_w``, or
+    at the scenario's own, which needs a constant harvester (``ConfigError``)."""
+    if power_w is None:
+        _require_constant(config, "sizing at the scenario's power_w")
+        power_w = config.power_w
     g_load = config.load_conductances()
     g_harv, v0 = _banked(
-        config, power, capacitor_params(config), g_load[DeviceState.OFF]
+        config, power_w, capacitor_params(config), g_load[DeviceState.OFF]
     )
     shape = _cycle_shape(lorawan_params(config), g_load, kind)
     return CycleSpec(kind, v0, shape, g_harv, config.rail_voltage_v)
@@ -144,7 +154,7 @@ def min_capacitance(
     Returns ``None`` when even ``c_hi`` cannot keep the voltage above the
     cutoff (typically: the harvest is too weak to bank a workable starting
     voltage). The answer is on the feasible side of the final bracket, within
-    ``tol_rel`` of the true boundary.
+    ``tol_rel`` of the true boundary. Sized at ``cycle_spec``'s power.
 
     Each bracket end is probed once; a bisection then adds
     ``ceil(log2(ln(c_hi / c_lo) / ln(1 + tol_rel)))`` midpoint probes.
@@ -201,7 +211,8 @@ def engine_cycle_feasible(
     """Check a single cycle by brute force: simulate it and see if it completes.
 
     The run mirrors the analytic setting: constant harvest, the Off steady
-    state as the starting voltage, the packet at t = 0, no energy guard.
+    state as the starting voltage, the packet at t = 0, no energy guard, at
+    ``cycle_spec``'s power.
     """
     spec = cycle_spec(config, kind, power_w)
     duration = sum(duration for duration, _ in spec.segments) + config.rx2_delay_s + 3.0
@@ -268,10 +279,7 @@ def mincap_table(
     row's scenario is checked before any is sized; a problem raises
     ``ConfigError``.
     """
-    if config.harvester != "constant":
-        raise ConfigError(
-            [f"mincap needs harvester kind constant, got {config.harvester}"]
-        )
+    _require_constant(config, "mincap")
     if any(kind not in _KIND_REPLIES for kind in kinds):
         raise ConfigError([f"mincap kinds must be among {CYCLE_KINDS}"])
     _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
@@ -386,10 +394,8 @@ def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
     Every point keeps the base harvester, so a ``powers_w`` axis needs the
     constant one: it is the only harvester that ``power_w`` drives.
     """
-    if grid.powers_w and base.harvester != "constant":
-        raise ConfigError(
-            [f"sweep.power_w needs harvester kind constant, got {base.harvester}"]
-        )
+    if grid.powers_w:
+        _require_constant(base, "sweep.power_w")
     kinds = grid.kinds or (("UL+DL",) if base.confirmed else ("UL",))
     configs = []
     for kind in kinds:

@@ -12,6 +12,11 @@ does the voltage hold.
 scenario converts each device state's current ``I`` to ``G_L = I / E`` once
 per run (``load_conductance``).
 
+Under a fixed load and harvest the voltage follows one trajectory, and
+``Capacitor`` knows a trajectory by those two conductances: it solves the
+crossing tick of its active threshold where a trajectory starts, and again
+only when the load or the harvest differs or a crossing flips it.
+
 All voltages are volts, conductances siemens, capacitances farads, times
 seconds, except clock and crossing times, which are integer nanoseconds.
 """
@@ -440,10 +445,6 @@ def _ignore_crossing(when_ns: int) -> None:
     pass
 
 
-# Stands for no trajectory in ``Capacitor._solved``: never a segment.
-_UNSOLVED = object()
-
-
 class Capacitor:
     """Capacitor state machine with hysteresis and crossing callbacks.
 
@@ -452,19 +453,18 @@ class Capacitor:
     nanoseconds, so the elapsed time of a step depends on its length only,
     not on when it happens.
 
-    A crossing's tick is solved once per trajectory: at the first ``update``
-    or ``next_crossing_ns`` under a new load and harvest, or the first after
-    a flip, the active threshold's crossing time is solved from the voltage
-    at the last update and rounded to the nearest clock tick. The update
-    that reaches that tick flips ``depleted`` and calls ``on_depleted`` or
+    A trajectory is known by its loads. A crossing's tick is solved once per
+    trajectory: at the first ``update`` or ``next_crossing_ns`` under a load
+    or harvest other than the one it was solved under, or the first after a
+    flip, the active threshold's crossing time is solved from the voltage at
+    the last update and rounded to the nearest clock tick. The update that
+    reaches that tick flips ``depleted`` and calls ``on_depleted`` or
     ``on_recharged`` with it, not with the update time. Updates in between
     move the voltage but not the tick, so a crossing does not depend on how
     many events fell on the way.
 
-    Under the current harvest, each load's asymptote and time constant are
-    computed once and kept until the harvest changes (``segment``). A step
-    is ``step_coefficients``', the one a replay takes, and a crossing
-    ``crossing_time``'s.
+    A step is ``step_coefficients``' along the trajectory's ``segment``, the
+    one a replay takes, and a crossing ``crossing_time``'s.
     """
 
     def __init__(self, params: CapacitorParams) -> None:
@@ -474,19 +474,21 @@ class Capacitor:
         self.depleted = self.voltage_v < params.v_th_low_v
         self.on_depleted: Callable[[int], None] = _ignore_crossing
         self.on_recharged: Callable[[int], None] = _ignore_crossing
-        # ``_segment`` of each g_load met under the harvest ``_harvest_g``.
-        self._harvest_g: float | None = None
-        self._trajectories: dict[float, tuple[float, float] | None] = {}
-        # The cached segment the crossing tick ``_cross_ns`` was solved on,
-        # and that tick, None when the threshold is never reached.
-        self._solved: object = _UNSOLVED
+        # The loads the crossing tick ``_cross_ns`` was solved under, None
+        # before the first solve and after a flip; their ``_segment``; and
+        # that tick, None when the threshold is never reached.
+        self._g_load: float | None = None
+        self._g_harv: float | None = None
+        self._trajectory: tuple[float, float] | None = None
         self._cross_ns: int | None = None
 
-    def _solve(self, segment: tuple[float, float] | None) -> None:
-        """Fix the crossing tick of the trajectory ``segment``, which starts
-        at the last update. A held voltage, or one moving away from the
-        active threshold, never crosses it."""
-        self._solved = segment
+    def _solve(self, g_load: float, g_harv: float) -> None:
+        """Fix the crossing tick of the trajectory under ``g_load`` and
+        ``g_harv``, which starts at the last update. A held voltage, or one
+        moving away from the active threshold, never crosses it."""
+        self._g_load = g_load
+        self._g_harv = g_harv
+        self._trajectory = segment = _segment(g_load, g_harv, self.params)
         self._cross_ns = crossing_tick(
             self.voltage_v, self.last_update_ns, self.depleted, segment, self.params
         )
@@ -498,9 +500,9 @@ class Capacitor:
             if now_ns < last_ns:
                 raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
             return
-        segment = self.segment(g_load, g_harv)
-        if segment is not self._solved:
-            self._solve(segment)
+        if g_load != self._g_load or g_harv != self._g_harv:
+            self._solve(g_load, g_harv)
+        segment = self._trajectory
         a, b = step_coefficients(now_ns - last_ns, segment)
         v_new = a + self.voltage_v * b
         vmax = self.params.max_voltage_v
@@ -517,30 +519,21 @@ class Capacitor:
         target = self.params.v_th_high_v if self.depleted else self.params.v_th_low_v
         self.voltage_v = crossing_voltage(v_new, segment, target)
         self.depleted = not self.depleted
-        self._solved = _UNSOLVED
+        self._g_load = None
         (self.on_depleted if self.depleted else self.on_recharged)(cross_ns)
 
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is
         crossed, at least one."""
-        segment = self.segment(g_load, g_harv)
-        if segment is not self._solved:
-            self._solve(segment)
+        if g_load != self._g_load or g_harv != self._g_harv:
+            self._solve(g_load, g_harv)
         cross_ns = self._cross_ns
         return None if cross_ns is None else cross_ns - self.last_update_ns
 
     def segment(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
-        """The cached ``_segment`` of the trajectory under ``g_load`` and
-        ``g_harv``: the object ``update`` steps along, so two calls under
-        one load return the same object until the harvest changes."""
-        trajectories = self._trajectories
-        if g_harv != self._harvest_g:
-            self._harvest_g = g_harv
-            trajectories.clear()
-        elif g_load in trajectories:
-            return trajectories[g_load]
-        segment = trajectories[g_load] = _segment(g_load, g_harv, self.params)
-        return segment
+        """The ``_segment`` of the trajectory under ``g_load`` and ``g_harv``:
+        the asymptote and time constant ``update`` steps along."""
+        return _segment(g_load, g_harv, self.params)
 
     def shift(self, shift_ns: int) -> None:
         """Move the capacitor's clock, and its crossing tick, by ``shift_ns``."""

@@ -399,10 +399,6 @@ class _Crossing(NamedTuple):
     target: float
 
 
-# The trajectory under way just after a crossing: never a segment.
-_CROSSED = object()
-
-
 # Each scenario field's name, and whether it is a time in seconds.
 _FIELD_TIMES = tuple((f.name, f.name.endswith("_s")) for f in fields(ScenarioConfig))
 
@@ -616,8 +612,6 @@ class Simulator:
         # ended before it.
         self._steps: list | None = None
         self._logs = 0
-        # ``_ending`` of each trajectory met, by depleted flag and segment.
-        self._endings: dict[tuple, tuple] = {}
 
     @property
     def now_s(self) -> float:
@@ -931,37 +925,35 @@ class Simulator:
         no crossing: nothing if it never reaches its threshold, else
         ``(depleted, segment, margin)``; a discharge is solved only within
         ``_crossing_margin`` of the cutoff, a charge (margin None) always."""
-        end = self._endings.get((depleted, segment))
-        if end is None:
-            params = self.cap.params
-            if segment is None or (
-                segment[0] <= params.v_th_high_v if depleted else segment[0] > params.v_th_low_v
-            ):
-                end = ()
-            else:
-                margin = None if depleted else _crossing_margin(segment, params.max_voltage_v)
-                end = depleted, segment, margin
-            self._endings[depleted, segment] = end
-        return end
+        params = self.cap.params
+        if segment is None or (
+            segment[0] <= params.v_th_high_v if depleted else segment[0] > params.v_th_low_v
+        ):
+            return ()
+        return depleted, segment, None if depleted else _crossing_margin(segment, params.max_voltage_v)
 
-    def _template(self, start_ns: int, at: int, segment: object, end: tuple | None, ops: list) -> Iterator:
+    def _template(self, start_ns: int, at: int, under: float | None, end: tuple | None, ops: list) -> Iterator:
         """Yield the log from entry ``at``, logged from ``start_ns``, as a
         replay takes it, each entry once it is appended to ``ops``. The
-        stretch starts powered up on the trajectory along ``segment``, which
-        ends as ``end`` says (``_ending``, None just after a crossing).
+        stretch starts powered up on the trajectory under the load ``under``,
+        which ends as ``end`` says (``_ending``), or just after a crossing,
+        ``under`` and ``end`` None.
 
         A guard answer stays as it is, and a crossing becomes a
         ``_Crossing`` of the trajectory under way. A capacitor step becomes
         ``(tick, a, b, end)``: ``step_coefficients``, and ``end`` None on a
-        step along the trajectory under way. A step on a new segment, or the
-        first after a crossing, starts a trajectory, which the capacitor
+        step along the trajectory under way. A step under another load, or
+        the first after a crossing, starts a trajectory, which the capacitor
         solves afresh where it starts; its ``end`` is what a copy checks
         where the trajectory before it ended. A zero-length step moves no
-        voltage, but may start a trajectory.
+        voltage, but may start a trajectory. A replayed run's harvest is
+        constant, so the load alone tells one trajectory from another.
         """
         params = self.cap.params
         trajectory = self.cap.segment
         g_harv = self.g_harv
+        # A crossing on the trajectory under way at the start is along it.
+        segment = None if under is None else trajectory(under, g_harv)
         depleted = False
         last_ns = start_ns
         for entry in islice(self._steps, at, None):
@@ -971,16 +963,15 @@ class Simulator:
                 target = params.v_th_high_v if depleted else params.v_th_low_v
                 op = _Crossing(depleted, segment, target)
                 depleted = not depleted
-                segment, end = _CROSSED, None
+                under = end = None
             else:
                 time_ns, g_load = entry
-                new = trajectory(g_load, g_harv)
-                a, b = step_coefficients(time_ns - last_ns, new)
-                if new is segment:
-                    op = (time_ns, a, b, None)
-                else:
-                    op = (time_ns, a, b, end or ())
-                    segment, end = new, self._ending(depleted, new)
+                before = None
+                if g_load != under:
+                    segment = trajectory(g_load, g_harv)
+                    before, under, end = end or (), g_load, self._ending(depleted, segment)
+                a, b = step_coefficients(time_ns - last_ns, segment)
+                op = (time_ns, a, b, before)
                 last_ns = time_ns
             ops.append(op)
             yield op
@@ -1014,12 +1005,12 @@ class Simulator:
         # crossing, which leaves no crossing tick to carry (``final`` None).
         # Its first copy takes it as it is converted, and stops converting
         # it where it fails.
-        segment, final = _CROSSED, None
+        under = final = None
         if self._missed_from_ns is None:
-            segment = self.cap.segment(self.g_load[self.device.state], self.g_harv)
-            final = self._ending(False, segment)
+            under = self.g_load[self.device.state]
+            final = self._ending(False, self.cap.segment(under, self.g_harv))
         ops: list = []
-        template = self._template(earlier.time_ns, at, segment, final, ops)
+        template = self._template(earlier.time_ns, at, under, final, ops)
         params = self.cap.params
         vmax = params.max_voltage_v
         v_low = params.v_th_low_v

@@ -7,6 +7,7 @@ pass/fail line per guarantee.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -351,24 +352,28 @@ def test_08_thresholds_hold_across_full_traces():
             )
 
 
+# A traced hour on a random uniform 0-4 mW harvest, which returns to
+# earlier harvest conductances: 3 mF, confirmed packets every 30 s.
+_TRACED_RANDOM_RUN = [
+    "trace",
+    "--set", "harvester.kind=random",
+    "--set", "distribution=uniform",
+    "--set", "low_w=0",
+    "--set", "high_w=0.004",
+    "--set", "capacitor.capacitance_f=0.003",
+    "--set", "packet_period_s=30",
+    "--set", "confirmed=true",
+    "--set", "duration_s=3600",
+    "--set", "sim.seed=7",
+]
+
+
 def test_09_equal_seeds_give_byte_identical_outputs(tmp_path):
     # The same seed must reproduce every output file byte for byte, through
     # the command line interface.
-    run_args = [
-        "trace",
-        "--set", "harvester.kind=random",
-        "--set", "distribution=uniform",
-        "--set", "low_w=0",
-        "--set", "high_w=0.004",
-        "--set", "capacitor.capacitance_f=0.003",
-        "--set", "packet_period_s=30",
-        "--set", "confirmed=true",
-        "--set", "duration_s=3600",
-        "--set", "sim.seed=7",
-    ]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main([*run_args, "--out", str(a)]) == 0
-    assert main([*run_args, "--out", str(b)]) == 0
+    assert main([*_TRACED_RANDOM_RUN, "--out", str(a)]) == 0
+    assert main([*_TRACED_RANDOM_RUN, "--out", str(b)]) == 0
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "voltage_trace.csv").read_bytes() == (b / "voltage_trace.csv").read_bytes()
 
@@ -382,6 +387,18 @@ def test_09_equal_seeds_give_byte_identical_outputs(tmp_path):
     assert main([*sweep_args, "--out", str(a)]) == 0
     assert main([*sweep_args, "--out", str(b)]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_09_a_traced_random_harvest_run_is_pinned(tmp_path):
+    # test_09's traced run, byte for byte: a change in how the capacitor
+    # steps or solves its crossings must leave every row as it was.
+    assert main([*_TRACED_RANDOM_RUN, "--out", str(tmp_path)]) == 0
+    pinned = {
+        "results.csv": "5119edb56967eb06e08126082117d0e732131e0752b87d0eebf27e63924c1d32",
+        "voltage_trace.csv": "14d221c67d2fe1a66c38e485a17ce61595f2ca3699f6769895405435eddfdcc8",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_10_airtime_stays_within_duty_budgets():

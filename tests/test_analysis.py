@@ -52,6 +52,28 @@ def test_cycle_spec_starts_from_banked_voltage():
         cycle_spec(BASE, "DL")
 
 
+@pytest.mark.parametrize("kind", ["trace", "random"])
+def test_sizing_needs_a_power_the_scenario_harvests(tmp_path, kind):
+    # A trace or random harvester never harvests the scenario's power_w:
+    # unchecked, an all-dark trace was sized at that unused 1 mW (2.97 mF).
+    dark = tmp_path / "dark.csv"
+    dark.write_text("time_s,power_w\n0,0\n3600,0\n")
+    config = replace(BASE, harvester=kind, trace_file=str(dark))
+    message = f"sizing at the scenario's power_w needs harvester kind constant, got {kind}"
+    for size in (
+        lambda: cycle_spec(config, "UL"),
+        lambda: min_capacitance(config, "UL"),
+        lambda: engine_cycle_feasible(config, "UL", 0.01),
+    ):
+        with pytest.raises(ConfigError) as raised:
+            size()
+        assert raised.value.problems == [message]
+    # An explicit power is sized as on the constant harvester.
+    assert cycle_spec(config, "UL", 0.001) == cycle_spec(BASE, "UL")
+    assert min_capacitance(config, "UL", 0.001) == min_capacitance(BASE, "UL")
+    assert engine_cycle_feasible(config, "UL", 0.01, 0.001)
+
+
 def test_min_capacitance_brackets_the_boundary():
     c_min = min_capacitance(BASE, "UL", tol_rel=0.01)
     assert c_min is not None

@@ -688,7 +688,7 @@ def test_a_voltage_leaving_the_threshold_it_sits_on_never_crosses_it():
 
 def test_capacitor_steps_stay_exact_as_the_harvest_changes():
     # A random harvest meets a new conductance per slot, and may meet an
-    # earlier one again; each change refills the cache with the same results.
+    # earlier one again; each change starts a trajectory, solved afresh.
     params = make_params(initial_voltage_v=2.5)
     cap = Capacitor(params)
     for k in range(1, 300):
@@ -696,6 +696,45 @@ def test_capacitor_steps_stay_exact_as_the_harvest_changes():
         g_load = (_SLEEP_G, _TX_G)[k % 2]
         v_expected = propagate_voltage(cap.voltage_v, 0.5, g_load, g_harv, params)
         _check_step(cap, k * NS_PER_S // 2, g_load, g_harv, v_expected)
+
+
+def test_a_capacitor_solves_once_per_trajectory_known_by_its_loads(monkeypatch):
+    solves = []
+    solve = caplora.energy.crossing_tick
+
+    def spy(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(caplora.energy, "crossing_tick", spy)
+    # 1 F: a second of TX moves the voltage by about 1%.
+    cap = Capacitor(make_params(capacitance_f=1.0, initial_voltage_v=2.5))
+    weak, strong = harvester_conductance(1e-4, 3.3), harvester_conductance(2e-4, 3.3)
+
+    def updates(*steps) -> list[int]:
+        """The solves made by each update, ``(seconds on, g_load, g_harv)``."""
+        made = []
+        for dt_s, g_load, g_harv in steps:
+            before = len(solves)
+            cap.update(cap.last_update_ns + dt_s * NS_PER_S, g_load, g_harv)
+            made.append(len(solves) - before)
+        return made
+
+    # Two updates under one load, and a crossing asked for under it.
+    assert updates((1, _SLEEP_G, weak), (1, _SLEEP_G, weak)) == [1, 0]
+    assert cap.next_crossing_ns(_SLEEP_G, weak) is None and len(solves) == 1
+    # Each move to another load, and the move back.
+    assert updates((1, _TX_G, weak), (1, _TX_G, weak), (1, _SLEEP_G, weak)) == [1, 0, 1]
+    # Each harvest change, the return to an earlier harvest too.
+    assert updates((1, _SLEEP_G, strong), (1, _SLEEP_G, weak), (1, _SLEEP_G, weak)) == [1, 1, 0]
+    # A flip: the first update after it solves under the same loads.
+    assert updates((100, _TX_G, weak)) == [1]
+    assert cap.depleted
+    assert updates((1, _TX_G, weak), (1, _TX_G, weak)) == [1, 0]
+    # Two device states of equal currents are one trajectory.
+    g_load = ScenarioConfig(idle_a=5.6e-6).load_conductances()
+    assert g_load[DeviceState.IDLE] == g_load[DeviceState.SLEEP]
+    assert updates((1, g_load[DeviceState.SLEEP], weak), (1, g_load[DeviceState.IDLE], weak)) == [1, 0]
 
 
 def test_update_going_backwards_is_rejected(params):

@@ -14,6 +14,7 @@ from caplora import ScenarioConfig, Simulator
 from caplora.clock import NS_PER_S
 from caplora.device import CycleOutcome
 from caplora.energy import crossing_tick, harvester_conductance, step_coefficients
+from caplora.engine import _Crossing
 from caplora.lorawan import DeviceState, LorawanParams
 
 from conftest import assert_same_run, run_both_ways, shortcuts_off
@@ -538,3 +539,23 @@ def test_a_replayed_copy_fails_on_a_crossing_at_a_steps_tick():
     for tx_end, copies in ((tx_cross, 0), (tx_cross - 1, 1)):
         steps = [(NS_PER_S, g_sleep), (tx_end, g_tx), (tx_end + NS_PER_S, g_sleep)]
         assert min(_copies_replayed(config, steps), 1) == copies
+
+
+def test_a_template_crossing_before_any_new_trajectory_is_along_the_anchors():
+    # After a generation anchor, a guard veto keeps the device asleep, and
+    # it browns out on the anchor's own trajectory before any other starts:
+    # that step and that crossing are along the anchor's segment.
+    config = ScenarioConfig(power_w=0.0, duration_s=30 * 86_400.0)
+    sim = Simulator(config)
+    g_sleep = sim.g_load[DeviceState.SLEEP]
+    segment = sim.cap.segment(g_sleep, sim.g_harv)
+    cross = sim.cap.next_crossing_ns(g_sleep, sim.g_harv)
+    sim._steps = [False, (cross, g_sleep), None]
+    ops: list = []
+    template = list(sim._template(0, 0, g_sleep, sim._ending(False, segment), ops))
+    assert template == ops
+    assert template == [
+        False,
+        (cross, *step_coefficients(cross, segment), None),
+        _Crossing(False, segment, config.v_th_low_v),
+    ]

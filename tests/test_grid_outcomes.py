@@ -16,13 +16,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 from pathlib import Path
+from unittest import mock
 
-from caplora import ScenarioConfig, Simulator
+from caplora import ScenarioConfig, Simulator, energy, engine
 
 _TABLE = Path(__file__).with_name("grid_outcomes.txt")
 
-# Every entry the whole grid schedules, a count independent of the host.
+# Every entry the whole grid schedules, and every crossing tick its
+# capacitors and replays solve: counts independent of the host.
 _ENTRY_BOUND = 450_978
+_SOLVE_BOUND = 225_637
 
 _GRID = tuple(
     itertools.product(
@@ -50,19 +53,30 @@ def _digest(sim: Simulator) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_grid() -> tuple[dict[str, str], int]:
-    """Each grid run's digest by its key, and the entries all runs scheduled."""
+def run_grid() -> tuple[dict[str, str], int, int]:
+    """Each grid run's digest by its key, the entries all runs scheduled and
+    the ``crossing_tick`` calls they made."""
     digests = {}
-    entries = 0
-    for c, p, confirmed, period, guard in _GRID:
-        sim = Simulator(ScenarioConfig(
-            capacitance_f=c, power_w=p, confirmed=confirmed, packet_period_s=period,
-            guard_enabled=guard, duration_s=86_400.0,
-        ))
-        sim.run()
-        digests[_key(c, p, confirmed, period, guard)] = _digest(sim)
-        entries += sim._seq
-    return digests, entries
+    entries = solves = 0
+    solve = energy.crossing_tick
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    with mock.patch.object(energy, "crossing_tick", counted), mock.patch.object(
+        engine, "crossing_tick", counted
+    ):
+        for c, p, confirmed, period, guard in _GRID:
+            sim = Simulator(ScenarioConfig(
+                capacitance_f=c, power_w=p, confirmed=confirmed, packet_period_s=period,
+                guard_enabled=guard, duration_s=86_400.0,
+            ))
+            sim.run()
+            digests[_key(c, p, confirmed, period, guard)] = _digest(sim)
+            entries += sim._seq
+    return digests, entries, solves
 
 
 def _pinned() -> dict[str, str]:
@@ -71,14 +85,15 @@ def _pinned() -> dict[str, str]:
 
 
 def test_every_grid_run_ends_as_pinned():
-    digests, entries = run_grid()
+    digests, entries, solves = run_grid()
     pinned = _pinned()
     assert len(pinned) == len(_GRID)
     moved = [key for key in pinned if digests[key] != pinned[key]]
     assert moved == []
     assert entries <= _ENTRY_BOUND
+    assert solves <= _SOLVE_BOUND
 
 
 if __name__ == "__main__":
-    digests, _ = run_grid()
+    digests, _, _ = run_grid()
     _TABLE.write_text("".join(f"{key} {digest}\n" for key, digest in digests.items()))
