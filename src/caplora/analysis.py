@@ -524,11 +524,12 @@ def min_capacitance_for_target(
 def peak_success_capacitance(
     base: ScenarioConfig, capacitances_f: Sequence[float], kind: str
 ) -> tuple[float, float]:
-    """Smallest capacitance attaining the best success seen on the grid."""
-    best_cap = None
-    best_p = -1.0
+    """Smallest capacitance attaining the best success seen on the grid,
+    which must not be empty (``ValueError``)."""
+    if not capacitances_f:
+        raise ValueError("the capacitance grid is empty")
+    best_cap = best_p = -1.0
     for cap, p in success_curve(base, capacitances_f, kind):
         if p > best_p + 1e-12:
             best_cap, best_p = cap, p
-    assert best_cap is not None
     return best_cap, best_p

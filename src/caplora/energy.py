@@ -17,6 +17,9 @@ Under a fixed load and harvest the voltage follows one trajectory, and
 crossing tick of its active threshold where a trajectory starts, and again
 only when the load or the harvest differs or a crossing flips it.
 
+A step mixes the voltage with ``v_inf``, both non-negative, so it is
+clamped only at ``max_voltage_v`` (see ``step_coefficients``).
+
 All voltages are volts, conductances siemens, capacitances farads, times
 seconds, except clock and crossing times, which are integer nanoseconds.
 """
@@ -186,9 +189,7 @@ def sample_voltages(
     for t_ns in times_ns:
         x = -((t_ns - t0_ns) / NS_PER_S) / tau
         v = v_inf * -expm1(x) + v0 * exp(x)
-        if v < 0.0:
-            v = 0.0
-        elif v > vmax:
+        if v > vmax:
             v = vmax
         append(new(TraceRecord, (t_ns / NS_PER_S, v, state)))
 
@@ -315,9 +316,7 @@ def min_voltage_over_played(
         # differently.
         x = -duration_s / (capacitance_f / g)
         v = v_inf * -math.expm1(x) + v * math.exp(x)
-        if v < 0.0:
-            v = 0.0
-        elif v > max_voltage_v:
+        if v > max_voltage_v:
             v = max_voltage_v
         if v < v_min:
             v_min = v
@@ -368,9 +367,7 @@ def min_capacitance_over_played(
         for duration_s, g, v_inf in played:
             x = -duration_s / (mid / g)
             v = v_inf * -expm1(x) + v * exp(x)
-            if v < 0.0:
-                v = 0.0
-            elif v > max_voltage_v:
+            if v > max_voltage_v:
                 v = max_voltage_v
             if v < v_cutoff_v:
                 lo = mid
@@ -396,7 +393,12 @@ def step_coefficients(
 ) -> tuple[float, float]:
     """``(a, b)`` of a ``Capacitor.update`` step of ``elapsed_ns`` along the
     trajectory ``segment``: a voltage ``v`` steps to ``a + v * b``, then is
-    clamped. A held voltage, ``segment`` None, is ``(0.0, 1.0)``.
+    clamped at ``max_voltage_v``. A held voltage, ``segment`` None, is
+    ``(0.0, 1.0)``.
+
+    ``a = v_inf * -expm1(x)`` is ``>= 0`` (``v_inf >= 0``, ``x <= 0``) and
+    ``b = exp(x)`` is in ``[0, 1]``, so a step from a voltage ``>= 0``, as
+    every voltage is, never falls below 0: no step clamps at the bottom.
 
     The step is ``propagate_voltage``'s, bit for bit: CPython fuses no
     multiply-add, and the sum's two terms commute exactly.
@@ -506,9 +508,7 @@ class Capacitor:
         a, b = step_coefficients(now_ns - last_ns, segment)
         v_new = a + self.voltage_v * b
         vmax = self.params.max_voltage_v
-        if v_new < 0.0:
-            v_new = 0.0
-        elif v_new > vmax:
+        if v_new > vmax:
             v_new = vmax
         self.voltage_v = v_new
         self.last_update_ns = now_ns

@@ -613,10 +613,6 @@ class Simulator:
         self._steps: list | None = None
         self._logs = 0
 
-    @property
-    def now_s(self) -> float:
-        return self.now_ns / NS_PER_S
-
     # -- scheduling --------------------------------------------------------
 
     def schedule_at_ns(self, time_ns: int, action: Callable[[], None]) -> Event:
@@ -637,32 +633,25 @@ class Simulator:
         self._record_trace()
 
     def _record_trace(self) -> None:
+        """Record a row now, once per tick and state: the capacitor's
+        voltage, stepped from its last update as ``Capacitor.update`` steps
+        where a cancelled entry has left it behind."""
         recorder = self.metrics.trace
         if recorder is None:
             return
-        key = (self.now_ns, self.device.state)
+        now = self.now_ns
+        state = self.device.state
+        key = (now, state)
         if key == self._last_record_key:
             return
         self._last_record_key = key
-        recorder.record(self.now_s, self.cap.voltage_v, self.device.state.value)
-
-    def _record_propagated(self) -> None:
-        """Record a row now, its voltage propagated in closed form from the
-        capacitor's last update, which is left untouched."""
-        state = self.device.state
-        now = self.now_ns
-        self._last_record_key = (now, state)
         cap = self.cap
-        sample_voltages(
-            self.metrics.trace.records,
-            range(now, now + 1),
-            cap.last_update_ns,
-            cap.voltage_v,
-            self.g_load[state],
-            self.g_harv,
-            cap.params,
-            state.value,
-        )
+        v = cap.voltage_v
+        if cap.last_update_ns != now:
+            segment = cap.segment(self.g_load[state], self.g_harv)
+            a, b = step_coefficients(now - cap.last_update_ns, segment)
+            v = min(a + v * b, cap.params.max_voltage_v)
+        recorder.record(now / NS_PER_S, v, state.value)
 
     def _sample_trace(self, until_ns: int) -> None:
         """Record the grid samples strictly before ``until_ns``.
@@ -780,7 +769,7 @@ class Simulator:
         self._generation = self.schedule_at_ns(next_ns, self._on_generate)
 
     def _on_harvest_change(self) -> None:
-        now_s = self.now_s
+        now_s = self.now_ns / NS_PER_S
         power = self.harvester.power_at(now_s)
         self.g_harv = harvester_conductance(power, self.config.rail_voltage_v)
         nxt = self.harvester.next_change_after(now_s)
@@ -1070,9 +1059,7 @@ class Simulator:
                     cross_copy = None
                 if tick != last:
                     v_copy = a + v_copy * b
-                    if v_copy < 0.0:
-                        v_copy = 0.0
-                    elif v_copy > vmax:
+                    if v_copy > vmax:
                         v_copy = vmax
                     last = tick
             else:
@@ -1120,18 +1107,14 @@ class Simulator:
                 time_ns = event[0]
                 if time_ns >= duration_ns:
                     break
-                if event[3]:
-                    # A cancelled entry leaves the capacitor alone; a traced
-                    # run still records a row at its time.
-                    if recorder is not None and time_ns != self.now_ns:
-                        self._sample_trace(time_ns)
-                        self.now_ns = time_ns
-                        self._record_propagated()
-                    continue
-                # The capacitor is brought up to the event's time first, so a
-                # threshold crossing is handled before the event's own logic.
-                g = g_load[device.state]
+                # The capacitor is brought up to a live event's time first,
+                # so a threshold crossing is handled before the event's own
+                # logic. A cancelled entry leaves the capacitor alone; a
+                # traced run still records a row at its time.
                 if recorder is None:
+                    if event[3]:
+                        continue
+                    g = g_load[device.state]
                     self.now_ns = time_ns
                     update(time_ns, g, self.g_harv)
                     steps = self._steps
@@ -1139,11 +1122,12 @@ class Simulator:
                         steps.append((time_ns, g))
                 else:
                     self._sample_trace(time_ns)
-                    moved = time_ns != self.now_ns
                     self.now_ns = time_ns
-                    update(time_ns, g, self.g_harv)
-                    if moved:
+                    if event[3]:
                         self._record_trace()
+                        continue
+                    update(time_ns, g_load[device.state], self.g_harv)
+                    self._record_trace()
                 # Read again after the update: a depletion it finds cancels
                 # the device's pending event, which may be this one.
                 if not event[3]:

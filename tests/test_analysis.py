@@ -535,6 +535,8 @@ def test_peak_success_prefers_smallest_capacitance():
     curve = dict(success_curve(base, caps, "UL"))
     assert p == max(curve.values())
     assert cap == min(c for c, q in curve.items() if q >= p - 1e-12)
+    with pytest.raises(ValueError, match="grid is empty"):
+        peak_success_capacitance(base, (), "UL")
 
 
 def test_scenario_config_can_be_derived_by_copying_its_fields():

@@ -356,6 +356,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert code == 1
     # A trace it cannot read is reported as a trace problem.
     assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
+    # An output directory that names a regular file reaches the catch-all.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--set", "duration_s=60", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_usage_errors_exit_nonzero(capsys):

@@ -79,6 +79,8 @@ def test_conductances_reject_bad_inputs():
         harvester_conductance(0.001, 0.0)
     with pytest.raises(ValueError):
         load_conductance(-1e-3, 3.3)
+    with pytest.raises(ValueError):
+        load_conductance(1e-3, 0.0)
 
 
 def test_parallel_conductances_set_the_time_constant(params):
@@ -836,6 +838,41 @@ def test_a_step_from_its_coefficients_is_an_update_bit_for_bit(v0, elapsed_ns, c
     assume(cap.depleted == depleted)
     a, b = step_coefficients(elapsed_ns, cap.segment(g_load, g_harv))
     assert cap.voltage_v == min(max(a + v0 * b, 0.0), params.max_voltage_v)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    v0=st.floats(0.0, 3.3),
+    steps=st.lists(
+        st.tuples(st.integers(0, 10**18), st.just(0.0) | st.floats(0.0, 1e3)),
+        min_size=1,
+        max_size=3,
+    ),
+    g_harv=st.just(0.0) | st.floats(0.0, 1e3),
+    capacitance_f=st.floats(1e-6, 10.0),
+)
+def test_no_step_falls_below_zero(v0, steps, g_harv, capacitance_f):
+    # A step is a + v * b with a >= 0 and 0 <= b <= 1, so from a voltage at
+    # or above 0 it never falls below 0: the steps clamp only at the top.
+    params = make_params(capacitance_f=capacitance_f, initial_voltage_v=v0)
+    cap = Capacitor(params)
+    t_ns = 0
+    for elapsed_ns, g_load in steps:
+        a, b = step_coefficients(elapsed_ns, cap.segment(g_load, g_harv))
+        assert a >= 0.0 and 0.0 <= b <= 1.0
+        records = []
+        times = range(t_ns + elapsed_ns, t_ns + elapsed_ns + 1)
+        sample_voltages(records, times, t_ns, cap.voltage_v, g_load, g_harv, params, "Idle")
+        assert records[0].voltage_v >= 0.0
+        t_ns += elapsed_ns
+        cap.update(t_ns, g_load, g_harv)
+        assert cap.voltage_v >= 0.0
+    played = played_segments(
+        [(elapsed_ns / NS_PER_S, g_load) for elapsed_ns, g_load in steps],
+        g_harv,
+        params.rail_voltage_v,
+    )
+    assert min_voltage_over_played(v0, played, capacitance_f, params.max_voltage_v) >= 0.0
 
 
 @st.composite
