@@ -238,9 +238,13 @@ def load_energy_joules(
     The load's instantaneous power is ``v(t)^2 G_L``. Integrating that keeps
     the accounting consistent with the capacitor's stored energy: with no
     harvest, the energy delivered equals the drop in ``C v^2 / 2`` exactly.
+    Raises ``ValueError``, as ``propagate_voltage`` does, for a negative
+    ``v0``.
     """
     if duration_s < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
+    if v0 < 0.0:
+        raise ValueError(f"voltage must be >= 0, got {v0}")
     if g_load == 0.0 or duration_s == 0.0:
         return 0.0
     v0 = _clamp(v0, params.max_voltage_v)
@@ -305,10 +309,13 @@ def min_voltage_over_played(
     Within one segment the trajectory is monotone toward its asymptote, so
     the minimum over the whole sequence is attained at a segment boundary.
     Each step is ``propagate_voltage``'s, bit for bit: the same time constant
-    ``C / G``, the same convex combination and the same clamp.
+    ``C / G``, the same convex combination and the same clamp. Raises
+    ``ValueError``, as ``propagate_voltage`` does, for a negative ``v0``.
     """
     if not capacitance_f > 0.0:
         raise ValueError(f"capacitance must be > 0, got {capacitance_f}")
+    if v0 < 0.0:
+        raise ValueError(f"voltage must be >= 0, got {v0}")
     v = _clamp(v0, max_voltage_v)
     v_min = v
     for duration_s, g, v_inf in played:
@@ -342,7 +349,8 @@ def min_capacitance_over_played(
     The caller checks ``0 < c_lo < c_hi``, both finite, and a finite
     ``tol_rel > 0``: bisection never narrows any other bracket.
 
-    The bracket ends are probed by ``min_voltage_over_played``. Every
+    The bracket ends are probed by ``min_voltage_over_played``, which
+    rejects a negative ``v0``. Every
     midpoint then plays the cycle with that function's step, bit for bit,
     and stops at the first voltage below the cutoff. That is the same
     decision as comparing the minimum: once ``c_hi`` fits, the clamped
@@ -578,10 +586,8 @@ class TraceRecorder:
             stream.write("".join([_CSV_ROW % rec for rec in chunk]))
 
 
+# Every voltage is >= 0 (see step_coefficients), so only the top clamps.
 def _clamp(v: float, max_voltage_v: float) -> float:
-    if v < 0.0:
-        return 0.0
     if v > max_voltage_v:
         return max_voltage_v
     return v
-

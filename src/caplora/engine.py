@@ -10,22 +10,23 @@ closed form between events and never touch the heap or the capacitor.
 A heap entry is an ``Event``: the list ``[time_ns, seq, action,
 cancelled]``, which ``heapq`` orders in C by time and then by scheduling
 order, since ``seq`` is unique. Cancelling an entry sets its flag and
-leaves it in the heap. One loop in ``Simulator.run`` pops each entry in
-turn and, unless it is cancelled:
+leaves it in the heap. One loop in ``Simulator.run``, the same for a
+traced run and an untraced one, pops each entry in turn, moves the clock to
+its time and, unless it is cancelled:
 
 - brings the capacitor up to the entry's time, so a threshold crossing is
   handled before any event logic runs;
 - runs the action, unless the entry is cancelled by then: a depletion the
   update finds cancels the device's pending event, which may be this one;
-- re-arms the one wake-up at the crossing time predicted in closed form,
-  but only when the trajectory changed.
+- re-arms the one wake-up at the crossing tick the capacitor predicts in
+  closed form, but only when the capacitor's crossing tick moved.
 
 A cancelled entry leaves the capacitor alone, so where a trajectory's
 closed-form step is split depends on the live events only.
 
 A traced run also records the grid samples up to each entry and a row at
-each new instant, a cancelled entry's computed in closed form, behind one
-test of whether the run is traced.
+each new instant, a cancelled entry's computed in closed form; in an
+untraced run both recorders return at once.
 
 A powered-down device schedules no packets. From the depletion on, the
 packet generation is held out of the heap; when the turn-on completes,
@@ -420,16 +421,14 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
         problems.append("trace_file is required for the trace harvester")
     if config.harvester == "random" and 0 < config.harvest_update_period_s < TICK_S:
         problems.append(_below_tick("harvest_update_period_s", config))
-    for name in ("packet_period_s", "update_interval_s"):
-        period = getattr(config, name)
-        if period <= 0:
+    for name in ("packet_period_s", "update_interval_s", "duration_s"):
+        span = getattr(config, name)
+        if span <= 0:
             problems.append(f"{name} must be positive")
-        elif period < TICK_S:
+        elif span < TICK_S:
             problems.append(_below_tick(name, config))
     if config.first_packet_s is not None and config.first_packet_s < 0:
         problems.append("first_packet_s must be non-negative")
-    if config.duration_s <= 0:
-        problems.append("duration_s must be positive")
     if config.guard_horizon not in GUARD_HORIZONS:
         problems.append(f"guard_horizon must be one of {GUARD_HORIZONS}")
     for name in _CURRENT_FIELDS.values():
@@ -587,8 +586,11 @@ class Simulator:
         self._generation: Event | None = None
         self._missed_from_ns: int | None = None
         self._wakes = 0
+        # The crossing wake-up armed, and the capacitor's ``depleted`` when
+        # ``_follow_crossing`` last ran; False at first, so a run that starts
+        # depleted takes that as its first crossing.
         self._crossing_event: Event | None = None
-        self._crossing_key: tuple[DeviceState, float, bool] | None = None
+        self._depleted = False
         self._last_record_key: tuple[int, DeviceState] | None = None
         self._sample_step_ns = round(config.update_interval_s * NS_PER_S)
         self._next_sample_ns = self._sample_step_ns
@@ -684,39 +686,41 @@ class Simulator:
             t_ns += step
         self._next_sample_ns = t_ns
 
-    def _rearm_crossing(self, key: tuple[DeviceState, float, bool]) -> None:
-        """Arm one wake-up at the crossing of the trajectory ``key``, which
-        is ``(device state, g_harv, depleted)``, cancelling the one armed.
+    def _follow_crossing(self) -> None:
+        """Keep the one wake-up on the capacitor's crossing tick; run after
+        each live entry's action.
 
-        A crossing flips ``depleted``, so this is also where a run learns,
-        once the crossing's event is done, that one happened: it is logged
-        for a replay after the step that reached it, a depletion holds the
-        pending packet generation out of the heap, and a recharge is an
-        anchor of the repeat search.
+        A crossing flips ``depleted``. A flip is logged for a replay after
+        the step that reached it; a depletion holds the pending packet
+        generation out of the heap, and a recharge is an anchor of the
+        repeat search. The wake-up then moves only when the capacitor's
+        crossing tick moved: a new load or harvest, a flip or a replay. A
+        flip always moves it, past the crossing and any copies replayed.
         """
-        old = self._crossing_key
-        self._crossing_key = key
-        armed = self._crossing_event
-        if armed is not None:
-            self.cancel(armed)
-            self._crossing_event = None
-        if old is not None and old[2] != key[2]:
+        cap = self.cap
+        depleted = cap.depleted
+        if depleted is not self._depleted:
+            self._depleted = depleted
             steps = self._steps
             if steps is not None:
                 steps.append(None)
-            if not key[2] and self._anchors is not None:
+            if depleted:
+                # A generation due on the depletion tick may have held itself.
+                if self._missed_from_ns is None:
+                    generation = self._generation
+                    assert generation is not None
+                    self._heap.remove(generation)
+                    heapq.heapify(self._heap)
+                    self._missed_from_ns = generation[0]
+            elif self._anchors is not None:
                 self._anchor()
-        delay_ns = self.cap.next_crossing_ns(self.g_load[key[0]], key[1])
-        if delay_ns is not None:
-            self._crossing_event = self.schedule_at_ns(self.now_ns + delay_ns, _noop)
-        if key[2]:
-            # A generation due on the depletion tick may have held itself.
-            if self._missed_from_ns is None:
-                generation = self._generation
-                assert generation is not None
-                self._heap.remove(generation)
-                heapq.heapify(self._heap)
-                self._missed_from_ns = generation[0]
+        delay_ns = cap.next_crossing_ns(self.g_load[self.device.state], self.g_harv)
+        tick = None if delay_ns is None else cap.last_update_ns + delay_ns
+        armed = self._crossing_event
+        if (None if armed is None else armed[0]) != tick:
+            if armed is not None:
+                self.cancel(armed)
+            self._crossing_event = None if tick is None else self.schedule_at_ns(tick, _noop)
 
     # -- recurring drivers ---------------------------------------------------
 
@@ -863,12 +867,16 @@ class Simulator:
 
     def _mark(self) -> _Mark:
         metrics = self.metrics
-        # The wake-up armed is at the crossing tick of the trajectory under
-        # way; none is armed just after a recharge's crossing.
-        armed = self._crossing_event
+        cap = self.cap
+        # The crossing tick of the trajectory under way, the one the
+        # capacitor solved for the device asleep at a generation; none just
+        # after a recharge's crossing, while packets are held.
+        cross = None
+        if self._missed_from_ns is None:
+            cross = cap.next_crossing_ns(self.g_load[self.device.state], self.g_harv)
         return _Mark(
             self.now_ns,
-            (self.cap.voltage_v, None if armed is None else armed[0] - self.now_ns),
+            (cap.voltage_v, cross),
             _counts(metrics),
             len(metrics.cycles),
             tuple(metrics.outcomes.values()),
@@ -1077,14 +1085,8 @@ class Simulator:
             return mark
         self._skip(earlier, mark, copies)
         # The capacitor takes the voltage and crossing tick the copies ended
-        # at, and the wake-up moves there.
-        cross_ns = None if cross is None else self.now_ns + cross
-        self.cap.replayed(v, cross_ns)
-        armed = self._crossing_event
-        if armed is None or armed[0] != cross_ns:
-            if armed is not None:
-                self.cancel(armed)
-            self._crossing_event = None if cross_ns is None else self.schedule_at_ns(cross_ns, _noop)
+        # at; the wake-up follows it once the anchor's event is done.
+        self.cap.replayed(v, None if cross is None else self.now_ns + cross)
         return None if copies == fit else self._mark()
 
     # -- main loop ------------------------------------------------------------
@@ -1092,54 +1094,47 @@ class Simulator:
     def run(self) -> Metrics:
         duration_ns = self._duration_ns
         heap = self._heap
-        cap = self.cap
-        update = cap.update
+        update = self.cap.update
         device = self.device
         g_load = self.g_load
-        recorder = self.metrics.trace
+        sample_trace = self._sample_trace
+        record_trace = self._record_trace
+        follow_crossing = self._follow_crossing
         try:
-            self._record_trace()
+            record_trace()
             self._on_harvest_change()
             self._generation = self.schedule_at_ns(self._first_ns, self._on_generate)
-            self._rearm_crossing((device.state, self.g_harv, cap.depleted))
+            follow_crossing()
             while heap:
                 event = heapq.heappop(heap)
                 time_ns = event[0]
                 if time_ns >= duration_ns:
                     break
+                sample_trace(time_ns)
+                self.now_ns = time_ns
+                # A cancelled entry leaves the capacitor alone; a traced run
+                # still records a row at its time.
+                if event[3]:
+                    record_trace()
+                    continue
                 # The capacitor is brought up to a live event's time first,
                 # so a threshold crossing is handled before the event's own
-                # logic. A cancelled entry leaves the capacitor alone; a
-                # traced run still records a row at its time.
-                if recorder is None:
-                    if event[3]:
-                        continue
-                    g = g_load[device.state]
-                    self.now_ns = time_ns
-                    update(time_ns, g, self.g_harv)
-                    steps = self._steps
-                    if steps is not None:
-                        steps.append((time_ns, g))
-                else:
-                    self._sample_trace(time_ns)
-                    self.now_ns = time_ns
-                    if event[3]:
-                        self._record_trace()
-                        continue
-                    update(time_ns, g_load[device.state], self.g_harv)
-                    self._record_trace()
+                # logic.
+                g = g_load[device.state]
+                update(time_ns, g, self.g_harv)
+                steps = self._steps
+                if steps is not None:
+                    steps.append((time_ns, g))
+                record_trace()
                 # Read again after the update: a depletion it finds cancels
                 # the device's pending event, which may be this one.
                 if not event[3]:
                     event[2]()
-                # Re-arm the crossing wake-up only on a new trajectory.
-                key = (device.state, self.g_harv, cap.depleted)
-                if key != self._crossing_key:
-                    self._rearm_crossing(key)
-            self._sample_trace(duration_ns)
+                follow_crossing()
+            sample_trace(duration_ns)
             self.now_ns = duration_ns
             update(duration_ns, g_load[device.state], self.g_harv)
-            self._record_trace()
+            record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False
         # A held packet due on the last tick, that of an aborted run too,

@@ -390,6 +390,7 @@ def test_usage_errors_exit_nonzero(capsys):
         (["packet_period_s=1e300"], "packet_period_s is beyond the range"),
         (["dl_payload_bytes=-1"], "dl_payload_bytes must be >= 0"),
         (["harvester.kind=trace"], "trace_file is required for the trace harvester"),
+        (["duration_s=1e-10"], "duration_s must be at least the 1 ns clock tick"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

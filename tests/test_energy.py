@@ -274,6 +274,10 @@ def test_energy_trivial_cases(params):
     assert load_energy_joules(3.3, 0.0, g_load, 0.0, params) == 0.0
     with pytest.raises(ValueError):
         load_energy_joules(3.3, -1.0, g_load, 0.0, params)
+    # A negative start voltage is refused, even where no energy flows.
+    for duration_s in (0.0, 1.0):
+        with pytest.raises(ValueError, match="voltage must be >= 0"):
+            load_energy_joules(-1.0, duration_s, g_load, 0.0, params)
 
 
 # ----------------------------------------------------- sequences of segments
@@ -305,6 +309,22 @@ def test_min_voltage_over_played_hits_segment_boundary(params):
 
 def test_min_voltage_with_no_segments(params):
     assert _played_min_voltage(2.5, [], 0.0, params) == 2.5
+
+
+def test_played_kernels_reject_bad_inputs(params):
+    g_load = load_conductance(1e-3, 3.3)
+    with pytest.raises(ValueError, match="elapsed time must be >= 0"):
+        played_segments([(1.0, g_load), (-1.0, g_load)], 0.0, 3.3)
+    played = played_segments([(1.0, g_load)], 0.0, 3.3)
+    for capacitance_f in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="capacitance must be > 0"):
+            min_voltage_over_played(3.0, played, capacitance_f, 3.3)
+    # A negative start voltage is refused, as propagate_voltage refuses it,
+    # not clamped to 0.
+    with pytest.raises(ValueError, match="voltage must be >= 0"):
+        min_voltage_over_played(-1.0, played, 0.01, 3.3)
+    with pytest.raises(ValueError, match="voltage must be >= 0"):
+        min_capacitance_over_played(-1.0, played, 3.3, 1.8, 1e-3, 1.0, 1e-3)
 
 
 _TX_G = load_conductance(28.011e-3, 3.3)

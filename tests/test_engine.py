@@ -30,7 +30,13 @@ from caplora.engine import (
 )
 from caplora.lorawan import DeviceState
 
-from conftest import empty_stores, shortcuts_off, traced_load_energy
+from conftest import (
+    assert_same_run,
+    empty_stores,
+    run_both_ways,
+    shortcuts_off,
+    traced_load_energy,
+)
 
 
 def test_periodic_generation_count():
@@ -610,6 +616,35 @@ def test_brownout_cost_is_linear_in_simulated_time():
     assert pushes[1] <= 2.1 * pushes[0]
 
 
+# IDLE drawing STANDBY's current: a step between the two leaves the
+# capacitor's trajectory, and so its crossing tick, as it was.
+_EQUAL_LOADS = {
+    "idle_a": 0.0105055,
+    "standby_a": 0.0105055,
+    "capacitance_f": 0.003,
+    "power_w": 0.5e-3,
+    "guard_enabled": False,
+}
+
+
+def test_states_of_equal_load_keep_their_one_wake_up(monkeypatch):
+    armed: dict[Simulator, list[int]] = {}
+    schedule = Simulator.schedule_at_ns
+
+    def spy(self, time_ns, action):
+        if action is caplora.engine._noop:
+            armed.setdefault(self, []).append(time_ns)
+        return schedule(self, time_ns, action)
+
+    monkeypatch.setattr(Simulator, "schedule_at_ns", spy)
+    fast, slow = run_both_ways(replace(ScenarioConfig(), **_EQUAL_LOADS))
+    assert_same_run(fast, slow)
+    assert fast.metrics.depletion_events > 0
+    # No wake-up is cancelled and armed again on the same tick.
+    for ticks in armed.values():
+        assert len(ticks) == len(set(ticks))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -624,8 +659,9 @@ def test_brownout_cost_is_linear_in_simulated_time():
             "guard_enabled": False,
         },
         {"update_interval_s": 0.37, "capacitance_f": 0.006, "power_w": 0.0002, "guard_enabled": False},
+        _EQUAL_LOADS,
     ],
-    ids=["default", "brownout", "random-exponential", "odd-interval"],
+    ids=["default", "brownout", "random-exponential", "odd-interval", "equal-loads"],
 )
 def test_tracing_is_observation_only(overrides):
     # All but the default scenario brown out and recover several times.

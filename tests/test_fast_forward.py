@@ -508,7 +508,7 @@ def _copies_replayed(config: ScenarioConfig, steps: list) -> int:
     sim._steps = list(steps)
     length = steps[-1][0]
     sim.now_ns = sim.cap.last_update_ns = length
-    sim._rearm_crossing((DeviceState.SLEEP, sim.g_harv, False))
+    sim._follow_crossing()
     mark = sim._mark()
     # The template's own start is left unknown, so no copy is taken for an
     # exact repeat of it.
