@@ -28,6 +28,8 @@ from .engine import (
     lorawan_params,
     results_key,
     results_row,
+    # Called by this module global's name: bench/workloads.py's
+    # SizingBrownout.first_pass replaces it to count the engine's probes.
     run_scenario,
     success_probability,
 )
@@ -115,6 +117,8 @@ def _require_constant(config: ScenarioConfig, what: str) -> None:
         raise ConfigError([f"{what} needs harvester kind constant, got {config.harvester}"])
 
 
+# bench/workloads.py's MincapGrid.check also calls this, with
+# min_voltage_over_cycle, on every row of its first, checked pass.
 def cycle_spec(
     config: ScenarioConfig, kind: str, power_w: float | None = None
 ) -> CycleSpec:
@@ -131,6 +135,7 @@ def cycle_spec(
     return CycleSpec(kind, v0, shape, g_harv, config.rail_voltage_v)
 
 
+# No caplora path calls this; bench/workloads.py's MincapGrid.check does.
 def min_voltage_over_cycle(
     capacitance_f: float, spec: CycleSpec, config: ScenarioConfig
 ) -> float:

@@ -124,17 +124,21 @@ def smart_tx_guard(
     return predicted >= cap_params.v_th_low_v
 
 
-class Gateway:
-    """Network side: answers confirmed uplinks within its own duty budgets.
+# The gateway's duty budgets: window 1 replies share the uplink band's 1%,
+# window 2 uses the dedicated downlink channel's 10%.
+RX1_DUTY_CYCLE = 0.01
+RX2_DUTY_CYCLE = 0.10
 
-    Window 1 replies share the uplink band and its 1% budget; window 2 uses
-    the dedicated downlink channel with a 10% budget. The reply goes out in
-    the earliest window whose band is free.
+
+class Gateway:
+    """Network side: answers confirmed uplinks within its own duty budgets
+    (``RX1_DUTY_CYCLE`` and ``RX2_DUTY_CYCLE``). The reply goes out in the
+    earliest window whose band is free.
     """
 
-    def __init__(self, rx1_duty_cycle: float = 0.01, rx2_duty_cycle: float = 0.10):
-        self.rx1_budget = DutyCycleBudget(rx1_duty_cycle)
-        self.rx2_budget = DutyCycleBudget(rx2_duty_cycle)
+    def __init__(self) -> None:
+        self.rx1_budget = DutyCycleBudget(RX1_DUTY_CYCLE)
+        self.rx2_budget = DutyCycleBudget(RX2_DUTY_CYCLE)
 
     def plan_reply(
         self, tx_end_ns: int, params: LorawanParams, dl_airtimes_s: tuple[float, float]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
 from .errors import ConfigError
@@ -451,12 +451,8 @@ def crossing_voltage(
     return v
 
 
-def _ignore_crossing(when_ns: int) -> None:
-    pass
-
-
 class Capacitor:
-    """Capacitor state machine with hysteresis and crossing callbacks.
+    """Capacitor state machine with hysteresis.
 
     ``update`` propagates the voltage under the load and harvest conductances
     that were active since the previous update. Clock times are integer
@@ -468,10 +464,10 @@ class Capacitor:
     or harvest other than the one it was solved under, or the first after a
     flip, the active threshold's crossing time is solved from the voltage at
     the last update and rounded to the nearest clock tick. The update that
-    reaches that tick flips ``depleted`` and calls ``on_depleted`` or
-    ``on_recharged`` with it, not with the update time. Updates in between
-    move the voltage but not the tick, so a crossing does not depend on how
-    many events fell on the way.
+    reaches that tick flips ``depleted`` and returns the tick, not the
+    update time; every other update returns None. Updates in between move
+    the voltage but not the tick, so a crossing does not depend on how many
+    events fell on the way.
 
     A step is ``step_coefficients``' along the trajectory's ``segment``, the
     one a replay takes, and a crossing ``crossing_time``'s.
@@ -482,8 +478,6 @@ class Capacitor:
         self.voltage_v = min(params.initial_voltage_v, params.max_voltage_v)
         self.last_update_ns = 0
         self.depleted = self.voltage_v < params.v_th_low_v
-        self.on_depleted: Callable[[int], None] = _ignore_crossing
-        self.on_recharged: Callable[[int], None] = _ignore_crossing
         # The loads the crossing tick ``_cross_ns`` was solved under, None
         # before the first solve and after a flip; their ``_segment``; and
         # that tick, None when the threshold is never reached.
@@ -503,13 +497,13 @@ class Capacitor:
             self.voltage_v, self.last_update_ns, self.depleted, segment, self.params
         )
 
-    def update(self, now_ns: int, g_load: float, g_harv: float) -> None:
-        """Advance to ``now_ns`` under ``g_load``, calling back on a crossing."""
+    def update(self, now_ns: int, g_load: float, g_harv: float) -> int | None:
+        """Advance to ``now_ns`` under ``g_load``; the crossing tick reached, or None."""
         last_ns = self.last_update_ns
         if now_ns <= last_ns:
             if now_ns < last_ns:
                 raise ValueError(f"update at {now_ns} ns precedes last update at {last_ns} ns")
-            return
+            return None
         if g_load != self._g_load or g_harv != self._g_harv:
             self._solve(g_load, g_harv)
         segment = self._trajectory
@@ -522,13 +516,13 @@ class Capacitor:
         self.last_update_ns = now_ns
         cross_ns = self._cross_ns
         if cross_ns is None or now_ns < cross_ns:
-            return
+            return None
         assert segment is not None
         target = self.params.v_th_high_v if self.depleted else self.params.v_th_low_v
         self.voltage_v = crossing_voltage(v_new, segment, target)
         self.depleted = not self.depleted
         self._g_load = None
-        (self.on_depleted if self.depleted else self.on_recharged)(cross_ns)
+        return cross_ns
 
     def next_crossing_ns(self, g_load: float, g_harv: float) -> int | None:
         """Clock ticks from the last update until the active threshold is

@@ -14,10 +14,10 @@ leaves it in the heap. One loop in ``Simulator.run``, the same for a
 traced run and an untraced one, pops each entry in turn, moves the clock to
 its time and, unless it is cancelled:
 
-- brings the capacitor up to the entry's time, so a threshold crossing is
-  handled before any event logic runs;
-- runs the action, unless the entry is cancelled by then: a depletion the
-  update finds cancels the device's pending event, which may be this one;
+- brings the capacitor up to the entry's time and handles a crossing it
+  reports before any event logic runs (``Simulator._crossed``);
+- runs the action unless a depletion cancelled the entry: the device's
+  pending event or the packet generation, which the depletion holds;
 - re-arms the one wake-up at the crossing tick the capacitor predicts in
   closed form, but only when the capacitor's crossing tick moved.
 
@@ -186,6 +186,7 @@ class Event(list):
 
     __slots__ = ()
 
+    # bench/tracer.py's heap probe reads ``time_ns`` and ``cancelled``.
     time_ns = property(itemgetter(0))
     action = property(itemgetter(2))
     cancelled = property(itemgetter(3))
@@ -571,8 +572,6 @@ class Simulator:
             self.metrics.trace = TraceRecorder()
         self.gateway = Gateway()
         self.device = LorawanDevice(self, tables)
-        self.cap.on_depleted = self.device.on_depleted
-        self.cap.on_recharged = self.device.on_recharged
         self.now_ns = 0
         self.packet_period_ns = round(config.packet_period_s * NS_PER_S)
         self._duration_ns = round(config.duration_s * NS_PER_S)
@@ -581,16 +580,14 @@ class Simulator:
         self._heap: list[Event] = []
         self._seq = 0
         # The packet generation last scheduled, the tick of the first packet
-        # held while the device is powered down (None while none is), and
-        # the number of times the device woke to SLEEP.
+        # held while the device is powered down (None while none is: a run
+        # that starts depleted holds its first packet), and the number of
+        # times the device woke to SLEEP.
         self._generation: Event | None = None
-        self._missed_from_ns: int | None = None
+        self._missed_from_ns = self._first_ns if self.cap.depleted else None
         self._wakes = 0
-        # The crossing wake-up armed, and the capacitor's ``depleted`` when
-        # ``_follow_crossing`` last ran; False at first, so a run that starts
-        # depleted takes that as its first crossing.
+        # The crossing wake-up armed.
         self._crossing_event: Event | None = None
-        self._depleted = False
         self._last_record_key: tuple[int, DeviceState] | None = None
         self._sample_step_ns = round(config.update_interval_s * NS_PER_S)
         self._next_sample_ns = self._sample_step_ns
@@ -686,34 +683,40 @@ class Simulator:
             t_ns += step
         self._next_sample_ns = t_ns
 
+    def _crossed(self, tick: int, event: Event | None) -> None:
+        """Handle the crossing at ``tick`` that the update to ``event``'s time
+        reached, or, ``event`` None, the run's last update: tell the device;
+        within the run, log it for a replay, and hold the packet generation
+        on a depletion (cancelling it if it is ``event``) or anchor on a
+        recharge."""
+        depleted = self.cap.depleted
+        (self.device.on_depleted if depleted else self.device.on_recharged)(tick)
+        if event is None:
+            return
+        steps = self._steps
+        if steps is not None:
+            steps.append(None)
+        # A depletion during the turn-on finds packets held, and no
+        # generation scheduled.
+        if depleted and self._missed_from_ns is None:
+            generation = self._generation
+            assert generation is not None
+            if generation is event:
+                self.cancel(event)
+            else:
+                self._heap.remove(generation)
+                heapq.heapify(self._heap)
+            self._missed_from_ns = generation[0]
+        elif not depleted and self._anchors is not None:
+            self._anchor()
+
     def _follow_crossing(self) -> None:
         """Keep the one wake-up on the capacitor's crossing tick; run after
-        each live entry's action.
-
-        A crossing flips ``depleted``. A flip is logged for a replay after
-        the step that reached it; a depletion holds the pending packet
-        generation out of the heap, and a recharge is an anchor of the
-        repeat search. The wake-up then moves only when the capacitor's
-        crossing tick moved: a new load or harvest, a flip or a replay. A
-        flip always moves it, past the crossing and any copies replayed.
+        each live entry's action. The wake-up moves only when that tick
+        moved: a new load or harvest, a crossing or a replay. A crossing
+        always moves it, past the crossing and any copies replayed.
         """
         cap = self.cap
-        depleted = cap.depleted
-        if depleted is not self._depleted:
-            self._depleted = depleted
-            steps = self._steps
-            if steps is not None:
-                steps.append(None)
-            if depleted:
-                # A generation due on the depletion tick may have held itself.
-                if self._missed_from_ns is None:
-                    generation = self._generation
-                    assert generation is not None
-                    self._heap.remove(generation)
-                    heapq.heapify(self._heap)
-                    self._missed_from_ns = generation[0]
-            elif self._anchors is not None:
-                self._anchor()
         delay_ns = cap.next_crossing_ns(self.g_load[self.device.state], self.g_harv)
         tick = None if delay_ns is None else cap.last_update_ns + delay_ns
         armed = self._crossing_event
@@ -725,12 +728,7 @@ class Simulator:
     # -- recurring drivers ---------------------------------------------------
 
     def _on_generate(self) -> None:
-        now = self.now_ns
-        if self.cap.depleted:
-            # Due on the tick the device depleted: held with the ones after.
-            self._missed_from_ns = now
-            return
-        self._generation = self.schedule_at_ns(now + self.packet_period_ns, self._on_generate)
+        self._generation = self.schedule_at_ns(self.now_ns + self.packet_period_ns, self._on_generate)
         if self._anchors is not None:
             self._anchor()
         self.device.on_generate()
@@ -1103,7 +1101,8 @@ class Simulator:
         try:
             record_trace()
             self._on_harvest_change()
-            self._generation = self.schedule_at_ns(self._first_ns, self._on_generate)
+            if self._missed_from_ns is None:
+                self._generation = self.schedule_at_ns(self._first_ns, self._on_generate)
             follow_crossing()
             while heap:
                 event = heapq.heappop(heap)
@@ -1121,19 +1120,24 @@ class Simulator:
                 # so a threshold crossing is handled before the event's own
                 # logic.
                 g = g_load[device.state]
-                update(time_ns, g, self.g_harv)
+                tick = update(time_ns, g, self.g_harv)
                 steps = self._steps
                 if steps is not None:
                     steps.append((time_ns, g))
+                if tick is not None:
+                    self._crossed(tick, event)
                 record_trace()
-                # Read again after the update: a depletion it finds cancels
-                # the device's pending event, which may be this one.
+                # Read again after a crossing: a depletion cancels the
+                # device's pending event or the generation, either may be
+                # this one.
                 if not event[3]:
                     event[2]()
                 follow_crossing()
             sample_trace(duration_ns)
             self.now_ns = duration_ns
-            update(duration_ns, g_load[device.state], self.g_harv)
+            tick = update(duration_ns, g_load[device.state], self.g_harv)
+            if tick is not None:
+                self._crossed(tick, None)
             record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False

@@ -12,7 +12,7 @@ import pytest
 
 from caplora import ConfigError, ScenarioConfig, parse_config
 from caplora.analysis import SweepGrid
-from caplora.config import _SCHEMA, dump_config
+from caplora.config import _SCHEMA, _parser, dump_config
 
 
 def test_no_source_yields_defaults():
@@ -335,6 +335,14 @@ kind = UL, UL+DL
 
 def test_dump_of_defaults_and_full_grid_is_pinned():
     assert dump_config(ScenarioConfig(), FULL_GRID) == GOLDEN_DUMP
+
+
+@pytest.mark.parametrize("annotation", ["complex", "complex | None", "tuple[complex, ...]"])
+def test_an_annotation_with_no_ini_parser_is_refused(annotation):
+    # A field of a type the INI schema cannot read fails when the schema is
+    # derived, at import, not when a file first sets it.
+    with pytest.raises(TypeError, match="no INI parser for the annotation 'complex'"):
+        _parser(annotation)
 
 
 def test_every_field_has_exactly_one_key():

@@ -533,9 +533,7 @@ def test_capacitor_depletion_notification_uses_crossing_instant(params):
     cap = Capacitor(params)
     heavy = load_conductance(28.011e-3, params.rail_voltage_v)
     t_star = crossing_time(3.3, params.v_th_low_v, heavy, 0.0, params)
-    events = []
-    cap.on_depleted = events.append
-    cap.update(_ns(2.0), heavy, 0.0)  # well past the crossing
+    events = [cap.update(_ns(2.0), heavy, 0.0)]  # well past the crossing
     assert cap.depleted
     assert events == [_ns(t_star)]
 
@@ -546,9 +544,7 @@ def test_capacitor_recharge_notification(params):
     idle = load_conductance(7e-6, 3.3)
     g_harv = harvester_conductance(0.01, 3.3)
     t_star = crossing_time(1.0, params.v_th_high_v, idle, g_harv, params)
-    events = []
-    cap.on_recharged = events.append
-    cap.update(_ns(t_star * 3), idle, g_harv)
+    events = [cap.update(_ns(t_star * 3), idle, g_harv)]
     assert not cap.depleted
     assert events == [_ns(t_star)]
 
@@ -681,8 +677,6 @@ def test_capacitor_steps_are_the_public_kernels_chained(v0, steps, capacitance_f
 )
 def test_an_update_along_a_trajectory_keeps_its_crossing(v0, steps, capacitance_f, g_load, g_harv):
     cap = Capacitor(make_params(capacitance_f=capacitance_f, initial_voltage_v=v0))
-    crossings = []
-    cap.on_depleted = cap.on_recharged = crossings.append
     first = cap.next_crossing_ns(g_load, g_harv)
     assert first == _crossing_tick(cap, g_load, g_harv)
     t_ns = 0
@@ -690,13 +684,11 @@ def test_an_update_along_a_trajectory_keeps_its_crossing(v0, steps, capacitance_
         t_ns += dt_ns
         if first is not None and t_ns >= first:
             break
-        cap.update(t_ns, g_load, g_harv)
-        assert crossings == []
+        assert cap.update(t_ns, g_load, g_harv) is None
         assert cap.next_crossing_ns(g_load, g_harv) == (None if first is None else first - t_ns)
     if first is not None:
         # Reached at its tick, or past it.
-        cap.update(max(t_ns, first), g_load, g_harv)
-        assert crossings == [first]
+        assert cap.update(max(t_ns, first), g_load, g_harv) == first
 
 
 def test_a_voltage_leaving_the_threshold_it_sits_on_never_crosses_it():

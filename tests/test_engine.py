@@ -13,9 +13,10 @@ import pytest
 import caplora.engine
 from caplora import ConfigError, Metrics, ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
-from caplora.device import CycleOutcome
+from caplora.device import CycleOutcome, CycleRecord
 from caplora.energy import (
     TraceRecorder,
+    crossing_tick,
     harvester_conductance,
     load_conductance,
     propagate_voltage,
@@ -471,8 +472,8 @@ def test_a_cancelled_entry_leaves_the_capacitor_alone():
 def test_an_entry_cancelled_by_its_own_update_never_runs():
     # A sleeping load drains the capacitor past the cutoff at about 2 s.
     # With no crossing wake-up armed, the update that brings the capacitor
-    # to the entry's time finds the depletion, whose callback cancels the
-    # entry, as the device cancels its pending event.
+    # to the entry's time finds the depletion, whose device callback cancels
+    # the entry, as the device cancels its pending event.
     config = ScenarioConfig(
         power_w=0.0, sleep_a=0.01, guard_enabled=False, first_packet_s=30.0, duration_s=60.0
     )
@@ -480,17 +481,83 @@ def test_an_entry_cancelled_by_its_own_update_never_runs():
     sim.cap.next_crossing_ns = lambda g_load, g_harv: None
     ran = []
     entry = sim.schedule_at_ns(10 * NS_PER_S, lambda: ran.append(sim.now_ns))
-    device_depleted = sim.cap.on_depleted
+    device_depleted = sim.device.on_depleted
 
     def on_depleted(when_ns):
         sim.cancel(entry)
         device_depleted(when_ns)
 
-    sim.cap.on_depleted = on_depleted
+    sim.device.on_depleted = on_depleted
     metrics = sim.run()
     assert metrics.depletion_events == 1
     assert entry.cancelled
     assert ran == []
+
+
+def _crossing_from_start(config: ScenarioConfig, state: DeviceState) -> int:
+    """The tick at which ``config``'s capacitor, from its initial voltage at
+    t = 0 under ``state``'s load and the constant harvest, crosses the
+    threshold it starts watching."""
+    sim = Simulator(config)
+    cap = sim.cap
+    g_harv = harvester_conductance(config.power_w, config.rail_voltage_v)
+    segment = cap.segment(sim.g_load[state], g_harv)
+    return crossing_tick(cap.voltage_v, 0, cap.depleted, segment, cap.params)
+
+
+def _ending_at(config: ScenarioConfig, tick: int, **overrides) -> Simulator:
+    sim = Simulator(replace(config, duration_s=tick / NS_PER_S, **overrides))
+    assert sim._duration_ns == tick
+    return sim
+
+
+def test_a_depletion_only_the_last_update_reaches_ends_the_open_cycle():
+    # The first packet's uplink drains 1 mF past the cutoff within its
+    # airtime. The run ends on that tick, where the crossing wake-up and
+    # the next packet generation both fall: the loop pops one of them and
+    # stops, and only the final update reaches the depletion.
+    config = ScenarioConfig(capacitance_f=0.001, power_w=0.0, guard_enabled=False, first_packet_s=0.0)
+    tick = _crossing_from_start(config, DeviceState.TX)
+    sim = _ending_at(config, tick, packet_period_s=tick / NS_PER_S)
+    assert tick < sim.device._ul_ticks
+    metrics = sim.run()
+    assert sim._generation.time_ns == tick
+    assert metrics.depletion_events == 1
+    assert metrics.cycles == [CycleRecord(1, "UL", 0, tick, CycleOutcome.FAILED_ENERGY)]
+    # The packet due on the last tick falls past the end: none is held.
+    assert metrics.generated == 1
+    assert sim._missed_from_ns is None
+    assert sim.device.state is DeviceState.OFF
+
+
+def test_a_recharge_on_the_last_tick_closes_the_off_time_there():
+    config = ScenarioConfig(initial_voltage_v=1.0, power_w=0.005, first_packet_s=0.0)
+    tick = _crossing_from_start(config, DeviceState.OFF)
+    sim = _ending_at(config, tick)
+    metrics = sim.run()
+    assert sim.device.state is DeviceState.TURN_ON
+    assert metrics.off_time_ns == tick
+    assert metrics.depletion_events == 0
+    # The packet held from t = 0 fails at its own tick.
+    assert metrics.cycles == [CycleRecord(1, "UL", 0, 0, CycleOutcome.FAILED_ENERGY)]
+
+
+def test_a_run_that_starts_depleted_holds_its_first_packet_from_its_own_tick():
+    # Charging from 1 V to the 3 V turn-on threshold takes about 44 s; the
+    # packets due from 5 s on, up to the turn-on's end, fail at their ticks.
+    config = ScenarioConfig(
+        initial_voltage_v=1.0, power_w=0.005, first_packet_s=5.0, packet_period_s=10.0, duration_s=120.0
+    )
+    recharge = _crossing_from_start(config, DeviceState.OFF)
+    awake = recharge + round(config.turn_on_s * NS_PER_S)
+    held = range(5 * NS_PER_S, awake + 1, 10 * NS_PER_S)
+    assert len(held) == 5
+    metrics = run_scenario(config)
+    assert metrics.cycles[: len(held)] == [
+        CycleRecord(packet_id, "UL", t_ns, t_ns, CycleOutcome.FAILED_ENERGY)
+        for packet_id, t_ns in enumerate(held, 1)
+    ]
+    assert metrics.cycles[len(held)].start_ns == held[-1] + 10 * NS_PER_S
 
 
 def test_a_scheduled_entry_reads_back_its_time_and_cancellation():

@@ -281,11 +281,11 @@ def _spied(config: ScenarioConfig) -> tuple[Simulator, list[int], list[int]]:
     depletions: list[int] = []
     for name, ticks in (("on_recharged", recharges), ("on_depleted", depletions)):
 
-        def spy(when_ns, callback=getattr(sim.cap, name), ticks=ticks):
+        def spy(when_ns, callback=getattr(sim.device, name), ticks=ticks):
             ticks.append(when_ns)
             callback(when_ns)
 
-        setattr(sim.cap, name, spy)
+        setattr(sim.device, name, spy)
     with shortcuts_off():
         sim.run()
     return sim, recharges, depletions

@@ -4,18 +4,20 @@ The grid is capacitance x harvest power x cycle kind x packet period x
 energy guard, 192 constant-harvest runs of 24 h each. For every run, its
 ``Metrics`` counters, outcome counts and final voltage are hashed and
 compared with the table in ``grid_outcomes.txt``. A change that moves a row
-changes what the engine computes; the table is then regenerated with
+changes what the engine computes. Run as a script,
 
-    PYTHONPATH=src python tests/test_grid_outcomes.py
+    PYTHONPATH=src python tests/test_grid_outcomes.py [--write]
 
-and the reason stated with the change. The regeneration also prints the
-entries the grid scheduled and the crossing solves it made, next to
+it compares the grid with the table: it prints each row that moved, and the
+entries the grid scheduled and the crossing solves it made next to
 ``_ENTRY_BOUND`` and ``_SOLVE_BOUND``, so a change that lowers them can
-tighten the bounds.
+tighten the bounds. It exits 1 if a row moved. Only ``--write`` rewrites
+the table, for a change that moves rows on purpose and states the reason.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 from pathlib import Path
@@ -97,7 +99,23 @@ def test_every_grid_run_ends_as_pinned():
     assert solves <= _SOLVE_BOUND
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Compare the grid's runs with grid_outcomes.txt.")
+    parser.add_argument("--write", action="store_true", help="rewrite the table from this run")
+    args = parser.parse_args(argv)
     digests, entries, solves = run_grid()
-    _TABLE.write_text("".join(f"{key} {digest}\n" for key, digest in digests.items()))
+    pinned = _pinned()
+    moved = [key for key in {**digests, **pinned} if digests.get(key) != pinned.get(key)]
+    for key in moved:
+        print(f"moved: {key} {pinned.get(key)} -> {digests.get(key)}")
+    print(f"{len(moved)} of {len(_GRID)} rows moved")
     print(f"entries {entries:,} (bound {_ENTRY_BOUND:,}), solves {solves:,} (bound {_SOLVE_BOUND:,})")
+    if args.write:
+        _TABLE.write_text("".join(f"{key} {digest}\n" for key, digest in digests.items()))
+        print(f"rewrote {_TABLE.name}")
+        return 0
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
