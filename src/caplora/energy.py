@@ -27,8 +27,9 @@ seconds, except clock and crossing times, which are integer nanoseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
 from .errors import ConfigError
@@ -149,49 +150,6 @@ def propagate_voltage(
     x = -elapsed_s / tau
     v = v_inf * -math.expm1(x) + v0 * math.exp(x)
     return _clamp(v, params.max_voltage_v)
-
-
-def sample_voltages(
-    records: list[TraceRecord],
-    times_ns: range,
-    t0_ns: int,
-    v0: float,
-    g_load: float,
-    g_harv: float,
-    params: CapacitorParams,
-    state: str,
-) -> None:
-    """Append a ``TraceRecord`` in ``state`` for each clock time in ``times_ns``.
-
-    Each voltage is ``propagate_voltage`` from ``v0`` at ``t0_ns`` under the
-    fixed load and harvest, bit for bit: the same asymptote and time
-    constant, the same combination and the same clamp. Raises
-    ``ValueError``, as ``propagate_voltage`` does, for a time before
-    ``t0_ns`` or a negative ``v0``; the times ascend, so one check covers all.
-    """
-    if times_ns and times_ns.start < t0_ns:
-        raise ValueError(f"sample time {times_ns.start} ns is before {t0_ns} ns")
-    if v0 < 0.0:
-        raise ValueError(f"voltage must be >= 0, got {v0}")
-    vmax = params.max_voltage_v
-    append = records.append
-    # Builds a TraceRecord from a plain tuple, without NamedTuple's
-    # Python-level constructor.
-    new = tuple.__new__
-    segment = _segment(g_load, g_harv, params)
-    if segment is None:
-        v = _clamp(v0, vmax)
-        for t_ns in times_ns:
-            append(new(TraceRecord, (t_ns / NS_PER_S, v, state)))
-        return
-    v_inf, tau = segment
-    exp, expm1 = math.exp, math.expm1
-    for t_ns in times_ns:
-        x = -((t_ns - t0_ns) / NS_PER_S) / tau
-        v = v_inf * -expm1(x) + v0 * exp(x)
-        if v > vmax:
-            v = vmax
-        append(new(TraceRecord, (t_ns / NS_PER_S, v, state)))
 
 
 def crossing_time(
@@ -563,21 +521,95 @@ _CSV_ROW = "%.9f,%.9f,%s\n"
 _CSV_CHUNK_ROWS = 4096
 
 
-@dataclass
-class TraceRecorder:
-    """Collects timestamped voltage samples and writes them as CSV."""
+def _span_rows(
+    times_ns: range,
+    t0_ns: int,
+    v0: float,
+    segment: tuple[float, float] | None,
+    max_voltage_v: float,
+    state: str,
+) -> Iterator[tuple[float, float, str]]:
+    """The ``(time_s, voltage_v, state)`` row of each clock time in
+    ``times_ns``, along the trajectory ``segment`` from ``v0`` at ``t0_ns``.
 
-    records: list[TraceRecord] = field(default_factory=list)
+    Each voltage is ``propagate_voltage``'s, bit for bit: the same asymptote
+    and time constant, the same combination and the same clamp.
+    """
+    if segment is None:
+        v = _clamp(v0, max_voltage_v)
+        for t_ns in times_ns:
+            yield t_ns / NS_PER_S, v, state
+        return
+    v_inf, tau = segment
+    exp, expm1 = math.exp, math.expm1
+    for t_ns in times_ns:
+        x = -((t_ns - t0_ns) / NS_PER_S) / tau
+        v = v_inf * -expm1(x) + v0 * exp(x)
+        if v > max_voltage_v:
+            v = max_voltage_v
+        yield t_ns / NS_PER_S, v, state
+
+
+class TraceRecorder:
+    """Collects timestamped voltage samples and writes them as CSV.
+
+    Rows are kept in order as pieces: a row from ``record``, or a span of
+    grid samples along one trajectory from ``record_samples``, whose rows
+    are computed only when they are read or written.
+    """
+
+    def __init__(self) -> None:
+        self._pieces: list[tuple] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
 
     def record(self, time_s: float, voltage_v: float, state: str) -> None:
-        self.records.append(TraceRecord(time_s, voltage_v, state))
+        self._pieces.append((time_s, voltage_v, state))
+        self._count += 1
+
+    def record_samples(
+        self,
+        times_ns: range,
+        t0_ns: int,
+        v0: float,
+        segment: tuple[float, float] | None,
+        max_voltage_v: float,
+        state: str,
+    ) -> None:
+        """Record a row in ``state`` at each clock time in ``times_ns``: the
+        voltage along the trajectory ``segment``, a ``Capacitor.segment``,
+        from ``v0`` at ``t0_ns``, as ``propagate_voltage`` computes it.
+
+        Raises ``ValueError``, as ``propagate_voltage`` does, for a time
+        before ``t0_ns`` or a negative ``v0``; the times ascend, so one
+        check covers all.
+        """
+        if times_ns and times_ns.start < t0_ns:
+            raise ValueError(f"sample time {times_ns.start} ns is before {t0_ns} ns")
+        if v0 < 0.0:
+            raise ValueError(f"voltage must be >= 0, got {v0}")
+        if times_ns:
+            self._pieces.append((times_ns, t0_ns, v0, segment, max_voltage_v, state))
+            self._count += len(times_ns)
+
+    def _rows(self) -> Iterator[tuple[float, float, str]]:
+        """Every row, in order, a span's computed as it is read."""
+        return chain.from_iterable(
+            (piece,) if len(piece) == 3 else _span_rows(*piece) for piece in self._pieces
+        )
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every row, in order, as a new list of ``TraceRecord``."""
+        return list(map(TraceRecord._make, self._rows()))
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("time_s,voltage_V,state\n")
-        records = self.records
-        for start in range(0, len(records), _CSV_CHUNK_ROWS):
-            chunk = records[start : start + _CSV_CHUNK_ROWS]
-            stream.write("".join([_CSV_ROW % rec for rec in chunk]))
+        rows = self._rows()
+        while chunk := [_CSV_ROW % row for row in islice(rows, _CSV_CHUNK_ROWS)]:
+            stream.write("".join(chunk))
 
 
 # Every voltage is >= 0 (see step_coefficients), so only the top clamps.

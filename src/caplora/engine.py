@@ -4,8 +4,10 @@ Time advances on an integer nanosecond clock through a binary heap of
 events, and every event is a state change: a packet, a radio transition, a
 harvest change or a threshold crossing. Nothing is scheduled just to let
 time pass, because the capacitor voltage is known in closed form between
-events. Trace samples on the ``update_interval_s`` grid are computed in
-closed form between events and never touch the heap or the capacitor.
+events. Trace samples on the ``update_interval_s`` grid never touch the
+heap or the capacitor: the grid instants between two entries are kept as
+one span, with the trajectory they follow, and their voltages are
+computed in closed form when the trace is written.
 
 A heap entry is an ``Event``: the list ``[time_ns, seq, action,
 cancelled]``, which ``heapq`` orders in C by time and then by scheduling
@@ -25,8 +27,8 @@ A cancelled entry leaves the capacitor alone, so where a trajectory's
 closed-form step is split depends on the live events only.
 
 A traced run also records the grid samples up to each entry and a row at
-each new instant, a cancelled entry's computed in closed form; in an
-untraced run both recorders return at once.
+each new instant, a cancelled entry's computed in closed form; an
+untraced run calls neither recorder.
 
 A powered-down device schedules no packets. From the depletion on, the
 packet generation is held out of the heap; when the turn-on completes,
@@ -93,7 +95,6 @@ from .energy import (
     crossing_voltage,
     harvester_conductance,
     load_conductance,
-    sample_voltages,
     step_coefficients,
 )
 from .errors import ConfigError
@@ -629,15 +630,16 @@ class Simulator:
 
     def set_device_state(self, state: DeviceState) -> None:
         self.device.state = state
-        self._record_trace()
+        if self.metrics.trace is not None:
+            self._record_trace()
 
     def _record_trace(self) -> None:
-        """Record a row now, once per tick and state: the capacitor's
-        voltage, stepped from its last update as ``Capacitor.update`` steps
-        where a cancelled entry has left it behind."""
+        """Record a row now in a traced run, once per tick and state: the
+        capacitor's voltage, stepped from its last update as
+        ``Capacitor.update`` steps where a cancelled entry has left it
+        behind."""
         recorder = self.metrics.trace
-        if recorder is None:
-            return
+        assert recorder is not None
         now = self.now_ns
         state = self.device.state
         key = (now, state)
@@ -653,29 +655,30 @@ class Simulator:
         recorder.record(now / NS_PER_S, v, state.value)
 
     def _sample_trace(self, until_ns: int) -> None:
-        """Record the grid samples strictly before ``until_ns``.
+        """Record the grid samples strictly before ``until_ns`` in a traced
+        run, as one span.
 
         Each voltage is propagated in closed form from the capacitor's last
-        update under the current load and harvest; the capacitor itself is
-        left untouched. A grid instant at ``until_ns`` is skipped: the record
-        made when the clock moves there covers it.
+        update under the current load and harvest, when the trace is
+        written; the capacitor itself is left untouched. A grid instant at
+        ``until_ns`` is skipped: the record made when the clock moves there
+        covers it.
         """
-        recorder = self.metrics.trace
         t_ns = self._next_sample_ns
-        if recorder is None or t_ns > until_ns:
+        if t_ns > until_ns:
             return
+        recorder = self.metrics.trace
+        assert recorder is not None
         state = self.device.state
         cap = self.cap
         step = self._sample_step_ns
         times = range(t_ns, until_ns, step)
-        sample_voltages(
-            recorder.records,
+        recorder.record_samples(
             times,
             cap.last_update_ns,
             cap.voltage_v,
-            self.g_load[state],
-            self.g_harv,
-            cap.params,
+            cap.segment(self.g_load[state], self.g_harv),
+            cap.params.max_voltage_v,
             state.value,
         )
         t_ns += len(times) * step
@@ -1098,8 +1101,10 @@ class Simulator:
         sample_trace = self._sample_trace
         record_trace = self._record_trace
         follow_crossing = self._follow_crossing
+        traced = self.metrics.trace is not None
         try:
-            record_trace()
+            if traced:
+                record_trace()
             self._on_harvest_change()
             if self._missed_from_ns is None:
                 self._generation = self.schedule_at_ns(self._first_ns, self._on_generate)
@@ -1109,12 +1114,14 @@ class Simulator:
                 time_ns = event[0]
                 if time_ns >= duration_ns:
                     break
-                sample_trace(time_ns)
+                if traced:
+                    sample_trace(time_ns)
                 self.now_ns = time_ns
                 # A cancelled entry leaves the capacitor alone; a traced run
                 # still records a row at its time.
                 if event[3]:
-                    record_trace()
+                    if traced:
+                        record_trace()
                     continue
                 # The capacitor is brought up to a live event's time first,
                 # so a threshold crossing is handled before the event's own
@@ -1126,19 +1133,22 @@ class Simulator:
                     steps.append((time_ns, g))
                 if tick is not None:
                     self._crossed(tick, event)
-                record_trace()
+                if traced:
+                    record_trace()
                 # Read again after a crossing: a depletion cancels the
                 # device's pending event or the generation, either may be
                 # this one.
                 if not event[3]:
                     event[2]()
                 follow_crossing()
-            sample_trace(duration_ns)
+            if traced:
+                sample_trace(duration_ns)
             self.now_ns = duration_ns
             tick = update(duration_ns, g_load[device.state], self.g_harv)
             if tick is not None:
                 self._crossed(tick, None)
-            record_trace()
+            if traced:
+                record_trace()
         except TraceExhaustedError:
             self.metrics.valid = False
         # A held packet due on the last tick, that of an aborted run too,

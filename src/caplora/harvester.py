@@ -196,18 +196,23 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     problems: list[str] = []
     samples: list[tuple[float, float]] = []
     last = -math.inf
+    # The power text of the last well-formed row, and its value: a trace
+    # holds its power over many rows, and a repeated text is parsed once.
+    prev_text, prev_p = None, 0.0
     for lineno, line in enumerate(lines, start=1):
         # Fast path: a well-formed row. float() ignores the whitespace
         # around each field.
         try:
             t_text, p_text = line.split(delimiter)
-            t, p = float(t_text), float(p_text)
+            t = float(t_text)
+            p = prev_p if p_text == prev_text else float(p_text)
         except ValueError:
             pass
         else:
             if last < t < math.inf and 0.0 <= p < math.inf:
                 samples.append((t, p))
                 last = t
+                prev_text, prev_p = p_text, p
                 continue
         problems.extend(_row_problems(line, delimiter, last, origin, lineno))
     if problems:

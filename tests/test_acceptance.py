@@ -401,6 +401,46 @@ def test_09_a_traced_random_harvest_run_is_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def _on_off_trace(path, seed: int, end_s: int):
+    """A harvest trace of 1 s samples up to ``end_s``: on spells of 2-6 mW
+    and dark spells, each of a seeded length."""
+    rng = random.Random(seed)
+    lines = ["time_s,power_w"]
+    t, on = 0, True
+    while t <= end_s:
+        span = rng.randint(120, 900) if on else rng.randint(60, 600)
+        power = f"{rng.uniform(0.002, 0.006):.4g}" if on else "0"
+        for t in range(t, min(t + span, end_s + 1)):
+            lines.append(f"{t},{power}")
+        t += 1
+        on = not on
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_09_a_traced_trace_harvest_run_is_pinned(tmp_path):
+    # A traced 2 h run on an on/off harvest trace, byte for byte: its grid
+    # samples span harvest changes, brownouts and guarded cycles.
+    trace = _on_off_trace(tmp_path / "harvest.csv", seed=11, end_s=7260)
+    args = [
+        "trace",
+        "--set", "harvester.kind=trace",
+        "--set", f"harvester.trace_file={trace}",
+        "--set", "capacitor.capacitance_f=0.01",
+        "--set", "confirmed=true",
+        "--set", "guard_horizon=cycle",
+        "--set", "duration_s=7200",
+        "--set", "sim.seed=5",
+    ]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    pinned = {
+        "results.csv": "92f41eb238f7c2f1a0d386d7fdbfc14ae6c0a321420547d04039432444d41b91",
+        "voltage_trace.csv": "3d3c8559c311332c849c6060336ed4f388703d1175b21832562e93db4d6666ab",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_10_airtime_stays_within_duty_budgets():
     # Under heavy load (5 s reporting period, slowest data rate, retries) the
     # uplink band may carry at most 1% of the run duration plus one frame,

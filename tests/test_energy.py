@@ -19,6 +19,8 @@ from caplora.lorawan import DeviceState
 from caplora.energy import (
     Capacitor,
     CapacitorParams,
+    _CSV_CHUNK_ROWS,
+    _CSV_ROW,
     TraceRecord,
     TraceRecorder,
     _ticks_until,
@@ -31,7 +33,6 @@ from caplora.energy import (
     min_voltage_over_played,
     played_segments,
     propagate_voltage,
-    sample_voltages,
     steady_state_voltage,
     step_coefficients,
 )
@@ -802,6 +803,50 @@ def test_trace_csv_matches_the_csv_module_byte_for_byte():
     assert got.count("\n") == 10_002
 
 
+# Trajectories of a sample span with max_voltage_v = 3.3: a held voltage, a
+# charge that is clamped at the top and a discharge.
+_SPAN_SEGMENTS = (None, (4.0, 0.05), (0.2, 0.8))
+_STATES = tuple(state.value for state in DeviceState)
+
+
+@st.composite
+def _spans(draw, rows=st.integers(1, 40)):
+    t0_ns = draw(st.integers(0, 10**12))
+    start = t0_ns + draw(st.integers(0, 10**9))
+    count = draw(st.just(1) | rows)
+    step = draw(st.just(1) | st.integers(1, 10**9))
+    times = range(start, start + count * step, step)
+    v0 = draw(st.floats(0.0, 3.6))
+    return times, t0_ns, v0, draw(st.sampled_from(_SPAN_SEGMENTS)), 3.3, draw(st.sampled_from(_STATES))
+
+
+_ROWS = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 3.3), st.sampled_from(_STATES))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    pieces=st.lists(_ROWS | _spans(), max_size=8),
+    long_span=_spans(st.integers(_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 300)),
+    long_at=st.integers(0, 8),
+)
+def test_written_rows_are_the_recorded_rows(pieces, long_span, long_at):
+    # Rows and sample spans interleaved, one span longer than a write chunk:
+    # the file is the rows read back, each formatted once, in order.
+    pieces.insert(long_at, long_span)
+    recorder = TraceRecorder()
+    for piece in pieces:
+        if len(piece) == 3:
+            recorder.record(*piece)
+        else:
+            recorder.record_samples(*piece)
+    out = io.StringIO()
+    recorder.write_csv(out)
+    records = recorder.records
+    assert out.getvalue() == "time_s,voltage_V,state\n" + "".join(_CSV_ROW % r for r in records)
+    assert len(recorder) == len(records)
+    assert max(rec.voltage_v for rec in records) <= 3.3
+
+
 @pytest.mark.parametrize(
     "g_load, power_w, v0",
     [
@@ -818,8 +863,10 @@ def test_sampled_voltages_are_propagate_voltage_exactly(g_load, power_w, v0):
     g_harv = harvester_conductance(power_w, params.rail_voltage_v)
     t0_ns = 7_123_456_789
     times = range(t0_ns, t0_ns + 400 * NS_PER_S, 999_999_937)
-    records = []
-    sample_voltages(records, times, t0_ns, v0, g_load, g_harv, params, "Idle")
+    recorder = TraceRecorder()
+    segment = Capacitor(params).segment(g_load, g_harv)
+    recorder.record_samples(times, t0_ns, v0, segment, params.max_voltage_v, "Idle")
+    records = recorder.records
     assert len(records) == len(times)
     assert all(type(rec) is TraceRecord for rec in records)
     for rec, t_ns in zip(records, times):
@@ -872,10 +919,11 @@ def test_no_step_falls_below_zero(v0, steps, g_harv, capacitance_f):
     for elapsed_ns, g_load in steps:
         a, b = step_coefficients(elapsed_ns, cap.segment(g_load, g_harv))
         assert a >= 0.0 and 0.0 <= b <= 1.0
-        records = []
+        recorder = TraceRecorder()
         times = range(t_ns + elapsed_ns, t_ns + elapsed_ns + 1)
-        sample_voltages(records, times, t_ns, cap.voltage_v, g_load, g_harv, params, "Idle")
-        assert records[0].voltage_v >= 0.0
+        segment = cap.segment(g_load, g_harv)
+        recorder.record_samples(times, t_ns, cap.voltage_v, segment, params.max_voltage_v, "Idle")
+        assert recorder.records[0].voltage_v >= 0.0
         t_ns += elapsed_ns
         cap.update(t_ns, g_load, g_harv)
         assert cap.voltage_v >= 0.0
@@ -935,10 +983,14 @@ def test_a_discharge_past_its_margin_has_not_crossed(discharge, tau_s, lead_tick
 def test_sampling_refuses_a_time_before_the_start_or_a_negative_voltage():
     params = make_params()
     g_load = load_conductance(5.5e-6, params.rail_voltage_v)
+    segment = Capacitor(params).segment(g_load, 0.0)
+    vmax = params.max_voltage_v
+    # A span is checked when it is recorded, so writing it never raises.
+    recorder = TraceRecorder()
     with pytest.raises(ValueError, match="before"):
-        sample_voltages([], range(999, 5000, 1000), 1000, 2.0, g_load, 0.0, params, "Idle")
+        recorder.record_samples(range(999, 5000, 1000), 1000, 2.0, segment, vmax, "Idle")
     with pytest.raises(ValueError, match=">= 0"):
-        sample_voltages([], range(1000, 5000, 1000), 1000, -0.1, g_load, 0.0, params, "Idle")
-    records = []
-    sample_voltages(records, range(1000, 1000, 1000), 2000, 2.0, g_load, 0.0, params, "Idle")
-    assert records == []
+        recorder.record_samples(range(1000, 5000, 1000), 1000, -0.1, segment, vmax, "Idle")
+    recorder.record_samples(range(1000, 1000, 1000), 2000, 2.0, segment, vmax, "Idle")
+    assert recorder.records == []
+    assert len(recorder) == 0

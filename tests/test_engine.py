@@ -234,7 +234,7 @@ class _EventRecorder(TraceRecorder):
 
     def record(self, time_s: float, voltage_v: float, state: str) -> None:
         if self.sim.cap.last_update_ns == round(time_s * NS_PER_S):
-            self.event_rows.append(len(self.records))
+            self.event_rows.append(len(self))
         super().record(time_s, voltage_v, state)
 
 
@@ -739,6 +739,30 @@ def test_tracing_is_observation_only(overrides):
     assert results_row(config, traced) == results_row(config, plain)
     assert traced.final_voltage_v == plain.final_voltage_v
     assert traced.depletion_events == plain.depletion_events
+
+
+def test_an_untraced_run_calls_no_trace_helper(monkeypatch):
+    # Neither the run loop nor a state change calls a trace helper when no
+    # trace is kept; the same scenario traced calls both.
+    calls = dict.fromkeys(("_sample_trace", "_record_trace"), 0)
+    for name in calls:
+
+        def counted(self, *args, _name=name, _helper=getattr(Simulator, name)):
+            calls[_name] += 1
+            return _helper(self, *args)
+
+        monkeypatch.setattr(Simulator, name, counted)
+    config = ScenarioConfig(
+        capacitance_f=0.00055,
+        power_w=0.0005,
+        confirmed=True,
+        guard_enabled=False,
+        duration_s=600.0,
+    )
+    assert run_scenario(config).depletion_events > 0
+    assert calls == {"_sample_trace": 0, "_record_trace": 0}
+    run_scenario(replace(config, trace=True))
+    assert calls["_sample_trace"] > 0 and calls["_record_trace"] > 0
 
 
 @pytest.mark.parametrize("duration_s", [600.0, 6 * 3600.0])

@@ -127,6 +127,32 @@ def test_load_trace_reports_both_non_finite_fields_of_a_row():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        (  # a rejected power text is parsed again where it repeats
+            "time_s,power_w\n0,0.002\n1,-0.5\n2,-0.5\n3,0.002\n4,-0.5\n",
+            [":3: negative power -0.5", ":4: negative power -0.5", ":6: negative power -0.5"],
+        ),
+        (  # 0 and 0.0 are two texts of one power
+            "0,0\n1,0.0\n1,0.0\n2,0\n2,0.0\n3,0.0\n",
+            [":3: timestamp 1.0 not after 1.0", ":5: timestamp 2.0 not after 2.0"],
+        ),
+        (
+            "0,0.002\n1,0.002\nx,0.002\n2,0.002\n1.5,0.002\n3,0.002\n",
+            [":3: non-numeric row 'x,0.002'", ":5: timestamp 1.5 not after 2.0"],
+        ),
+        ("0,0.002\n\n1,0.002\n\n1,0.002\n2,0.002\n", [":5: timestamp 1.0 not after 1.0"]),
+    ],
+)
+def test_load_trace_reports_rows_that_repeat_a_power(text, problems):
+    # A power text that repeats the last well-formed row's is parsed once;
+    # every report, and its line number, is as if each row were parsed.
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(io.StringIO(text))
+    assert err.value.problems == [f"<stream>{problem}" for problem in problems]
+
+
 def test_load_trace_keeps_padded_and_blank_rows():
     src = load_trace(io.StringIO("\n  0 , 0.001 \n\n   \n5,\t0.002\n"))
     assert src.power_at(4.0) == 0.001
