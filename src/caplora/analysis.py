@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .harvester import TraceExhaustedError
-from .lorawan import DeviceState, LorawanParams
+from .lorawan import DeviceState, LorawanParams, time_on_air
 
 # The cycle each kind sizes: ``UL`` the uplink alone, ``UL+DL`` on through
 # the reply received in the first window, until its reception completes.
@@ -92,7 +92,8 @@ def _point(base: ScenarioConfig, **changes: object) -> ScenarioConfig:
 def _cycle_shape(
     radio: LorawanParams, g_load: dict[DeviceState, float], kind: str
 ) -> tuple[tuple[float, float], ...]:
-    """The power-independent part of a cycle: its (duration, G_L) segments."""
+    """The power-independent part of a cycle: its (duration, G_L) segments,
+    the uplink's first."""
     if kind not in _KIND_REPLIES:
         raise ValueError(f"unknown cycle kind {kind!r}")
     states = cycle_states(radio, _KIND_REPLIES[kind])
@@ -307,36 +308,38 @@ def mincap_table(
     ]
     radio = lorawan_params(base)
     rail = base.rail_voltage_v
-    max_v = base.max_voltage_v
-    v_low = base.v_th_low_v
-    # LoRa codes a payload in blocks of symbols, so payloads a few bytes
-    # apart have one uplink airtime, and a cycle depends on the payload only
-    # through that airtime: each distinct (data rate, kind, airtime) cycle is
-    # shaped and sized once, at every power.
-    sized: dict[tuple[int, str, float], list[float | None]] = {}
+    g_tx = g_load[DeviceState.TX]
+    bracket = (base.max_voltage_v, base.v_th_low_v, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
     rows = []
     for dr in data_rates:
+        dr_radio = replace(radio, data_rate=dr)
+        # A cycle is its uplink, then a tail that depends on the data rate
+        # and kind only: each tail is played once per power, and joined to
+        # a row's played uplink it is the whole cycle played, as
+        # played_segments plays each segment on its own.
+        tails = [
+            [played_segments(_cycle_shape(dr_radio, g_load, kind)[1:], g, rail) for g, _ in banked]
+            for kind in kinds
+        ]
+        # LoRa codes a payload in blocks of symbols, so payloads a few bytes
+        # apart have one uplink airtime, and a cycle depends on the payload
+        # only through that airtime: each distinct airtime's cycles are
+        # sized once, at every power.
+        sized: dict[float, list[list[float | None]]] = {}
         for payload in payloads_bytes:
-            row_radio = replace(radio, data_rate=dr, ul_payload_bytes=payload)
-            ul_s = row_radio.ul_time_on_air()
-            answers = []
-            for kind in kinds:
-                c_mins = sized.get((dr, kind, ul_s))
-                if c_mins is None:
-                    shape = _cycle_shape(row_radio, g_load, kind)
-                    c_mins = sized[dr, kind, ul_s] = [
-                        min_capacitance_over_played(
-                            v0,
-                            played_segments(shape, g_harv, rail),
-                            max_v,
-                            v_low,
-                            DEFAULT_C_LO_F,
-                            DEFAULT_C_HI_F,
-                            tol_rel,
-                        )
-                        for g_harv, v0 in banked
+            ul_s = time_on_air(
+                payload + dr_radio.mac_overhead_bytes, dr_radio.sf, dr_radio.bandwidth_hz
+            )
+            answers = sized.get(ul_s)
+            if answers is None:
+                heads = [played_segments(((ul_s, g_tx),), g, rail) for g, _ in banked]
+                answers = sized[ul_s] = [
+                    [
+                        min_capacitance_over_played(v0, head + tail, *bracket)
+                        for (_, v0), head, tail in zip(banked, heads, kind_tails)
                     ]
-                answers.append(c_mins)
+                    for kind_tails in tails
+                ]
             for i, power in enumerate(powers_w):
                 for kind, c_mins in zip(kinds, answers):
                     rows.append(MinCapacitanceRow(dr, payload, power, kind, c_mins[i]))

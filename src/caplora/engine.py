@@ -113,6 +113,10 @@ GUARD_HORIZONS = tuple(GUARD_HORIZON_REPLIES)
 # The scenario field holding each device state's current: TURN_ON -> turn_on_a.
 _CURRENT_FIELDS = {state: f"{state.name.lower()}_a" for state in DeviceState}
 
+# Each device state's text in a trace's state column, read once here: the
+# enum's ``value`` goes through a descriptor, which a row would pay for.
+_STATE_NAMES = {state: state.value for state in DeviceState}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -652,7 +656,7 @@ class Simulator:
             segment = cap.segment(self.g_load[state], self.g_harv)
             a, b = step_coefficients(now - cap.last_update_ns, segment)
             v = min(a + v * b, cap.params.max_voltage_v)
-        recorder.record(now / NS_PER_S, v, state.value)
+        recorder.record(now / NS_PER_S, v, _STATE_NAMES[state])
 
     def _sample_trace(self, until_ns: int) -> None:
         """Record the grid samples strictly before ``until_ns`` in a traced
@@ -679,7 +683,7 @@ class Simulator:
             cap.voltage_v,
             cap.segment(self.g_load[state], self.g_harv),
             cap.params.max_voltage_v,
-            state.value,
+            _STATE_NAMES[state],
         )
         t_ns += len(times) * step
         if t_ns == until_ns:

@@ -194,11 +194,14 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     lines = text.splitlines()
     delimiter = ";" if any(";" in line for line in lines[:2]) else ","
     problems: list[str] = []
-    samples: list[tuple[float, float]] = []
+    # The change points, kept as TraceHarvester keeps them: a sample whose
+    # power equals the one before, by value, is no change.
+    points: list[tuple[float, float]] = []
     last = -math.inf
     # The power text of the last well-formed row, and its value: a trace
     # holds its power over many rows, and a repeated text is parsed once.
-    prev_text, prev_p = None, 0.0
+    # NaN differs from every power, so the first sample is a change point.
+    prev_text, prev_p = None, math.nan
     for lineno, line in enumerate(lines, start=1):
         # Fast path: a well-formed row. float() ignores the whitespace
         # around each field.
@@ -210,16 +213,20 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
             pass
         else:
             if last < t < math.inf and 0.0 <= p < math.inf:
-                samples.append((t, p))
+                if p != prev_p:
+                    points.append((t, p))
                 last = t
                 prev_text, prev_p = p_text, p
                 continue
         problems.extend(_row_problems(line, delimiter, last, origin, lineno))
     if problems:
         raise TraceFormatError(problems)
-    if not samples:
+    if not points:
         raise TraceFormatError([f"{origin}: no data rows found"])
-    return TraceHarvester(samples)
+    # The last sample ends the trace, a change point or not.
+    if points[-1][0] != last:
+        points.append((last, prev_p))
+    return TraceHarvester(points)
 
 
 def _row_problems(

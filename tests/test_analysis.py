@@ -328,6 +328,72 @@ def test_mincap_table_equals_min_capacitance_on_random_grids(
     ]
 
 
+@settings(max_examples=150)
+@given(
+    data_rates=st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True),
+    first_payload=st.integers(0, 60),
+    span=st.integers(1, 4),
+    powers_w=st.lists(st.sampled_from((1e-5, 0.001, 1.0)), min_size=1, max_size=2, unique=True),
+    bandwidth_hz=st.floats(125_000.0, 500_000.0),
+    mac_overhead_bytes=st.integers(0, 20),
+    dl_payload_bytes=st.integers(0, 120),
+    rx1_delay_s=st.floats(0.5, 3.0),
+    # Longer than any window 1 drawn: 16 symbols at SF12 and 125 kHz last
+    # 0.52 s, so every draw is a valid scenario.
+    rx_gap_s=st.floats(0.6, 3.0),
+    rx_window_symbols=st.integers(1, 16),
+    rx2_window_symbols=st.none() | st.integers(1, 16),
+    standby_share=st.floats(0.001, 0.9),
+)
+def test_mincap_table_equals_min_capacitance_on_random_radio_settings(
+    data_rates, first_payload, span, powers_w, bandwidth_hz, mac_overhead_bytes,
+    dl_payload_bytes, rx1_delay_s, rx_gap_s, rx_window_symbols, rx2_window_symbols,
+    standby_share,
+):
+    # The table plays each cycle's uplink and its post-TX tail apart. Whatever
+    # radio field either part reads, its rows must equal whole-cycle sizing.
+    base = replace(
+        BASE,
+        bandwidth_hz=bandwidth_hz,
+        mac_overhead_bytes=mac_overhead_bytes,
+        rx1_delay_s=rx1_delay_s,
+        rx2_delay_s=rx1_delay_s + rx_gap_s,
+        rx_window_symbols=rx_window_symbols,
+        rx2_window_symbols=rx2_window_symbols,
+        standby_brief_s=standby_share * rx1_delay_s,
+    )
+    payloads = tuple(range(first_payload, first_payload + span))
+    rows = mincap_table(
+        base,
+        data_rates=data_rates,
+        payloads_bytes=payloads,
+        powers_w=powers_w,
+        dl_payload_bytes=dl_payload_bytes,
+    )
+    assert rows == [
+        MinCapacitanceRow(
+            dr,
+            payload,
+            power,
+            kind,
+            min_capacitance(
+                replace(
+                    base,
+                    data_rate=dr,
+                    ul_payload_bytes=payload,
+                    dl_payload_bytes=dl_payload_bytes,
+                ),
+                kind,
+                power,
+            ),
+        )
+        for dr in data_rates
+        for payload in payloads
+        for power in powers_w
+        for kind in CYCLE_KINDS
+    ]
+
+
 def test_mincap_table_sizes_each_distinct_cycle_once_per_power(monkeypatch):
     kernel = analysis.min_capacitance_over_played
     sized = []

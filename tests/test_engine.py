@@ -144,6 +144,24 @@ def test_trace_sampling_grid():
     assert voltages == sorted(voltages, reverse=True)  # slow sleep discharge
 
 
+def test_trace_state_column_is_each_state_s_text():
+    # Powered down at the start, the device turns on, then sends confirmed
+    # uplinks whose replies it receives: a run through every state.
+    config = ScenarioConfig(
+        initial_voltage_v=1.0,
+        power_w=0.005,
+        confirmed=True,
+        dl_payload_bytes=10,
+        duration_s=600.0,
+        trace=True,
+    )
+    metrics = run_scenario(config)
+    column = {record.state for record in metrics.trace.records}
+    assert column == {str(state) for state in DeviceState}
+    assert column == {state.value for state in DeviceState}
+    assert all(type(text) is str for text in column)
+
+
 def test_depletion_instant_matches_closed_form():
     from caplora.energy import crossing_time, load_conductance
     from caplora.engine import capacitor_params

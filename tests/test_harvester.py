@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caplora import ConfigError, ScenarioConfig, Simulator
 from caplora.clock import NS_PER_S
@@ -158,6 +159,39 @@ def test_load_trace_keeps_padded_and_blank_rows():
     assert src.power_at(4.0) == 0.001
     assert src.power_at(5.0) == 0.002
     assert src.next_change_after(0.0) == 5.0
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(1, 8),
+            # Repeated powers, and 1 mW written two ways.
+            st.sampled_from(("0", "0.001", "1e-3", "0.002", "0.5")),
+            st.sampled_from(("", " ", "\t ")),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    header=st.booleans(),
+    delimiter=st.sampled_from((",", ";")),
+)
+def test_load_trace_keeps_the_change_points_trace_harvester_keeps(rows, header, delimiter):
+    # The parse keeps only the change points and the last sample; they must
+    # be the ones TraceHarvester keeps from every sample, compared by value.
+    lines = [f"time_s{delimiter}power_w"] if header else []
+    samples = []
+    t = 0
+    for step, power, pad, blank_before in rows:
+        t += step
+        if blank_before:
+            lines.append(pad)
+        lines.append(f"{pad}{t / 4}{pad}{delimiter}{pad}{power}{pad}")
+        samples.append((t / 4, float(power)))
+    parsed = load_trace(io.StringIO("\n".join(lines) + "\n"))
+    whole = TraceHarvester(samples)
+    assert (parsed._times, parsed._powers) == (whole._times, whole._powers)
 
 
 def test_load_trace_without_data_rows():
