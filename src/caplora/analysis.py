@@ -8,7 +8,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .device import DlReply, cycle_states
 from .energy import (
@@ -255,36 +255,26 @@ class MinCapacitanceRow(NamedTuple):
     kind: str
     capacitance_f: float | None
 
-    def csv(self) -> str:
-        cell = (
-            INFEASIBLE_MARKER
-            if self.capacitance_f is None
-            else f"{self.capacitance_f:.6g}"
-        )
-        return (
-            f"{self.data_rate},{self.payload_bytes},{self.power_w:.9g},"
-            f"{self.kind},{cell}"
-        )
+
+_Block = TypeVar("_Block")
 
 
-def mincap_table(
+def _sized_cycles(
     config: ScenarioConfig,
-    *,
-    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
-    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
-    powers_w: Sequence[float] = DEFAULT_POWERS_W,
-    kinds: Sequence[str] = CYCLE_KINDS,
-    dl_payload_bytes: int = 39,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> list[MinCapacitanceRow]:
-    """Minimum-capacitance grid over data rate, payload, harvest power, kind.
-
-    The downlink in UL+DL cycles carries ``dl_payload_bytes`` of application
-    payload; uplink-only cycles ignore it. Every row is sized at a constant
-    harvest, so the base scenario must use the constant harvester. Every
-    row's scenario is checked before any is sized; a problem raises
-    ``ConfigError``.
-    """
+    data_rates: Sequence[int],
+    payloads_bytes: Sequence[int],
+    powers_w: Sequence[float],
+    kinds: Sequence[str],
+    dl_payload_bytes: int,
+    tol_rel: float,
+    block: Callable[[list[list[float | None]]], _Block],
+) -> Iterator[tuple[int, int, _Block]]:
+    """The sizing core of ``mincap_table`` and ``mincap_csv``: yield
+    ``(dr, payload, block(answers))`` for each data rate and payload, in grid
+    order, where ``answers[k][i]`` is the minimum capacitance (None if
+    infeasible) of ``kinds[k]`` at ``powers_w[i]``. Payloads of one data rate
+    that share an uplink airtime share one ``block(answers)``, built once.
+    Every row's scenario is checked before the first yield."""
     _require_constant(config, "mincap")
     if any(kind not in _KIND_REPLIES for kind in kinds):
         raise ConfigError([f"mincap kinds must be among {CYCLE_KINDS}"])
@@ -310,40 +300,111 @@ def mincap_table(
     rail = base.rail_voltage_v
     g_tx = g_load[DeviceState.TX]
     bracket = (base.max_voltage_v, base.v_th_low_v, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
-    rows = []
     for dr in data_rates:
         dr_radio = replace(radio, data_rate=dr)
         # A cycle is its uplink, then a tail that depends on the data rate
-        # and kind only: each tail is played once per power, and joined to
-        # a row's played uplink it is the whole cycle played, as
-        # played_segments plays each segment on its own.
-        tails = [
-            [played_segments(_cycle_shape(dr_radio, g_load, kind)[1:], g, rail) for g, _ in banked]
-            for kind in kinds
-        ]
+        # and kind only: each tail is built once and played once per power,
+        # and joined to a row's played uplink it is the whole cycle played,
+        # as played_segments plays each segment on its own.
+        tails = []
+        for kind in kinds:
+            shape = _cycle_shape(dr_radio, g_load, kind)[1:]
+            tails.append([played_segments(shape, g, rail) for g, _ in banked])
         # LoRa codes a payload in blocks of symbols, so payloads a few bytes
         # apart have one uplink airtime, and a cycle depends on the payload
         # only through that airtime: each distinct airtime's cycles are
         # sized once, at every power.
-        sized: dict[float, list[list[float | None]]] = {}
+        blocks: dict[float, _Block] = {}
         for payload in payloads_bytes:
             ul_s = time_on_air(
                 payload + dr_radio.mac_overhead_bytes, dr_radio.sf, dr_radio.bandwidth_hz
             )
-            answers = sized.get(ul_s)
-            if answers is None:
+            sized = blocks.get(ul_s)
+            if sized is None:
                 heads = [played_segments(((ul_s, g_tx),), g, rail) for g, _ in banked]
-                answers = sized[ul_s] = [
+                sized = blocks[ul_s] = block(
                     [
-                        min_capacitance_over_played(v0, head + tail, *bracket)
-                        for (_, v0), head, tail in zip(banked, heads, kind_tails)
+                        [
+                            min_capacitance_over_played(v0, head + tail, *bracket)
+                            for (_, v0), head, tail in zip(banked, heads, kind_tails)
+                        ]
+                        for kind_tails in tails
                     ]
-                    for kind_tails in tails
-                ]
-            for i, power in enumerate(powers_w):
-                for kind, c_mins in zip(kinds, answers):
-                    rows.append(MinCapacitanceRow(dr, payload, power, kind, c_mins[i]))
+                )
+            yield dr, payload, sized
+
+
+def mincap_table(
+    config: ScenarioConfig,
+    *,
+    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
+    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
+    powers_w: Sequence[float] = DEFAULT_POWERS_W,
+    kinds: Sequence[str] = CYCLE_KINDS,
+    dl_payload_bytes: int = 39,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> list[MinCapacitanceRow]:
+    """Minimum-capacitance grid over data rate, payload, harvest power, kind.
+
+    The downlink in UL+DL cycles carries ``dl_payload_bytes`` of application
+    payload; uplink-only cycles ignore it. Every row is sized at a constant
+    harvest, so the base scenario must use the constant harvester. Every
+    row's scenario is checked before any is sized; a problem raises
+    ``ConfigError``.
+    """
+
+    def cells(answers: list[list[float | None]]) -> list[tuple[float, str, float | None]]:
+        return [
+            (power, kind, c_mins[i])
+            for i, power in enumerate(powers_w)
+            for kind, c_mins in zip(kinds, answers)
+        ]
+
+    # tuple.__new__ builds the same row as the NamedTuple's own __new__,
+    # without its keyword handling.
+    new = tuple.__new__
+    rows: list[MinCapacitanceRow] = []
+    for dr, payload, block in _sized_cycles(
+        config, data_rates, payloads_bytes, powers_w, kinds, dl_payload_bytes, tol_rel, cells
+    ):
+        key = (dr, payload)
+        rows += [new(MinCapacitanceRow, key + cell) for cell in block]
     return rows
+
+
+def mincap_csv(
+    config: ScenarioConfig,
+    *,
+    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
+    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
+    powers_w: Sequence[float] = DEFAULT_POWERS_W,
+    kinds: Sequence[str] = CYCLE_KINDS,
+    dl_payload_bytes: int = 39,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> str:
+    """``mincap_table``'s rows as the text of ``min_capacitance.csv``: the
+    ``MINCAP_HEADER`` line, then one ``dr,payload,power,kind,cell`` line per
+    row, the power printed ``.9g`` and the capacitance ``.6g`` or
+    ``INFEASIBLE_MARKER``. A power's text and a block's cells are formatted
+    once, then joined to each payload's ``dr,payload,`` prefix."""
+    power_texts = [f"{power:.9g}" for power in powers_w]
+
+    def cells(answers: list[list[float | None]]) -> list[str]:
+        return [
+            f"{text},{kind},{INFEASIBLE_MARKER if c_min is None else f'{c_min:.6g}'}"
+            for i, text in enumerate(power_texts)
+            for kind, c_min in zip(kinds, [c_mins[i] for c_mins in answers])
+        ]
+
+    lines = [MINCAP_HEADER]
+    for dr, payload, block in _sized_cycles(
+        config, data_rates, payloads_bytes, powers_w, kinds, dl_payload_bytes, tol_rel, cells
+    ):
+        if block:
+            prefix = f"{dr},{payload},"
+            lines.append(prefix + ("\n" + prefix).join(block))
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ from .analysis import (
     DEFAULT_DATA_RATES,
     DEFAULT_PAYLOADS_BYTES,
     DEFAULT_POWERS_W,
-    MINCAP_HEADER,
     expand_grid,
-    mincap_table,
+    mincap_csv,
     run_sweep,
 )
 from .config import ConfigError, parse_config
@@ -88,7 +87,7 @@ def _cmd_run(args: argparse.Namespace, want_trace: bool) -> int:
 
 def _cmd_mincap(args: argparse.Namespace) -> int:
     config, grid = parse_config(args.config, args.overrides)
-    rows = mincap_table(
+    text = mincap_csv(
         config,
         data_rates=grid.data_rates or DEFAULT_DATA_RATES,
         payloads_bytes=grid.payloads_bytes or DEFAULT_PAYLOADS_BYTES,
@@ -97,9 +96,10 @@ def _cmd_mincap(args: argparse.Namespace) -> int:
     )
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    lines = [MINCAP_HEADER] + [row.csv() for row in rows]
-    (out / "min_capacitance.csv").write_text("\n".join(lines) + "\n")
-    print(f"{len(rows)} grid points -> {out / 'min_capacitance.csv'}")
+    (out / "min_capacitance.csv").write_text(text)
+    # One line per grid point, after the header line.
+    points = text.count("\n") - 1
+    print(f"{points} grid points -> {out / 'min_capacitance.csv'}")
     return 0
 
 

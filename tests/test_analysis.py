@@ -26,6 +26,7 @@ from caplora.analysis import (
     min_capacitance,
     min_capacitance_for_target,
     min_voltage_over_cycle,
+    mincap_csv,
     mincap_table,
     peak_success_capacitance,
     run_sweep,
@@ -175,22 +176,22 @@ def test_engine_agrees_with_analytic_boundary():
 
 
 def test_mincap_table_rows_and_csv():
-    rows = mincap_table(
-        BASE,
-        data_rates=(3, 5),
-        payloads_bytes=(10,),
-        powers_w=(0.001, 1e-5),
-        kinds=CYCLE_KINDS,
-    )
+    grid = dict(data_rates=(3, 5), payloads_bytes=(10,), powers_w=(0.001, 1e-5), kinds=CYCLE_KINDS)
+    rows = mincap_table(BASE, **grid)
     assert len(rows) == 2 * 1 * 2 * 2
     assert MINCAP_HEADER == "dr,payload_bytes,P_harvest_W,kind,min_C_farads"
-    by_key = {(r.data_rate, r.power_w, r.kind): r for r in rows}
-    feasible = by_key[(3, 0.001, "UL")]
+    header, *lines = mincap_csv(BASE, **grid).splitlines()
+    assert header == MINCAP_HEADER
+    # One line per row, in the rows' order.
+    by_key = {
+        (r.data_rate, r.power_w, r.kind): (r, line) for r, line in zip(rows, lines, strict=True)
+    }
+    feasible, line = by_key[(3, 0.001, "UL")]
     assert feasible.capacitance_f is not None
-    assert feasible.csv().startswith("3,10,0.001,UL,")
-    infeasible = by_key[(3, 1e-5, "UL")]
+    assert line.startswith("3,10,0.001,UL,")
+    infeasible, line = by_key[(3, 1e-5, "UL")]
     assert infeasible.capacitance_f is None
-    assert infeasible.csv().endswith(INFEASIBLE_MARKER)
+    assert line.endswith(INFEASIBLE_MARKER)
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import tempfile
+from contextlib import redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import caplora.cli
 import caplora.engine
+from caplora.analysis import (
+    CYCLE_KINDS,
+    DEFAULT_C_LO_F,
+    MINCAP_HEADER,
+    MinCapacitanceRow,
+    mincap_table,
+)
 from caplora.cli import main
-from caplora.engine import RESULTS_HEADER
+from caplora.config import parse_config
+from caplora.engine import RESULTS_HEADER, lorawan_params
 from caplora.harvester import load_trace
 
 from conftest import empty_stores
@@ -172,6 +186,81 @@ def test_default_mincap_table_is_pinned(tmp_path, capsys):
         hashlib.sha256(data).hexdigest()
         == "1f7f769c8ffaa402ddd4e1fdd05dc2f82d613469225ffc5d8508f63b1fdd1685"
     )
+
+
+def test_mincap_csv_is_each_row_formatted_on_its_own():
+    # The writer formats each power once and each (data rate, airtime)
+    # block of cells once, then joins each payload's prefix to them; its
+    # file must read as if every row were formatted alone.
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data_rates=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+        # Consecutive payloads mostly share an airtime; shuffled, a payload
+        # can follow one of another airtime and precede one of its own.
+        payloads=st.tuples(st.integers(0, 60), st.integers(1, 6)).flatmap(
+            lambda span: st.permutations(range(span[0], span[0] + span[1]))
+        ),
+        # No harvest and 1 nW are infeasible; from 100 W on a row fits at the
+        # bracket floor, 1 uF.
+        powers=st.lists(
+            st.sampled_from((0.0, 1e-9, 2.5e-4, 0.001, 0.0123456789, 100.0, 250.0)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+        kinds=st.lists(st.sampled_from(CYCLE_KINDS), min_size=1, max_size=2, unique=True),
+    )
+    def check(data_rates, payloads, powers, kinds):
+        overrides = [
+            f"sweep.data_rate={','.join(map(str, data_rates))}",
+            f"sweep.payload_bytes={','.join(map(str, payloads))}",
+            f"sweep.power_w={','.join(map(repr, powers))}",
+            f"sweep.kind={','.join(kinds)}",
+        ]
+        with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()) as stdout:
+            argv = ["mincap", *(arg for item in overrides for arg in ("--set", item))]
+            assert main([*argv, "--out", out]) == 0
+            path = Path(out) / "min_capacitance.csv"
+            text = path.read_text()
+        config, grid = parse_config(None, overrides)
+        rows = mincap_table(
+            config,
+            data_rates=grid.data_rates,
+            payloads_bytes=grid.payloads_bytes,
+            powers_w=grid.powers_w,
+            kinds=grid.kinds,
+        )
+        assert text.splitlines() == [MINCAP_HEADER] + [
+            f"{dr},{payload},{power:.9g},{kind},{'infeasible' if cell is None else f'{cell:.6g}'}"
+            for dr, payload, power, kind, cell in rows
+        ]
+        assert text.endswith("\n")
+        assert stdout.getvalue() == f"{len(rows)} grid points -> {path}\n"
+        # Rows built without the NamedTuple's own __new__ are still rows.
+        for row in rows:
+            assert type(row) is MinCapacitanceRow
+            assert row._fields == ("data_rate", "payload_bytes", "power_w", "kind", "capacitance_f")
+        airtimes = {
+            (dr, lorawan_params(replace(config, data_rate=dr, ul_payload_bytes=p)).ul_time_on_air())
+            for dr in grid.data_rates
+            for p in grid.payloads_bytes
+        }
+        if len(airtimes) < len(grid.data_rates) * len(grid.payloads_bytes):
+            seen.add("shared airtime")
+        if len({row.data_rate for row in rows}) > 1:
+            seen.add("several data rates")
+        seen.update(row.kind for row in rows)
+        seen.update(
+            "infeasible" if c is None else "floor" if c == DEFAULT_C_LO_F else "bisected"
+            for *_, c in rows
+        )
+
+    check()
+    assert seen == {
+        "shared airtime", "several data rates", *CYCLE_KINDS, "infeasible", "floor", "bisected"
+    }
 
 
 def test_mincap_rejects_repeated_axis_values(tmp_path, capsys):

@@ -70,6 +70,12 @@ def constant_harvest_runs(draw) -> ScenarioConfig:
         generate_while_off=draw(st.booleans()),
         # At most 100 packets, and at most an hour.
         duration_s=min(3600.0, period_s * draw(st.floats(0.5, 100.0))),
+        # mincap's own axes: a long uplink at data rate 0 runs into the
+        # duty budget, and a large reply stretches a confirmed cycle.
+        data_rate=draw(st.integers(0, 5)),
+        ul_payload_bytes=draw(st.integers(0, 242)),
+        dl_payload_bytes=draw(st.integers(0, 242)),
+        mac_overhead_bytes=draw(st.integers(0, 20)),
     )
 
 
