@@ -50,6 +50,8 @@ DEFAULT_POWERS_W = (0.0001, 0.001, 0.01)
 DEFAULT_C_LO_F = 1e-6
 DEFAULT_C_HI_F = 10.0
 DEFAULT_TOL_REL = 0.01
+# Application payload of the downlink in a mincap UL+DL cycle.
+DEFAULT_DL_PAYLOAD_BYTES = 39
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,7 @@ def mincap_table(
     payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
     powers_w: Sequence[float] = DEFAULT_POWERS_W,
     kinds: Sequence[str] = CYCLE_KINDS,
-    dl_payload_bytes: int = 39,
+    dl_payload_bytes: int = DEFAULT_DL_PAYLOAD_BYTES,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> list[MinCapacitanceRow]:
     """Minimum-capacitance grid over data rate, payload, harvest power, kind.
@@ -360,15 +362,11 @@ def mincap_table(
             for kind, c_mins in zip(kinds, answers)
         ]
 
-    # tuple.__new__ builds the same row as the NamedTuple's own __new__,
-    # without its keyword handling.
-    new = tuple.__new__
     rows: list[MinCapacitanceRow] = []
     for dr, payload, block in _sized_cycles(
         config, data_rates, payloads_bytes, powers_w, kinds, dl_payload_bytes, tol_rel, cells
     ):
-        key = (dr, payload)
-        rows += [new(MinCapacitanceRow, key + cell) for cell in block]
+        rows += [MinCapacitanceRow(dr, payload, *cell) for cell in block]
     return rows
 
 
@@ -379,14 +377,13 @@ def mincap_csv(
     payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
     powers_w: Sequence[float] = DEFAULT_POWERS_W,
     kinds: Sequence[str] = CYCLE_KINDS,
-    dl_payload_bytes: int = 39,
-    tol_rel: float = DEFAULT_TOL_REL,
 ) -> str:
-    """``mincap_table``'s rows as the text of ``min_capacitance.csv``: the
-    ``MINCAP_HEADER`` line, then one ``dr,payload,power,kind,cell`` line per
-    row, the power printed ``.9g`` and the capacitance ``.6g`` or
-    ``INFEASIBLE_MARKER``. A power's text and a block's cells are formatted
-    once, then joined to each payload's ``dr,payload,`` prefix."""
+    """``mincap_table``'s rows, at its default downlink payload and
+    tolerance, as the text of ``min_capacitance.csv``: the ``MINCAP_HEADER``
+    line, then one ``dr,payload,power,kind,cell`` line per row, the power
+    printed ``.9g`` and the capacitance ``.6g`` or ``INFEASIBLE_MARKER``. A
+    power's text and a block's cells are formatted once, then joined to each
+    payload's ``dr,payload,`` prefix."""
     power_texts = [f"{power:.9g}" for power in powers_w]
 
     def cells(answers: list[list[float | None]]) -> list[str]:
@@ -398,7 +395,14 @@ def mincap_csv(
 
     lines = [MINCAP_HEADER]
     for dr, payload, block in _sized_cycles(
-        config, data_rates, payloads_bytes, powers_w, kinds, dl_payload_bytes, tol_rel, cells
+        config,
+        data_rates,
+        payloads_bytes,
+        powers_w,
+        kinds,
+        DEFAULT_DL_PAYLOAD_BYTES,
+        DEFAULT_TOL_REL,
+        cells,
     ):
         if block:
             prefix = f"{dr},{payload},"

@@ -87,18 +87,17 @@ def _cmd_run(args: argparse.Namespace, want_trace: bool) -> int:
 
 def _cmd_mincap(args: argparse.Namespace) -> int:
     config, grid = parse_config(args.config, args.overrides)
+    data_rates = grid.data_rates or DEFAULT_DATA_RATES
+    payloads = grid.payloads_bytes or DEFAULT_PAYLOADS_BYTES
+    powers = grid.powers_w or DEFAULT_POWERS_W
+    kinds = grid.kinds or CYCLE_KINDS
     text = mincap_csv(
-        config,
-        data_rates=grid.data_rates or DEFAULT_DATA_RATES,
-        payloads_bytes=grid.payloads_bytes or DEFAULT_PAYLOADS_BYTES,
-        powers_w=grid.powers_w or DEFAULT_POWERS_W,
-        kinds=grid.kinds or CYCLE_KINDS,
+        config, data_rates=data_rates, payloads_bytes=payloads, powers_w=powers, kinds=kinds
     )
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "min_capacitance.csv").write_text(text)
-    # One line per grid point, after the header line.
-    points = text.count("\n") - 1
+    points = len(data_rates) * len(payloads) * len(powers) * len(kinds)
     print(f"{points} grid points -> {out / 'min_capacitance.csv'}")
     return 0
 

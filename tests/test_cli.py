@@ -238,7 +238,6 @@ def test_mincap_csv_is_each_row_formatted_on_its_own():
         ]
         assert text.endswith("\n")
         assert stdout.getvalue() == f"{len(rows)} grid points -> {path}\n"
-        # Rows built without the NamedTuple's own __new__ are still rows.
         for row in rows:
             assert type(row) is MinCapacitanceRow
             assert row._fields == ("data_rate", "payload_bytes", "power_w", "kind", "capacitance_f")
