@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .clock import NS_PER_S
 from .energy import CapacitorParams, min_voltage_over_played, played_segments
@@ -118,6 +118,14 @@ def smart_tx_guard(
     cutoff threshold anywhere along it.
     """
     played = played_segments(segments, g_harv, cap_params.rail_voltage_v)
+    return _holds_above_cutoff(voltage_v, played, cap_params)
+
+
+def _holds_above_cutoff(
+    voltage_v: float, played: Iterable[tuple[float, float, float]], cap_params: CapacitorParams
+) -> bool:
+    """The guard's rule: whether the voltage stays at or above the cutoff
+    threshold while ``played_segments`` output plays from ``voltage_v``."""
     predicted = min_voltage_over_played(
         voltage_v, played, cap_params.capacitance_f, cap_params.max_voltage_v
     )
@@ -167,11 +175,14 @@ class _Cycle:
     delivered: bool = False
 
 
-def cycle_tables(params: LorawanParams, guard_horizon: str) -> tuple:
+def cycle_tables(
+    params: LorawanParams, guard_horizon: str, g_load: Mapping[DeviceState, float]
+) -> tuple:
     """What every cycle of a device with ``params`` walks, in clock ticks:
     the params, the uplink's airtime and ticks, the reboot's ticks, the
-    downlink airtimes, the post-TX steps per reply and the states the
-    ``guard_horizon`` looks ahead over. The mapping is read-only, so the
+    downlink airtimes, the post-TX steps per reply and the ``(duration,
+    g_load)`` segments the ``guard_horizon`` looks ahead over, each state's
+    load conductance from ``g_load``. The mapping is read-only, so the
     tables can be shared by every device built from them."""
     ul_s = params.ul_time_on_air()
     # The replies' sequences repeat steps; each distinct step is one pair,
@@ -184,7 +195,10 @@ def cycle_tables(params: LorawanParams, guard_horizon: str) -> tuple:
         )
         for reply in DlReply
     }
-    horizon = tuple(cycle_states(params, GUARD_HORIZON_REPLIES[guard_horizon]))
+    horizon = tuple(
+        (duration, g_load[state])
+        for state, duration in cycle_states(params, GUARD_HORIZON_REPLIES[guard_horizon])
+    )
     return (params, ul_s, round(ul_s * NS_PER_S), round(params.turn_on_s * NS_PER_S),
             params.dl_airtimes_s(), MappingProxyType(post_tx), horizon)
 
@@ -196,7 +210,7 @@ class LorawanDevice:
     def __init__(self, sim: Simulator, tables: tuple) -> None:
         self.sim = sim
         (self.params, self._ul_time_on_air_s, self._ul_ticks, self._turn_on_ticks,
-         self._dl_airtimes_s, self._post_tx, horizon) = tables
+         self._dl_airtimes_s, self._post_tx, self._guard_horizon) = tables
         self.state = (
             DeviceState.OFF if sim.cap.depleted else DeviceState.SLEEP
         )
@@ -209,11 +223,11 @@ class LorawanDevice:
         # The post-TX steps being walked, and the index of the next one.
         self._steps: tuple[tuple[DeviceState, int], ...] = ()
         self._step = 0
-        # The energy guard's horizon as ``(duration, g_load)`` segments.
-        self._guard_horizon = tuple(
-            (duration, sim.g_load[state])
-            for state, duration in horizon
-        )
+        # The guard's horizon played at the harvest conductance
+        # ``_played_g_harv``, None before the first answer: played again
+        # only when the harvest changes.
+        self._played: tuple[tuple[float, float, float], ...] = ()
+        self._played_g_harv: float | None = None
 
     @property
     def kind(self) -> str:
@@ -260,10 +274,14 @@ class LorawanDevice:
         self._pending = self.sim.schedule_at_ns(now + self._ul_ticks, self._on_tx_end)
 
     def guard_allows(self, voltage_v: float) -> bool:
-        """The energy guard's answer at ``voltage_v`` under the current harvest."""
-        return smart_tx_guard(
-            voltage_v, self._guard_horizon, self.sim.g_harv, self.sim.cap.params
-        )
+        """The energy guard's answer at ``voltage_v`` under the current
+        harvest: ``smart_tx_guard``'s over the guard's horizon."""
+        cap_params = self.sim.cap.params
+        g_harv = self.sim.g_harv
+        if g_harv != self._played_g_harv:
+            self._played = played_segments(self._guard_horizon, g_harv, cap_params.rail_voltage_v)
+            self._played_g_harv = g_harv
+        return _holds_above_cutoff(voltage_v, self._played, cap_params)
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None

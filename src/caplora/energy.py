@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import IO, Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import IO, Iterable, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
 from .errors import ConfigError
@@ -520,34 +520,65 @@ class TraceRecord(NamedTuple):
 _CSV_ROW = "%.9f,%.9f,%s\n"
 _CSV_CHUNK_ROWS = 4096
 
+# ``"%.9f" % (t_ns / NS_PER_S)`` prints ``"%d.%09d" % divmod(t_ns, NS_PER_S)``
+# for every clock time below _EXACT_NS: there half a float's spacing is below
+# half a nanosecond, so the nearest nanosecond is ``t_ns``'s own. A whole
+# second prints so while it is a float, below _EXACT_WHOLE_NS.
+_EXACT_NS = 2**23 * NS_PER_S
+_EXACT_WHOLE_NS = 2**53 * NS_PER_S
 
-def _span_rows(
+
+def _span_voltages(
     times_ns: range,
     t0_ns: int,
     v0: float,
     segment: tuple[float, float] | None,
     max_voltage_v: float,
-    state: str,
-) -> Iterator[tuple[float, float, str]]:
-    """The ``(time_s, voltage_v, state)`` row of each clock time in
-    ``times_ns``, along the trajectory ``segment`` from ``v0`` at ``t0_ns``.
+) -> list[float]:
+    """The voltage at each clock time in ``times_ns`` along the trajectory
+    ``segment`` from ``v0`` at ``t0_ns``.
 
     Each voltage is ``propagate_voltage``'s, bit for bit: the same asymptote
     and time constant, the same combination and the same clamp.
     """
     if segment is None:
-        v = _clamp(v0, max_voltage_v)
-        for t_ns in times_ns:
-            yield t_ns / NS_PER_S, v, state
-        return
+        return [_clamp(v0, max_voltage_v)] * len(times_ns)
     v_inf, tau = segment
     exp, expm1 = math.exp, math.expm1
+    voltages = []
+    append = voltages.append
     for t_ns in times_ns:
         x = -((t_ns - t0_ns) / NS_PER_S) / tau
         v = v_inf * -expm1(x) + v0 * exp(x)
-        if v > max_voltage_v:
-            v = max_voltage_v
-        yield t_ns / NS_PER_S, v, state
+        append(max_voltage_v if v > max_voltage_v else v)
+    return voltages
+
+
+def _span_text(times_ns: range, voltages: list[float], state: str) -> str:
+    """The CSV rows, each ``_CSV_ROW``'s text, of a span's clock times with
+    their voltages, formatted in one call.
+
+    On whole-second steps every time has the same nanoseconds ``frac``, so
+    where that text is its seconds and ``frac`` (see _EXACT_NS), the rows
+    print from their seconds through one template.
+    """
+    start_s, frac = divmod(times_ns.start, NS_PER_S)
+    step_s, step_frac = divmod(times_ns.step, NS_PER_S)
+    last_ns = times_ns[-1]
+    rows = len(times_ns)
+    if step_frac == 0 and 0 <= times_ns.start and (
+        last_ns < _EXACT_NS or frac == 0 and last_ns < _EXACT_WHOLE_NS
+    ):
+        template = f"%d.{frac:09d},%.9f,{state.replace('%', '%%')}\n"
+        values: list = [None] * (2 * rows)
+        values[::2] = range(start_s, last_ns // NS_PER_S + 1, step_s)
+        values[1::2] = voltages
+    else:
+        template = _CSV_ROW
+        values = [state] * (3 * rows)
+        values[::3] = [t_ns / NS_PER_S for t_ns in times_ns]
+        values[1::3] = voltages
+    return (template * rows) % tuple(values)
 
 
 class TraceRecorder:
@@ -594,22 +625,44 @@ class TraceRecorder:
             self._pieces.append((times_ns, t0_ns, v0, segment, max_voltage_v, state))
             self._count += len(times_ns)
 
-    def _rows(self) -> Iterator[tuple[float, float, str]]:
-        """Every row, in order, a span's computed as it is read."""
-        return chain.from_iterable(
-            (piece,) if len(piece) == 3 else _span_rows(*piece) for piece in self._pieces
-        )
-
     @property
     def records(self) -> list[TraceRecord]:
         """Every row, in order, as a new list of ``TraceRecord``."""
-        return list(map(TraceRecord._make, self._rows()))
+        records: list[TraceRecord] = []
+        for piece in self._pieces:
+            if len(piece) == 3:
+                records.append(TraceRecord._make(piece))
+            else:
+                times_ns, *trajectory, state = piece
+                times_s = [t_ns / NS_PER_S for t_ns in times_ns]
+                voltages = _span_voltages(times_ns, *trajectory)
+                records += map(TraceRecord, times_s, voltages, repeat(state))
+        return records
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write("time_s,voltage_V,state\n")
-        rows = self._rows()
-        while chunk := [_CSV_ROW % row for row in islice(rows, _CSV_CHUNK_ROWS)]:
-            stream.write("".join(chunk))
+        """Write the header and every row, in order, in chunks of about
+        ``_CSV_CHUNK_ROWS`` rows: a long span is computed a chunk at a time."""
+        write = stream.write
+        write("time_s,voltage_V,state\n")
+        texts: list[str] = []
+        rows = 0
+        for piece in self._pieces:
+            if len(piece) == 3:
+                texts.append(_CSV_ROW % piece)
+                rows += 1
+            else:
+                times_ns, *trajectory, state = piece
+                for at in range(0, len(times_ns), _CSV_CHUNK_ROWS):
+                    part = times_ns[at:at + _CSV_CHUNK_ROWS]
+                    texts.append(_span_text(part, _span_voltages(part, *trajectory), state))
+                    rows += len(part)
+                    if rows >= _CSV_CHUNK_ROWS:
+                        write("".join(texts))
+                        texts, rows = [], 0
+            if rows >= _CSV_CHUNK_ROWS:
+                write("".join(texts))
+                texts, rows = [], 0
+        write("".join(texts))
 
 
 # Every voltage is >= 0 (see step_coefficients), so only the top clamps.

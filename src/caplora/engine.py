@@ -35,11 +35,12 @@ packet generation is held out of the heap; when the turn-on completes,
 every packet that fell due meanwhile, up to and including that tick, fails
 for want of energy at its own tick (``Simulator.resume_packets``).
 
-Each device state's load current becomes a conductance once per run
+Each device state's load current becomes a conductance once per scenario
 (``ScenarioConfig.load_conductances``); the capacitor, the trace samples and
 the energy guard look that conductance up by state. Validating a scenario
-builds what its runs fix: the CapacitorParams, the device's cycle tables
-and the first packet's tick. One store keeps them for each valid scenario
+builds what its runs fix: the CapacitorParams, those conductances, the
+device's cycle tables with the guard's horizon, and the first packet's
+tick. One store keeps them for each valid scenario
 and shares them with every run of an equal one (``_parts_of``), so a
 sweep's up-front check and its runs, and a study that runs a scenario
 again, validate and build it once.
@@ -76,7 +77,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .clock import NS_PER_S, TICK_S
 from .device import (
@@ -477,10 +479,14 @@ def _build_harvester(config: ScenarioConfig) -> HarvestSource:
     )
 
 
-def _build_parts(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
+_Parts = tuple[CapacitorParams, Mapping[DeviceState, float], tuple, int]
+
+
+def _build_parts(config: ScenarioConfig) -> _Parts:
     """Validate ``config`` and build what every run of it fixes: its
-    CapacitorParams, its device's ``cycle_tables`` and the first packet's
-    tick. Raise one ConfigError with every violated constraint instead.
+    CapacitorParams, each device state's load conductance, read-only, its
+    device's ``cycle_tables`` and the first packet's tick. Raise one
+    ConfigError with every violated constraint instead.
 
     The capacitor, the radio and the constant or random harvester check
     their own parameters; a trace file is not read here.
@@ -502,9 +508,10 @@ def _build_parts(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
     first_packet_s = config.first_packet_s
     if first_packet_s is None:
         first_packet_s = random.Random(config.seed).uniform(0.0, config.packet_period_s)
+    g_load = MappingProxyType(config.load_conductances())
+    tables = cycle_tables(parts[1], config.guard_horizon, g_load)
     # Rounded only now: a non-finite time would crash the rounding.
-    tables = cycle_tables(parts[1], config.guard_horizon)
-    return parts[0], tables, round(first_packet_s * NS_PER_S)
+    return parts[0], g_load, tables, round(first_packet_s * NS_PER_S)
 
 
 # The parts (``_build_parts``) of each scenario found valid, by its field
@@ -514,11 +521,11 @@ def _build_parts(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
 # with a problem, or with a value that cannot be hashed, is never kept. At
 # most _PART_MEMORY scenarios are kept; a full store is emptied.
 _PART_MEMORY = 1024
-_scenario_parts: dict[tuple, tuple[CapacitorParams, tuple, int]] = {}
+_scenario_parts: dict[tuple, _Parts] = {}
 _scenario_fields = attrgetter(*(name for name, _ in _FIELD_TIMES))
 
 
-def _parts_of(config: ScenarioConfig) -> tuple[CapacitorParams, tuple, int]:
+def _parts_of(config: ScenarioConfig) -> _Parts:
     """``_build_parts(config)``, shared read-only by every equal scenario."""
     values = _scenario_fields(config)
     key = (values, tuple(map(type, values)))
@@ -567,11 +574,10 @@ class Simulator:
     """Runs one scenario to completion and reports its metrics."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        cap_params, tables, self._first_ns = _parts_of(config)
+        cap_params, self.g_load, tables, self._first_ns = _parts_of(config)
         self.config = config
         self.cap = Capacitor(cap_params)
         self.harvester = _build_harvester(config)
-        self.g_load = config.load_conductances()
         self.metrics = Metrics()
         if config.trace:
             self.metrics.trace = TraceRecorder()

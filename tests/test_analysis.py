@@ -32,7 +32,7 @@ from caplora.analysis import (
     run_sweep,
     success_curve,
 )
-from caplora.engine import RESULTS_HEADER, capacitor_params
+from caplora.engine import RESULTS_HEADER, capacitor_params, validate_scenario
 from caplora.harvester import TraceExhaustedError
 from conftest import stepwise_min_voltage
 
@@ -173,6 +173,53 @@ def test_engine_agrees_with_analytic_boundary():
         assert c_min is not None
         assert engine_cycle_feasible(config, kind, c_min)
         assert not engine_cycle_feasible(config, kind, 0.9 * c_min)
+
+
+@st.composite
+def _sized_scenarios(draw) -> tuple[ScenarioConfig, str, float]:
+    """A valid scenario, a cycle kind and a power to size it at: radio,
+    thresholds, currents and receive delays drawn wherever validation
+    accepts them."""
+    max_voltage_v = draw(st.sampled_from((3.1, 3.3)))
+    rx1_delay_s = draw(st.floats(0.5, 3.0))
+    config = replace(
+        BASE,
+        data_rate=draw(st.integers(0, 5)),
+        ul_payload_bytes=draw(st.integers(0, 242)),
+        dl_payload_bytes=draw(st.integers(0, 242)),
+        max_voltage_v=max_voltage_v,
+        initial_voltage_v=max_voltage_v,
+        v_th_low_v=draw(st.floats(1.6, 2.4)),
+        v_th_high_v=draw(st.floats(2.5, 3.0)),
+        tx_a=draw(st.floats(5e-3, 50e-3)),
+        rx_a=draw(st.floats(2e-3, 20e-3)),
+        standby_a=draw(st.floats(1e-6, 15e-3)),
+        idle_a=draw(st.floats(1e-6, 1e-3)),
+        rx1_delay_s=rx1_delay_s,
+        # Longer than window 1 at SF12: 8 symbols last 0.26 s.
+        rx2_delay_s=rx1_delay_s + draw(st.floats(0.6, 3.0)),
+        standby_brief_s=draw(st.floats(0.001, 0.9)) * rx1_delay_s,
+    )
+    power_w = 10 ** draw(st.floats(-5.0, math.log10(3e-2)))
+    return config, draw(st.sampled_from(CYCLE_KINDS)), power_w
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_sized_scenarios())
+def test_analytic_sizing_agrees_with_the_engine_on_any_scenario(sized):
+    # The paper's own validation, over every field the sizing reads: no
+    # answer means the largest capacitor fails in the engine too, an answer
+    # completes a cycle there, and one a bracket step below it does not.
+    config, kind, power_w = sized
+    assert validate_scenario(config) == []
+    answer = min_capacitance(config, kind, power_w)
+    if answer is None:
+        assert not engine_cycle_feasible(config, kind, DEFAULT_C_HI_F, power_w)
+        return
+    assert engine_cycle_feasible(config, kind, answer, power_w)
+    if answer > DEFAULT_C_LO_F:
+        below = answer / (1.0 + 2.0 * DEFAULT_TOL_REL)
+        assert not engine_cycle_feasible(config, kind, below, power_w)
 
 
 def test_mincap_table_rows_and_csv():

@@ -13,9 +13,11 @@ import caplora
 from caplora import ScenarioConfig, Simulator, run_scenario
 from caplora.clock import NS_PER_S
 from caplora.device import (
+    GUARD_HORIZON_REPLIES,
     CycleOutcome,
     DlReply,
     Gateway,
+    LorawanDevice,
     cycle_states,
     post_tx_sequence,
     smart_tx_guard,
@@ -165,6 +167,53 @@ def test_guard_skips_are_counted_and_recorded():
     assert metrics.skipped_by_guard == 4
     assert metrics.delivered_ul == 0
     assert all(c.outcome is CycleOutcome.SKIPPED_GUARD for c in metrics.cycles)
+
+
+@pytest.mark.parametrize("horizon", GUARD_HORIZON_REPLIES)
+def test_the_guard_plays_its_horizon_once_per_harvest_step(tmp_path, monkeypatch, horizon):
+    # On a trace that steps between five harvest levels, two of them dark,
+    # every guard answer is smart_tx_guard's at the harvest of its moment,
+    # and the horizon is played again only when that harvest changed.
+    levels = (0.004, 0.0, 0.0008, 0.0, 0.002, 0.0003)
+    trace = tmp_path / "steps.csv"
+    trace.write_text(
+        "time_s,power_w\n" + "".join(f"{t},{levels[t // 300 % 6]}\n" for t in range(0, 3601, 300))
+    )
+    config = ScenarioConfig(
+        harvester="trace",
+        trace_file=str(trace),
+        capacitance_f=0.01,
+        packet_period_s=20.0,
+        confirmed=True,
+        guard_horizon=horizon,
+        duration_s=3600.0,
+    )
+    answers = []
+    allows = LorawanDevice.guard_allows
+
+    def spy(device, voltage_v):
+        answer = allows(device, voltage_v)
+        answers.append((voltage_v, device.sim.g_harv, answer))
+        return answer
+
+    plays = []
+    play = caplora.device.played_segments
+    monkeypatch.setattr(caplora.device, "played_segments", lambda *args: plays.append(args[1]) or play(*args))
+    monkeypatch.setattr(LorawanDevice, "guard_allows", spy)
+    metrics = run_scenario(config)
+    played_at = plays[:]
+    assert {answer for *_, answer in answers} == {True, False}
+    assert metrics.skipped_by_guard == sum(not answer for *_, answer in answers)
+    steps = [g for i, (_, g, _) in enumerate(answers) if i == 0 or g != answers[i - 1][1]]
+    assert played_at == steps and len(set(steps)) == 5
+    g_load = config.load_conductances()
+    segments = [
+        (duration, g_load[state])
+        for state, duration in cycle_states(lorawan_params(config), GUARD_HORIZON_REPLIES[horizon])
+    ]
+    cap = capacitor_params(config)
+    for voltage_v, g_harv, answer in answers:
+        assert answer is smart_tx_guard(voltage_v, segments, g_harv, cap)
 
 
 # ----------------------------------------------------------------- gateway

@@ -823,15 +823,39 @@ def _spans(draw, rows=st.integers(1, 40)):
 _ROWS = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 3.3), st.sampled_from(_STATES))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+# Seconds a grid span starts at: early in a run, and around 2^23 s and
+# 2^24 s, where ``%.9f`` of a time in seconds no longer always shows its
+# nanoseconds.
+_GRID_SECONDS = st.integers(0, 10**4) | st.integers(2**23 - 2500, 2**23 + 50) | st.integers(2**24, 2**24 + 10**4)
+
+
+@st.composite
+def _grid_spans(draw, rows=st.integers(1, 40)):
+    # Whole-second steps, which print through one template, and sub-second ones.
+    step = draw(st.sampled_from((NS_PER_S, 60 * NS_PER_S)) | st.integers(1, NS_PER_S - 1))
+    frac = draw(st.just(0) | st.integers(1, NS_PER_S - 1))
+    start = draw(_GRID_SECONDS) * NS_PER_S + frac
+    times = range(start, start + draw(rows) * step, step)
+    t0_ns = start - draw(st.integers(0, 10**10))
+    v0 = draw(st.floats(0.0, 3.6))
+    return times, t0_ns, v0, draw(st.sampled_from(_SPAN_SEGMENTS)), 3.3, draw(st.sampled_from(_STATES))
+
+
+_LONG_ROWS = st.integers(_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 300)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(
-    pieces=st.lists(_ROWS | _spans(), max_size=8),
-    long_span=_spans(st.integers(_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 300)),
+    pieces=st.lists(_ROWS | _spans() | _grid_spans(), max_size=8),
+    long_span=_spans(_LONG_ROWS) | _grid_spans(_LONG_ROWS),
     long_at=st.integers(0, 8),
 )
 def test_written_rows_are_the_recorded_rows(pieces, long_span, long_at):
     # Rows and sample spans interleaved, one span longer than a write chunk:
-    # the file is the rows read back, each formatted once, in order.
+    # the file is the rows read back, each formatted once, in order. A span
+    # on whole-second steps prints its times from their seconds where that
+    # is exact, whether it starts on a whole second or not, or reaches past
+    # 2^23 s.
     pieces.insert(long_at, long_span)
     recorder = TraceRecorder()
     for piece in pieces:
@@ -845,6 +869,29 @@ def test_written_rows_are_the_recorded_rows(pieces, long_span, long_at):
     assert out.getvalue() == "time_s,voltage_V,state\n" + "".join(_CSV_ROW % r for r in records)
     assert len(recorder) == len(records)
     assert max(rec.voltage_v for rec in records) <= 3.3
+
+
+@pytest.mark.parametrize(
+    "start_ns",
+    [
+        1_234_567_891,  # a start off the whole second prints its nanoseconds
+        (2**23 - 5) * NS_PER_S + 700_000_000,  # reaches past 2^23 s
+        2**24 * NS_PER_S + 123_456_789,
+        2**24 * NS_PER_S,  # whole seconds print exactly up to 2^53 s ...
+        (2**53 - 200) * NS_PER_S,  # ... and not past it
+    ],
+)
+def test_grid_times_print_as_their_float_seconds(start_ns):
+    # Past 2^23 s a time in seconds may round to another nanosecond as a
+    # float, and past 2^53 s a whole second may round too: the file prints
+    # what ``%.9f`` of that float prints, as it always did.
+    times = range(start_ns, start_ns + 400 * NS_PER_S, NS_PER_S)
+    recorder = TraceRecorder()
+    recorder.record_samples(times, start_ns, 2.5, None, 3.3, "Sleep")
+    out = io.StringIO()
+    recorder.write_csv(out)
+    lines = out.getvalue().splitlines()[1:]
+    assert lines == [f"{t_ns / NS_PER_S:.9f},2.500000000,Sleep" for t_ns in times]
 
 
 @pytest.mark.parametrize(
