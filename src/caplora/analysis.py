@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -54,8 +53,16 @@ DEFAULT_TOL_REL = 0.01
 DEFAULT_DL_PAYLOAD_BYTES = 39
 
 
-@dataclass(frozen=True)
-class CycleSpec:
+class _CycleSpecFields(NamedTuple):
+    kind: str
+    initial_voltage_v: float
+    segments: tuple[tuple[float, float], ...]
+    g_harv: float
+    rail_voltage_v: float
+    played: tuple[tuple[float, float, float], ...]
+
+
+class CycleSpec(_CycleSpecFields):
     """One transmission cycle reduced to (duration, load conductance) segments.
 
     The starting voltage is the steady level the capacitor settles at under
@@ -63,20 +70,30 @@ class CycleSpec:
     device can have banked before it wakes up to transmit. ``played`` holds
     the segments' capacitance-free coefficients (``played_segments``), so a
     probe at one capacitance only runs the closed-form loop.
+
+    An immutable named tuple built from its first five fields: ``played`` is
+    derived from them, again by ``_replace``.
     """
 
-    kind: str
-    initial_voltage_v: float
-    segments: tuple[tuple[float, float], ...]
-    g_harv: float
-    rail_voltage_v: float
-    played: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        played = played_segments(self.segments, self.g_harv, self.rail_voltage_v)
-        object.__setattr__(self, "played", played)
+    def __new__(
+        cls,
+        kind: str,
+        initial_voltage_v: float,
+        segments: tuple[tuple[float, float], ...],
+        g_harv: float,
+        rail_voltage_v: float,
+    ) -> CycleSpec:
+        played = played_segments(segments, g_harv, rail_voltage_v)
+        return super().__new__(cls, kind, initial_voltage_v, segments, g_harv, rail_voltage_v, played)
+
+    # ``_replace`` builds its copy through ``_make``, which plays it again;
+    # ``copy`` and ``pickle`` call ``__new__`` with ``__getnewargs__``.
+    _make = classmethod(lambda cls, values: cls(*tuple(values)[:-1]))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:-1]
 
 
 def _point(base: ScenarioConfig, **changes: object) -> ScenarioConfig:
@@ -303,7 +320,7 @@ def _sized_cycles(
     g_tx = g_load[DeviceState.TX]
     bracket = (base.max_voltage_v, base.v_th_low_v, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
     for dr in data_rates:
-        dr_radio = replace(radio, data_rate=dr)
+        dr_radio = radio._replace(data_rate=dr)
         # A cycle is its uplink, then a tail that depends on the data rate
         # and kind only: each tail is built once and played once per power,
         # and joined to a row's played uplink it is the whole cycle played,
@@ -411,10 +428,7 @@ def mincap_csv(
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axis values for a sweep; an empty axis keeps the base scenario's value."""
-
+class _SweepAxes(NamedTuple):
     capacitances_f: tuple[float, ...] = ()
     powers_w: tuple[float, ...] = ()
     data_rates: tuple[int, ...] = ()
@@ -422,7 +436,18 @@ class SweepGrid:
     periods_s: tuple[float, ...] = ()
     kinds: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class SweepGrid(_SweepAxes):
+    """Axis values for a sweep; an empty axis keeps the base scenario's value.
+
+    An immutable named tuple; ``_replace`` derives a changed copy, checked
+    as a new one is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: tuple, **kwargs: tuple) -> SweepGrid:
+        self = super().__new__(cls, *args, **kwargs)
         problems = []
         if any(c <= 0 for c in self.capacitances_f):
             problems.append("sweep capacitances must be positive")
@@ -459,6 +484,10 @@ class SweepGrid:
                 )
         if problems:
             raise ConfigError(problems)
+        return self
+
+    # ``_replace`` builds its copy through ``_make``: checked here, by ``__new__``.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:

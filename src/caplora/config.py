@@ -4,7 +4,6 @@ reported at once, plus command-line overrides and round-trip dumping."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields
 from pathlib import Path
 from typing import IO, Any, Callable
 
@@ -85,12 +84,17 @@ _KEY_NAMES = {
 
 
 def _derive_schema() -> dict[str, dict[str, tuple[str, Callable[[str], Any]]]]:
-    """section -> key -> (dataclass field, value parser), in field order."""
+    """section -> key -> (field, value parser), in field order."""
+    # ScenarioConfig, a dataclass, annotates exactly its fields. SweepGrid's
+    # are annotated on the NamedTuple it extends, each as a forward reference.
+    annotations = dict(ScenarioConfig.__annotations__)
+    for name, ref in SweepGrid.__base__.__annotations__.items():
+        annotations[name] = ref.__forward_arg__
     schema: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
-    for f in fields(ScenarioConfig) + fields(SweepGrid):
-        if f.name in _SECTION_STARTS:
-            keys = schema[_SECTION_STARTS[f.name]] = {}
-        keys[_KEY_NAMES.get(f.name, f.name)] = (f.name, _parser(f.type))
+    for name, annotation in annotations.items():
+        if name in _SECTION_STARTS:
+            keys = schema[_SECTION_STARTS[name]] = {}
+        keys[_KEY_NAMES.get(name, name)] = (name, _parser(annotation))
     return schema
 
 

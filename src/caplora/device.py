@@ -4,7 +4,6 @@ side that answers confirmed uplinks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
@@ -16,6 +15,7 @@ from .lorawan import (
     DutyCycleBudget,
     LorawanParams,
     RX2_SPREADING_FACTOR,
+    _SlotsRecord,
 )
 
 if TYPE_CHECKING:
@@ -167,12 +167,16 @@ class Gateway:
         return DlReply.NONE
 
 
-@dataclass
-class _Cycle:
-    packet_id: int
-    start_ns: int
-    attempts: int = 0
-    delivered: bool = False
+class _Cycle(_SlotsRecord):
+    __slots__ = ("packet_id", "start_ns", "attempts", "delivered")
+
+    def __init__(
+        self, packet_id: int, start_ns: int, attempts: int = 0, delivered: bool = False
+    ) -> None:
+        self.packet_id = packet_id
+        self.start_ns = start_ns
+        self.attempts = attempts
+        self.delivered = delivered
 
 
 def cycle_tables(
@@ -246,7 +250,7 @@ class LorawanDevice:
         if self.cycle is not None or self.state is not DeviceState.SLEEP:
             self._record(packet_id, now, now, CycleOutcome.FAILED_BUSY)
             return
-        self.cycle = _Cycle(packet_id=packet_id, start_ns=now)
+        self.cycle = _Cycle(packet_id, now)
         self._attempt_transmission()
 
     def _attempt_transmission(self) -> None:

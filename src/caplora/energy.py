@@ -27,7 +27,6 @@ seconds, except clock and crossing times, which are integer nanoseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Iterable, NamedTuple
 
@@ -35,14 +34,7 @@ from .clock import NS_PER_S, TICK_S
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class CapacitorParams:
-    """Static parameters of the storage capacitor and its voltage windows.
-
-    The device turns off below ``v_th_low_v`` and back on once ``v_th_high_v``
-    is reached again (hysteresis).
-    """
-
+class _CapacitorFields(NamedTuple):
     capacitance_f: float
     rail_voltage_v: float
     max_voltage_v: float
@@ -50,7 +42,21 @@ class CapacitorParams:
     v_th_high_v: float
     initial_voltage_v: float
 
-    def __post_init__(self) -> None:
+
+class CapacitorParams(_CapacitorFields):
+    """Static parameters of the storage capacitor and its voltage windows.
+
+    The device turns off below ``v_th_low_v`` and back on once ``v_th_high_v``
+    is reached again (hysteresis).
+
+    An immutable named tuple; ``_replace`` derives a changed copy, checked
+    as a new one is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> CapacitorParams:
+        self = super().__new__(cls, *args, **kwargs)
         problems = []
         if self.capacitance_f <= 0.0:
             problems.append(f"capacitance_f must be > 0, got {self.capacitance_f}")
@@ -74,6 +80,10 @@ class CapacitorParams:
             )
         if problems:
             raise ConfigError(problems)
+        return self
+
+    # ``_replace`` builds its copy through ``_make``: checked here, by ``__new__``.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def harvester_conductance(power_w: float, rail_voltage_v: float) -> float:
@@ -97,7 +107,7 @@ def load_conductance(current_a: float, rail_voltage_v: float) -> float:
 
 
 def _segment(
-    g_load: float, g_harv: float, params: CapacitorParams
+    g_load: float, g_harv: float, rail_voltage_v: float, capacitance_f: float
 ) -> tuple[float, float] | None:
     """Asymptote and time constant ``(v_inf, tau)`` of a fixed load and harvest.
 
@@ -106,7 +116,7 @@ def _segment(
     g = g_harv + g_load
     if g == 0.0:
         return None
-    return params.rail_voltage_v * g_harv / g, params.capacitance_f / g
+    return rail_voltage_v * g_harv / g, capacitance_f / g
 
 
 def steady_state_voltage(
@@ -117,7 +127,7 @@ def steady_state_voltage(
     Raises ``ValueError`` when both sides are open, since the voltage then
     holds wherever it is and has no asymptote.
     """
-    segment = _segment(g_load, g_harv, params)
+    segment = _segment(g_load, g_harv, params.rail_voltage_v, params.capacitance_f)
     if segment is None:
         raise ValueError("both sides are open: the voltage holds, with no asymptote")
     return segment[0]
@@ -140,7 +150,7 @@ def propagate_voltage(
         raise ValueError(f"elapsed time must be >= 0, got {elapsed_s}")
     if v0 < 0.0:
         raise ValueError(f"voltage must be >= 0, got {v0}")
-    segment = _segment(g_load, g_harv, params)
+    segment = _segment(g_load, g_harv, params.rail_voltage_v, params.capacitance_f)
     if segment is None or elapsed_s == 0.0:
         return _clamp(v0, params.max_voltage_v)
     v_inf, tau = segment
@@ -165,7 +175,7 @@ def crossing_time(
     trajectory, or an asymptote at or short of the target). The result is
     exact, obtained by inverting the charge equation.
     """
-    segment = _segment(g_load, g_harv, params)
+    segment = _segment(g_load, g_harv, params.rail_voltage_v, params.capacitance_f)
     if segment is None:
         return None
     return _crossing_s(v0, target_v, segment[0], segment[1], params.max_voltage_v)
@@ -226,7 +236,7 @@ def _exact_energy(
     params: CapacitorParams,
 ) -> float:
     """Integral of v(t)^2 G_L for an unsaturated exponential segment, G_L > 0."""
-    segment = _segment(g_load, g_harv, params)
+    segment = _segment(g_load, g_harv, params.rail_voltage_v, params.capacitance_f)
     assert segment is not None
     b, tau = segment
     m = v0 - b
@@ -349,9 +359,15 @@ def min_capacitance_over_played(
 _SNAP_TOLERANCE_V = 1e-9
 
 
-def _ticks_until(t_cross_s: float) -> int:
-    """Clock ticks to a crossing ``t_cross_s`` ahead: the nearest, at least 1."""
-    return max(1, round(t_cross_s * NS_PER_S))
+def _ticks_until(t_cross_s: float) -> int | None:
+    """Clock ticks to a crossing ``t_cross_s`` ahead: the nearest, at least 1.
+
+    None when the count is not a finite float. Such a crossing lies past the
+    end of any run, whose ticks a float counts; a NaN comes from an infinite
+    time constant, a trajectory that holds.
+    """
+    ticks = t_cross_s * NS_PER_S
+    return max(1, round(ticks)) if ticks < math.inf else None
 
 
 def step_coefficients(
@@ -394,7 +410,8 @@ def crossing_tick(
     if (v_inf > target) != depleted:
         return None
     t_cross = _crossing_s(v, target, v_inf, tau, params.max_voltage_v)
-    return None if t_cross is None else t0_ns + _ticks_until(t_cross)
+    ticks = None if t_cross is None else _ticks_until(t_cross)
+    return None if ticks is None else t0_ns + ticks
 
 
 def crossing_voltage(
@@ -433,6 +450,10 @@ class Capacitor:
 
     def __init__(self, params: CapacitorParams) -> None:
         self.params = params
+        # Read on every update and solve: faster from here than from the tuple.
+        self._max_voltage_v = params.max_voltage_v
+        self._rail_voltage_v = params.rail_voltage_v
+        self._capacitance_f = params.capacitance_f
         self.voltage_v = min(params.initial_voltage_v, params.max_voltage_v)
         self.last_update_ns = 0
         self.depleted = self.voltage_v < params.v_th_low_v
@@ -450,7 +471,7 @@ class Capacitor:
         moving away from the active threshold, never crosses it."""
         self._g_load = g_load
         self._g_harv = g_harv
-        self._trajectory = segment = _segment(g_load, g_harv, self.params)
+        self._trajectory = segment = _segment(g_load, g_harv, self._rail_voltage_v, self._capacitance_f)
         self._cross_ns = crossing_tick(
             self.voltage_v, self.last_update_ns, self.depleted, segment, self.params
         )
@@ -467,7 +488,7 @@ class Capacitor:
         segment = self._trajectory
         a, b = step_coefficients(now_ns - last_ns, segment)
         v_new = a + self.voltage_v * b
-        vmax = self.params.max_voltage_v
+        vmax = self._max_voltage_v
         if v_new > vmax:
             v_new = vmax
         self.voltage_v = v_new
@@ -493,7 +514,7 @@ class Capacitor:
     def segment(self, g_load: float, g_harv: float) -> tuple[float, float] | None:
         """The ``_segment`` of the trajectory under ``g_load`` and ``g_harv``:
         the asymptote and time constant ``update`` steps along."""
-        return _segment(g_load, g_harv, self.params)
+        return _segment(g_load, g_harv, self._rail_voltage_v, self._capacitance_f)
 
     def shift(self, shift_ns: int) -> None:
         """Move the capacitor's clock, and its crossing tick, by ``shift_ns``."""

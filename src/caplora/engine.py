@@ -74,7 +74,7 @@ import heapq
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -107,7 +107,7 @@ from .harvester import (
     TraceExhaustedError,
     load_trace,
 )
-from .lorawan import DEFAULT_CURRENTS_A, DeviceState, LorawanParams
+from .lorawan import DEFAULT_CURRENTS_A, DeviceState, LorawanParams, _SlotsRecord
 
 HARVESTER_KINDS = ("constant", "trace", "random")
 GUARD_HORIZONS = tuple(GUARD_HORIZON_REPLIES)
@@ -305,24 +305,36 @@ def _no_outcomes() -> dict[CycleOutcome, int]:
     return dict.fromkeys(_OUTCOMES, 0)
 
 
-@dataclass
-class Metrics:
+class Metrics(_SlotsRecord):
     """Counters and totals accumulated over one run."""
 
-    generated: int = 0
-    delivered_ul: int = 0
-    acked: int = 0
-    skipped_by_guard: int = 0
-    depletion_events: int = 0
-    off_time_ns: int = 0
-    final_voltage_v: float = 0.0
-    ul_airtime_s: float = 0.0
-    max_ul_airtime_s: float = 0.0
-    valid: bool = True
-    cycles: CycleLog = field(default_factory=CycleLog)
-    # The number of records of each outcome, kept without reading ``cycles``.
-    outcomes: dict[CycleOutcome, int] = field(default_factory=_no_outcomes)
-    trace: TraceRecorder | None = None
+    __slots__ = (
+        "generated", "delivered_ul", "acked", "skipped_by_guard", "depletion_events",
+        "off_time_ns", "final_voltage_v", "ul_airtime_s", "max_ul_airtime_s", "valid",
+        "cycles", "outcomes", "trace",
+    )
+
+    def __init__(
+        self, generated: int = 0, delivered_ul: int = 0, acked: int = 0,
+        skipped_by_guard: int = 0, depletion_events: int = 0, off_time_ns: int = 0,
+        final_voltage_v: float = 0.0, ul_airtime_s: float = 0.0, max_ul_airtime_s: float = 0.0,
+        valid: bool = True, cycles: CycleLog | None = None,
+        outcomes: dict[CycleOutcome, int] | None = None, trace: TraceRecorder | None = None,
+    ) -> None:
+        self.generated = generated
+        self.delivered_ul = delivered_ul
+        self.acked = acked
+        self.skipped_by_guard = skipped_by_guard
+        self.depletion_events = depletion_events
+        self.off_time_ns = off_time_ns
+        self.final_voltage_v = final_voltage_v
+        self.ul_airtime_s = ul_airtime_s
+        self.max_ul_airtime_s = max_ul_airtime_s
+        self.valid = valid
+        self.cycles = CycleLog() if cycles is None else cycles
+        # The number of records of each outcome, kept without reading ``cycles``.
+        self.outcomes = _no_outcomes() if outcomes is None else outcomes
+        self.trace = trace
 
 
 def success_probability(metrics: Metrics, kind: str) -> float:
@@ -451,8 +463,8 @@ def _below_tick(name: str, config: ScenarioConfig) -> str:
 
 # ScenarioConfig declares every CapacitorParams and LorawanParams field
 # under the same name; these read them in the params' positional order.
-_capacitor_fields = attrgetter(*(f.name for f in fields(CapacitorParams)))
-_radio_fields = attrgetter(*(f.name for f in fields(LorawanParams)))
+_capacitor_fields = attrgetter(*CapacitorParams._fields)
+_radio_fields = attrgetter(*LorawanParams._fields)
 
 
 def capacitor_params(config: ScenarioConfig) -> CapacitorParams:

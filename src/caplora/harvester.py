@@ -13,7 +13,7 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Iterable, Protocol
 
-from .clock import NS_PER_S
+from .clock import MAX_TICKS, NS_PER_S
 from .errors import ConfigError
 
 
@@ -133,7 +133,7 @@ class RandomHarvester:
             problems.append(
                 f"distribution must be 'uniform' or 'exponential', got {distribution!r}"
             )
-        if update_period_s <= 0.0:
+        if not update_period_s > 0.0:
             problems.append(f"update_period_s must be positive, got {update_period_s}")
         if not 0.0 <= low_w <= high_w:
             problems.append(f"need 0 <= low_w <= high_w, got {low_w}, {high_w}")
@@ -143,7 +143,10 @@ class RandomHarvester:
             raise ConfigError(problems)
         self.distribution = distribution
         self.update_period_s = update_period_s
-        self._period_ns = max(1, round(update_period_s * NS_PER_S))
+        # A period too long for a float count of ticks outlasts any run: the
+        # power never changes.
+        ticks = update_period_s * NS_PER_S
+        self._period_ns = max(1, round(ticks)) if ticks < math.inf else MAX_TICKS
         self.low_w = low_w
         self.high_w = high_w
         self.mean_w = mean_w

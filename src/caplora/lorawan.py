@@ -4,10 +4,10 @@ receive windows and duty-cycle budgets for the EU 868 MHz band."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .clock import NS_PER_S
+from .clock import MAX_TICKS, NS_PER_S
 from .errors import ConfigError
 
 
@@ -100,10 +100,7 @@ def rx_window_duration(sf: int, n_symbols: int, bandwidth_hz: float = 125_000.0)
     return n_symbols * symbol_duration(sf, bandwidth_hz)
 
 
-@dataclass(frozen=True)
-class LorawanParams:
-    """Class A MAC parameters of one end device."""
-
+class _LorawanFields(NamedTuple):
     data_rate: int = 3
     bandwidth_hz: float = 125_000.0
     confirmed: bool = False
@@ -119,7 +116,18 @@ class LorawanParams:
     max_transmissions: int = 1
     ul_duty_cycle: float = 0.01
 
-    def __post_init__(self) -> None:
+
+class LorawanParams(_LorawanFields):
+    """Class A MAC parameters of one end device.
+
+    An immutable named tuple; ``_replace`` derives a changed copy, checked
+    as a new one is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> LorawanParams:
+        self = super().__new__(cls, *args, **kwargs)
         problems = []
         if not MIN_DATA_RATE <= self.data_rate <= MAX_DATA_RATE:
             problems.append(f"data_rate must be in 0..5, got {self.data_rate}")
@@ -158,6 +166,10 @@ class LorawanParams:
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)
         if w1 > self.rx2_delay_s - self.rx1_delay_s:
             raise ConfigError(["receive window 1 would still be open at rx2_delay_s"])
+        return self
+
+    # ``_replace`` builds its copy through ``_make``: checked here, by ``__new__``.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def sf(self) -> int:
@@ -191,8 +203,29 @@ class LorawanParams:
         return rx_window_duration(RX2_SPREADING_FACTOR, n, self.bandwidth_hz)
 
 
-@dataclass
-class DutyCycleBudget:
+class _SlotsRecord:
+    """Base of a mutable record that keeps its fields in ``__slots__``, in
+    order: equal to a record of its own class with equal fields, shown with
+    them, and unhashable. ``device`` and ``engine`` build theirs on it."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DutyCycleBudget(_SlotsRecord):
     """Aggregated duty-cycle budget of one band, on the nanosecond clock.
 
     After a transmission of duration T the band stays blocked for
@@ -201,14 +234,18 @@ class DutyCycleBudget:
     nanoseconds; a registered airtime is in seconds.
     """
 
-    duty_cycle: float
-    blocked_until_ns: int = 0
-    airtime_total_ns: int = 0
-    max_airtime_s: float = 0.0
+    __slots__ = ("duty_cycle", "blocked_until_ns", "airtime_total_ns", "max_airtime_s")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty_cycle}")
+    def __init__(
+        self, duty_cycle: float, blocked_until_ns: int = 0, airtime_total_ns: int = 0,
+        max_airtime_s: float = 0.0,
+    ) -> None:
+        if not 0.0 < duty_cycle <= 1.0:
+            raise ValueError(f"duty cycle must be in (0, 1], got {duty_cycle}")
+        self.duty_cycle = duty_cycle
+        self.blocked_until_ns = blocked_until_ns
+        self.airtime_total_ns = airtime_total_ns
+        self.max_airtime_s = max_airtime_s
 
     def allows(self, start_ns: int) -> bool:
         return start_ns >= self.blocked_until_ns
@@ -220,6 +257,8 @@ class DutyCycleBudget:
         if airtime_s < 0.0:
             raise ValueError(f"airtime must be >= 0, got {airtime_s}")
         blocked_s = airtime_s + airtime_s * (1.0 / self.duty_cycle - 1.0)
-        self.blocked_until_ns = start_ns + round(blocked_s * NS_PER_S)
+        # A block too long for a float count of ticks outlasts any run.
+        ticks = blocked_s * NS_PER_S
+        self.blocked_until_ns = start_ns + (round(ticks) if ticks < math.inf else MAX_TICKS)
         self.airtime_total_ns += round(airtime_s * NS_PER_S)
         self.max_airtime_s = max(self.max_airtime_s, airtime_s)

@@ -480,6 +480,14 @@ def test_usage_errors_exit_nonzero(capsys):
         (["harvester.kind=trace"], "trace_file is required for the trace harvester"),
         (["duration_s=1e-10"], "duration_s must be at least the 1 ns clock tick"),
         (["mac_overhead_bytes=-1"], "mac_overhead_bytes must be >= 0"),
+        (
+            ["harvester.kind=random", "harvester.update_period_s=inf"],
+            "harvest_update_period_s must be finite",
+        ),
+        (
+            ["harvester.kind=random", "harvester.update_period_s=1e300"],
+            "harvest_update_period_s is beyond the range",
+        ),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):
@@ -489,6 +497,26 @@ def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, fie
     assert len(err) == 1
     assert err[0].startswith("config error: ")
     assert field in err[0]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # The recharge's crossing is about 1e308 s ahead: more ticks than a
+        # float counts, so it is past the run's end.
+        [
+            "harvester.power_w=1e-300", "capacitor.capacitance_f=10", "initial_voltage_v=0",
+            "off_a=0", "duration_s=60",
+        ],
+        # A transmission blocks the band for about 1e298 s.
+        ["ul_duty_cycle=1e-300"],
+    ],
+)
+def test_waits_too_long_for_the_clock_run_to_completion(tmp_path, capsys, overrides):
+    args = [arg for pair in overrides for arg in ("--set", pair)]
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "results.csv").read_text().startswith(RESULTS_HEADER)
 
 
 def test_sweep_validates_each_point_once(tmp_path, capsys, monkeypatch):

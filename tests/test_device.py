@@ -104,7 +104,7 @@ def test_cycle_states_depend_on_the_payload_only_through_its_airtime(
         mac_overhead_bytes=mac_overhead, rx_window_symbols=rx_window_symbols,
     )
     airtime = radio.ul_time_on_air()
-    near = (replace(radio, ul_payload_bytes=p) for p in range(max(0, payload - 8), payload + 9))
+    near = (radio._replace(ul_payload_bytes=p) for p in range(max(0, payload - 8), payload + 9))
     alike = [other for other in near if other.ul_time_on_air() == airtime]
     assert radio in alike
     for reply in (None, *DlReply):

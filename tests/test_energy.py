@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 import caplora
 from caplora import ScenarioConfig
@@ -583,7 +583,8 @@ def _crossing_tick(cap, g_load, g_harv):
         return None
     if t_cross == 0.0 and (steady_state_voltage(g_load, g_harv, params) > target) != cap.depleted:
         return None
-    return cap.last_update_ns + _ticks_until(t_cross)
+    ticks = _ticks_until(t_cross)
+    return None if ticks is None else cap.last_update_ns + ticks
 
 
 def _check_step(cap, t_ns, g_load, g_harv, v_expected, trajectory=None):
@@ -844,7 +845,9 @@ def _grid_spans(draw, rows=st.integers(1, 40)):
 _LONG_ROWS = st.integers(_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 300)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+# Not shrunk: shrinking a failing span of thousands of rows takes minutes,
+# and the first differing row already tells what broke.
+@settings(derandomize=True, max_examples=120, deadline=None, phases=set(Phase) - {Phase.shrink})
 @given(
     pieces=st.lists(_ROWS | _spans() | _grid_spans(), max_size=8),
     long_span=_spans(_LONG_ROWS) | _grid_spans(_LONG_ROWS),
@@ -866,7 +869,9 @@ def test_written_rows_are_the_recorded_rows(pieces, long_span, long_at):
     out = io.StringIO()
     recorder.write_csv(out)
     records = recorder.records
-    assert out.getvalue() == "time_s,voltage_V,state\n" + "".join(_CSV_ROW % r for r in records)
+    # Compared as lists of rows, so a failure names the first differing row.
+    written = out.getvalue().splitlines(keepends=True)
+    assert written == ["time_s,voltage_V,state\n", *(_CSV_ROW % r for r in records)]
     assert len(recorder) == len(records)
     assert max(rec.voltage_v for rec in records) <= 3.3
 
@@ -957,6 +962,7 @@ def test_a_step_from_its_coefficients_is_an_update_bit_for_bit(v0, elapsed_ns, c
     g_harv=st.just(0.0) | st.floats(0.0, 1e3),
     capacitance_f=st.floats(1e-6, 10.0),
 )
+@example(v0=0.0, steps=[(1, 0.0)], g_harv=2.2250738585072014e-308, capacitance_f=1e-6)
 def test_no_step_falls_below_zero(v0, steps, g_harv, capacitance_f):
     # A step is a + v * b with a >= 0 and 0 <= b <= 1, so from a voltage at
     # or above 0 it never falls below 0: the steps clamp only at the top.
@@ -980,6 +986,20 @@ def test_no_step_falls_below_zero(v0, steps, g_harv, capacitance_f):
         params.rail_voltage_v,
     )
     assert min_voltage_over_played(v0, played, capacitance_f, params.max_voltage_v) >= 0.0
+
+
+def test_a_crossing_more_ticks_ahead_than_a_float_counts_never_comes():
+    # Recharging from 0 V at the smallest normal harvest conductance reaches
+    # 3.0 V about 1e306 s ahead: no tick of any run, whose ticks a float
+    # counts. A 1-tick step under no load then finds no crossing.
+    g_harv = 2.2250738585072014e-308
+    cap = Capacitor(make_params(capacitance_f=1e-6, initial_voltage_v=0.0))
+    assert cap.next_crossing_ns(0.0, g_harv) is None
+    assert cap.update(1, 0.0, g_harv) is None
+    assert cap.depleted and cap.voltage_v >= 0.0
+    assert crossing_tick(0.0, 0, True, cap.segment(0.0, g_harv), cap.params) is None
+    assert _ticks_until(math.inf) is None and _ticks_until(math.nan) is None
+    assert _ticks_until(1e290) == round(1e290 * NS_PER_S)
 
 
 @st.composite

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from caplora import ConfigError, ScenarioConfig, Simulator
-from caplora.clock import NS_PER_S
+from caplora.clock import MAX_TICKS, NS_PER_S
 from caplora.harvester import (
     ConstantHarvester,
     RandomHarvester,
@@ -17,6 +18,18 @@ from caplora.harvester import (
     TraceHarvester,
     load_trace,
 )
+
+
+@pytest.mark.parametrize("period_s", [math.inf, 1e300])
+def test_a_random_period_too_long_for_the_clock_never_changes(period_s):
+    src = RandomHarvester("uniform", seed=3, update_period_s=period_s)
+    assert src.next_change_after(0.0) == MAX_TICKS / NS_PER_S
+    assert src.power_at(1e290) == src.power_at(0.0)
+
+
+def test_a_random_period_of_nan_is_refused():
+    with pytest.raises(ConfigError, match="update_period_s must be positive, got nan"):
+        RandomHarvester("uniform", seed=3, update_period_s=math.nan)
 
 
 def test_constant_harvester():

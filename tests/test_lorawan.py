@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from caplora.clock import NS_PER_S
+from caplora.clock import MAX_TICKS, NS_PER_S
 from caplora.lorawan import (
     DutyCycleBudget,
     LorawanParams,
@@ -138,6 +138,16 @@ def test_duty_budget_back_to_back_periodic_fit():
         budget.register(start, 0.6)
     assert budget.airtime_total_ns / NS_PER_S == pytest.approx(3.0)
     assert budget.max_airtime_s == pytest.approx(0.6)
+
+
+def test_a_block_too_long_for_the_clock_outlasts_any_run():
+    # A 10 s airtime blocks the band for about 1e301 s: the block's tick
+    # count overflows a float.
+    budget = DutyCycleBudget(1e-300)
+    budget.register(5, 10.0)
+    assert budget.blocked_until_ns == 5 + MAX_TICKS
+    assert not budget.allows(MAX_TICKS)
+    assert budget.airtime_total_ns == 10 * NS_PER_S
 
 
 def test_duty_budget_rejects_bad_values():

@@ -54,6 +54,9 @@ def scenarios(draw) -> ScenarioConfig:
 @given(scenarios())
 @example(ScenarioConfig(duration_s=1e300))
 @example(ScenarioConfig(harvester="random", harvest_update_period_s=TICK_S / 2))
+@example(ScenarioConfig(harvester="random", harvest_update_period_s=math.inf))
+@example(ScenarioConfig(harvester="random", harvest_update_period_s=math.nan))
+@example(ScenarioConfig(harvester="random", harvest_update_period_s=1e300))
 def test_simulator_refuses_exactly_what_validation_reports(config):
     problems = validate_scenario(config)
     assert not any("; " in problem for problem in problems)
