@@ -96,18 +96,6 @@ class CycleSpec(_CycleSpecFields):
         return self[:-1]
 
 
-def _point(base: ScenarioConfig, **changes: object) -> ScenarioConfig:
-    """``replace(base, **changes)`` without its per-field work: a new point
-    with the frozen base's fields copied and the changed ones set. This is
-    the same only while ScenarioConfig has no ``__post_init__``, no
-    ``InitVar`` and no ``init=False`` field, as a test checks."""
-    point = object.__new__(ScenarioConfig)
-    values = point.__dict__
-    values.update(base.__dict__)
-    values.update(changes)
-    return point
-
-
 def _cycle_shape(
     radio: LorawanParams, g_load: dict[DeviceState, float], kind: str
 ) -> tuple[tuple[float, float], ...]:
@@ -242,8 +230,7 @@ def engine_cycle_feasible(
     spec = cycle_spec(config, kind, power_w)
     duration = sum(duration for duration, _ in spec.segments) + config.rx2_delay_s + 3.0
     power = config.power_w if power_w is None else power_w
-    cfg = _point(
-        config,
+    cfg = config._replace(
         capacitance_f=capacitance_f,
         harvester="constant",
         power_w=power,
@@ -298,14 +285,14 @@ def _sized_cycles(
     if any(kind not in _KIND_REPLIES for kind in kinds):
         raise ConfigError([f"mincap kinds must be among {CYCLE_KINDS}"])
     _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
-    base = _point(config, dl_payload_bytes=dl_payload_bytes)
+    base = config._replace(dl_payload_bytes=dl_payload_bytes)
     # A row's scenario is the base with its data rate, payload and power set,
     # and no check couples two of these axes: checking each axis value on the
     # base checks every row, without building the whole grid.
     check_scenarios(
-        [_point(base, data_rate=dr) for dr in data_rates]
-        + [_point(base, ul_payload_bytes=payload) for payload in payloads_bytes]
-        + [_point(base, power_w=power) for power in powers_w]
+        [base._replace(data_rate=dr) for dr in data_rates]
+        + [base._replace(ul_payload_bytes=payload) for payload in payloads_bytes]
+        + [base._replace(power_w=power) for power in powers_w]
     )
     # Every row shares the capacitor, and the voltage banked at a power is
     # the same for every row at that power; the cycle's shape depends on the
@@ -507,8 +494,7 @@ def expand_grid(grid: SweepGrid, base: ScenarioConfig) -> list[ScenarioConfig]:
                     for period in grid.periods_s or (base.packet_period_s,):
                         for cap in grid.capacitances_f or (base.capacitance_f,):
                             configs.append(
-                                _point(
-                                    base,
+                                base._replace(
                                     capacitance_f=cap,
                                     power_w=power,
                                     data_rate=dr,
@@ -588,7 +574,7 @@ def success_curve(
     """
     curve = []
     for cap in sorted(capacitances_f):
-        cfg = _point(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        cfg = base._replace(capacitance_f=cap, confirmed=kind == "UL+DL")
         metrics = _run_complete(cfg)
         curve.append((cap, success_probability(metrics, kind)))
     return curve
@@ -613,7 +599,7 @@ def min_capacitance_for_target(
     _check_bracket(c_lo, c_hi, tol_rel)
 
     def success(cap: float) -> float:
-        cfg = _point(base, capacitance_f=cap, confirmed=kind == "UL+DL")
+        cfg = base._replace(capacitance_f=cap, confirmed=kind == "UL+DL")
         return success_probability(_run_complete(cfg), kind)
 
     if success(c_hi) < target:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 from typing import Sequence
@@ -67,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace, want_trace: bool) -> int:
     config, _ = parse_config(args.config, args.overrides)
     if want_trace:
-        config = replace(config, trace=True)
+        config = config._replace(trace=True)
     metrics = Simulator(config).run()
     row = results_row(config, metrics)
     out: Path = args.out

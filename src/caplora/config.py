@@ -4,6 +4,7 @@ reported at once, plus command-line overrides and round-trip dumping."""
 from __future__ import annotations
 
 import configparser
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Callable
 
@@ -85,16 +86,15 @@ _KEY_NAMES = {
 
 def _derive_schema() -> dict[str, dict[str, tuple[str, Callable[[str], Any]]]]:
     """section -> key -> (field, value parser), in field order."""
-    # ScenarioConfig, a dataclass, annotates exactly its fields. SweepGrid's
-    # are annotated on the NamedTuple it extends, each as a forward reference.
-    annotations = dict(ScenarioConfig.__annotations__)
-    for name, ref in SweepGrid.__base__.__annotations__.items():
-        annotations[name] = ref.__forward_arg__
+    # Both are named tuples, which annotate exactly their fields, each as a
+    # forward reference; SweepGrid's are on the NamedTuple it extends.
     schema: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
-    for name, annotation in annotations.items():
+    for name, ref in chain(
+        ScenarioConfig.__annotations__.items(), SweepGrid.__base__.__annotations__.items()
+    ):
         if name in _SECTION_STARTS:
             keys = schema[_SECTION_STARTS[name]] = {}
-        keys[_KEY_NAMES.get(name, name)] = (name, _parser(annotation))
+        keys[_KEY_NAMES.get(name, name)] = (name, _parser(ref.__forward_arg__))
     return schema
 
 

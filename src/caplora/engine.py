@@ -74,7 +74,6 @@ import heapq
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -120,9 +119,33 @@ _CURRENT_FIELDS = {state: f"{state.name.lower()}_a" for state in DeviceState}
 _STATE_NAMES = {state: state.value for state in DeviceState}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete description of one simulation run."""
+class _DataclassFields:
+    """``ScenarioConfig.__dataclass_fields__``, built on its first read and
+    then kept on the class in place of this descriptor: the fields of a
+    dataclass made over the same names, annotations and defaults. So
+    ``dataclasses.replace``, ``fields``, ``asdict`` and ``is_dataclass``
+    accept a scenario, and only code that calls them imports ``dataclasses``."""
+
+    def __get__(self, instance: object, owner: type) -> dict:
+        import dataclasses
+
+        made = dataclasses.make_dataclass(
+            owner.__name__,
+            [
+                (name, ref.__forward_arg__, dataclasses.field(default=owner._field_defaults[name]))
+                for name, ref in owner.__annotations__.items()
+            ],
+        )
+        fields = {field.name: field for field in dataclasses.fields(made)}
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class ScenarioConfig(NamedTuple):
+    """Complete description of one simulation run.
+
+    An immutable named tuple; ``_replace`` derives a changed copy.
+    """
 
     # storage
     capacitance_f: float = 0.01
@@ -174,6 +197,8 @@ class ScenarioConfig:
     guard_enabled: bool = True
     guard_horizon: str = "tx"
     trace: bool = False
+
+    __dataclass_fields__ = _DataclassFields()
 
     def load_conductances(self) -> dict[DeviceState, float]:
         """Each device state's load conductance ``I / E`` at the rail voltage."""
@@ -421,7 +446,7 @@ class _Crossing(NamedTuple):
 
 
 # Each scenario field's name, and whether it is a time in seconds.
-_FIELD_TIMES = tuple((f.name, f.name.endswith("_s")) for f in fields(ScenarioConfig))
+_FIELD_TIMES = tuple((name, name.endswith("_s")) for name in ScenarioConfig._fields)
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
@@ -514,7 +539,8 @@ def _build_parts(config: ScenarioConfig) -> _Parts:
         except ConfigError as exc:
             problems.extend(exc.problems)
     if problems:
-        raise ConfigError(problems)
+        # The radio checks its own times as _scenario_problems does.
+        raise ConfigError(list(dict.fromkeys(problems)))
     # The first packet is at ``first_packet_s``, or drawn uniformly over the
     # first period by a generator seeded with ``seed`` for this one draw.
     first_packet_s = config.first_packet_s
@@ -526,21 +552,19 @@ def _build_parts(config: ScenarioConfig) -> _Parts:
     return parts[0], g_load, tables, round(first_packet_s * NS_PER_S)
 
 
-# The parts (``_build_parts``) of each scenario found valid, by its field
-# values and their types, so that ``1``, ``1.0`` and ``True`` stay apart. A
+# The parts (``_build_parts``) of each scenario found valid, by the scenario
+# and its values' types, so that ``1``, ``1.0`` and ``True`` stay apart. A
 # sweep checks every point up front and then runs it, and a study may run
 # one scenario many times: each is validated and built once. A scenario
 # with a problem, or with a value that cannot be hashed, is never kept. At
 # most _PART_MEMORY scenarios are kept; a full store is emptied.
 _PART_MEMORY = 1024
 _scenario_parts: dict[tuple, _Parts] = {}
-_scenario_fields = attrgetter(*(name for name, _ in _FIELD_TIMES))
 
 
 def _parts_of(config: ScenarioConfig) -> _Parts:
     """``_build_parts(config)``, shared read-only by every equal scenario."""
-    values = _scenario_fields(config)
-    key = (values, tuple(map(type, values)))
+    key = (config, tuple(map(type, config)))
     try:
         parts = _scenario_parts.get(key)
     except TypeError:

@@ -161,6 +161,13 @@ class LorawanParams(_LorawanFields):
             )
         if not 0 < self.ul_duty_cycle <= 1:
             problems.append(f"ul_duty_cycle must be in (0, 1], got {self.ul_duty_cycle}")
+        # Each time is rounded to the clock, which a float must count.
+        for name in ("rx1_delay_s", "rx2_delay_s", "turn_on_s", "standby_brief_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
+            elif not math.isfinite(value * NS_PER_S):
+                problems.append(f"{name} is beyond the range of the 1 ns clock, got {value}")
         if problems:
             raise ConfigError(problems)
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import replace
 
@@ -653,35 +652,20 @@ def test_peak_success_prefers_smallest_capacitance():
         peak_success_capacitance(base, (), "UL")
 
 
-def test_scenario_config_can_be_derived_by_copying_its_fields():
-    # What analysis._point relies on to stand in for dataclasses.replace:
-    # every field is an init field, none an InitVar, and construction runs
-    # nothing past setting them.
-    params = ScenarioConfig.__dataclass_params__
-    assert params.frozen and params.init
-    assert not hasattr(ScenarioConfig, "__post_init__")
-    assert not hasattr(ScenarioConfig, "__slots__")
-    declared = ScenarioConfig.__dataclass_fields__
-    assert list(declared) == [f.name for f in dataclasses.fields(ScenarioConfig)]
-    assert all(f.init for f in declared.values())
-
-
 def _same_point(got: ScenarioConfig, want: ScenarioConfig) -> bool:
     """Equal field by field, each value of the same type: ``==`` alone would
     take ``1`` for ``1.0`` or ``True``."""
-    return vars(got) == vars(want) and [type(v) for v in vars(got).values()] == [
-        type(v) for v in vars(want).values()
-    ]
+    return got == want and tuple(map(type, got)) == tuple(map(type, want))
 
 
 def test_each_study_derives_the_points_replace_would(monkeypatch):
-    base = replace(BASE, capacitance_f=1, power_w=0.002, duration_s=600.0, seed=5)
+    base = BASE._replace(capacitance_f=1, power_w=0.002, duration_s=600.0, seed=5)
     grid = SweepGrid(
         capacitances_f=(0.004, 0.01), powers_w=(0.001,), periods_s=(30.0,), kinds=CYCLE_KINDS
     )
     want = [
-        replace(
-            base, capacitance_f=c, power_w=0.001, data_rate=3, ul_payload_bytes=10,
+        base._replace(
+            capacitance_f=c, power_w=0.001, data_rate=3, ul_payload_bytes=10,
             packet_period_s=30.0, confirmed=kind == "UL+DL",
         )
         for kind in CYCLE_KINDS
@@ -705,15 +689,15 @@ def test_each_study_derives_the_points_replace_would(monkeypatch):
     kinds = ["UL+DL", "UL+DL"] + ["UL"] * (len(runs) - 2)
     assert len(runs) >= 3
     for config, cap, kind in zip(runs, caps, kinds, strict=True):
-        assert _same_point(config, replace(base, capacitance_f=cap, confirmed=kind == "UL+DL"))
+        assert _same_point(config, base._replace(capacitance_f=cap, confirmed=kind == "UL+DL"))
 
     # The brute-force check of one cycle.
     runs.clear()
     engine_cycle_feasible(base, "UL+DL", 0.01, power_w=0.003)
     spec = cycle_spec(base, "UL+DL", 0.003)
     duration = sum(d for d, _ in spec.segments) + base.rx2_delay_s + 3.0
-    want = replace(
-        base, capacitance_f=0.01, harvester="constant", power_w=0.003, confirmed=True,
+    want = base._replace(
+        capacitance_f=0.01, harvester="constant", power_w=0.003, confirmed=True,
         initial_voltage_v=spec.initial_voltage_v, first_packet_s=0.0,
         packet_period_s=duration + 60.0, duration_s=duration, guard_enabled=False,
         generate_while_off=True, trace=False,
@@ -724,10 +708,10 @@ def test_each_study_derives_the_points_replace_would(monkeypatch):
     checked = []
     monkeypatch.setattr(analysis, "check_scenarios", checked.extend)
     mincap_table(base, data_rates=(2, 3), payloads_bytes=(10, 20), powers_w=(0.001,), dl_payload_bytes=20)
-    row_base = replace(base, dl_payload_bytes=20)
+    row_base = base._replace(dl_payload_bytes=20)
     want = (
-        [replace(row_base, data_rate=dr) for dr in (2, 3)]
-        + [replace(row_base, ul_payload_bytes=payload) for payload in (10, 20)]
-        + [replace(row_base, power_w=0.001)]
+        [row_base._replace(data_rate=dr) for dr in (2, 3)]
+        + [row_base._replace(ul_payload_bytes=payload) for payload in (10, 20)]
+        + [row_base._replace(power_w=0.001)]
     )
     assert len(checked) == len(want) and all(map(_same_point, checked, want))

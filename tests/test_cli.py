@@ -488,6 +488,7 @@ def test_usage_errors_exit_nonzero(capsys):
             ["harvester.kind=random", "harvester.update_period_s=1e300"],
             "harvest_update_period_s is beyond the range",
         ),
+        (["rx2_delay_s=1e300"], "rx2_delay_s is beyond the range"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

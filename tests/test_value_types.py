@@ -1,11 +1,14 @@
 """The value types' contracts. The frozen ones check their values where they
 are built, also when a changed copy is derived, are immutable and compare
 and hash by value; the mutable ones compare every field. ``import caplora``
-builds one dataclass, ScenarioConfig, which keeps ``dataclasses.replace``."""
+loads no ``dataclasses``, and ``dataclasses.replace`` still derives a
+ScenarioConfig."""
 
 from __future__ import annotations
 
 import copy
+import json
+import math
 import pickle
 import subprocess
 import sys
@@ -43,6 +46,12 @@ REFUSED = [
     (LorawanParams(), {"data_rate": 9}, ["data_rate must be in 0..5, got 9"]),
     (LorawanParams(), {"rx1_delay_s": 2.0, "rx2_delay_s": 1.0}, ["need 0 < rx1_delay_s < rx2_delay_s"]),
     (LorawanParams(), {"ul_duty_cycle": 0.0}, ["ul_duty_cycle must be in (0, 1], got 0.0"]),
+    (LorawanParams(), {"turn_on_s": math.inf}, ["turn_on_s must be finite, got inf"]),
+    (
+        LorawanParams(),
+        {"rx2_delay_s": 1e300},
+        ["rx2_delay_s is beyond the range of the 1 ns clock, got 1e+300"],
+    ),
     (
         LorawanParams(),
         {"data_rate": 0, "rx_window_symbols": 40},
@@ -182,41 +191,47 @@ def test_mutable_records_compare_by_fields_and_are_unhashable():
         DutyCycleBudget(0.0)
 
 
-# In a fresh interpreter: count the @dataclass decorators that run on
-# ``import caplora``, list the caplora classes that are dataclasses, and
-# derive a scenario with ``dataclasses.replace``, as the bench does.
+# In a fresh interpreter: import the package and its command line, parse a
+# scenario, and list which of dataclasses and inspect got loaded. Only then
+# derive, list and convert a scenario through dataclasses, as the bench does.
 PROBE = """
-import dataclasses, sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
-built = []
-decorate = dataclasses.dataclass
-def counted(cls=None, /, **kwargs):
-    def wrap(cls):
-        built.append(cls.__qualname__)
-        return decorate(**kwargs)(cls)
-    return wrap if cls is None else wrap(cls)
-dataclasses.dataclass = counted
-import caplora
-dataclasses.dataclass = decorate
-classes = {
-    f"{cls.__module__}.{cls.__qualname__}"
-    for name, module in sorted(sys.modules.items()) if name.startswith("caplora")
-    for cls in vars(module).values()
-    if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls)
-}
-print(" ".join(built))
-print(" ".join(sorted(classes)))
-print(dataclasses.replace(caplora.ScenarioConfig(), seed=2).seed)
+import caplora, caplora.cli
+caplora.parse_config(None, ["seed=3"])
+loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+import dataclasses
+config = caplora.ScenarioConfig()
+derived = dataclasses.replace(config, seed=2)
+print(json.dumps({
+    "loaded": loaded,
+    "derived_type": type(derived) is caplora.ScenarioConfig,
+    "changed": {name: value for name, value in derived._asdict().items() if value != getattr(config, name)},
+    "is_dataclass": dataclasses.is_dataclass(config),
+    "fields": [[f.name, f.type, f.default] for f in dataclasses.fields(caplora.ScenarioConfig)],
+    "asdict": dataclasses.asdict(config) == config._asdict(),
+}))
 """
 
 
-def test_importing_caplora_builds_one_dataclass():
+def test_importing_caplora_loads_no_dataclasses():
     result = subprocess.run(
         [sys.executable, "-I", "-c", PROBE, str(SRC)], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "ScenarioConfig",
-        "caplora.engine.ScenarioConfig",
-        "2",
-    ]
+    probe = json.loads(result.stdout)
+    assert probe["loaded"] == []
+    assert probe["derived_type"] and probe["changed"] == {"seed": 2}
+    assert probe["is_dataclass"] and probe["asdict"]
+    names, types, defaults = zip(*probe["fields"])
+    assert len(names) == 44 and names == caplora.ScenarioConfig._fields
+    assert list(defaults) == list(caplora.ScenarioConfig())
+    assert set(types) == {"float", "int", "str", "bool", "float | None", "int | None", "str | None"}
+    assert dict(zip(names, types)) == {
+        name: {
+            "trace_file": "str | None",
+            "first_packet_s": "float | None",
+            "rx2_window_symbols": "int | None",
+        }.get(name, type(default).__name__)
+        for name, default in caplora.ScenarioConfig._field_defaults.items()
+    }
