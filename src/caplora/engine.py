@@ -79,7 +79,7 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .clock import NS_PER_S, TICK_S
+from .clock import NS_PER_S, TICK_S, clock_problems
 from .device import (
     GUARD_HORIZON_REPLIES,
     CycleOutcome,
@@ -454,12 +454,10 @@ def _scenario_problems(config: ScenarioConfig) -> list[str]:
     problems = []
     for name, is_time in _FIELD_TIMES:
         value = getattr(config, name)
-        if not isinstance(value, float):
-            continue
-        if not math.isfinite(value):
+        if is_time and isinstance(value, (int, float)):
+            problems.extend(clock_problems(name, value))
+        elif isinstance(value, float) and not math.isfinite(value):
             problems.append(f"{name} must be finite, got {value}")
-        elif is_time and not math.isfinite(value * NS_PER_S):
-            problems.append(f"{name} is beyond the range of the 1 ns clock, got {value}")
     if config.harvester not in HARVESTER_KINDS:
         problems.append(f"harvester must be one of {HARVESTER_KINDS}")
     if config.harvester == "trace" and not config.trace_file:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Protocol
 
@@ -63,7 +64,8 @@ class TraceHarvester:
     change, so ``next_change_after`` does not report it and a run driven by
     the trace spends no event on it. Queries before the first or after the
     last sample raise ``TraceExhaustedError``: a trace says nothing outside
-    its span.
+    its span. The change points are tuples: one parsed trace is shared by
+    every run of it (``load_trace``), and none can change it.
     """
 
     def __init__(self, samples: Iterable[tuple[float, float]]) -> None:
@@ -84,8 +86,8 @@ class TraceHarvester:
         if times[-1] != prev_t:
             times.append(prev_t)
             powers.append(prev_p)
-        self._times = times
-        self._powers = powers
+        self._times = tuple(times)
+        self._powers = tuple(powers)
 
     def power_at(self, time_s: float) -> float:
         times = self._times
@@ -181,6 +183,11 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
     and strictly increasing, powers finite and non-negative. All malformed
     lines are reported together, with line numbers; a file that cannot be
     read as text is reported as one problem.
+
+    The text is read on every call, so an edited file is always seen, and
+    parsed once per distinct text: the most recent trace's harvester is kept
+    and returned again for an equal text, from any path. A malformed trace
+    is never kept, and is reported on every call.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
@@ -194,6 +201,16 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
             raise TraceFormatError([f"{origin}: {exc.strerror or exc}"]) from exc
         except UnicodeDecodeError as exc:
             raise TraceFormatError([f"{origin}: not a text file ({exc.reason})"]) from exc
+    try:
+        return _parse_trace(text)
+    except TraceFormatError as exc:
+        raise TraceFormatError([origin + problem for problem in exc.problems]) from None
+
+
+@lru_cache(maxsize=1)
+def _parse_trace(text: str) -> TraceHarvester:
+    """The trace in ``text``. Each problem names where it is found, the line
+    as ``:<lineno>``, but not the origin, which ``load_trace`` prepends."""
     lines = text.splitlines()
     delimiter = ";" if any(";" in line for line in lines[:2]) else ","
     problems: list[str] = []
@@ -221,23 +238,21 @@ def load_trace(source: str | Path | IO[str]) -> TraceHarvester:
                 last = t
                 prev_text, prev_p = p_text, p
                 continue
-        problems.extend(_row_problems(line, delimiter, last, origin, lineno))
+        problems.extend(_row_problems(line, delimiter, last, lineno))
     if problems:
         raise TraceFormatError(problems)
     if not points:
-        raise TraceFormatError([f"{origin}: no data rows found"])
+        raise TraceFormatError([": no data rows found"])
     # The last sample ends the trace, a change point or not.
     if points[-1][0] != last:
         points.append((last, prev_p))
     return TraceHarvester(points)
 
 
-def _row_problems(
-    line: str, delimiter: str, last: float, origin: str, lineno: int
-) -> list[str]:
+def _row_problems(line: str, delimiter: str, last: float, lineno: int) -> list[str]:
     """What is wrong with a trace row following a sample at time ``last``:
     nothing for a blank line or a header on line 1."""
-    where = f"{origin}:{lineno}"
+    where = f":{lineno}"
     line = line.strip()
     if not line:
         return []

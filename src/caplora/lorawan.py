@@ -7,7 +7,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clock import MAX_TICKS, NS_PER_S
+from .clock import MAX_TICKS, NS_PER_S, clock_problems
 from .errors import ConfigError
 
 
@@ -163,11 +163,7 @@ class LorawanParams(_LorawanFields):
             problems.append(f"ul_duty_cycle must be in (0, 1], got {self.ul_duty_cycle}")
         # Each time is rounded to the clock, which a float must count.
         for name in ("rx1_delay_s", "rx2_delay_s", "turn_on_s", "standby_brief_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                problems.append(f"{name} must be finite, got {value}")
-            elif not math.isfinite(value * NS_PER_S):
-                problems.append(f"{name} is beyond the range of the 1 ns clock, got {value}")
+            problems.extend(clock_problems(name, getattr(self, name)))
         if problems:
             raise ConfigError(problems)
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)

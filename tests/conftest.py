@@ -19,9 +19,18 @@ import caplora.engine
 from caplora.device import CycleOutcome
 from caplora.energy import CapacitorParams, load_energy_joules
 from caplora.engine import Simulator
+from caplora.harvester import _parse_trace
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def trace_parses():
+    """The number of trace parses since the test began, counted by the
+    parse memo, which starts the test empty."""
+    _parse_trace.cache_clear()
+    return lambda: _parse_trace.cache_info().misses
 
 
 def make_params(**overrides) -> CapacitorParams:

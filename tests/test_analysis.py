@@ -33,6 +33,7 @@ from caplora.analysis import (
 )
 from caplora.engine import RESULTS_HEADER, capacitor_params, validate_scenario
 from caplora.harvester import TraceExhaustedError
+from caplora.lorawan import data_rate_to_sf, rx_window_duration
 from conftest import stepwise_min_voltage
 
 
@@ -177,13 +178,17 @@ def test_engine_agrees_with_analytic_boundary():
 @st.composite
 def _sized_scenarios(draw) -> tuple[ScenarioConfig, str, float]:
     """A valid scenario, a cycle kind and a power to size it at: radio,
-    thresholds, currents and receive delays drawn wherever validation
-    accepts them."""
+    thresholds, currents, rail voltage, receive delays and windows drawn
+    wherever validation accepts them."""
     max_voltage_v = draw(st.sampled_from((3.1, 3.3)))
+    data_rate = draw(st.integers(0, 5))
+    rx_window_symbols = draw(st.integers(1, 255))
+    window_1_s = rx_window_duration(data_rate_to_sf(data_rate), rx_window_symbols)
     rx1_delay_s = draw(st.floats(0.5, 3.0))
     config = replace(
         BASE,
-        data_rate=draw(st.integers(0, 5)),
+        data_rate=data_rate,
+        rail_voltage_v=10 ** draw(st.floats(-1.0, 1.5)),
         ul_payload_bytes=draw(st.integers(0, 242)),
         dl_payload_bytes=draw(st.integers(0, 242)),
         max_voltage_v=max_voltage_v,
@@ -195,8 +200,10 @@ def _sized_scenarios(draw) -> tuple[ScenarioConfig, str, float]:
         standby_a=draw(st.floats(1e-6, 15e-3)),
         idle_a=draw(st.floats(1e-6, 1e-3)),
         rx1_delay_s=rx1_delay_s,
-        # Longer than window 1 at SF12: 8 symbols last 0.26 s.
-        rx2_delay_s=rx1_delay_s + draw(st.floats(0.6, 3.0)),
+        # Window 1 closes before window 2 opens.
+        rx2_delay_s=rx1_delay_s + window_1_s + draw(st.floats(1e-3, 3.0)),
+        rx_window_symbols=rx_window_symbols,
+        rx2_window_symbols=draw(st.none() | st.integers(1, 255)),
         standby_brief_s=draw(st.floats(0.001, 0.9)) * rx1_delay_s,
     )
     power_w = 10 ** draw(st.floats(-5.0, math.log10(3e-2)))
@@ -633,6 +640,38 @@ def test_studies_reject_runs_cut_short_by_the_trace(tmp_path):
         success_curve(base, (0.01,), "UL")
     with pytest.raises(TraceExhaustedError):
         min_capacitance_for_target(base, "UL", c_lo=1e-4, c_hi=0.1)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda base: success_curve(base, (0.003, 0.01, 0.03), "UL"),
+        lambda base: min_capacitance_for_target(base, "UL", c_lo=1e-4, c_hi=0.1),
+    ],
+    ids=["success_curve", "min_capacitance_for_target"],
+)
+def test_each_study_parses_its_trace_once(tmp_path, monkeypatch, trace_parses, study):
+    trace = tmp_path / "harvest.csv"
+    trace.write_text("0,0.004\n600,0\n1200,0.002\n1800,0.002\n")
+    base = replace(
+        BASE,
+        harvester="trace",
+        trace_file=str(trace),
+        packet_period_s=60.0,
+        first_packet_s=0.0,
+        duration_s=1800.0,
+    )
+    runs = []
+    real = analysis.run_scenario
+
+    def spy(config):
+        runs.append(config)
+        return real(config)
+
+    monkeypatch.setattr(analysis, "run_scenario", spy)
+    study(base)
+    assert len(runs) >= 3
+    assert trace_parses() == 1
 
 
 def test_peak_success_prefers_smallest_capacitance():

@@ -24,7 +24,6 @@ from caplora.analysis import (
 from caplora.cli import main
 from caplora.config import parse_config
 from caplora.engine import RESULTS_HEADER, lorawan_params
-from caplora.harvester import load_trace
 
 from conftest import empty_stores
 
@@ -343,22 +342,15 @@ def test_sweep_rejects_a_malformed_trace_before_any_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "trace", "sweep"])
-def test_each_command_parses_the_trace_once(tmp_path, capsys, monkeypatch, command):
-    parsed = []
-
-    def counting(source):
-        parsed.append(source)
-        return load_trace(source)
-
-    for module in (caplora.cli, caplora.engine):
-        monkeypatch.setattr(module, "load_trace", counting)
+def test_each_command_parses_the_trace_once(tmp_path, capsys, trace_parses, command):
     trace = tmp_path / "ok.csv"
     trace.write_text("0,0.004\n300,0\n600,0.002\n")
     args = [command, *FAST, "--set", "harvester.kind=trace", "--set", f"trace_file={trace}"]
     assert main([*args, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    # A sweep checks the trace once up front, then runs its one point on it.
-    assert len(parsed) == (2 if command == "sweep" else 1)
+    # A sweep reads the trace up front, then again for its one point, and
+    # parses it only the first time.
+    assert trace_parses() == 1
 
 
 @pytest.mark.parametrize("samples", ["5,0.001\n900,0.002\n", "0,0.001\n60,0.001\n"])

@@ -213,6 +213,47 @@ def test_load_trace_without_data_rows():
     assert "no data rows" in str(err.value)
 
 
+def _trace_scenario(path, **overrides) -> ScenarioConfig:
+    return ScenarioConfig(harvester="trace", trace_file=str(path), duration_s=60.0, **overrides)
+
+
+def test_runs_of_one_trace_share_one_immutable_harvester(tmp_path, trace_parses):
+    text = "0,0.001\n30,0.002\n60,0.002\n"
+    (tmp_path / "a.csv").write_text(text)
+    (tmp_path / "b.csv").write_text(text)
+    first = Simulator(_trace_scenario(tmp_path / "a.csv")).harvester
+    # Another run, another capacitor, another path: the same text.
+    again = Simulator(_trace_scenario(tmp_path / "b.csv", capacitance_f=0.02)).harvester
+    assert again is first
+    assert trace_parses() == 1
+    assert (type(first._times), type(first._powers)) == (tuple, tuple)
+
+
+def test_a_trace_rewritten_in_place_is_parsed_again(tmp_path, trace_parses):
+    path = tmp_path / "harvest.csv"
+    path.write_text("0,0.001\n60,0.001\n")
+    assert Simulator(_trace_scenario(path)).harvester.power_at(30.0) == 0.001
+    path.write_text("0,0.003\n60,0.003\n")
+    assert Simulator(_trace_scenario(path)).harvester.power_at(30.0) == 0.003
+    assert trace_parses() == 2
+
+
+def test_a_malformed_trace_is_reported_from_its_own_path_on_every_call(tmp_path, trace_parses):
+    text = "0,0.001\nnan,0.002\n5,-1\n"
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        path.write_text(text)
+    sources = [(str(path), path) for path in paths * 2] + [("<stream>", io.StringIO(text))]
+    for origin, source in sources:
+        with pytest.raises(TraceFormatError) as err:
+            load_trace(source)
+        assert err.value.problems == [
+            f"{origin}:2: non-finite timestamp nan",
+            f"{origin}:3: negative power -1.0",
+        ]
+    assert trace_parses() == 5
+
+
 def test_random_harvester_is_deterministic_per_seed():
     kwargs = dict(update_period_s=2.0, low_w=0.0, high_w=0.004)
     a = RandomHarvester("uniform", seed=7, **kwargs)

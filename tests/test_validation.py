@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from caplora import ConfigError, ScenarioConfig, Simulator
 from caplora.clock import TICK_S
-from caplora.engine import validate_scenario
+from caplora.engine import run_scenario, validate_scenario
 
 # Zero, the clock tick and below it, values past the nanosecond clock's
 # range, non-finite values and a plain negative.
@@ -66,3 +66,22 @@ def test_simulator_refuses_exactly_what_validation_reports(config):
         assert excinfo.value.problems == problems
     else:
         Simulator(config)
+
+
+# A time that large in these fields also breaks their order with another.
+ORDER_PROBLEMS = {
+    "rx1_delay_s": ["need 0 < rx1_delay_s < rx2_delay_s"],
+    "standby_brief_s": ["standby_brief_s must be in (0, rx1_delay_s)"],
+}
+
+
+@pytest.mark.parametrize("name", [name for name in ScenarioConfig._fields if name.endswith("_s")])
+def test_an_int_time_beyond_the_clock_is_reported_not_raised(name):
+    # An int that no float holds: unchecked, validation raised OverflowError
+    # on the radio's times, and a run on duration_s.
+    config = ScenarioConfig(**{name: 10**400})
+    clock = f"{name} is beyond the range of the 1 ns clock, got {10**400}"
+    assert validate_scenario(config) == [clock, *ORDER_PROBLEMS.get(name, ())]
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(config)
+    assert excinfo.value.problems == validate_scenario(config)

@@ -54,6 +54,14 @@ REFUSED = [
     ),
     (
         LorawanParams(),
+        {"standby_brief_s": 10**400},
+        [
+            "standby_brief_s must be in (0, rx1_delay_s)",
+            f"standby_brief_s is beyond the range of the 1 ns clock, got {10**400}",
+        ],
+    ),
+    (
+        LorawanParams(),
         {"data_rate": 0, "rx_window_symbols": 40},
         ["receive window 1 would still be open at rx2_delay_s"],
     ),
