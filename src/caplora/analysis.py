@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .device import DlReply, cycle_states
 from .energy import (
@@ -254,38 +254,25 @@ MINCAP_HEADER = "dr,payload_bytes,P_harvest_W,kind,min_C_farads"
 INFEASIBLE_MARKER = "infeasible"
 
 
-class MinCapacitanceRow(NamedTuple):
-    data_rate: int
-    payload_bytes: int
-    power_w: float
-    kind: str
-    capacitance_f: float | None
-
-
-_Block = TypeVar("_Block")
-
-
-def _sized_cycles(
+def mincap_csv(
     config: ScenarioConfig,
-    data_rates: Sequence[int],
-    payloads_bytes: Sequence[int],
-    powers_w: Sequence[float],
-    kinds: Sequence[str],
-    dl_payload_bytes: int,
-    tol_rel: float,
-    block: Callable[[list[list[float | None]]], _Block],
-) -> Iterator[tuple[int, int, _Block]]:
-    """The sizing core of ``mincap_table`` and ``mincap_csv``: yield
-    ``(dr, payload, block(answers))`` for each data rate and payload, in grid
-    order, where ``answers[k][i]`` is the minimum capacitance (None if
-    infeasible) of ``kinds[k]`` at ``powers_w[i]``. Payloads of one data rate
-    that share an uplink airtime share one ``block(answers)``, built once.
-    Every row's scenario is checked before the first yield."""
+    *,
+    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
+    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
+    powers_w: Sequence[float] = DEFAULT_POWERS_W,
+    kinds: Sequence[str] = CYCLE_KINDS,
+) -> str:
+    """The text of ``min_capacitance.csv``: the ``MINCAP_HEADER`` line, then
+    a ``dr,payload,power,kind,cell`` line per row of the grid, in order, the
+    power printed ``.9g`` and the cell ``min_capacitance``'s answer for the
+    row, with a ``DEFAULT_DL_PAYLOAD_BYTES`` downlink, printed ``.6g`` or
+    ``INFEASIBLE_MARKER``. Rows are sized at a constant harvest, which the
+    base scenario must use; every row's scenario is checked before any is
+    sized, and a problem raises ``ConfigError``."""
     _require_constant(config, "mincap")
     if any(kind not in _KIND_REPLIES for kind in kinds):
         raise ConfigError([f"mincap kinds must be among {CYCLE_KINDS}"])
-    _check_bracket(DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
-    base = config._replace(dl_payload_bytes=dl_payload_bytes)
+    base = config._replace(dl_payload_bytes=DEFAULT_DL_PAYLOAD_BYTES)
     # A row's scenario is the base with its data rate, payload and power set,
     # and no check couples two of these axes: checking each axis value on the
     # base checks every row, without building the whole grid.
@@ -305,7 +292,9 @@ def _sized_cycles(
     radio = lorawan_params(base)
     rail = base.rail_voltage_v
     g_tx = g_load[DeviceState.TX]
-    bracket = (base.max_voltage_v, base.v_th_low_v, DEFAULT_C_LO_F, DEFAULT_C_HI_F, tol_rel)
+    bracket = (base.max_voltage_v, base.v_th_low_v, DEFAULT_C_LO_F, DEFAULT_C_HI_F, DEFAULT_TOL_REL)
+    power_texts = [f"{power:.9g}" for power in powers_w]
+    lines = [MINCAP_HEADER]
     for dr in data_rates:
         dr_radio = radio._replace(data_rate=dr)
         # A cycle is its uplink, then a tail that depends on the data rate
@@ -319,98 +308,31 @@ def _sized_cycles(
         # LoRa codes a payload in blocks of symbols, so payloads a few bytes
         # apart have one uplink airtime, and a cycle depends on the payload
         # only through that airtime: each distinct airtime's cycles are
-        # sized once, at every power.
-        blocks: dict[float, _Block] = {}
+        # sized once, at every power, and their cells formatted once, then
+        # joined to each payload's ``dr,payload,`` prefix.
+        blocks: dict[float, list[str]] = {}
         for payload in payloads_bytes:
             ul_s = time_on_air(
                 payload + dr_radio.mac_overhead_bytes, dr_radio.sf, dr_radio.bandwidth_hz
             )
-            sized = blocks.get(ul_s)
-            if sized is None:
+            block = blocks.get(ul_s)
+            if block is None:
                 heads = [played_segments(((ul_s, g_tx),), g, rail) for g, _ in banked]
-                sized = blocks[ul_s] = block(
+                answers = [
                     [
-                        [
-                            min_capacitance_over_played(v0, head + tail, *bracket)
-                            for (_, v0), head, tail in zip(banked, heads, kind_tails)
-                        ]
-                        for kind_tails in tails
+                        min_capacitance_over_played(v0, head + tail, *bracket)
+                        for (_, v0), head, tail in zip(banked, heads, kind_tails)
                     ]
-                )
-            yield dr, payload, sized
-
-
-def mincap_table(
-    config: ScenarioConfig,
-    *,
-    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
-    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
-    powers_w: Sequence[float] = DEFAULT_POWERS_W,
-    kinds: Sequence[str] = CYCLE_KINDS,
-    dl_payload_bytes: int = DEFAULT_DL_PAYLOAD_BYTES,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> list[MinCapacitanceRow]:
-    """Minimum-capacitance grid over data rate, payload, harvest power, kind.
-
-    The downlink in UL+DL cycles carries ``dl_payload_bytes`` of application
-    payload; uplink-only cycles ignore it. Every row is sized at a constant
-    harvest, so the base scenario must use the constant harvester. Every
-    row's scenario is checked before any is sized; a problem raises
-    ``ConfigError``.
-    """
-
-    def cells(answers: list[list[float | None]]) -> list[tuple[float, str, float | None]]:
-        return [
-            (power, kind, c_mins[i])
-            for i, power in enumerate(powers_w)
-            for kind, c_mins in zip(kinds, answers)
-        ]
-
-    rows: list[MinCapacitanceRow] = []
-    for dr, payload, block in _sized_cycles(
-        config, data_rates, payloads_bytes, powers_w, kinds, dl_payload_bytes, tol_rel, cells
-    ):
-        rows += [MinCapacitanceRow(dr, payload, *cell) for cell in block]
-    return rows
-
-
-def mincap_csv(
-    config: ScenarioConfig,
-    *,
-    data_rates: Sequence[int] = DEFAULT_DATA_RATES,
-    payloads_bytes: Sequence[int] = DEFAULT_PAYLOADS_BYTES,
-    powers_w: Sequence[float] = DEFAULT_POWERS_W,
-    kinds: Sequence[str] = CYCLE_KINDS,
-) -> str:
-    """``mincap_table``'s rows, at its default downlink payload and
-    tolerance, as the text of ``min_capacitance.csv``: the ``MINCAP_HEADER``
-    line, then one ``dr,payload,power,kind,cell`` line per row, the power
-    printed ``.9g`` and the capacitance ``.6g`` or ``INFEASIBLE_MARKER``. A
-    power's text and a block's cells are formatted once, then joined to each
-    payload's ``dr,payload,`` prefix."""
-    power_texts = [f"{power:.9g}" for power in powers_w]
-
-    def cells(answers: list[list[float | None]]) -> list[str]:
-        return [
-            f"{text},{kind},{INFEASIBLE_MARKER if c_min is None else f'{c_min:.6g}'}"
-            for i, text in enumerate(power_texts)
-            for kind, c_min in zip(kinds, [c_mins[i] for c_mins in answers])
-        ]
-
-    lines = [MINCAP_HEADER]
-    for dr, payload, block in _sized_cycles(
-        config,
-        data_rates,
-        payloads_bytes,
-        powers_w,
-        kinds,
-        DEFAULT_DL_PAYLOAD_BYTES,
-        DEFAULT_TOL_REL,
-        cells,
-    ):
-        if block:
-            prefix = f"{dr},{payload},"
-            lines.append(prefix + ("\n" + prefix).join(block))
+                    for kind_tails in tails
+                ]
+                block = blocks[ul_s] = [
+                    f"{text},{kind},{INFEASIBLE_MARKER if c_mins[i] is None else f'{c_mins[i]:.6g}'}"
+                    for i, text in enumerate(power_texts)
+                    for kind, c_mins in zip(kinds, answers)
+                ]
+            if block:
+                prefix = f"{dr},{payload},"
+                lines.append(prefix + ("\n" + prefix).join(block))
     lines.append("")
     return "\n".join(lines)
 

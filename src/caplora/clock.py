@@ -9,6 +9,8 @@ the times written to outputs.
 import math
 import sys
 
+from .errors import shown
+
 #: Clock ticks per second.
 NS_PER_S = 1_000_000_000
 #: One clock tick: a shorter wait or period would round to a zero-length step.
@@ -18,12 +20,16 @@ TICK_S = 1 / NS_PER_S
 MAX_TICKS = int(sys.float_info.max)
 
 
-def clock_problems(name: str, value: float) -> list[str]:
-    """What keeps ``value`` seconds, a float or an int, from being rounded to
-    the clock: a value that is not finite, or more ticks than a float counts."""
+def number_problems(name: str, value: object) -> list[str]:
+    """What keeps the field ``name``'s ``value`` from being computed with: a
+    float that is not finite, an int beyond a float's range, or a time (a
+    ``*_s`` name) in seconds of more clock ticks than a float counts."""
     if isinstance(value, float) and not math.isfinite(value):
         return [f"{name} must be finite, got {value}"]
     # Compared exactly: an int may count more ticks than a float can hold.
-    if not abs(value * NS_PER_S) <= MAX_TICKS:
-        return [f"{name} is beyond the range of the 1 ns clock, got {value}"]
+    if name.endswith("_s") and isinstance(value, (int, float)):
+        if not abs(value * NS_PER_S) <= MAX_TICKS:
+            return [f"{name} is beyond the range of the 1 ns clock, got {shown(value)}"]
+    if isinstance(value, int) and not abs(value) <= MAX_TICKS:
+        return [f"{name} is beyond the range of a float, got {shown(value)}"]
     return []

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .clock import NS_PER_S
-from .energy import CapacitorParams, min_voltage_over_played, played_segments
+from .energy import min_voltage_over_played, played_segments
 from .lorawan import (
     DeviceState,
     DutyCycleBudget,
@@ -102,34 +102,6 @@ def cycle_states(
 # The cycle each energy-guard horizon looks ahead over: ``tx`` the uplink
 # alone, ``cycle`` through the close of an empty second receive window.
 GUARD_HORIZON_REPLIES = {"tx": None, "cycle": DlReply.NONE}
-
-
-def smart_tx_guard(
-    voltage_v: float,
-    segments: Iterable[tuple[float, float]],
-    g_harv: float,
-    cap_params: CapacitorParams,
-) -> bool:
-    """Decide whether a transmission may start.
-
-    Plays the guarded horizon, its ``cycle_states`` as ``(duration,
-    g_load)``, forward in closed form, holding the current harvest rate,
-    and vetoes the attempt if the predicted voltage would fall below the
-    cutoff threshold anywhere along it.
-    """
-    played = played_segments(segments, g_harv, cap_params.rail_voltage_v)
-    return _holds_above_cutoff(voltage_v, played, cap_params)
-
-
-def _holds_above_cutoff(
-    voltage_v: float, played: Iterable[tuple[float, float, float]], cap_params: CapacitorParams
-) -> bool:
-    """The guard's rule: whether the voltage stays at or above the cutoff
-    threshold while ``played_segments`` output plays from ``voltage_v``."""
-    predicted = min_voltage_over_played(
-        voltage_v, played, cap_params.capacitance_f, cap_params.max_voltage_v
-    )
-    return predicted >= cap_params.v_th_low_v
 
 
 # The gateway's duty budgets: window 1 replies share the uplink band's 1%,
@@ -278,14 +250,18 @@ class LorawanDevice:
         self._pending = self.sim.schedule_at_ns(now + self._ul_ticks, self._on_tx_end)
 
     def guard_allows(self, voltage_v: float) -> bool:
-        """The energy guard's answer at ``voltage_v`` under the current
-        harvest: ``smart_tx_guard``'s over the guard's horizon."""
+        """Whether a transmission may start at ``voltage_v``: the guard's
+        horizon, played at the current harvest (again only once it changed),
+        keeps the voltage at or above the cutoff threshold throughout."""
         cap_params = self.sim.cap.params
         g_harv = self.sim.g_harv
         if g_harv != self._played_g_harv:
             self._played = played_segments(self._guard_horizon, g_harv, cap_params.rail_voltage_v)
             self._played_g_harv = g_harv
-        return _holds_above_cutoff(voltage_v, self._played, cap_params)
+        predicted = min_voltage_over_played(
+            voltage_v, self._played, cap_params.capacitance_f, cap_params.max_voltage_v
+        )
+        return predicted >= cap_params.v_th_low_v
 
     def _on_tx_end(self) -> None:
         assert self.cycle is not None

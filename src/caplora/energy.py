@@ -30,8 +30,8 @@ import math
 from itertools import repeat
 from typing import IO, Iterable, NamedTuple
 
-from .clock import NS_PER_S, TICK_S
-from .errors import ConfigError
+from .clock import NS_PER_S, TICK_S, number_problems
+from .errors import ConfigError, shown
 
 
 class _CapacitorFields(NamedTuple):
@@ -59,25 +59,27 @@ class CapacitorParams(_CapacitorFields):
         self = super().__new__(cls, *args, **kwargs)
         problems = []
         if self.capacitance_f <= 0.0:
-            problems.append(f"capacitance_f must be > 0, got {self.capacitance_f}")
+            problems.append(f"capacitance_f must be > 0, got {shown(self.capacitance_f)}")
         if self.rail_voltage_v <= 0.0:
-            problems.append(f"rail_voltage_v must be > 0, got {self.rail_voltage_v}")
+            problems.append(f"rail_voltage_v must be > 0, got {shown(self.rail_voltage_v)}")
         if self.max_voltage_v <= 0.0:
-            problems.append(f"max_voltage_v must be > 0, got {self.max_voltage_v}")
+            problems.append(f"max_voltage_v must be > 0, got {shown(self.max_voltage_v)}")
         if not 0.0 < self.v_th_low_v < self.max_voltage_v:
             problems.append(
-                f"v_th_low_v must be in (0, max_voltage_v), got {self.v_th_low_v}"
+                f"v_th_low_v must be in (0, max_voltage_v), got {shown(self.v_th_low_v)}"
             )
         if not 0.0 < self.v_th_high_v <= self.max_voltage_v:
             problems.append(
-                f"v_th_high_v must be in (0, max_voltage_v], got {self.v_th_high_v}"
+                f"v_th_high_v must be in (0, max_voltage_v], got {shown(self.v_th_high_v)}"
             )
         if self.v_th_high_v <= self.v_th_low_v:
             problems.append("v_th_high_v must be > v_th_low_v")
         if not 0.0 <= self.initial_voltage_v <= self.max_voltage_v:
             problems.append(
-                f"initial_voltage_v must be in [0, max_voltage_v], got {self.initial_voltage_v}"
+                f"initial_voltage_v must be in [0, max_voltage_v], got {shown(self.initial_voltage_v)}"
             )
+        for name, value in zip(self._fields, self):
+            problems.extend(number_problems(name, value))
         if problems:
             raise ConfigError(problems)
         return self

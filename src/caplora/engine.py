@@ -79,7 +79,7 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .clock import NS_PER_S, TICK_S, clock_problems
+from .clock import NS_PER_S, TICK_S, number_problems
 from .device import (
     GUARD_HORIZON_REPLIES,
     CycleOutcome,
@@ -220,7 +220,6 @@ class Event(list):
 
     # bench/tracer.py's heap probe reads ``time_ns`` and ``cancelled``.
     time_ns = property(itemgetter(0))
-    action = property(itemgetter(2))
     cancelled = property(itemgetter(3))
 
 
@@ -445,19 +444,16 @@ class _Crossing(NamedTuple):
     target: float
 
 
-# Each scenario field's name, and whether it is a time in seconds.
-_FIELD_TIMES = tuple((name, name.endswith("_s")) for name in ScenarioConfig._fields)
+# The fields whose numbers must hold as floats: all but ``seed``, which may
+# be an int of any size.
+_CHECKED_FIELDS = tuple(name for name in ScenarioConfig._fields if name != "seed")
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
     """The checks no params class or harvester constructor makes."""
     problems = []
-    for name, is_time in _FIELD_TIMES:
-        value = getattr(config, name)
-        if is_time and isinstance(value, (int, float)):
-            problems.extend(clock_problems(name, value))
-        elif isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"{name} must be finite, got {value}")
+    for name in _CHECKED_FIELDS:
+        problems.extend(number_problems(name, getattr(config, name)))
     if config.harvester not in HARVESTER_KINDS:
         problems.append(f"harvester must be one of {HARVESTER_KINDS}")
     if config.harvester == "trace" and not config.trace_file:

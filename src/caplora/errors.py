@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 
+def shown(value: object) -> str:
+    """``value`` in a problem's text: ``str(value)``, or an int's size where ``str`` refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 class ConfigError(ValueError):
     """Carries the full list of configuration problems found."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Iterable, Protocol
 
 from .clock import MAX_TICKS, NS_PER_S
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 
 class TraceExhaustedError(RuntimeError):
@@ -45,7 +45,7 @@ class ConstantHarvester:
 
     def __init__(self, power_w: float) -> None:
         if power_w < 0.0:
-            raise ConfigError([f"power_w must be non-negative, got {power_w}"])
+            raise ConfigError([f"power_w must be non-negative, got {shown(power_w)}"])
         self.power_w = power_w
 
     def power_at(self, time_s: float) -> float:
@@ -136,11 +136,11 @@ class RandomHarvester:
                 f"distribution must be 'uniform' or 'exponential', got {distribution!r}"
             )
         if not update_period_s > 0.0:
-            problems.append(f"update_period_s must be positive, got {update_period_s}")
+            problems.append(f"update_period_s must be positive, got {shown(update_period_s)}")
         if not 0.0 <= low_w <= high_w:
-            problems.append(f"need 0 <= low_w <= high_w, got {low_w}, {high_w}")
+            problems.append(f"need 0 <= low_w <= high_w, got {shown(low_w)}, {shown(high_w)}")
         if distribution == "exponential" and mean_w <= 0.0:
-            problems.append(f"mean_w must be positive, got {mean_w}")
+            problems.append(f"mean_w must be positive, got {shown(mean_w)}")
         if problems:
             raise ConfigError(problems)
         self.distribution = distribution

@@ -7,8 +7,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clock import MAX_TICKS, NS_PER_S, clock_problems
-from .errors import ConfigError
+from .clock import MAX_TICKS, NS_PER_S, number_problems
+from .errors import ConfigError, shown
 
 
 class DeviceState(str, Enum):
@@ -130,40 +130,41 @@ class LorawanParams(_LorawanFields):
         self = super().__new__(cls, *args, **kwargs)
         problems = []
         if not MIN_DATA_RATE <= self.data_rate <= MAX_DATA_RATE:
-            problems.append(f"data_rate must be in 0..5, got {self.data_rate}")
+            problems.append(f"data_rate must be in 0..5, got {shown(self.data_rate)}")
         if self.bandwidth_hz <= 0:
-            problems.append(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+            problems.append(f"bandwidth_hz must be > 0, got {shown(self.bandwidth_hz)}")
         if self.ul_payload_bytes < 0:
-            problems.append(f"ul_payload_bytes must be >= 0, got {self.ul_payload_bytes}")
+            problems.append(f"ul_payload_bytes must be >= 0, got {shown(self.ul_payload_bytes)}")
         if self.dl_payload_bytes < 0:
-            problems.append(f"dl_payload_bytes must be >= 0, got {self.dl_payload_bytes}")
+            problems.append(f"dl_payload_bytes must be >= 0, got {shown(self.dl_payload_bytes)}")
         if self.mac_overhead_bytes < 0:
             problems.append(
-                f"mac_overhead_bytes must be >= 0, got {self.mac_overhead_bytes}"
+                f"mac_overhead_bytes must be >= 0, got {shown(self.mac_overhead_bytes)}"
             )
         if self.rx1_delay_s <= 0 or self.rx2_delay_s <= self.rx1_delay_s:
             problems.append("need 0 < rx1_delay_s < rx2_delay_s")
         if self.rx_window_symbols <= 0:
             problems.append(
-                f"rx_window_symbols must be > 0, got {self.rx_window_symbols}"
+                f"rx_window_symbols must be > 0, got {shown(self.rx_window_symbols)}"
             )
         if self.rx2_window_symbols is not None and self.rx2_window_symbols <= 0:
             problems.append(
-                f"rx2_window_symbols must be > 0, got {self.rx2_window_symbols}"
+                f"rx2_window_symbols must be > 0, got {shown(self.rx2_window_symbols)}"
             )
         if self.turn_on_s < 0:
-            problems.append(f"turn_on_s must be >= 0, got {self.turn_on_s}")
+            problems.append(f"turn_on_s must be >= 0, got {shown(self.turn_on_s)}")
         if not 0 < self.standby_brief_s < self.rx1_delay_s:
             problems.append("standby_brief_s must be in (0, rx1_delay_s)")
         if self.max_transmissions < 1:
             problems.append(
-                f"max_transmissions must be >= 1, got {self.max_transmissions}"
+                f"max_transmissions must be >= 1, got {shown(self.max_transmissions)}"
             )
         if not 0 < self.ul_duty_cycle <= 1:
-            problems.append(f"ul_duty_cycle must be in (0, 1], got {self.ul_duty_cycle}")
-        # Each time is rounded to the clock, which a float must count.
-        for name in ("rx1_delay_s", "rx2_delay_s", "turn_on_s", "standby_brief_s"):
-            problems.extend(clock_problems(name, getattr(self, name)))
+            problems.append(f"ul_duty_cycle must be in (0, 1], got {shown(self.ul_duty_cycle)}")
+        # Each field is computed with as a float, and each time rounded to
+        # the clock, which a float must count.
+        for name, value in zip(self._fields, self):
+            problems.extend(number_problems(name, value))
         if problems:
             raise ConfigError(problems)
         w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)

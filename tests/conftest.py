@@ -17,7 +17,12 @@ from hypothesis import settings
 
 import caplora.engine
 from caplora.device import CycleOutcome
-from caplora.energy import CapacitorParams, load_energy_joules
+from caplora.energy import (
+    CapacitorParams,
+    load_energy_joules,
+    min_voltage_over_played,
+    played_segments,
+)
 from caplora.engine import Simulator
 from caplora.harvester import _parse_trace
 
@@ -137,6 +142,14 @@ def stepwise_min_voltage(
         v = propagate_voltage(v, duration_s, g_load, g_harv, params)
         v_min = min(v_min, v)
     return v_min
+
+
+def guard_holds(voltage_v, segments, g_harv, cap: CapacitorParams) -> bool:
+    """The energy guard's rule: played from ``voltage_v`` at the harvest
+    conductance ``g_harv``, ``(duration, g_load)`` segments keep the
+    voltage at or above the cutoff threshold."""
+    played = played_segments(segments, g_harv, cap.rail_voltage_v)
+    return min_voltage_over_played(voltage_v, played, cap.capacitance_f, cap.max_voltage_v) >= cap.v_th_low_v
 
 
 def traced_load_energy(sim) -> float:

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 from caplora import ScenarioConfig, Simulator, run_scenario
 from caplora.analysis import (
     DEFAULT_C_HI_F,
+    DEFAULT_DL_PAYLOAD_BYTES,
+    INFEASIBLE_MARKER,
     engine_cycle_feasible,
+    min_capacitance,
     min_capacitance_for_target,
-    mincap_table,
+    mincap_csv,
     peak_success_capacitance,
     success_curve,
 )
@@ -214,20 +217,32 @@ def test_05_min_capacitance_grid_trends_agree_with_engine():
     # analytic minimum capacitance must fall as the data rate or harvest
     # grows, rise with payload, and never be smaller for uplink+downlink than
     # for uplink alone; the engine must agree with every returned value.
+    # Each CSV cell is its row's min_capacitance answer, printed to 6 digits;
+    # the engine runs at that answer's full float, since a rounded cell can
+    # fall just below the true boundary.
     base = ScenarioConfig()
     started = time.monotonic()
-    rows = mincap_table(base)
-    assert len(rows) == 180
-    cell = {
-        (r.data_rate, r.payload_bytes, r.power_w, r.kind): (
-            float("inf") if r.capacitance_f is None else r.capacitance_f
+    lines = mincap_csv(base).splitlines()[1:]
+    assert len(lines) == 180
+    rows = {}
+    for line in lines:
+        dr, payload, power, kind, text = line.split(",")
+        cfg = replace(
+            base,
+            data_rate=int(dr),
+            ul_payload_bytes=int(payload),
+            dl_payload_bytes=DEFAULT_DL_PAYLOAD_BYTES,
         )
-        for r in rows
+        answer = min_capacitance(cfg, kind, float(power))
+        assert text == (INFEASIBLE_MARKER if answer is None else f"{answer:.6g}")
+        rows[int(dr), int(payload), float(power), kind] = (cfg, answer)
+    cell = {
+        key: float("inf") if answer is None else answer for key, (_, answer) in rows.items()
     }
-    data_rates = sorted({r.data_rate for r in rows})
-    payloads = sorted({r.payload_bytes for r in rows})
-    powers = sorted({r.power_w for r in rows})
-    kinds = sorted({r.kind for r in rows})
+    data_rates = sorted({dr for dr, *_ in rows})
+    payloads = sorted({payload for _, payload, *_ in rows})
+    powers = sorted({power for *_, power, _ in rows})
+    kinds = sorted({kind for *_, kind in rows})
     for kind in kinds:
         for payload in payloads:
             for power in powers:
@@ -251,22 +266,14 @@ def test_05_min_capacitance_grid_trends_agree_with_engine():
             for power in powers:
                 assert cell[dr, payload, power, "UL+DL"] >= cell[dr, payload, power, "UL"]
 
-    for row in rows:
-        cfg = replace(
-            base,
-            data_rate=row.data_rate,
-            ul_payload_bytes=row.payload_bytes,
-            dl_payload_bytes=39,
-        )
-        if row.capacitance_f is None:
-            assert not engine_cycle_feasible(cfg, row.kind, DEFAULT_C_HI_F, row.power_w)
+    for (_, _, power, kind), (cfg, answer) in rows.items():
+        if answer is None:
+            assert not engine_cycle_feasible(cfg, kind, DEFAULT_C_HI_F, power)
             continue
-        assert engine_cycle_feasible(cfg, row.kind, row.capacitance_f, row.power_w)
+        assert engine_cycle_feasible(cfg, kind, answer, power)
         # Just below the solver's bracket the cycle must fail, confirming the
         # returned value is tight and not merely sufficient.
-        assert not engine_cycle_feasible(
-            cfg, row.kind, 0.97 * row.capacitance_f, row.power_w
-        )
+        assert not engine_cycle_feasible(cfg, kind, 0.97 * answer, power)
     elapsed = time.monotonic() - started
     print(f"180 grid points checked in {elapsed:.1f}s")
     assert elapsed < 120.0

@@ -14,10 +14,10 @@ from caplora.analysis import (
     DEFAULT_C_HI_F,
     DEFAULT_C_LO_F,
     DEFAULT_DATA_RATES,
+    DEFAULT_DL_PAYLOAD_BYTES,
     DEFAULT_TOL_REL,
     INFEASIBLE_MARKER,
     MINCAP_HEADER,
-    MinCapacitanceRow,
     SweepGrid,
     cycle_spec,
     engine_cycle_feasible,
@@ -26,7 +26,6 @@ from caplora.analysis import (
     min_capacitance_for_target,
     min_voltage_over_cycle,
     mincap_csv,
-    mincap_table,
     peak_success_capacitance,
     run_sweep,
     success_curve,
@@ -153,19 +152,6 @@ def test_min_capacitance_for_target_rejects_a_degenerate_bracket_before_running(
     assert runs == []
 
 
-@pytest.mark.parametrize("tol_rel", [0.0, math.nan])
-def test_mincap_table_rejects_a_degenerate_tolerance(monkeypatch, tol_rel):
-    # The spy is the sizing kernel every row calls: a check run after the
-    # rows were sized would leave it called.
-    probed = []
-    monkeypatch.setattr(
-        analysis, "min_capacitance_over_played", lambda *args: probed.append(args)
-    )
-    with pytest.raises(ValueError, match="bisection needs"):
-        mincap_table(BASE, data_rates=(3,), payloads_bytes=(10,), tol_rel=tol_rel)
-    assert probed == []
-
-
 def test_engine_agrees_with_analytic_boundary():
     for kind, dl in (("UL", 0), ("UL+DL", 39)):
         config = replace(BASE, dl_payload_bytes=dl)
@@ -228,23 +214,25 @@ def test_analytic_sizing_agrees_with_the_engine_on_any_scenario(sized):
         assert not engine_cycle_feasible(config, kind, below, power_w)
 
 
+def _cell(c_min: float | None) -> str:
+    """A capacitance as ``mincap_csv`` prints a cell."""
+    return INFEASIBLE_MARKER if c_min is None else f"{c_min:.6g}"
+
+
 def test_mincap_table_rows_and_csv():
     grid = dict(data_rates=(3, 5), payloads_bytes=(10,), powers_w=(0.001, 1e-5), kinds=CYCLE_KINDS)
-    rows = mincap_table(BASE, **grid)
-    assert len(rows) == 2 * 1 * 2 * 2
     assert MINCAP_HEADER == "dr,payload_bytes,P_harvest_W,kind,min_C_farads"
     header, *lines = mincap_csv(BASE, **grid).splitlines()
     assert header == MINCAP_HEADER
-    # One line per row, in the rows' order.
-    by_key = {
-        (r.data_rate, r.power_w, r.kind): (r, line) for r, line in zip(rows, lines, strict=True)
-    }
-    feasible, line = by_key[(3, 0.001, "UL")]
-    assert feasible.capacitance_f is not None
-    assert line.startswith("3,10,0.001,UL,")
-    infeasible, line = by_key[(3, 1e-5, "UL")]
-    assert infeasible.capacitance_f is None
-    assert line.endswith(INFEASIBLE_MARKER)
+    # One line per row, in grid order.
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"{dr},10,{power},{kind}" for dr in (3, 5) for power in (0.001, 1e-05) for kind in CYCLE_KINDS
+    ]
+    by_key = {line.rsplit(",", 1)[0]: line.rsplit(",", 1)[1] for line in lines}
+    feasible = min_capacitance(_row_config(3, 10), "UL", 0.001)
+    assert feasible is not None
+    assert by_key["3,10,0.001,UL"] == f"{feasible:.6g}"
+    assert by_key["3,10,1e-05,UL"] == INFEASIBLE_MARKER
 
 
 @pytest.mark.parametrize(
@@ -252,11 +240,10 @@ def test_mincap_table_rows_and_csv():
     [
         ({"powers_w": (0.001, math.nan)}, "power_w must be finite, got nan"),
         ({"data_rates": (3, 9)}, "data_rate must be in 0..5, got 9"),
-        ({"dl_payload_bytes": -1}, "dl_payload_bytes must be >= 0, got -1"),
         ({"payloads_bytes": (10, -1)}, "ul_payload_bytes must be >= 0, got -1"),
         ({"kinds": ("UL", "bogus")}, f"mincap kinds must be among {CYCLE_KINDS}"),
     ],
-    ids=["power_w", "data_rate", "dl_payload", "ul_payload", "kind"],
+    ids=["power_w", "data_rate", "ul_payload", "kind"],
 )
 def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, problem):
     sized = []
@@ -264,7 +251,7 @@ def test_mincap_table_checks_every_row_before_sizing_any(monkeypatch, axis, prob
         analysis, "min_capacitance_over_played", lambda *args: sized.append(args)
     )
     with pytest.raises(ConfigError) as excinfo:
-        mincap_table(BASE, **{"data_rates": (3,), "payloads_bytes": (10,), **axis})
+        mincap_csv(BASE, **{"data_rates": (3,), "payloads_bytes": (10,), **axis})
     assert excinfo.value.problems == [problem]
     assert sized == []
 
@@ -306,8 +293,17 @@ def _grid_rows(grid):
     ]
 
 
-def _row_config(dr, payload):
-    return replace(BASE, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=39)
+def _row_config(dr, payload, base=BASE):
+    return replace(base, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=DEFAULT_DL_PAYLOAD_BYTES)
+
+
+def _reference_lines(rows, answer) -> list[str]:
+    """``mincap_csv``'s lines for ``(dr, payload, power, kind)`` rows whose
+    reference answers ``answer(dr, payload, power, kind)`` gives."""
+    return [
+        f"{dr},{payload},{power:.9g},{kind},{_cell(answer(dr, payload, power, kind))}"
+        for dr, payload, power, kind in rows
+    ]
 
 
 # Infeasible rows, rows at the bracket floor and bisected rows all occur.
@@ -321,35 +317,29 @@ _REPEATING_GRID = dict(
 
 
 def test_mincap_table_equals_whole_config_bisection_exactly():
-    rows = mincap_table(BASE, kinds=CYCLE_KINDS, tol_rel=0.02, **_MINCAP_GRID)
-    expected = [
-        MinCapacitanceRow(
-            dr,
-            payload,
-            power,
-            kind,
-            _bisect_on_whole_configs(_row_config(dr, payload), kind, power, 0.02),
+    lines = mincap_csv(BASE, kinds=CYCLE_KINDS, **_MINCAP_GRID).splitlines()[1:]
+    answers = {
+        (dr, payload, power, kind): _bisect_on_whole_configs(
+            _row_config(dr, payload), kind, power, DEFAULT_TOL_REL
         )
         for dr, payload, power, kind in _grid_rows(_MINCAP_GRID)
-    ]
-    assert rows == expected
-    answers = {row.capacitance_f for row in rows}
+    }
+    assert lines == _reference_lines(answers, lambda *row: answers[row])
     # Infeasible rows, rows at the bracket floor and bisected rows all occur.
-    assert None in answers and DEFAULT_C_LO_F in answers
-    assert len(answers - {None, DEFAULT_C_LO_F}) > 1
+    assert None in answers.values() and DEFAULT_C_LO_F in answers.values()
+    assert len(set(answers.values()) - {None, DEFAULT_C_LO_F}) > 1
+
+
+def _public_answer(dr, payload, power, kind):
+    return min_capacitance(_row_config(dr, payload), kind, power)
 
 
 def test_mincap_table_rows_equal_public_min_capacitance():
-    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID)
-    expected = [
-        MinCapacitanceRow(
-            dr, payload, power, kind, min_capacitance(_row_config(dr, payload), kind, power)
-        )
-        for dr, payload, power, kind in _grid_rows(_REPEATING_GRID)
-    ]
-    # Float equality: every capacitance is the same bits, row by row.
-    assert rows == expected
-    answers = {row.capacitance_f for row in rows}
+    lines = mincap_csv(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID).splitlines()[1:]
+    rows = _grid_rows(_REPEATING_GRID)
+    # Text equality: every cell prints its row's min_capacitance answer.
+    assert lines == _reference_lines(rows, _public_answer)
+    answers = {_public_answer(*row) for row in rows}
     assert None in answers and DEFAULT_C_LO_F in answers
     assert len(answers - {None, DEFAULT_C_LO_F}) > 1
 
@@ -368,18 +358,17 @@ def test_mincap_table_equals_min_capacitance_on_random_grids(
     # Consecutive payloads mostly code to the same number of symbols, so
     # rows repeat an earlier row's cycle.
     payloads = tuple(range(first_payload, first_payload + span))
-    rows = mincap_table(
+    text = mincap_csv(
         BASE, data_rates=data_rates, payloads_bytes=payloads, powers_w=powers_w, kinds=kinds
     )
-    assert rows == [
-        MinCapacitanceRow(
-            dr, payload, power, kind, min_capacitance(_row_config(dr, payload), kind, power)
-        )
+    rows = [
+        (dr, payload, power, kind)
         for dr in data_rates
         for payload in payloads
         for power in powers_w
         for kind in kinds
     ]
+    assert text.splitlines()[1:] == _reference_lines(rows, _public_answer)
 
 
 @settings(max_examples=150)
@@ -406,10 +395,13 @@ def test_mincap_table_equals_min_capacitance_on_random_radio_settings(
 ):
     # The table plays each cycle's uplink and its post-TX tail apart. Whatever
     # radio field either part reads, its rows must equal whole-cycle sizing.
+    # The base's downlink payload is drawn too: the table sizes every UL+DL
+    # cycle with its own, DEFAULT_DL_PAYLOAD_BYTES.
     base = replace(
         BASE,
         bandwidth_hz=bandwidth_hz,
         mac_overhead_bytes=mac_overhead_bytes,
+        dl_payload_bytes=dl_payload_bytes,
         rx1_delay_s=rx1_delay_s,
         rx2_delay_s=rx1_delay_s + rx_gap_s,
         rx_window_symbols=rx_window_symbols,
@@ -417,35 +409,20 @@ def test_mincap_table_equals_min_capacitance_on_random_radio_settings(
         standby_brief_s=standby_share * rx1_delay_s,
     )
     payloads = tuple(range(first_payload, first_payload + span))
-    rows = mincap_table(
-        base,
-        data_rates=data_rates,
-        payloads_bytes=payloads,
-        powers_w=powers_w,
-        dl_payload_bytes=dl_payload_bytes,
-    )
-    assert rows == [
-        MinCapacitanceRow(
-            dr,
-            payload,
-            power,
-            kind,
-            min_capacitance(
-                replace(
-                    base,
-                    data_rate=dr,
-                    ul_payload_bytes=payload,
-                    dl_payload_bytes=dl_payload_bytes,
-                ),
-                kind,
-                power,
-            ),
-        )
+    text = mincap_csv(base, data_rates=data_rates, payloads_bytes=payloads, powers_w=powers_w)
+    rows = [
+        (dr, payload, power, kind)
         for dr in data_rates
         for payload in payloads
         for power in powers_w
         for kind in CYCLE_KINDS
     ]
+    assert text.splitlines()[1:] == _reference_lines(
+        rows,
+        lambda dr, payload, power, kind: min_capacitance(
+            _row_config(dr, payload, base), kind, power
+        ),
+    )
 
 
 def test_mincap_table_sizes_each_distinct_cycle_once_per_power(monkeypatch):
@@ -457,10 +434,12 @@ def test_mincap_table_sizes_each_distinct_cycle_once_per_power(monkeypatch):
         return kernel(v0, played, *args)
 
     monkeypatch.setattr(analysis, "min_capacitance_over_played", spy)
-    rows = mincap_table(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID)
+    lines = mincap_csv(BASE, kinds=CYCLE_KINDS, **_REPEATING_GRID).splitlines()[1:]
+    rows = _grid_rows(_REPEATING_GRID)
+    assert len(lines) == len(rows)
     distinct = {
         (cycle_spec(_row_config(dr, payload), kind).segments, power)
-        for dr, payload, power, kind in _grid_rows(_REPEATING_GRID)
+        for dr, payload, power, kind in rows
     }
     assert len(distinct) < len(rows)  # the grid repeats cycles
     assert len(sized) == len(distinct)
@@ -746,8 +725,8 @@ def test_each_study_derives_the_points_replace_would(monkeypatch):
     # The points mincap checks up front: one per data rate, payload and power.
     checked = []
     monkeypatch.setattr(analysis, "check_scenarios", checked.extend)
-    mincap_table(base, data_rates=(2, 3), payloads_bytes=(10, 20), powers_w=(0.001,), dl_payload_bytes=20)
-    row_base = base._replace(dl_payload_bytes=20)
+    mincap_csv(base, data_rates=(2, 3), payloads_bytes=(10, 20), powers_w=(0.001,))
+    row_base = base._replace(dl_payload_bytes=DEFAULT_DL_PAYLOAD_BYTES)
     want = (
         [row_base._replace(data_rate=dr) for dr in (2, 3)]
         + [row_base._replace(ul_payload_bytes=payload) for payload in (10, 20)]

@@ -17,9 +17,9 @@ import caplora.engine
 from caplora.analysis import (
     CYCLE_KINDS,
     DEFAULT_C_LO_F,
+    DEFAULT_DL_PAYLOAD_BYTES,
     MINCAP_HEADER,
-    MinCapacitanceRow,
-    mincap_table,
+    min_capacitance,
 )
 from caplora.cli import main
 from caplora.config import parse_config
@@ -224,22 +224,24 @@ def test_mincap_csv_is_each_row_formatted_on_its_own():
             path = Path(out) / "min_capacitance.csv"
             text = path.read_text()
         config, grid = parse_config(None, overrides)
-        rows = mincap_table(
-            config,
-            data_rates=grid.data_rates,
-            payloads_bytes=grid.payloads_bytes,
-            powers_w=grid.powers_w,
-            kinds=grid.kinds,
-        )
+        # Each row's reference: min_capacitance, sized on its own.
+        rows = []
+        for dr in grid.data_rates:
+            for payload in grid.payloads_bytes:
+                row_config = replace(
+                    config, data_rate=dr, ul_payload_bytes=payload, dl_payload_bytes=DEFAULT_DL_PAYLOAD_BYTES
+                )
+                rows += [
+                    (dr, payload, power, kind, min_capacitance(row_config, kind, power))
+                    for power in grid.powers_w
+                    for kind in grid.kinds
+                ]
         assert text.splitlines() == [MINCAP_HEADER] + [
             f"{dr},{payload},{power:.9g},{kind},{'infeasible' if cell is None else f'{cell:.6g}'}"
             for dr, payload, power, kind, cell in rows
         ]
         assert text.endswith("\n")
         assert stdout.getvalue() == f"{len(rows)} grid points -> {path}\n"
-        for row in rows:
-            assert type(row) is MinCapacitanceRow
-            assert row._fields == ("data_rate", "payload_bytes", "power_w", "kind", "capacitance_f")
         airtimes = {
             (dr, lorawan_params(replace(config, data_rate=dr, ul_payload_bytes=p)).ul_time_on_air())
             for dr in grid.data_rates
@@ -247,9 +249,9 @@ def test_mincap_csv_is_each_row_formatted_on_its_own():
         }
         if len(airtimes) < len(grid.data_rates) * len(grid.payloads_bytes):
             seen.add("shared airtime")
-        if len({row.data_rate for row in rows}) > 1:
+        if len({dr for dr, *_ in rows}) > 1:
             seen.add("several data rates")
-        seen.update(row.kind for row in rows)
+        seen.update(kind for *_, kind, _ in rows)
         seen.update(
             "infeasible" if c is None else "floor" if c == DEFAULT_C_LO_F else "bisected"
             for *_, c in rows

@@ -20,13 +20,12 @@ from caplora.device import (
     LorawanDevice,
     cycle_states,
     post_tx_sequence,
-    smart_tx_guard,
 )
 from caplora.energy import harvester_conductance
 from caplora.engine import capacitor_params, lorawan_params
 from caplora.lorawan import DeviceState, LorawanParams
 
-from conftest import empty_stores
+from conftest import empty_stores, guard_holds
 
 
 PARAMS = LorawanParams(data_rate=3, ul_payload_bytes=10, dl_payload_bytes=0)
@@ -138,18 +137,23 @@ def test_guard_blocks_only_when_prediction_dips_below_cutoff():
     cap = capacitor_params(config)
     g_load = config.load_conductances()
     g_harv = harvester_conductance(0.001, 3.3)
-    tx, cycle = (
-        [(duration, g_load[state]) for state, duration in cycle_states(PARAMS, reply)]
-        for reply in (None, DlReply.NONE)
-    )
+    devices = []
+    for reply in (None, DlReply.NONE):
+        horizon = next(name for name, r in GUARD_HORIZON_REPLIES.items() if r is reply)
+        sim = Simulator(replace(config, guard_horizon=horizon))
+        sim.g_harv = g_harv
+        segments = [(duration, g_load[state]) for state, duration in cycle_states(PARAMS, reply)]
+        # The device answers as the guard's rule does over its horizon.
+        for v in (1.81, 1.9, 2.0, 2.2, 2.6, 3.0, 3.3):
+            assert sim.device.guard_allows(v) is guard_holds(v, segments, g_harv, cap)
+        devices.append(sim.device)
+    tx, cycle = devices
     # Plenty of charge: allowed. Barely above the cutoff: vetoed.
-    assert smart_tx_guard(3.3, tx, g_harv, cap)
-    assert not smart_tx_guard(1.81, tx, g_harv, cap)
+    assert tx.guard_allows(3.3)
+    assert not tx.guard_allows(1.81)
     # The cycle horizon is strictly more cautious than the uplink alone.
     for v in (1.9, 2.0, 2.2, 2.6, 3.0, 3.3):
-        tx_ok = smart_tx_guard(v, tx, g_harv, cap)
-        cycle_ok = smart_tx_guard(v, cycle, g_harv, cap)
-        assert tx_ok or not cycle_ok
+        assert tx.guard_allows(v) or not cycle.guard_allows(v)
 
 
 def test_guard_skips_are_counted_and_recorded():
@@ -172,7 +176,7 @@ def test_guard_skips_are_counted_and_recorded():
 @pytest.mark.parametrize("horizon", GUARD_HORIZON_REPLIES)
 def test_the_guard_plays_its_horizon_once_per_harvest_step(tmp_path, monkeypatch, horizon):
     # On a trace that steps between five harvest levels, two of them dark,
-    # every guard answer is smart_tx_guard's at the harvest of its moment,
+    # every guard answer is the guard rule's at the harvest of its moment,
     # and the horizon is played again only when that harvest changed.
     levels = (0.004, 0.0, 0.0008, 0.0, 0.002, 0.0003)
     trace = tmp_path / "steps.csv"
@@ -213,7 +217,7 @@ def test_the_guard_plays_its_horizon_once_per_harvest_step(tmp_path, monkeypatch
     ]
     cap = capacitor_params(config)
     for voltage_v, g_harv, answer in answers:
-        assert answer is smart_tx_guard(voltage_v, segments, g_harv, cap)
+        assert answer is guard_holds(voltage_v, segments, g_harv, cap)
 
 
 # ----------------------------------------------------------------- gateway

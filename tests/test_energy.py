@@ -50,6 +50,12 @@ def test_every_exported_name_resolves():
         assert removed not in caplora.__all__
         assert not hasattr(caplora, removed)
     assert caplora.analysis.CycleSpec is not None  # still importable from its module
+    for module, removed in (
+        (caplora.device, "smart_tx_guard"),
+        (caplora.analysis, "mincap_table"),
+        (caplora.analysis, "MinCapacitanceRow"),
+    ):
+        assert not hasattr(module, removed), removed
 
 
 # ---------------------------------------------------------------- conductances

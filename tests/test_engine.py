@@ -586,9 +586,9 @@ def test_a_scheduled_entry_reads_back_its_time_and_cancellation():
         pass
 
     entry = sim.schedule_at_ns(7_500, action)
-    assert (entry.time_ns, entry.action, entry.cancelled) == (7_500, action, False)
+    assert (entry.time_ns, entry[2], entry.cancelled) == (7_500, action, False)
     sim.cancel(entry)
-    assert (entry.time_ns, entry.action, entry.cancelled) == (7_500, action, True)
+    assert (entry.time_ns, entry[2], entry.cancelled) == (7_500, action, True)
     # A time already past is scheduled now.
     assert sim.schedule_at_ns(1_000, action).time_ns == 5_000
 

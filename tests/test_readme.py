@@ -41,3 +41,12 @@ def test_python_api_example_runs(capsys):
     generated, delivered, acked = map(int, capsys.readouterr().out.split())
     assert 0 <= acked <= delivered <= generated
     assert generated > 0
+
+
+def test_every_dotted_name_resolves():
+    # Each ``caplora.<module>.<name>`` README names is found where it says.
+    dotted = set(re.findall(r"\bcaplora\.(\w+)\.(\w+)\b", README.read_text()))
+    assert dotted
+    for module, name in dotted:
+        assert module in SUBMODULES, module
+        assert hasattr(getattr(caplora, module), name), f"caplora.{module}.{name}"

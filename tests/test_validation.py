@@ -85,3 +85,39 @@ def test_an_int_time_beyond_the_clock_is_reported_not_raised(name):
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(config)
     assert excinfo.value.problems == validate_scenario(config)
+
+
+# Every numeric scenario field but ``seed``, which may be an int of any size.
+NUMBER_FIELDS = [
+    f.name
+    for f in fields(ScenarioConfig)
+    if f.type.removesuffix(" | None") in ("int", "float") and f.name != "seed"
+]
+
+
+@pytest.mark.parametrize("name", NUMBER_FIELDS)
+def test_a_number_beyond_a_float_is_reported_not_raised(name):
+    # Unchecked, validation raised OverflowError on the currents, the rail
+    # voltage, the payloads and the window symbols, and passed the
+    # capacitance, the maximum voltage and the harvest powers, whose run
+    # then raised it.
+    config = ScenarioConfig(**{name: 10**400})
+    problems = validate_scenario(config)
+    assert any(problem.startswith(f"{name} ") for problem in problems), problems
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(config)
+    assert excinfo.value.problems == problems
+
+
+def test_a_seed_of_any_size_is_valid():
+    assert validate_scenario(ScenarioConfig(seed=10**400)) == []
+
+
+@pytest.mark.parametrize("name", ["duration_s", "data_rate"])
+def test_a_problem_prints_an_int_too_long_for_str(name):
+    # ``str`` refuses an int of more than 4300 digits; the problem's text
+    # gives its size instead of raising ValueError.
+    huge = 10**5000
+    problems = validate_scenario(ScenarioConfig(**{name: huge}))
+    assert problems
+    assert any(f"got an int of {huge.bit_length()} bits" in problem for problem in problems)

@@ -43,6 +43,13 @@ REFUSED = [
             "initial_voltage_v must be in [0, max_voltage_v], got 3.3",
         ],
     ),
+    # Each field of a params type must hold as a float.
+    (make_params(), {"rail_voltage_v": math.inf}, ["rail_voltage_v must be finite, got inf"]),
+    (
+        LorawanParams(),
+        {"rx_window_symbols": 10**400},
+        [f"rx_window_symbols is beyond the range of a float, got {10**400}"],
+    ),
     (LorawanParams(), {"data_rate": 9}, ["data_rate must be in 0..5, got 9"]),
     (LorawanParams(), {"rx1_delay_s": 2.0, "rx2_delay_s": 1.0}, ["need 0 < rx1_delay_s < rx2_delay_s"]),
     (LorawanParams(), {"ul_duty_cycle": 0.0}, ["ul_duty_cycle must be in (0, 1], got 0.0"]),
