@@ -154,37 +154,27 @@ def min_voltage_over_cycle(
 
 
 def min_capacitance(
-    config: ScenarioConfig,
-    kind: str,
-    power_w: float | None = None,
-    *,
-    c_lo: float = DEFAULT_C_LO_F,
-    c_hi: float = DEFAULT_C_HI_F,
-    tol_rel: float = DEFAULT_TOL_REL,
+    config: ScenarioConfig, kind: str, power_w: float | None = None
 ) -> float | None:
-    """Smallest capacitance that completes one cycle without depleting.
+    """Smallest capacitance that completes one cycle without depleting,
+    sized as ``mincap_csv`` sizes a row: bisected between ``DEFAULT_C_LO_F``
+    and ``DEFAULT_C_HI_F`` to within ``DEFAULT_TOL_REL``, on the feasible side
+    of the final bracket. Sized at ``cycle_spec``'s power.
 
-    Returns ``None`` when even ``c_hi`` cannot keep the voltage above the
-    cutoff (typically: the harvest is too weak to bank a workable starting
-    voltage). The answer is on the feasible side of the final bracket, within
-    ``tol_rel`` of the true boundary. Sized at ``cycle_spec``'s power.
-
-    Each bracket end is probed once; a bisection then adds
-    ``ceil(log2(ln(c_hi / c_lo) / ln(1 + tol_rel)))`` midpoint probes.
-    Raises ``ValueError`` unless ``0 < c_lo < c_hi``, both finite, and
-    ``tol_rel`` is finite and positive, and ``RuntimeError`` when ``c_hi``
-    sags lower than ``c_lo``.
+    Returns ``None`` when even ``DEFAULT_C_HI_F`` cannot keep the voltage
+    above the cutoff (typically: the harvest is too weak to bank a workable
+    starting voltage). Raises ``RuntimeError`` when ``DEFAULT_C_HI_F`` sags
+    lower than ``DEFAULT_C_LO_F``.
     """
-    _check_bracket(c_lo, c_hi, tol_rel)
     spec = cycle_spec(config, kind, power_w)
     return min_capacitance_over_played(
         spec.initial_voltage_v,
         spec.played,
         config.max_voltage_v,
         config.v_th_low_v,
-        c_lo,
-        c_hi,
-        tol_rel,
+        DEFAULT_C_LO_F,
+        DEFAULT_C_HI_F,
+        DEFAULT_TOL_REL,
     )
 
 
@@ -515,8 +505,8 @@ def min_capacitance_for_target(
 
     Engine-driven bisection between ``c_lo`` and ``c_hi``; ``None`` when even
     ``c_hi`` falls short. Raises ``TraceExhaustedError`` when a harvest trace
-    cuts a run short, and ``ValueError`` for a bracket ``min_capacitance``
-    would reject.
+    cuts a run short, and ``ValueError`` unless ``0 < c_lo < c_hi``, both
+    finite, and ``tol_rel`` is finite and positive.
     """
     _check_bracket(c_lo, c_hi, tol_rel)
 

@@ -444,9 +444,14 @@ class _Crossing(NamedTuple):
     target: float
 
 
-# The fields whose numbers must hold as floats: all but ``seed``, which may
-# be an int of any size.
-_CHECKED_FIELDS = tuple(name for name in ScenarioConfig._fields if name != "seed")
+# The fields whose numbers must hold as floats, less those CapacitorParams
+# and LorawanParams check themselves: all but ``seed``, which may be an int
+# of any size.
+_CHECKED_FIELDS = tuple(
+    name
+    for name in ScenarioConfig._fields
+    if name not in ("seed", *CapacitorParams._fields, *LorawanParams._fields)
+)
 
 
 def _scenario_problems(config: ScenarioConfig) -> list[str]:
@@ -533,8 +538,7 @@ def _build_parts(config: ScenarioConfig) -> _Parts:
         except ConfigError as exc:
             problems.extend(exc.problems)
     if problems:
-        # The radio checks its own times as _scenario_problems does.
-        raise ConfigError(list(dict.fromkeys(problems)))
+        raise ConfigError(problems)
     # The first packet is at ``first_packet_s``, or drawn uniformly over the
     # first period by a generator seeded with ``seed`` for this one draw.
     first_packet_s = config.first_packet_s

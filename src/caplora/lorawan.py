@@ -58,39 +58,22 @@ def symbol_duration(sf: int, bandwidth_hz: float) -> float:
     return (2**sf) / bandwidth_hz
 
 
-def time_on_air(
-    payload_bytes: int,
-    sf: int,
-    bandwidth_hz: float = 125_000.0,
-    *,
-    preamble_symbols: int = 8,
-    coding_rate: int = 1,
-    explicit_header: bool = True,
-    crc: bool = True,
-    low_dr_optimize: bool | None = None,
-) -> float:
-    """Time on air of a LoRa frame in seconds.
+def time_on_air(payload_bytes: int, sf: int, bandwidth_hz: float = 125_000.0) -> float:
+    """Time on air of a LoRaWAN frame in seconds (Semtech AN1200.13).
 
-    ``payload_bytes`` is the full PHY payload. ``coding_rate`` is the index in
-    4/(4+CR). Low data rate optimization defaults to on for SF11 and SF12 at
-    bandwidths up to 125 kHz.
+    ``payload_bytes`` is the full PHY payload. The frame has an 8-symbol
+    preamble, coding rate 4/5, an explicit header and a CRC, and low data rate
+    optimization on for SF11 and SF12 at bandwidths up to 125 kHz.
     """
     if payload_bytes < 0:
         raise ValueError(f"payload size must be >= 0, got {payload_bytes}")
-    if not 1 <= coding_rate <= 4:
-        raise ValueError(f"coding rate index must be in 1..4, got {coding_rate}")
     t_sym = symbol_duration(sf, bandwidth_hz)
-    if low_dr_optimize is None:
-        low_dr_optimize = sf >= 11 and bandwidth_hz <= 125_000.0
-    de = 1 if low_dr_optimize else 0
-    ih = 0 if explicit_header else 1
-    crc_bits = 16 if crc else 0
-    numerator = 8 * payload_bytes - 4 * sf + 28 + crc_bits - 20 * ih
-    payload_symbols = 8 + max(
-        math.ceil(numerator / (4 * (sf - 2 * de))) * (coding_rate + 4), 0
-    )
-    preamble = (preamble_symbols + 4.25) * t_sym
-    return preamble + payload_symbols * t_sym
+    de = 1 if sf >= 11 and bandwidth_hz <= 125_000.0 else 0
+    numerator = 8 * payload_bytes - 4 * sf + 44
+    # Counted as a float: a payload beyond any clock gives an infinite time,
+    # which validation reports, rather than an int too large for a float.
+    payload_symbols = 8 + max(math.ceil(numerator / (4 * (sf - 2 * de))), 0) * 5.0
+    return 12.25 * t_sym + payload_symbols * t_sym
 
 
 def rx_window_duration(sf: int, n_symbols: int, bandwidth_hz: float = 125_000.0) -> float:
@@ -167,9 +150,19 @@ class LorawanParams(_LorawanFields):
             problems.extend(number_problems(name, value))
         if problems:
             raise ConfigError(problems)
-        w1 = rx_window_duration(self.sf, self.rx_window_symbols, self.bandwidth_hz)
-        if w1 > self.rx2_delay_s - self.rx1_delay_s:
+        if self.rx1_window_s() > self.rx2_delay_s - self.rx1_delay_s:
             raise ConfigError(["receive window 1 would still be open at rx2_delay_s"])
+        # The airtimes and window 2 are rounded to the clock, as each time is.
+        rx2_symbols = "rx_window_symbols" if self.rx2_window_symbols is None else "rx2_window_symbols"
+        for what, seconds in (
+            ("uplink airtime of ul_payload_bytes + mac_overhead_bytes", self.ul_time_on_air()),
+            ("downlink airtime of dl_payload_bytes + mac_overhead_bytes", max(self.dl_airtimes_s())),
+            (f"receive window 2 of {rx2_symbols}", self.rx2_window_s()),
+        ):
+            if not abs(seconds * NS_PER_S) <= MAX_TICKS:
+                problems.append(f"{what} is beyond the range of the 1 ns clock, got {seconds} s")
+        if problems:
+            raise ConfigError(problems)
         return self
 
     # ``_replace`` builds its copy through ``_make``: checked here, by ``__new__``.
@@ -179,19 +172,11 @@ class LorawanParams(_LorawanFields):
     def sf(self) -> int:
         return data_rate_to_sf(self.data_rate)
 
-    @property
-    def ul_phy_bytes(self) -> int:
-        return self.ul_payload_bytes + self.mac_overhead_bytes
-
-    @property
-    def dl_phy_bytes(self) -> int:
-        return self.dl_payload_bytes + self.mac_overhead_bytes
-
     def ul_time_on_air(self) -> float:
-        return time_on_air(self.ul_phy_bytes, self.sf, self.bandwidth_hz)
+        return time_on_air(self.ul_payload_bytes + self.mac_overhead_bytes, self.sf, self.bandwidth_hz)
 
     def dl_time_on_air(self, sf: int) -> float:
-        return time_on_air(self.dl_phy_bytes, sf, self.bandwidth_hz)
+        return time_on_air(self.dl_payload_bytes + self.mac_overhead_bytes, sf, self.bandwidth_hz)
 
     def dl_airtimes_s(self) -> tuple[float, float]:
         """Airtimes of a downlink reply in receive window 1 and in window 2."""

@@ -389,6 +389,16 @@ def test_mincap_rejects_bad_grid_points_up_front(tmp_path, capsys, power):
     assert not (tmp_path / "min_capacitance.csv").exists()
 
 
+def test_mincap_rejects_a_payload_beyond_the_clock(tmp_path, capsys):
+    # Unchecked, sizing rounded the uplink's airtime and raised OverflowError.
+    args = ["mincap", "--set", "sweep.data_rate=3", "--set", f"sweep.payload_bytes=10,{10**307}"]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: uplink airtime of ul_payload_bytes + mac_overhead_bytes")
+    assert not (tmp_path / "min_capacitance.csv").exists()
+
+
 @pytest.mark.parametrize("kind", ["trace", "random"])
 def test_mincap_needs_the_constant_harvester(tmp_path, capsys, kind):
     harvester = _dark_trace(tmp_path) if kind == "trace" else ["--set", "harvester.kind=random"]
@@ -483,6 +493,7 @@ def test_usage_errors_exit_nonzero(capsys):
             "harvest_update_period_s is beyond the range",
         ),
         (["rx2_delay_s=1e300"], "rx2_delay_s is beyond the range"),
+        ([f"ul_payload_bytes={10**307}"], "uplink airtime of ul_payload_bytes"),
     ],
 )
 def test_inputs_that_would_hang_or_crash_exit_2(tmp_path, capsys, overrides, field):

@@ -4,6 +4,7 @@ accounting, and the hysteresis state machine."""
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
 import random
@@ -50,12 +51,19 @@ def test_every_exported_name_resolves():
         assert removed not in caplora.__all__
         assert not hasattr(caplora, removed)
     assert caplora.analysis.CycleSpec is not None  # still importable from its module
-    for module, removed in (
+    for owner, removed in (
         (caplora.device, "smart_tx_guard"),
         (caplora.analysis, "mincap_table"),
         (caplora.analysis, "MinCapacitanceRow"),
+        (caplora.lorawan.LorawanParams, "ul_phy_bytes"),
+        (caplora.lorawan.LorawanParams, "dl_phy_bytes"),
     ):
-        assert not hasattr(module, removed), removed
+        assert not hasattr(owner, removed), removed
+    for function, removed in (
+        (caplora.lorawan.time_on_air, "preamble_symbols coding_rate explicit_header crc low_dr_optimize"),
+        (caplora.analysis.min_capacitance, "c_lo c_hi tol_rel"),
+    ):
+        assert not set(removed.split()) & set(inspect.signature(function).parameters)
 
 
 # ---------------------------------------------------------------- conductances

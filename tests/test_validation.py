@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import caplora
 from caplora import ConfigError, ScenarioConfig, Simulator
-from caplora.clock import TICK_S
+from caplora.clock import TICK_S, number_problems
 from caplora.engine import run_scenario, validate_scenario
+from conftest import empty_stores
 
 # Zero, the clock tick and below it, values past the nanosecond clock's
 # range, non-finite values and a plain negative.
@@ -57,6 +59,11 @@ def scenarios(draw) -> ScenarioConfig:
 @example(ScenarioConfig(harvester="random", harvest_update_period_s=math.inf))
 @example(ScenarioConfig(harvester="random", harvest_update_period_s=math.nan))
 @example(ScenarioConfig(harvester="random", harvest_update_period_s=1e300))
+@example(ScenarioConfig(ul_payload_bytes=10**305))
+@example(ScenarioConfig(dl_payload_bytes=10**307))
+@example(ScenarioConfig(mac_overhead_bytes=10**307))
+@example(ScenarioConfig(rx2_window_symbols=10**307))
+@example(ScenarioConfig(ul_payload_bytes=10**308 * 3 // 2, data_rate=5))
 def test_simulator_refuses_exactly_what_validation_reports(config):
     problems = validate_scenario(config)
     assert not any("; " in problem for problem in problems)
@@ -68,7 +75,8 @@ def test_simulator_refuses_exactly_what_validation_reports(config):
         Simulator(config)
 
 
-# A time that large in these fields also breaks their order with another.
+# A time that large in these fields also breaks their order with another,
+# which the radio reports before it checks each field on the clock.
 ORDER_PROBLEMS = {
     "rx1_delay_s": ["need 0 < rx1_delay_s < rx2_delay_s"],
     "standby_brief_s": ["standby_brief_s must be in (0, rx1_delay_s)"],
@@ -81,7 +89,7 @@ def test_an_int_time_beyond_the_clock_is_reported_not_raised(name):
     # on the radio's times, and a run on duration_s.
     config = ScenarioConfig(**{name: 10**400})
     clock = f"{name} is beyond the range of the 1 ns clock, got {10**400}"
-    assert validate_scenario(config) == [clock, *ORDER_PROBLEMS.get(name, ())]
+    assert validate_scenario(config) == [*ORDER_PROBLEMS.get(name, ()), clock]
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(config)
     assert excinfo.value.problems == validate_scenario(config)
@@ -107,6 +115,51 @@ def test_a_number_beyond_a_float_is_reported_not_raised(name):
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(config)
     assert excinfo.value.problems == problems
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"ul_payload_bytes": 10**305},
+        {"dl_payload_bytes": 10**307},
+        {"mac_overhead_bytes": 10**307},
+        {"rx2_window_symbols": 10**307},
+        # Window 2 listens as long as window 1, at SF12: 32 times longer.
+        {"rx_window_symbols": 10**301, "data_rate": 5, "rx2_delay_s": 1e299},
+        # More payload symbols than a float holds, at SF7.
+        {"ul_payload_bytes": 10**308 * 3 // 2, "data_rate": 5},
+    ],
+    ids="-".join,
+)
+def test_a_radio_time_beyond_the_clock_is_reported_not_raised(overrides):
+    # Each field fits a float, but the airtime or window 2 it gives does not
+    # count on the clock: unchecked, validation raised OverflowError while
+    # rounding it to ticks.
+    name = next(iter(overrides))
+    config = ScenarioConfig(**overrides)
+    problems = validate_scenario(config)
+    assert problems
+    for problem in problems:
+        assert name in problem and "is beyond the range of the 1 ns clock" in problem
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(config)
+    assert excinfo.value.problems == problems
+
+
+def test_each_field_is_checked_in_one_layer(monkeypatch):
+    # The capacitor and the radio check their own fields; the scenario checks
+    # the rest, each once.
+    empty_stores(monkeypatch)
+    names = []
+
+    def spy(name, value):
+        names.append(name)
+        return number_problems(name, value)
+
+    for module in (caplora.engine, caplora.energy, caplora.lorawan):
+        monkeypatch.setattr(module, "number_problems", spy)
+    assert validate_scenario(ScenarioConfig()) == []
+    assert sorted(names) == sorted(name for name in ScenarioConfig._fields if name != "seed")
 
 
 def test_a_seed_of_any_size_is_valid():
